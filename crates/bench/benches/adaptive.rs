@@ -7,9 +7,9 @@
 //!   adaptive cap. The adaptive run should finish in a small fraction of
 //!   the fixed run's time — that ratio *is* the feature.
 //! * `wave_overhead` — the same consumed trial count spent through the
-//!   flat fan-out vs the wave-by-wave `par_map_chunks_with` path, so the
-//!   per-wave dispatch + rule-evaluation overhead stays visible and
-//!   bounded.
+//!   flat fan-out vs the wave driver (`mrw_core::query::waves`, one
+//!   `par_map_with` per window), so the per-window dispatch +
+//!   rule-evaluation overhead stays visible and bounded.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mrw_core::{CoverTimeEstimator, EstimatorConfig, Precision};

@@ -12,7 +12,7 @@
 //! | Bench | What it times |
 //! |-------|---------------|
 //! | `engine` | raw engine throughput (ns/step) per graph shape, thread-pool scaling, and the batched-vs-scalar stepping comparison; `--test` mode emits `BENCH_engine.json`, archived by CI |
-//! | `adaptive` | adaptive (precision-targeted) vs fixed trial budgets, and the wave-dispatch overhead of `par_map_chunks_with` at a matched trial count |
+//! | `adaptive` | adaptive (precision-targeted) vs fixed trial budgets, and the wave driver's per-window dispatch overhead at a matched trial count |
 //! | `ablations` | the DESIGN.md §4 design choices: stepping disciplines, process compilation, observer overhead |
 //! | `processes` | simple vs lazy vs Metropolis walks, partial coverage, visit tallies |
 //! | `cycle` / `torus` / `clique` / `barbell` / `expander` | one bench per Table 1 family's speed-up experiment |

@@ -98,6 +98,7 @@ impl Drop for Scratch {
 }
 
 /// Pool knobs, resolved from the CLI flags by the fanout driver.
+#[derive(Clone)]
 pub struct DispatchConfig {
     /// Concurrent worker processes.
     pub workers: usize,

@@ -10,23 +10,21 @@
 //! which worker ran which chunk, in what order, or how many times a
 //! chunk had to be retried.
 //!
-//! ## The two execution shapes
+//! ## One drive path
 //!
-//! * **Fixed budgets** — `[0, N)` is cut into chunks (`--shards` many, or
-//!   `--chunk`-sized; default `4 × workers` so the pool can steal around
-//!   stragglers); one pull-driven pass, then a fold of [`Report::merge`].
-//! * **Adaptive budgets** — the sequential stopping rule is replicated at
-//!   the *driver*: trials are dispatched wave by wave on exactly the
-//!   boundaries the in-process loop uses (`Precision::next_wave`, rule
-//!   evaluated on index-ordered prefix moments), with groups dropping out
-//!   of later waves the moment their rule fires (`mrw shard --groups`).
-//!   The wave *schedule* is a pure function of the consumed count, so the
-//!   driver pipelines it: the next wave's chunks are enqueued before the
-//!   current wave's stragglers finish, under the last known active-group
-//!   set — always a superset of the true one, and the prefix fold only
-//!   accumulates still-active groups, so the optimistic extra trials are
-//!   ignored and the assembled report (per-group consumed counts
-//!   included) stays byte-identical to the unsharded adaptive run.
+//! Fixed and adaptive budgets both run through `mrw-core`'s wave driver
+//! ([`waves::drive`]) with the pool as its executor ([`PoolExecutor`]); a
+//! fixed budget is the one-window case `[0, N)`. The driver owns the
+//! windows, the rule check, and group retirement; the pool cuts each
+//! window into chunks — `--shards` pieces for a fixed budget (default
+//! `4 × workers`, so the pool can steal around stragglers), one per
+//! worker for an adaptive window, or `--chunk`-sized — and dispatches
+//! them with `mrw shard --range --groups` restricted to the groups still
+//! active. The next window is queued before the current one is awaited,
+//! under the current active set: a superset of the groups that will need
+//! it, and the running totals read only the groups the driver asks about,
+//! so the optimistic extra trials never reach the report and the output
+//! (per-group consumed counts included) is byte-identical to `mrw run`.
 //!
 //! ## Failure handling, checkpoints, and resume
 //!
@@ -37,18 +35,19 @@
 //! [`Checkpoint`] and either aborts with the still-missing ranges and the
 //! exact `mrw resume` command that would continue (default), or — with
 //! `--partial-ok` — prints the merged partial report and exits cleanly.
-//! `mrw resume checkpoint.json` replays the wave schedule, dispatches
-//! only the still-missing sub-ranges, and completes byte-identically to
-//! an unfailed `mrw run`.
+//! `mrw resume checkpoint.json` drives the same windows again, slotting
+//! each checkpointed report into its window and dispatching only the
+//! still-missing sub-ranges, and completes byte-identically to an
+//! unfailed `mrw run`. `mrw serve --delegate-trials` runs its big ranges
+//! as one window of the same pool ([`run_on_pool`]).
 
 use std::ops::Range;
 use std::process::Command;
 use std::time::Duration;
 
-use mrw_core::query::{Checkpoint, Coverage, GraphInfo, ShardPlan};
+use mrw_core::query::{waves, Checkpoint, Coverage, GraphInfo, ShardPlan};
 use mrw_core::{AnyGraph, Group, QuerySpec, Report};
 use mrw_graph::GraphBackend;
-use mrw_stats::{IntMoments, Precision};
 
 use crate::args::Options;
 use crate::dispatch::{merge_all, Chunk, DispatchConfig, Dispatcher, Scratch};
@@ -175,10 +174,237 @@ fn window_gaps(window: &Range<usize>, saved: Option<&Report>) -> Vec<Range<usize
     }
 }
 
+/// How a drive cuts its windows into chunks.
+struct ChunkPlan {
+    /// `--chunk`: one explicit chunk length for every window.
+    chunk: Option<usize>,
+    /// Balanced pieces a window with no checkpointed progress splits into.
+    fresh: usize,
+    /// Pieces whose length sizes the chunks of a partly checkpointed
+    /// window.
+    parts: usize,
+}
+
+impl ChunkPlan {
+    /// Fixed budgets split into `--shards` pieces (default four per
+    /// worker, so idle workers have something to steal); adaptive windows
+    /// split like the in-process wave fan-out, one piece per worker.
+    fn new(chunk: Option<usize>, shards: Option<usize>, workers: usize, fixed: bool) -> ChunkPlan {
+        let parts = if fixed { workers * 4 } else { workers };
+        ChunkPlan {
+            chunk,
+            fresh: if fixed {
+                shards.unwrap_or(parts)
+            } else {
+                parts
+            },
+            parts,
+        }
+    }
+
+    /// The chunks covering `gap`, a still-missing part of `window`.
+    fn chunks(&self, window: &Range<usize>, gap: Range<usize>) -> Vec<Range<usize>> {
+        match self.chunk {
+            None if gap == *window => ShardPlan::split(gap, self.fresh),
+            chunk => {
+                let len = window.len();
+                let chunk_len = chunk.unwrap_or_else(|| len.div_ceil(self.parts.min(len).max(1)));
+                split_chunks(gap, chunk_len)
+            }
+        }
+    }
+}
+
+/// The worker pool as a [`waves::WaveExecutor`]: every window is cut into
+/// chunks the pool pulls, and the next window is queued before the
+/// current one is awaited, so the pool never drains at a window boundary.
+/// The next window runs under the active set the driver passed for the
+/// current one — a superset of the groups that will need it (groups only
+/// ever retire), and the running totals read only the groups the driver
+/// asks about, so the optimistic extra trials never reach the report.
+struct PoolExecutor<'s> {
+    pool: Dispatcher<'s>,
+    plan: ChunkPlan,
+    windows: Vec<Range<usize>>,
+    /// Checkpointed progress per window, merged in when the window
+    /// finishes.
+    saved: Vec<Option<Report>>,
+    /// Windows `[0, queued)` have had their chunks enqueued.
+    queued: usize,
+    /// The merged report of every finished window, in order — exactly
+    /// what a checkpoint keeps.
+    finished: Vec<Report>,
+    /// Running per-group statistics over the finished windows.
+    totals: Vec<Group>,
+    /// Whether a chunk exhausted its retries: the drive stopped, but its
+    /// finished work can be checkpointed.
+    exhausted: bool,
+}
+
+impl<'s> PoolExecutor<'s> {
+    /// A pool over `windows` of `spec`, resuming from a checkpoint's
+    /// per-window `saved` reports (each slotted into the window that
+    /// contains it). The children read `spec` from the scratch directory:
+    /// the *resolved* spec (CLI overrides applied, or a checkpoint's frozen
+    /// spec), never the user's file.
+    fn new(
+        spec: &QuerySpec,
+        scratch: &'s Scratch,
+        cfg: DispatchConfig,
+        plan: ChunkPlan,
+        windows: Vec<Range<usize>>,
+        saved: &[Report],
+    ) -> Result<PoolExecutor<'s>, String> {
+        let mut slots: Vec<Option<Report>> = vec![None; windows.len()];
+        for report in saved {
+            let Some(&(start, _)) = report.coverage.ranges().first() else {
+                return Err("checkpoint wave covers no trials".into());
+            };
+            let start = start as usize;
+            let w = windows
+                .iter()
+                .position(|win| win.start <= start && start < win.end)
+                .ok_or_else(|| {
+                    format!("checkpoint wave at trial {start} is outside the spec's wave schedule")
+                })?;
+            let (lo, hi) = (windows[w].start as u64, windows[w].end as u64);
+            if report
+                .coverage
+                .ranges()
+                .iter()
+                .any(|&(a, b)| a < lo || b > hi)
+            {
+                return Err(format!(
+                    "checkpoint wave covering {:?} crosses the wave boundary at trial {hi}",
+                    report.coverage.ranges()
+                ));
+            }
+            slots[w] = Some(match slots[w].take() {
+                None => report.clone(),
+                Some(prev) => Report::merge(&prev, report)?,
+            });
+        }
+        let spec_path = scratch.path("spec.json");
+        std::fs::write(&spec_path, spec.to_json())
+            .map_err(|e| format!("{}: {e}", spec_path.display()))?;
+        Ok(PoolExecutor {
+            pool: Dispatcher::new(spec_path, scratch, cfg)?,
+            plan,
+            windows,
+            saved: slots,
+            queued: 0,
+            finished: Vec::new(),
+            totals: Vec::new(),
+            exhausted: false,
+        })
+    }
+
+    /// Enqueues the chunks of every not-yet-queued window up to and
+    /// including `through`, restricted to `groups`.
+    fn queue(&mut self, through: usize, groups: Option<&[usize]>) {
+        while self.queued <= through && self.queued < self.windows.len() {
+            let w = self.queued;
+            let window = self.windows[w].clone();
+            for gap in window_gaps(&window, self.saved[w].as_ref()) {
+                for range in self.plan.chunks(&window, gap) {
+                    self.pool
+                        .enqueue(Chunk::new(w, range, groups.map(<[usize]>::to_vec)));
+                }
+            }
+            self.queued += 1;
+        }
+    }
+
+    /// Waits for the next unfinished window's chunks and merges them (with
+    /// its checkpointed part) into the window's report, which must cover
+    /// the whole window.
+    fn finish(&mut self) -> Result<Report, String> {
+        let w = self.finished.len();
+        let window = self
+            .windows
+            .get(w)
+            .cloned()
+            .ok_or_else(|| format!("internal: no window {w} to finish"))?;
+        if let Err(e) = self.pool.run_until_wave_done(w) {
+            self.exhausted = true;
+            return Err(e);
+        }
+        let mut parts = self.pool.take_completed(w);
+        parts.extend(self.saved[w].take());
+        let report = merge_all(&parts)?;
+        if report.coverage.ranges() != [(window.start as u64, window.end as u64)] {
+            return Err(format!(
+                "trials {window:?} merged to coverage {:?}",
+                report.coverage.ranges()
+            ));
+        }
+        Ok(report)
+    }
+
+    /// Freezes a drive stopped by retry exhaustion: every finished window,
+    /// plus whatever completed (or was checkpointed) of later ones.
+    fn interrupted(&mut self, error: String) -> Result<Interrupted, String> {
+        let mut waves = std::mem::take(&mut self.finished);
+        for w in waves.len()..self.windows.len() {
+            let mut parts = self.pool.take_completed(w);
+            parts.extend(self.saved[w].take());
+            if !parts.is_empty() {
+                waves.push(merge_all(&parts)?);
+            }
+        }
+        Ok(Interrupted {
+            error,
+            waves,
+            missing: self.pool.missing_ranges(),
+        })
+    }
+}
+
+impl waves::WaveExecutor for PoolExecutor<'_> {
+    type Error = String;
+
+    fn window(
+        &mut self,
+        active: Option<&[usize]>,
+        window: Range<usize>,
+        next: Option<Range<usize>>,
+    ) -> Result<Vec<Group>, String> {
+        let w = self.finished.len();
+        if self.windows.get(w) != Some(&window) {
+            return Err(format!(
+                "internal: asked for trials {window:?} out of the wave schedule"
+            ));
+        }
+        // Only the first window is not queued yet; the next one starts now.
+        self.queue(w + usize::from(next.is_some()), active);
+        let report = self.finish()?;
+        let out = match active {
+            None => {
+                self.totals = report.groups.clone();
+                self.totals.clone()
+            }
+            Some(ids) => {
+                let mut out = Vec::with_capacity(ids.len());
+                for &gi in ids {
+                    let (Some(total), Some(part)) =
+                        (self.totals.get_mut(gi), report.groups.get(gi))
+                    else {
+                        return Err(format!("internal: no group {gi} in trials {window:?}"));
+                    };
+                    *total = total.merge(part);
+                    out.push(total.clone());
+                }
+                out
+            }
+        };
+        self.finished.push(report);
+        Ok(out)
+    }
+}
+
 /// Runs a spec across the worker pool, fresh (`saved` empty) or resumed
-/// from a checkpoint's per-wave partial reports. All scheduling goes
-/// through one [`Dispatcher`]; the fixed path is the one-window special
-/// case of the wave machinery.
+/// from a checkpoint's per-wave partial reports, through the one wave
+/// driver: a fixed budget is its one-window case.
 fn drive(
     spec: &QuerySpec,
     g: &AnyGraph,
@@ -186,305 +412,62 @@ fn drive(
     opts: &Options,
 ) -> Result<DriveResult, String> {
     let workers = opts.workers.unwrap_or_else(mrw_par::available_threads);
-    let retries = opts.retries.unwrap_or(DEFAULT_RETRIES);
-    let cap = spec.budget.trials_budget().cap();
-
+    let trials = spec.budget.trials_budget();
+    if trials.cap() < 1 {
+        return Err("budget needs at least one trial".into());
+    }
     let scratch = Scratch::new()?;
-    // The children must see the *resolved* spec (CLI overrides applied —
-    // or, on resume, the checkpoint's frozen spec), so the driver ships
-    // its own spec file rather than the user's.
-    let spec_path = scratch.path("spec.json");
-    std::fs::write(&spec_path, spec.to_json())
-        .map_err(|e| format!("{}: {e}", spec_path.display()))?;
     let cfg = DispatchConfig {
         workers,
-        retries,
+        retries: opts.retries.unwrap_or(DEFAULT_RETRIES),
         threads: opts.threads,
         deadline_floor: Duration::from_millis(opts.deadline_ms.unwrap_or(DEFAULT_DEADLINE_MS)),
         jitter_seed: spec.budget.seed,
     };
-    let mut pool = Dispatcher::new(spec_path, &scratch, cfg)?;
-
-    let outcome = match spec.budget.precision {
-        None => drive_fixed(saved, opts, cap, workers, &mut pool)?,
-        Some(rule) => drive_adaptive(spec, g, saved, opts, cap, workers, rule, &mut pool)?,
+    let fixed = spec.budget.precision.is_none();
+    let plan = ChunkPlan::new(opts.chunk, opts.fanout_shards, workers, fixed);
+    let mut exec = PoolExecutor::new(spec, &scratch, cfg, plan, waves::windows(trials), saved)?;
+    let outcome = match waves::drive(trials, &mut exec) {
+        Ok(groups) => {
+            // Cancel whatever the pipeline ran ahead on: the rule retired
+            // every group, or the cap cut the schedule.
+            exec.pool.abort_in_flight();
+            Ok(Report {
+                graph: GraphInfo {
+                    name: g.name().to_string(),
+                    n: g.n(),
+                },
+                query: spec.query.clone(),
+                budget: spec.budget.clone(),
+                coverage: Coverage::full(trials.cap() as u64),
+                groups,
+            })
+        }
+        Err(error) if exec.exhausted => Err(exec.interrupted(error)?),
+        Err(error) => return Err(error),
     };
     Ok(DriveResult {
         outcome,
-        failures: std::mem::take(&mut pool.failures),
-        retries_used: pool.retries_used,
+        failures: std::mem::take(&mut exec.pool.failures),
+        retries_used: exec.pool.retries_used,
     })
 }
 
-/// The fixed-budget drive: one wave window `[0, cap)`, scatter the
-/// missing chunks, gather, merge.
-fn drive_fixed(
-    saved: &[Report],
-    opts: &Options,
-    cap: usize,
-    workers: usize,
-    pool: &mut Dispatcher,
-) -> Result<Result<Report, Interrupted>, String> {
-    let prior = match saved {
-        [] => None,
-        more => Some(merge_all(more)?),
-    };
-    let fresh = prior.is_none();
-    let gaps: Vec<Range<usize>> = match &prior {
-        None => std::iter::once(0..cap).collect(),
-        Some(r) => r
-            .coverage
-            .missing(cap as u64)
-            .into_iter()
-            .map(|(lo, hi)| lo as usize..hi as usize)
-            .collect(),
-    };
-    if gaps.is_empty() {
-        // A checkpoint that was already complete: nothing to dispatch.
-        // Empty gaps with no prior means cap == 0, which Budget rejects
-        // upstream; surface it as an error instead of panicking (rule P1).
-        return match prior {
-            Some(r) => Ok(Ok(r)),
-            None => Err("internal: empty trial range with no saved report".into()),
-        };
-    }
-    let chunks: Vec<Range<usize>> = if fresh && opts.chunk.is_none() {
-        // A fresh run plans like `--shards` always did (default: four
-        // chunks per worker, so idle workers have something to steal).
-        let shards = opts.fanout_shards.unwrap_or((workers * 4).min(cap)).max(1);
-        ShardPlan::new(cap, shards).ranges().collect()
-    } else {
-        let chunk_len = opts
-            .chunk
-            .unwrap_or_else(|| cap.div_ceil((workers * 4).min(cap).max(1)));
-        gaps.into_iter()
-            .flat_map(|gap| split_chunks(gap, chunk_len))
-            .collect()
-    };
-    for range in chunks {
-        pool.enqueue(Chunk::new(0, range, None));
-    }
-    let stopped = pool.run_until_wave_done(0).err();
-    let mut parts = pool.take_completed(0);
-    parts.extend(prior);
-    match stopped {
-        None => {
-            let merged = merge_all(&parts)?;
-            if !merged.is_complete() {
-                return Err(format!(
-                    "merged report is incomplete: missing trial ranges {:?}",
-                    merged.coverage.missing(cap as u64)
-                ));
-            }
-            Ok(Ok(merged))
-        }
-        Some(error) => Ok(Err(Interrupted {
-            error,
-            waves: if parts.is_empty() {
-                Vec::new()
-            } else {
-                vec![merge_all(&parts)?]
-            },
-            missing: pool.missing_ranges(),
-        })),
-    }
-}
-
-/// The adaptive drive: replays the sequential stopping rule wave by wave
-/// across the pool, pipelining the (purely schedulable) next wave behind
-/// the current one. See the module docs for why the optimistic
-/// active-set superset preserves byte-identity.
-#[allow(clippy::too_many_arguments)]
-fn drive_adaptive(
+/// Runs trials `range` of a fixed-budget `spec` on a fresh worker pool,
+/// restricted to `groups`, and returns the merged report — checked to
+/// cover exactly `range`. This is `mrw serve --delegate-trials`: the same
+/// chunk plan, dispatch, merge, and coverage check as a fanout window.
+pub(crate) fn run_on_pool(
     spec: &QuerySpec,
-    g: &AnyGraph,
-    saved: &[Report],
-    opts: &Options,
-    cap: usize,
-    workers: usize,
-    rule: Precision,
-    pool: &mut Dispatcher,
-) -> Result<Result<Report, Interrupted>, String> {
-    // The wave schedule is a pure function of the consumed count — no
-    // sample data needed — which is what makes both pipelining and
-    // checkpoint replay possible.
-    let mut windows: Vec<Range<usize>> = Vec::new();
-    let mut consumed = 0usize;
-    loop {
-        let wave = rule.next_wave(consumed);
-        if wave == 0 {
-            break;
-        }
-        windows.push(consumed..consumed + wave);
-        consumed += wave;
-    }
-
-    // Slot each checkpointed partial into its wave window.
-    let mut saved_by: Vec<Option<Report>> = vec![None; windows.len()];
-    for report in saved {
-        let start = report.coverage.ranges()[0].0 as usize;
-        let w = windows
-            .iter()
-            .position(|win| win.start <= start && start < win.end)
-            .ok_or_else(|| {
-                format!("checkpoint wave at trial {start} is outside the spec's wave schedule")
-            })?;
-        let (lo, hi) = (windows[w].start as u64, windows[w].end as u64);
-        if report
-            .coverage
-            .ranges()
-            .iter()
-            .any(|&(a, b)| a < lo || b > hi)
-        {
-            return Err(format!(
-                "checkpoint wave covering {:?} crosses the wave boundary at trial {hi}",
-                report.coverage.ranges()
-            ));
-        }
-        saved_by[w] = Some(match saved_by[w].take() {
-            None => report.clone(),
-            Some(prev) => Report::merge(&prev, report)?,
-        });
-    }
-
-    let enqueue_window =
-        |pool: &mut Dispatcher, w: usize, groups: &Option<Vec<usize>>, saved: Option<&Report>| {
-            let window = &windows[w];
-            for gap in window_gaps(window, saved) {
-                let chunks = if opts.chunk.is_none() && gap == *window {
-                    // A full fresh window splits exactly like the
-                    // in-process wave fan-out (and PR 5's driver).
-                    ShardPlan::split(gap, workers)
-                } else {
-                    let chunk_len = opts
-                        .chunk
-                        .unwrap_or_else(|| window.len().div_ceil(workers.min(window.len()).max(1)));
-                    split_chunks(gap, chunk_len)
-                };
-                for range in chunks {
-                    pool.enqueue(Chunk::new(w, range, groups.clone()));
-                }
-            }
-        };
-
-    // Prime the pipeline: the first two windows, unrestricted (the group
-    // structure is unknown until wave 0 reports; "all groups" is the
-    // superset of every later active set).
-    for (w, saved) in saved_by.iter().enumerate().take(2) {
-        enqueue_window(pool, w, &None, saved.as_ref());
-    }
-
-    // Driver-side replication of the in-process sequential loop: same
-    // wave boundaries, same rule, same prefix moments.
-    let mut active: Option<Vec<usize>> = None; // None = structure unknown
-    let mut labels: Vec<String> = Vec::new();
-    let mut acc: Vec<(u64, IntMoments, u64)> = Vec::new();
-    let mut finished: Vec<Option<Group>> = Vec::new();
-    let mut folded: Vec<Report> = Vec::new(); // complete waves, for checkpoints
-    let mut w = 0;
-    while w < windows.len() {
-        if let Err(error) = pool.run_until_wave_done(w) {
-            let mut waves = folded;
-            for (later, saved) in saved_by.iter_mut().enumerate().skip(w) {
-                let mut parts = pool.take_completed(later);
-                parts.extend(saved.take());
-                if !parts.is_empty() {
-                    waves.push(merge_all(&parts)?);
-                }
-            }
-            return Ok(Err(Interrupted {
-                error,
-                waves,
-                missing: pool.missing_ranges(),
-            }));
-        }
-        let mut parts = pool.take_completed(w);
-        parts.extend(saved_by[w].take());
-        let wave_report = merge_all(&parts)?;
-        debug_assert_eq!(
-            wave_report.coverage.ranges(),
-            [(windows[w].start as u64, windows[w].end as u64)],
-            "a completed wave must cover its whole window"
-        );
-        if active.is_none() {
-            // First wave: learn the group structure.
-            labels = wave_report.groups.iter().map(|g| g.label.clone()).collect();
-            acc = vec![(0, IntMoments::new(), 0); labels.len()];
-            finished = vec![None; labels.len()];
-            active = Some((0..labels.len()).collect());
-        }
-        // `active` was seeded just above on the first wave; a None here
-        // would be a fold-state bug, reported rather than panicked (P1).
-        let Some(ids) = active.as_mut() else {
-            return Err("internal: wave fold reached with no active group set".into());
-        };
-        for &gi in ids.iter() {
-            let group = &wave_report.groups[gi];
-            acc[gi].0 += group.trials;
-            acc[gi].1.merge(&group.moments);
-            acc[gi].2 += group.censored;
-        }
-        folded.push(wave_report);
-        // Retire groups whose rule fired at this boundary.
-        ids.retain(|&gi| {
-            let (trials, moments, censored) = &acc[gi];
-            if rule.satisfied_by(&moments.summary()) {
-                finished[gi] = Some(Group {
-                    label: labels[gi].clone(),
-                    trials: *trials,
-                    moments: *moments,
-                    censored: *censored,
-                });
-                false
-            } else {
-                true
-            }
-        });
-        if ids.is_empty() {
-            break;
-        }
-        // Window w+1 is already in flight under the previous (superset)
-        // active set; pipeline w+2 under the set we just refined.
-        if w + 2 < windows.len() {
-            let groups = Some(ids.clone());
-            enqueue_window(pool, w + 2, &groups, saved_by[w + 2].as_ref());
-        }
-        w += 1;
-    }
-    // Cancel whatever the pipeline ran ahead on (the rule retired every
-    // group, or the cap cut the schedule), then finalize: groups still
-    // active at the cap stop with their accumulated prefix.
-    pool.abort_in_flight();
-    if let Some(ids) = active {
-        for gi in ids {
-            let (trials, moments, censored) = acc[gi];
-            finished[gi] = Some(Group {
-                label: labels[gi].clone(),
-                trials,
-                moments,
-                censored,
-            });
-        }
-    }
-    // Every slot was filled either by the retire loop or the cap
-    // finalizer above; a hole is a fold bug, reported not panicked (P1).
-    let mut groups = Vec::with_capacity(finished.len());
-    for slot in finished {
-        match slot {
-            Some(group) => groups.push(group),
-            None => return Err("internal: unfinalized group after wave fold".into()),
-        }
-    }
-    Ok(Ok(Report {
-        graph: GraphInfo {
-            name: g.name().to_string(),
-            n: g.n(),
-        },
-        query: spec.query.clone(),
-        budget: spec.budget.clone(),
-        coverage: Coverage::full(cap as u64),
-        groups,
-    }))
+    range: Range<usize>,
+    groups: Option<&[usize]>,
+    cfg: DispatchConfig,
+) -> Result<Report, String> {
+    let scratch = Scratch::new()?;
+    let plan = ChunkPlan::new(None, None, cfg.workers, true);
+    let mut exec = PoolExecutor::new(spec, &scratch, cfg, plan, vec![range], &[])?;
+    exec.queue(0, groups);
+    exec.finish()
 }
 
 /// Prints a completed merged report exactly like `mrw run` would, plus

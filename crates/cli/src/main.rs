@@ -567,11 +567,11 @@ fn stop_description(report: &Report) -> (String, String) {
                 rule.confidence * 100.0,
                 rule.max_trials
             );
-            let group = &report.groups[0];
-            let stop = if rule.satisfied_by(&group.summary()) {
-                format!("precision @ {} trials", group.trials)
+            let trials = report.groups[0].trials;
+            let stop = if report.certified() == Some(true) {
+                format!("precision @ {trials} trials")
             } else {
-                format!("cap @ {} trials", group.trials)
+                format!("cap @ {trials} trials")
             };
             (desc, stop)
         }

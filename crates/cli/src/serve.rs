@@ -30,10 +30,13 @@
 //! * **fixed `n`**: merge the greatest cached prefix `b ≤ n` with a
 //!   fresh `b..n` slice (a pure *extension* when the entry already
 //!   existed);
-//! * **adaptive rule**: replay the sequential wave schedule — the same
-//!   `satisfied_by`/`next_wave` loop `Session::run` executes — against
-//!   the cached prefixes, dispatching only waves the ledger cannot
-//!   answer (a precision *upgrade* resumes from the cached moments).
+//! * **adaptive rule**: `mrw-core`'s wave driver ([`waves::drive`]) asks
+//!   the ledger for each window end of the still-active groups, so only
+//!   window ends the ledger cannot answer run (a precision *upgrade*
+//!   resumes from the cached moments).
+//!
+//! Both are the same call: the ledger is a wave executor
+//! ([`LedgerExecutor`]) and a fixed budget is the one-window case.
 //!
 //! Every boundary served is inserted into the ledger, so repeated and
 //! overlapping queries from many clients compose instead of recomputing.
@@ -73,8 +76,8 @@
 //!
 //! ## Delegation (`--delegate-trials T`)
 //!
-//! A miss or extension that needs `>= T` new trials for a group is
-//! executed through the fanout work-stealing dispatcher (child
+//! A miss or extension that needs `>= T` new trials for a group runs as
+//! one window of the fanout worker pool (`fanout::run_on_pool`: child
 //! `mrw shard` processes with `--range`/`--groups`, deadline-killed and
 //! retried like any fanout chunk) instead of in-process, so one huge
 //! request cannot monopolize the daemon process. The merged shard
@@ -85,6 +88,7 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -93,14 +97,13 @@ use std::time::Duration;
 
 use mrw_core::query::json::{self, Value};
 use mrw_core::query::{
-    Budget, Coverage, GraphInfo, Group, Ledger, LedgerGroup, QuerySpec, Report, Session,
+    waves, Budget, Coverage, GraphInfo, Group, Ledger, LedgerGroup, QuerySpec, Report, Session,
 };
 use mrw_core::AnyGraph;
 use mrw_graph::GraphBackend;
-use mrw_stats::IntMoments;
 
 use crate::args::Options;
-use crate::dispatch::{merge_all, Chunk, DispatchConfig, Dispatcher, Scratch};
+use crate::dispatch::DispatchConfig;
 use crate::fanout::{DEFAULT_DEADLINE_MS, DEFAULT_RETRIES};
 
 /// Hard cap on one request frame — hostile input must not buffer
@@ -376,21 +379,18 @@ struct GraphEntry {
 }
 
 /// How delegated misses run: the trial threshold plus the dispatcher
-/// knobs (resolved once at boot from the serve command line).
+/// knobs (resolved once at boot from the serve command line; the jitter
+/// seed is each request's own).
 struct Delegation {
     /// Misses/extensions needing at least this many new trials for a
     /// group go through the dispatcher instead of in-process.
     threshold: u64,
-    workers: usize,
-    retries: usize,
-    threads: Option<usize>,
-    deadline_ms: u64,
+    pool: DispatchConfig,
 }
 
 /// Executes one missing trial range for the cache: in-process via
-/// [`Session`] below the delegation threshold, through the fanout
-/// work-stealing dispatcher (child `mrw shard` processes) at or above
-/// it. Both paths produce identical bytes — a trial is a pure function
+/// [`Session`] below the delegation threshold, on the fanout worker pool
+/// (child `mrw shard` processes) at or above it. Both paths produce identical bytes — a trial is a pure function
 /// of `(seed, group, index)` and shard merges are exact.
 struct Runner<'a> {
     graph: &'a AnyGraph,
@@ -409,67 +409,23 @@ impl Runner<'_> {
         n: usize,
         groups: Option<Vec<usize>>,
     ) -> Result<Report, String> {
-        if let Some(d) = self.delegation {
-            if (n - lo) as u64 >= d.threshold {
-                return self.delegate(d, template, &budget, lo, n, &groups);
-            }
+        if let Some(d) = self.delegation.filter(|d| (n - lo) as u64 >= d.threshold) {
+            let spec = QuerySpec {
+                graph: template.graph.clone(),
+                query: template.query.clone(),
+                budget,
+            };
+            let cfg = DispatchConfig {
+                jitter_seed: spec.budget.seed,
+                ..d.pool.clone()
+            };
+            return crate::fanout::run_on_pool(&spec, lo..n, groups.as_deref(), cfg);
         }
         let mut session = Session::new(budget).with_range(lo..n);
         if let Some(idxs) = groups {
             session = session.with_groups(idxs);
         }
         Ok(session.run(self.graph, &template.query))
-    }
-
-    /// The dispatcher path: write the resolved child spec to a scratch
-    /// dir, cut `[lo, n)` into chunks, run the work-stealing pool with
-    /// its usual deadline/retry policy, merge, and validate the merged
-    /// coverage. Any failure is an error frame for this one request —
-    /// the daemon and the cache entry's prior state survive.
-    fn delegate(
-        &self,
-        d: &Delegation,
-        template: &QuerySpec,
-        budget: &Budget,
-        lo: usize,
-        n: usize,
-        groups: &Option<Vec<usize>>,
-    ) -> Result<Report, String> {
-        let child_spec = QuerySpec {
-            graph: template.graph.clone(),
-            query: template.query.clone(),
-            budget: budget.clone(),
-        };
-        let scratch = Scratch::new()?;
-        let spec_path = scratch.path("spec.json");
-        std::fs::write(&spec_path, child_spec.to_json())
-            .map_err(|e| format!("{}: {e}", spec_path.display()))?;
-        let cfg = DispatchConfig {
-            workers: d.workers,
-            retries: d.retries,
-            threads: d.threads,
-            deadline_floor: Duration::from_millis(d.deadline_ms),
-            jitter_seed: budget.seed,
-        };
-        let mut dispatcher = Dispatcher::new(spec_path, &scratch, cfg)?;
-        let len = n - lo;
-        let chunk_len = len.div_ceil((d.workers * 4).min(len).max(1));
-        let mut start = lo;
-        while start < n {
-            let end = (start + chunk_len).min(n);
-            dispatcher.enqueue(Chunk::new(0, start..end, groups.clone()));
-            start = end;
-        }
-        dispatcher.run_until_wave_done(0)?;
-        let parts = dispatcher.take_completed(0);
-        let merged = merge_all(&parts)?;
-        if merged.coverage.ranges() != [(lo as u64, n as u64)] {
-            return Err(format!(
-                "delegated workers covered {:?}, expected [({lo}, {n})]",
-                merged.coverage.ranges()
-            ));
-        }
-        Ok(merged)
     }
 }
 
@@ -583,20 +539,11 @@ impl ReportEntry {
     /// wherever requests actually land. Returns the group and the trial
     /// count dispatched.
     fn prefix(&mut self, runner: &Runner<'_>, idx: usize, n: u64) -> Result<(Group, u64), String> {
-        let empty = |label: String| Group {
-            label,
-            trials: 0,
-            moments: IntMoments::new(),
-            censored: 0,
-        };
-        if n == 0 {
-            return Ok((empty(self.groups[idx].label.clone()), 0));
-        }
         match self.groups[idx].prefixes.binary_search_by_key(&n, |p| p.0) {
             Ok(pos) => Ok((self.groups[idx].prefixes[pos].1.clone(), 0)),
             Err(pos) => {
                 let (lo, base) = if pos == 0 {
-                    (0, empty(self.groups[idx].label.clone()))
+                    (0, Group::empty(self.groups[idx].label.clone()))
                 } else {
                     let (hi, cum) = &self.groups[idx].prefixes[pos - 1];
                     (*hi, cum.clone())
@@ -732,67 +679,66 @@ impl Server {
 // ---------------------------------------------------------------------------
 // Request handling.
 
-/// Computes one request's report against a checked-out cache entry,
-/// dispatching only trial ranges the ledgers cannot answer. Returns the
-/// report plus how many trials actually ran (the `stats` verb's
-/// `trials_executed` currency). Runs *outside* the global lock — the
-/// caller holds only this key's in-flight gate.
+/// The prefix ledger as a [`waves::WaveExecutor`]: each window end is
+/// answered per active group by [`ReportEntry::prefix`], which runs only
+/// the tail past the group's greatest cached boundary. The first window
+/// seeds an empty entry with [`ReportEntry::initialize`].
+struct LedgerExecutor<'e, 'r> {
+    entry: &'e mut ReportEntry,
+    runner: &'r Runner<'r>,
+    /// Trials actually dispatched (the `trials_executed` currency).
+    ran: u64,
+}
+
+impl waves::WaveExecutor for LedgerExecutor<'_, '_> {
+    type Error = String;
+
+    fn window(
+        &mut self,
+        active: Option<&[usize]>,
+        window: Range<usize>,
+        _next: Option<Range<usize>>,
+    ) -> Result<Vec<Group>, String> {
+        if self.entry.groups.is_empty() {
+            self.ran += self.entry.initialize(self.runner, window.end)?;
+        }
+        let ids = active.map_or_else(|| (0..self.entry.groups.len()).collect(), <[usize]>::to_vec);
+        let mut out = Vec::with_capacity(ids.len());
+        for idx in ids {
+            let (cum, ran) = self.entry.prefix(self.runner, idx, window.end as u64)?;
+            self.ran += ran;
+            out.push(cum);
+        }
+        Ok(out)
+    }
+}
+
+/// Computes one request's report against a checked-out cache entry: the
+/// wave driver asks the ledger for each window end, so only trial ranges
+/// the ledgers cannot answer run. Returns the report plus how many trials
+/// actually ran (the `stats` verb's `trials_executed` currency). Runs
+/// *outside* the global lock — the caller holds only this key's in-flight
+/// gate.
 fn compute_run(
     entry: &mut ReportEntry,
     runner: &Runner<'_>,
     spec: &QuerySpec,
     cap: usize,
 ) -> Result<(Report, u64), String> {
-    let mut ran = 0u64;
-    let mut groups = Vec::new();
-    match spec.budget.precision {
-        None => {
-            let n = spec.budget.trials;
-            if entry.groups.is_empty() {
-                ran += entry.initialize(runner, n)?;
-            }
-            for idx in 0..entry.groups.len() {
-                let (cum, r) = entry.prefix(runner, idx, n as u64)?;
-                ran += r;
-                groups.push(cum);
-            }
-        }
-        Some(rule) => {
-            if entry.groups.is_empty() {
-                ran += entry.initialize(runner, rule.next_wave(0))?;
-            }
-            // Per group, replay the exact sequential wave schedule
-            // `Session::run` executes: evaluate the rule on the sample so
-            // far, dispatch the next wave if it hasn't fired, stop at the
-            // cap. Cached prefixes answer waves for free; only genuinely
-            // new ranges run.
-            for idx in 0..entry.groups.len() {
-                let mut consumed = 0usize;
-                let cum = loop {
-                    let (cum, r) = entry.prefix(runner, idx, consumed as u64)?;
-                    ran += r;
-                    let wave = if rule.satisfied_by(&cum.moments.summary()) {
-                        0
-                    } else {
-                        rule.next_wave(consumed)
-                    };
-                    if wave == 0 {
-                        break cum;
-                    }
-                    consumed += wave;
-                };
-                groups.push(cum);
-            }
-        }
-    }
+    let mut exec = LedgerExecutor {
+        entry,
+        runner,
+        ran: 0,
+    };
+    let groups = waves::drive(spec.budget.trials_budget(), &mut exec)?;
     let report = Report {
-        graph: entry.graph.clone(),
+        graph: exec.entry.graph.clone(),
         query: spec.query.clone(),
         budget: spec.budget.clone(),
         coverage: Coverage::full(cap as u64),
         groups,
     };
-    Ok((report, ran))
+    Ok((report, exec.ran))
 }
 
 /// Serves one `run` request. Locking discipline (see the module docs):
@@ -1095,10 +1041,13 @@ pub fn run_serve(opts: &Options) -> Result<(), String> {
     }
     let delegation = opts.delegate_trials.map(|threshold| Delegation {
         threshold,
-        workers: opts.workers.unwrap_or_else(mrw_par::available_threads),
-        retries: opts.retries.unwrap_or(DEFAULT_RETRIES),
-        threads: opts.threads,
-        deadline_ms: opts.deadline_ms.unwrap_or(DEFAULT_DEADLINE_MS),
+        pool: DispatchConfig {
+            workers: opts.workers.unwrap_or_else(mrw_par::available_threads),
+            retries: opts.retries.unwrap_or(DEFAULT_RETRIES),
+            threads: opts.threads,
+            deadline_floor: Duration::from_millis(opts.deadline_ms.unwrap_or(DEFAULT_DEADLINE_MS)),
+            jitter_seed: 0,
+        },
     });
     let server = Arc::new(Server {
         inner: Mutex::new(Inner::default()),
@@ -1127,10 +1076,16 @@ pub fn run_serve(opts: &Options) -> Result<(), String> {
                 let server = Arc::clone(&server);
                 std::thread::spawn(move || handle_conn(conn, server));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(e) => {
+                // Anything but an idle listener (a client holding every
+                // free descriptor, a connection reset before accept) is
+                // logged and waited out: one client must not stop the
+                // daemon.
+                if e.kind() != std::io::ErrorKind::WouldBlock {
+                    eprintln!("mrw serve: accept: {e}");
+                }
                 std::thread::sleep(ACCEPT_POLL);
             }
-            Err(e) => return Err(format!("accept: {e}")),
         }
     }
     if let Listener::Unix(_, path) = &listener {

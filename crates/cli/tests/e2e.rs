@@ -587,6 +587,64 @@ fn adaptive_partial_checkpoint_resumes_byte_identically_to_run() {
 }
 
 #[test]
+fn staggered_retirement_checkpoint_resumes_byte_identically_to_run() {
+    let tmp = TempDir::new("fanstagger");
+    let spec = tmp.file("spec.json", ADAPTIVE_SPEC);
+    let reference = oracle(&spec);
+    let ck = tmp.path("ck.json");
+    // `start=8` retires at the end of window [81, 121); the worker owning
+    // window [121, 181) then dies on every attempt. With one worker the
+    // schedule is sequential, so the checkpoint is exact: six complete
+    // windows, and window [181, 271) — already queued for `start=0` alone
+    // — reported missing with the failed one.
+    let run = |workers: &str| {
+        mrw()
+            .args([
+                "fanout",
+                spec.to_str().unwrap(),
+                "--workers",
+                workers,
+                "--retries",
+                "0",
+                "--partial-ok",
+                "--checkpoint",
+                ck.to_str().unwrap(),
+                "--json",
+            ])
+            .env("MRW_FAULT_KILL_RANGE_START", "121")
+            .assert()
+            .success()
+    };
+    run("1").stderr(contains("still missing [(121, 271)]"));
+    let text = std::fs::read_to_string(&ck).unwrap();
+    let checkpoint = mrw_core::query::Checkpoint::from_json(&text).unwrap();
+    let windows: Vec<Vec<(u64, u64)>> = checkpoint
+        .waves
+        .iter()
+        .map(|w| w.coverage.ranges().to_vec())
+        .collect();
+    let expected: Vec<Vec<(u64, u64)>> = [0, 16, 24, 36, 54, 81, 121]
+        .windows(2)
+        .map(|b| vec![(b[0], b[1])])
+        .collect();
+    assert_eq!(windows, expected);
+    mrw()
+        .args(["resume", ck.to_str().unwrap(), "--json"])
+        .assert()
+        .success()
+        .stdout(reference.clone());
+    // Two workers pipeline the next window concurrently, so what the
+    // checkpoint holds varies; resuming it must not.
+    std::fs::remove_file(&ck).unwrap();
+    run("2");
+    mrw()
+        .args(["resume", ck.to_str().unwrap(), "--json"])
+        .assert()
+        .success()
+        .stdout(reference);
+}
+
+#[test]
 fn resume_rejects_budget_overrides_and_tampered_checkpoints() {
     let tmp = TempDir::new("fanresumeguard");
     let spec = tmp.file("spec.json", FIXED_SPEC);

@@ -66,6 +66,14 @@ const FIXED_SPEC: &str = r#"{"graph": {"family": "cycle", "n": 64},
  "query": {"type": "cover", "k": 8, "starts": [0, 5]},
  "budget": {"trials": 96, "seed": 7}}"#;
 
+/// Two groups that retire at different windows: `start=8` at trial 121,
+/// `start=0` at trial 181 (windows end at 16, 24, 36, 54, 81, 121, 181, …).
+const ADAPTIVE_SPEC: &str = r#"{"graph": {"family": "cycle", "n": 32},
+ "query": {"type": "cover", "k": 4, "starts": [0, 8]},
+ "budget": {"trials": {"adaptive": {"target": {"relative": 0.1},
+                                    "min_trials": 16, "max_trials": 512}},
+            "seed": 9}}"#;
+
 const READY: Duration = Duration::from_secs(20);
 
 /// Spawns `mrw serve` on an ephemeral TCP port (plus `extra` flags) and
@@ -228,6 +236,41 @@ fn concurrent_clients_are_byte_identical_and_extensions_run_only_missing_ranges(
     assert_eq!(counter(&s, &["errors"]), 0);
 }
 
+/// The ledger executor under staggered retirement: each group runs
+/// exactly to its own stopping window, and an upgrade from a fixed entry
+/// pays only for the window ends its ledger cannot answer.
+#[test]
+fn staggered_adaptive_retirement_runs_exactly_the_missing_trials() {
+    let tmp = TempDir::new("stagger");
+    let spec = tmp.file("adaptive.json", ADAPTIVE_SPEC);
+    let spec_arg = spec.to_str().unwrap();
+    let oracle = mrw_stdout(&["run", spec_arg, "--json"]);
+    let oracle_96 = mrw_stdout(&["run", spec_arg, "--json", "--trials", "96"]);
+
+    // A cold adaptive miss runs each group to its own retirement.
+    let (_daemon, addr) = start_daemon(&[]);
+    assert_eq!(ctl(&addr, &["run", spec_arg]), oracle);
+    assert_eq!(counter(&stats(&addr), &["trials_executed"]), 121 + 181);
+
+    // A fixed 96-trial entry, then the adaptive upgrade. Window ends below
+    // the cached boundary 96 rerun from trial 0 (integer moments cannot
+    // shrink): 16+8+12+18+27 = 81 per group, then [96, 121) for both and
+    // [121, 181) for start=0 alone — 2×81 + 2×25 + 60 = 272.
+    let (_daemon, addr) = start_daemon(&[]);
+    assert_eq!(ctl(&addr, &["run", spec_arg, "--trials", "96"]), oracle_96);
+    assert_eq!(counter(&stats(&addr), &["trials_executed"]), 192);
+    assert_eq!(ctl(&addr, &["run", spec_arg]), oracle);
+    assert_eq!(counter(&stats(&addr), &["trials_executed"]), 192 + 272);
+    assert_eq!(ctl(&addr, &["run", spec_arg]), oracle);
+    let s = stats(&addr);
+    assert_eq!(
+        counter(&s, &["trials_executed"]),
+        192 + 272,
+        "repeat ran trials"
+    );
+    assert_eq!(counter(&s, &["hits"]), 1);
+}
+
 // ---------------------------------------------------------------------------
 // Lifecycle: Unix sockets, the shutdown verb, and SIGTERM.
 
@@ -254,6 +297,47 @@ fn unix_socket_daemon_serves_and_shutdown_verb_removes_the_socket() {
     let status = daemon.wait_with_timeout(READY).expect("daemon exits");
     assert!(status.success(), "shutdown verb must exit 0, got {status}");
     assert!(!sock.exists(), "socket file leaked after shutdown");
+}
+
+/// A client holding every descriptor the daemon may open makes `accept`
+/// fail (EMFILE). The daemon must log that and keep serving once the
+/// descriptors come back, not exit.
+#[test]
+fn descriptor_exhaustion_does_not_stop_the_daemon() {
+    let tmp = TempDir::new("emfile");
+    let spec = tmp.file("spec.json", FIXED_SPEC);
+    let sock = tmp.path("d.sock");
+    let sock_arg = sock.to_str().unwrap().to_string();
+    let mut cmd = Command::new("sh");
+    cmd.args(["-c", "ulimit -n 40 && exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_mrw"))
+        .args(["serve", "--listen", &sock_arg]);
+    let mut daemon = cmd.spawn_daemon().expect("spawn mrw serve");
+    daemon
+        .wait_for_line("mrw-serve listening on ", READY)
+        .expect("daemon ready line");
+
+    // Sixty idle connections: each accepted one costs the daemon two
+    // descriptors, so it runs out long before the last.
+    let idle: Vec<_> = (0..60)
+        .map(|_| std::os::unix::net::UnixStream::connect(&sock).expect("connect"))
+        .collect();
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(
+        daemon
+            .wait_with_timeout(Duration::from_millis(100))
+            .is_err(),
+        "the daemon exited on descriptor exhaustion"
+    );
+    drop(idle);
+
+    let pong = ctl(&sock_arg, &["ping"]);
+    assert!(pong.contains("pong"), "unexpected ping response: {pong}");
+    let oracle = mrw_stdout(&["run", spec.to_str().unwrap(), "--json"]);
+    assert_eq!(ctl(&sock_arg, &["run", spec.to_str().unwrap()]), oracle);
+    ctl(&sock_arg, &["shutdown"]);
+    let status = daemon.wait_with_timeout(READY).expect("daemon exits");
+    assert!(status.success(), "shutdown verb must exit 0, got {status}");
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //! `(graph, k, config)` regardless of the machine's core count — for an
 //! adaptive budget this includes the *consumed trial count*, because the
 //! stopping rule is only evaluated at wave boundaries on index-ordered
-//! prefixes (see [`mrw_par::par_map_chunks_with`]).
+//! prefixes (see the wave driver, [`crate::query::waves`]).
 
 use mrw_graph::{Graph, GraphBackend};
 use mrw_stats::ci::{normal_ci, ConfidenceInterval};

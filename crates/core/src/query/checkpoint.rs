@@ -150,7 +150,7 @@ impl Checkpoint {
                     "waves[{i}] answers a different query than the spec"
                 ));
             }
-            if !wave.budget.same_experiment(&spec.budget) {
+            if wave.budget != spec.budget {
                 return Err(format!("waves[{i}] ran a different budget than the spec"));
             }
             if wave.trial_space() != cap {

@@ -68,6 +68,7 @@
 pub mod checkpoint;
 pub mod json;
 pub mod ledger;
+pub mod waves;
 
 pub use checkpoint::{spec_hash, Checkpoint};
 pub use ledger::{Ledger, LedgerGroup};
@@ -75,10 +76,10 @@ pub use ledger::{Ledger, LedgerGroup};
 use std::ops::Range;
 
 use mrw_graph::{Graph, GraphBackend, ImplicitGraph};
-use mrw_par::{par_map_chunks_with, par_map_with, SeedSequence};
+use mrw_par::{par_map_with, SeedSequence};
 use mrw_stats::ci::{normal_ci, ConfidenceInterval};
 use mrw_stats::precision::PrecisionTarget;
-use mrw_stats::{IntMoments, Precision, SequentialCi, Summary, Trials};
+use mrw_stats::{IntMoments, Precision, Summary, Trials};
 
 use crate::engine::{BatchMode, Engine, EngineArena, FullCover, SimpleStep};
 use crate::estimator::EstimatorConfig;
@@ -95,7 +96,11 @@ use json::Value;
 /// seed, worker threads, engine-path selection, and the optional adaptive
 /// stopping rule. (Re-exported as `experiments::Budget`, its historical
 /// home.)
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `==` compares *experiments*: the trial budget, seed, batch, mode, and
+/// effective confidence. The thread count only affects wall-clock, so two
+/// budgets that differ in nothing else are equal — on any host.
+#[derive(Debug, Clone)]
 pub struct Budget {
     /// Monte-Carlo trials per estimate (the fixed count — or, when
     /// [`precision`](Budget::precision) is set, ignored in favor of the
@@ -103,8 +108,8 @@ pub struct Budget {
     pub trials: usize,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads. Never serialized and never part of a merge key:
-    /// results are bit-identical across thread counts.
+    /// Worker threads. Never serialized and never part of `==`: results
+    /// are bit-identical across thread counts.
     pub threads: usize,
     /// Engine path selection (`--batch` / `--no-batch`; default: batch
     /// round-synchronous runs of `k ≥ 64` walks).
@@ -191,10 +196,10 @@ impl Budget {
             confidence: cfg.ci_level,
         }
     }
+}
 
-    /// Whether two budgets describe the same experiment (everything but
-    /// the thread count, which only affects wall-clock).
-    pub fn same_experiment(&self, other: &Budget) -> bool {
+impl PartialEq for Budget {
+    fn eq(&self, other: &Budget) -> bool {
         self.trials_budget() == other.trials_budget()
             && self.seed == other.seed
             && self.batch == other.batch
@@ -910,6 +915,18 @@ pub struct Group {
 }
 
 impl Group {
+    /// A group with no trials: the identity of [`merge`](Group::merge),
+    /// and what a filtered-out group keeps so a report's structure stays
+    /// mergeable.
+    pub fn empty(label: String) -> Group {
+        Group {
+            label,
+            trials: 0,
+            moments: IntMoments::new(),
+            censored: 0,
+        }
+    }
+
     /// The sample as a [`Summary`] (a pure function of the exact
     /// statistics — identical however the sample was sharded).
     pub fn summary(&self) -> Summary {
@@ -1104,7 +1121,7 @@ pub struct Report {
     /// The query this report answers.
     pub query: Query,
     /// The budget that produced it (threads excluded from serialization
-    /// and merge compatibility).
+    /// and from `==`).
     pub budget: Budget,
     /// The trial-index ranges this report covers. A fresh unsharded run
     /// (and any merge whose pieces add up to the whole budget) covers
@@ -1159,16 +1176,12 @@ impl Report {
         self.coverage.is_full(self.trial_space())
     }
 
-    /// For adaptive budgets: whether every group's merged sample
-    /// satisfies the precision rule — the post-merge certification of the
-    /// achieved half-width, via the sequential rule's sufficient-stats
-    /// form ([`SequentialCi::from_summary`]). `None` for fixed budgets.
+    /// For adaptive budgets: whether every group's (possibly merged)
+    /// sample satisfies the precision rule — the post-merge certification
+    /// of the achieved half-width. `None` for fixed budgets.
     pub fn certified(&self) -> Option<bool> {
-        use mrw_stats::precision::Decision;
         let rule = self.budget.precision?;
-        Some(self.groups.iter().all(|g| {
-            SequentialCi::from_summary(rule, g.summary()).decision() == Decision::PrecisionReached
-        }))
+        Some(self.groups.iter().all(|g| rule.satisfied_by(&g.summary())))
     }
 
     /// Losslessly merges two shard reports of the same experiment.
@@ -1190,7 +1203,7 @@ impl Report {
         if a.query != b.query {
             return Err("query mismatch".into());
         }
-        if !a.budget.same_experiment(&b.budget) {
+        if a.budget != b.budget {
             return Err("budget mismatch (seed / trials / mode / batch / confidence)".into());
         }
         if a.groups.len() != b.groups.len()
@@ -1857,20 +1870,21 @@ enum Outcome {
     Discarded,
 }
 
-fn collect(outcomes: &[Outcome]) -> (IntMoments, u64) {
-    let mut moments = IntMoments::new();
-    let mut censored = 0u64;
+/// The group statistics of a run of trial outcomes.
+fn collect(label: String, outcomes: &[Outcome]) -> Group {
+    let mut group = Group::empty(label);
+    group.trials = outcomes.len() as u64;
     for o in outcomes {
         match *o {
-            Outcome::Value(x) => moments.push(x),
+            Outcome::Value(x) => group.moments.push(x),
             Outcome::CensoredAt(x) => {
-                moments.push(x);
-                censored += 1;
+                group.moments.push(x);
+                group.censored += 1;
             }
-            Outcome::Discarded => censored += 1,
+            Outcome::Discarded => group.censored += 1,
         }
     }
-    (moments, censored)
+    group
 }
 
 /// Per-worker scratch state for cover trials: engine buffers, a reusable
@@ -1890,6 +1904,28 @@ impl CoverWorkspace {
             cover: FullCover::new(n),
             starts: Vec::new(),
         }
+    }
+}
+
+/// The in-process wave executor for one group: `run` executes a window's
+/// trial range through `mrw_par`, and `total` folds the windows into the
+/// group's running statistics.
+struct InProcess<R> {
+    run: R,
+    total: Group,
+}
+
+impl<R: FnMut(Range<usize>) -> Group> waves::WaveExecutor for InProcess<R> {
+    type Error = String;
+
+    fn window(
+        &mut self,
+        _active: Option<&[usize]>,
+        window: Range<usize>,
+        _next: Option<Range<usize>>,
+    ) -> Result<Vec<Group>, String> {
+        self.total = self.total.merge(&(self.run)(window));
+        Ok(vec![self.total.clone()])
     }
 }
 
@@ -2065,50 +2101,42 @@ impl Session {
         }
     }
 
-    /// Runs one group's trials under the session's budget and shard:
-    /// adaptive budgets sample in waves until `rule` fires (whole-range
-    /// sessions only); everything else fans the (sliced) index range out
-    /// flat. `sample(ws, i)` must be a pure function of `i`.
+    /// Runs report group `idx` (labeled `label`) under the session's
+    /// budget, shard, and group filter: adaptive budgets go through the
+    /// wave driver until the rule fires (whole-range sessions only);
+    /// everything else fans the (sliced) index range out flat. A
+    /// filtered-out group stays empty. `sample(ws, i)` must be a pure
+    /// function of `i`.
     fn run_group<S: Send>(
         &self,
+        idx: usize,
+        label: String,
         init: impl Fn() -> S + Sync,
         sample: impl Fn(&mut S, usize) -> Outcome + Sync,
-    ) -> (u64, IntMoments, u64) {
+    ) -> Group {
+        if !self.wants(idx) {
+            return Group::empty(label);
+        }
         let threads = self.budget.threads;
         let trials = self.budget.trials_budget();
-        match (trials, &self.slice) {
-            (Trials::Adaptive(rule), None) => {
-                let outcomes =
-                    par_map_chunks_with(rule.max_trials, threads, init, sample, |sofar| {
-                        let (moments, _) = collect(sofar);
-                        if rule.satisfied_by(&moments.summary()) {
-                            0
-                        } else {
-                            rule.next_wave(sofar.len())
-                        }
-                    });
-                let (moments, censored) = collect(&outcomes);
-                (outcomes.len() as u64, moments, censored)
-            }
-            (trials, _) => {
-                let range = self.slice_range(trials.cap());
-                let lo = range.start;
-                let outcomes = par_map_with(range.len(), threads, init, |ws, i| sample(ws, lo + i));
-                let (moments, censored) = collect(&outcomes);
-                (outcomes.len() as u64, moments, censored)
-            }
+        let run = |range: Range<usize>| {
+            let lo = range.start;
+            let outcomes = par_map_with(range.len(), threads, &init, |ws, i| sample(ws, lo + i));
+            collect(label.clone(), &outcomes)
+        };
+        if !matches!((trials, &self.slice), (Trials::Adaptive(_), None)) {
+            return run(self.slice_range(trials.cap()));
         }
-    }
-
-    /// An unexecuted group: the label a filtered-out group keeps so the
-    /// report's structure stays mergeable.
-    fn empty_group(label: String) -> Group {
-        Group {
-            label,
-            trials: 0,
-            moments: IntMoments::new(),
-            censored: 0,
+        let mut exec = InProcess {
+            run,
+            total: Group::empty(label.clone()),
+        };
+        if let Err(e) = waves::drive(trials, &mut exec) {
+            panic!("{e}");
         }
+        // The driver stops asking once the group retires, so the running
+        // total is the group's final sample.
+        exec.total
     }
 
     /// Cover groups, one per start. `seed_override` lets the speed-up
@@ -2129,13 +2157,12 @@ impl Session {
             .enumerate()
             .map(|(i, &start)| {
                 assert!((start as usize) < g.n(), "start {start} out of range");
-                if !self.wants(base + i) {
-                    return Self::empty_group(format!("start={start}"));
-                }
                 // The stream every cover estimator has always used:
                 // seed → child(start+1) → trial.
                 let seq = SeedSequence::new(seed).child(start as u64 + 1);
-                let (trials, moments, censored) = self.run_group(
+                self.run_group(
+                    base + i,
+                    format!("start={start}"),
                     || CoverWorkspace::new(g.n()),
                     |ws, trial| {
                         let mut rng = walk_rng(seq.seed_for(trial as u64));
@@ -2148,13 +2175,7 @@ impl Session {
                             .run_with(&ws.starts, &mut rng, &mut ws.arena);
                         Outcome::Value(out.rounds)
                     },
-                );
-                Group {
-                    label: format!("start={start}"),
-                    trials,
-                    moments,
-                    censored,
-                }
+                )
             })
             .collect()
     }
@@ -2173,13 +2194,12 @@ impl Session {
             .iter()
             .enumerate()
             .map(|(gi, &gamma)| {
-                if !self.wants(gi) {
-                    return Self::empty_group(format!("gamma={gamma}"));
-                }
                 let target = fraction_target(g.n(), gamma);
                 // Decorrelate (γ, trial) pairs without coupling to position
                 // in the sweep (the historical partial-profile stream).
-                let (trials, moments, censored) = self.run_group(
+                self.run_group(
+                    gi,
+                    format!("gamma={gamma}"),
                     || (),
                     |(), t| {
                         let mut rng = walk_rng(
@@ -2188,13 +2208,7 @@ impl Session {
                         );
                         Outcome::Value(kwalk_partial_cover_rounds(g, &starts, target, &mut rng))
                     },
-                );
-                Group {
-                    label: format!("gamma={gamma}"),
-                    trials,
-                    moments,
-                    censored,
-                }
+                )
             })
             .collect()
     }
@@ -2208,12 +2222,11 @@ impl Session {
         seed: u64,
         idx: usize,
     ) -> Group {
-        if !self.wants(idx) {
-            return Self::empty_group(format!("h({from}->{to})"));
-        }
         // The historical hitting stream: seed → child("HIT!") → trial.
         let seq = SeedSequence::new(seed).child(0x48495421);
-        let (trials, moments, censored) = self.run_group(
+        self.run_group(
+            idx,
+            format!("h({from}->{to})"),
             || (),
             |(), t| {
                 let mut rng = walk_rng(seq.seed_for(t as u64));
@@ -2222,13 +2235,7 @@ impl Session {
                     None => Outcome::Discarded,
                 }
             },
-        );
-        Group {
-            label: format!("h({from}->{to})"),
-            trials,
-            moments,
-            censored,
-        }
+        )
     }
 
     fn hmax_groups<G: GraphBackend>(&self, g: &G) -> Vec<Group> {
@@ -2251,12 +2258,11 @@ impl Session {
         laziness: Option<f64>,
         cap: u64,
     ) -> Group {
-        if !self.wants(0) {
-            return Self::empty_group("meeting".to_string());
-        }
         let process = laziness.map_or(WalkProcess::Simple, WalkProcess::Lazy);
         let seq = SeedSequence::new(self.budget.seed).child(0x4D45_4554); // "MEET"
-        let (trials, moments, censored) = self.run_group(
+        self.run_group(
+            0,
+            "meeting".to_string(),
             || (),
             |(), t| {
                 let mut rng = walk_rng(seq.seed_for(t as u64));
@@ -2265,13 +2271,7 @@ impl Session {
                     None => Outcome::CensoredAt(cap),
                 }
             },
-        );
-        Group {
-            label: "meeting".to_string(),
-            trials,
-            moments,
-            censored,
-        }
+        )
     }
 
     #[allow(clippy::too_many_arguments)] // private; mirrors Query::Pursuit's fields plus the group index
@@ -2286,12 +2286,11 @@ impl Session {
         idx: usize,
     ) -> Group {
         assert!(k >= 1, "need at least one hunter");
-        if !self.wants(idx) {
-            return Self::empty_group(format!("k={k}"));
-        }
         let hunters = vec![hunters_start; k];
         let seed = self.budget.seed;
-        let (trials, moments, censored) = self.run_group(
+        self.run_group(
+            idx,
+            format!("k={k}"),
             || (),
             |(), t| {
                 // The historical mean_catch_time stream: seed ⊕ k ⊕ t.
@@ -2301,13 +2300,7 @@ impl Session {
                     None => Outcome::CensoredAt(cap),
                 }
             },
-        );
-        Group {
-            label: format!("k={k}"),
-            trials,
-            moments,
-            censored,
-        }
+        )
     }
 
     fn ladder_groups<G: GraphBackend>(&self, g: &G, start: u32, ks: &[usize]) -> Vec<Group> {
@@ -2847,13 +2840,13 @@ mod tests {
             ..Budget::default()
         };
         let back = Budget::from_estimator(&b.estimator());
-        assert!(b.same_experiment(&back));
+        assert_eq!(back, b);
         let adaptive = Budget {
             precision: Some(Precision::relative(0.1)),
             ..b
         };
         let back = Budget::from_estimator(&adaptive.estimator());
-        assert!(adaptive.same_experiment(&back));
+        assert_eq!(back, adaptive);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! * [`scope`] — borrowing data-parallel helpers ([`par_map`],
 //!   [`par_for_each`], [`par_reduce`], [`par_map_with`]) built on
 //!   `std::thread::scope` with dynamic self-scheduling, so closures can
-//!   borrow the graph without `Arc`, plus [`par_map_chunks_with`] — the
-//!   wave-by-wave fan-out that adaptive (precision-targeted) estimators
-//!   use to evaluate a sequential stopping rule between waves.
+//!   borrow the graph without `Arc`. Adaptive (precision-targeted)
+//!   estimators call [`par_map_with`] once per wave window; the wave
+//!   loop itself is `mrw-core`'s (`mrw_core::query::waves`).
 //! * [`seeds`] — counter-based seed derivation (SplitMix64) so that trial
 //!   `i` sees the same RNG stream no matter which thread runs it or how many
 //!   threads exist. Results are bit-for-bit reproducible across thread
@@ -30,7 +30,5 @@ pub mod scope;
 pub mod seeds;
 
 pub use pool::ThreadPool;
-pub use scope::{
-    available_threads, par_for_each, par_map, par_map_chunks_with, par_map_with, par_reduce,
-};
+pub use scope::{available_threads, par_for_each, par_map, par_map_with, par_reduce};
 pub use seeds::SeedSequence;

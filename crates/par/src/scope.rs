@@ -54,9 +54,8 @@ where
 /// every item it processes. This is how the walk estimators keep one
 /// `EngineArena` (position buffers, visited bitsets, RNG blocks) per
 /// worker and reuse it across a fixed-budget `(start × trial)` fan-out
-/// instead of reallocating per trial. (Adaptive budgets go through
-/// [`par_map_chunks_with`], which pools the same workspaces across
-/// waves.)
+/// instead of reallocating per trial. (Adaptive budgets call it once
+/// per wave window, from `mrw-core`'s wave driver.)
 ///
 /// Determinism contract: which worker (and therefore which workspace
 /// instance) processes an item is scheduling-dependent, so `f`'s *result*
@@ -130,116 +129,6 @@ where
     }
     debug_assert_eq!(result.len(), items);
     result
-}
-
-/// Chunked (wave-by-wave) fan-out with per-worker workspaces and a
-/// sequential stopping rule evaluated between waves — the substrate for
-/// adaptive Monte-Carlo trial budgets.
-///
-/// Items are dispatched in *waves*. After each wave completes, `control`
-/// is called with the full index-ordered result prefix and returns how
-/// many more items to dispatch (`0` stops; the count is clamped so the
-/// total never exceeds `cap`). `control(&[])` sizes the first wave.
-/// Within a wave, work distribution is dynamic exactly as in
-/// [`par_map_with`]; worker workspaces are pooled and reused **across**
-/// waves, so an adaptive run allocates per-worker state once, not once
-/// per wave.
-///
-/// Determinism contract: as with [`par_map_with`], `f`'s result must be a
-/// pure function of the index alone. Because `control` only ever sees
-/// index-ordered prefixes whose contents are schedule-independent, the
-/// *number of items consumed* is also a pure function of
-/// `(f, control, cap)` — byte-identical across thread counts. This is
-/// what lets an adaptive estimator promise the same consumed-trial count
-/// on 1 or 64 threads.
-///
-/// ```
-/// // Keep sampling in waves of 4 until the running sum reaches 100.
-/// let results = mrw_par::par_map_chunks_with(
-///     1000,
-///     2,
-///     || (),
-///     |(), i| i as u64,
-///     |sofar: &[u64]| {
-///         if sofar.iter().sum::<u64>() >= 100 {
-///             0
-///         } else {
-///             4
-///         }
-///     },
-/// );
-/// // control runs at the 4/8/12/16-item boundaries, where the prefix
-/// // sums are 6, 28, 66, 120 — it first sees >= 100 at 16 items.
-/// assert_eq!(results, (0..16).collect::<Vec<u64>>());
-/// ```
-pub fn par_map_chunks_with<S, R, I, F, C>(
-    cap: usize,
-    threads: usize,
-    init: I,
-    f: F,
-    mut control: C,
-) -> Vec<R>
-where
-    S: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-    C: FnMut(&[R]) -> usize,
-{
-    assert!(threads >= 1, "need at least one thread");
-    let mut results: Vec<R> = Vec::new();
-    // Workspaces outlive individual waves: a worker pops one (or inits on
-    // first use), and returns it when its wave ends.
-    let pool: Mutex<Vec<S>> = Mutex::new(Vec::new());
-    while results.len() < cap {
-        let wave = control(&results).min(cap - results.len());
-        if wave == 0 {
-            break;
-        }
-        let lo = results.len();
-        let wave_threads = threads.min(wave);
-        if wave_threads == 1 {
-            let mut state = pool.lock().expect("poisoned").pop().unwrap_or_else(&init);
-            results.extend((lo..lo + wave).map(|i| f(&mut state, i)));
-            pool.lock().expect("poisoned").push(state);
-            continue;
-        }
-        let chunk = default_chunk(wave, wave_threads);
-        let cursor = AtomicUsize::new(lo);
-        let hi = lo + wave;
-        let collected: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for _ in 0..wave_threads {
-                s.spawn(|| {
-                    let mut state = pool.lock().expect("poisoned").pop().unwrap_or_else(&init);
-                    let mut local: Vec<(usize, Vec<R>)> = Vec::new();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= hi {
-                            break;
-                        }
-                        let end = (start + chunk).min(hi);
-                        let mut out = Vec::with_capacity(end - start);
-                        for i in start..end {
-                            out.push(f(&mut state, i));
-                        }
-                        local.push((start, out));
-                    }
-                    if !local.is_empty() {
-                        collected.lock().expect("poisoned").extend(local);
-                    }
-                    pool.lock().expect("poisoned").push(state);
-                });
-            }
-        });
-        let mut parts = collected.into_inner().expect("poisoned");
-        parts.sort_by_key(|(start, _)| *start);
-        for (_, chunk_vals) in parts {
-            results.extend(chunk_vals);
-        }
-        debug_assert_eq!(results.len(), hi);
-    }
-    results
 }
 
 /// Runs `f` for every index in `0..items` in parallel, discarding results.
@@ -366,82 +255,6 @@ mod tests {
             let got = par_map_with(257, threads, || (), |(), i| f(i));
             assert_eq!(got, base, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn chunks_stop_at_wave_boundary() {
-        // Pure f, control stops once 10+ results are in: consumed count is
-        // the first wave boundary ≥ 10 regardless of threads.
-        for threads in [1, 2, 4, 8] {
-            let v = par_map_chunks_with(
-                1000,
-                threads,
-                || (),
-                |(), i| i,
-                |sofar: &[usize]| if sofar.len() >= 10 { 0 } else { 4 },
-            );
-            assert_eq!(v, (0..12).collect::<Vec<_>>(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn chunks_respect_cap() {
-        let v = par_map_chunks_with(7, 3, || (), |(), i| i * 2, |_: &[usize]| 100);
-        assert_eq!(v, vec![0, 2, 4, 6, 8, 10, 12]);
-    }
-
-    #[test]
-    fn chunks_zero_first_wave_runs_nothing() {
-        let v: Vec<u32> = par_map_chunks_with(50, 4, || (), |(), _| 1, |_: &[u32]| 0);
-        assert!(v.is_empty());
-    }
-
-    #[test]
-    fn chunks_consumed_count_thread_independent() {
-        // An adaptive-style rule whose verdict depends on result *values*:
-        // stop when the running mean of a scrambled sequence settles.
-        let f = |i: usize| ((i as u64).wrapping_mul(0x9e3779b97f4a7c15) >> 56) as f64;
-        let run = |threads| {
-            par_map_chunks_with(
-                4096,
-                threads,
-                || (),
-                |(), i| f(i),
-                |sofar: &[f64]| {
-                    if sofar.len() >= 32
-                        && (sofar.iter().sum::<f64>() / sofar.len() as f64 - 128.0).abs() < 10.0
-                    {
-                        0
-                    } else {
-                        16
-                    }
-                },
-            )
-        };
-        let base = run(1);
-        for threads in [2, 4, 7] {
-            assert_eq!(run(threads), base, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn chunks_workspaces_pooled_across_waves() {
-        // Workspace inits are bounded by the thread count even across many
-        // waves — the pool hands warm workspaces back out.
-        let inits = AtomicU64::new(0);
-        let v = par_map_chunks_with(
-            64,
-            4,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0u8
-            },
-            |_, i| i,
-            |sofar: &[usize]| if sofar.len() >= 64 { 0 } else { 8 },
-        );
-        assert_eq!(v.len(), 64);
-        let ran = inits.load(Ordering::Relaxed);
-        assert!((1..=4).contains(&ran), "init ran {ran} times over 8 waves");
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use ci::ConfidenceInterval;
 pub use histogram::Histogram;
 pub use ks::{kolmogorov_q, ks_two_sample, KsTest};
 pub use moments::IntMoments;
-pub use precision::{Precision, SequentialCi, Trials};
+pub use precision::{Precision, Trials};
 pub use regression::{LinearFit, PowerLawFit};
 pub use summary::Summary;
 pub use table::{Align, Table};

@@ -8,27 +8,30 @@
 //! floor (so the normal approximation is valid) and a hard cap (so a
 //! heavy-tailed instance cannot run forever).
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`Precision`] — the rule itself: an absolute or relative half-width
-//!   target at a confidence level, plus the floor and cap.
-//! * [`SequentialCi`] — a reusable accumulator pairing a [`Summary`] with
-//!   a `Precision`; push observations, ask [`SequentialCi::decision`].
+//!   target at a confidence level, plus the floor and cap, with the wave
+//!   schedule ([`Precision::next_wave`]) and the stopping test
+//!   ([`Precision::satisfied_by`]).
 //! * [`Trials`] — the budget type estimator entry points accept:
 //!   [`Trials::Fixed`] (the classical flat count) or [`Trials::Adaptive`]
 //!   (a `Precision`).
+//!
+//! The loop that applies the rule lives in one place, `mrw-core`'s wave
+//! driver (`mrw_core::query::waves`), shared by every executor.
 //!
 //! ## Determinism
 //!
 //! The rule is a pure function of the observed sample prefix: given the
 //! same observations in the same (index) order, [`Precision::satisfied_by`]
-//! and [`Precision::next_wave`] always answer the same. Callers that
-//! dispatch trials in waves and evaluate the rule only at wave boundaries
-//! (see `mrw_par::par_map_chunks_with`) therefore consume a trial count
-//! that depends only on the rule and the per-index sample values — never
-//! on thread count or scheduling.
+//! and [`Precision::next_wave`] always answer the same. A driver that
+//! dispatches trials in waves and evaluates the rule only at wave
+//! boundaries therefore consumes a trial count that depends only on the
+//! rule and the per-index sample values — never on thread count or
+//! scheduling.
 
-use crate::ci::{normal_ci, z_quantile, ConfidenceInterval};
+use crate::ci::z_quantile;
 use crate::summary::Summary;
 
 /// The half-width target of a [`Precision`] rule.
@@ -70,8 +73,8 @@ pub struct Precision {
     /// matches the floor `mrw_stats::ci` documents for the normal
     /// approximation on cover-time samples.
     pub min_trials: usize,
-    /// Hard cap on observations; the rule reports
-    /// [`Decision::CapExhausted`] there even if the target was missed.
+    /// Hard cap on observations; sampling stops there even if the target
+    /// was missed.
     pub max_trials: usize,
 }
 
@@ -189,154 +192,6 @@ impl Precision {
             (consumed / 2).max(1)
         };
         want.min(self.max_trials - consumed)
-    }
-
-    /// Runs the whole sequential loop serially: draws observation `t`
-    /// from `sample` wave by wave ([`next_wave`](Self::next_wave)),
-    /// re-evaluating the rule between waves, until it fires or the cap is
-    /// hit. The single-threaded counterpart of
-    /// `mrw_par::par_map_chunks_with` — estimators whose trials are cheap
-    /// enough not to parallelize (pursuit games, partial-cover profiles)
-    /// share this one loop instead of hand-rolling it. `sample(t)` must
-    /// be a pure function of `t` for the consumed count to be
-    /// reproducible.
-    ///
-    /// ```
-    /// use mrw_stats::precision::Precision;
-    ///
-    /// let rule = Precision::absolute(0.5).with_min_trials(4).with_max_trials(64);
-    /// let summary = rule.run_serial(|t| (t % 2) as f64); // tight sample
-    /// assert!(rule.satisfied_by(&summary));
-    /// assert!(summary.count() < 64);
-    /// ```
-    pub fn run_serial(&self, mut sample: impl FnMut(usize) -> f64) -> Summary {
-        let mut seq = SequentialCi::new(*self);
-        loop {
-            let wave = self.next_wave(seq.consumed());
-            if wave == 0 {
-                break;
-            }
-            for _ in 0..wave {
-                let t = seq.consumed();
-                seq.push(sample(t));
-            }
-            if seq.decision() == Decision::PrecisionReached {
-                break;
-            }
-        }
-        seq.into_summary()
-    }
-}
-
-/// Why a sequential run stopped (or why it hasn't).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
-    /// Keep sampling: the target is not met and the cap is not reached.
-    Continue,
-    /// The precision target is met (at or above the floor).
-    PrecisionReached,
-    /// The cap was hit without meeting the target.
-    CapExhausted,
-}
-
-/// A reusable sequential-CI accumulator: a [`Summary`] paired with the
-/// [`Precision`] rule that decides when it has seen enough.
-///
-/// ```
-/// use mrw_stats::precision::{Decision, Precision, SequentialCi};
-///
-/// let rule = Precision::absolute(0.9).with_min_trials(4).with_max_trials(64);
-/// let mut seq = SequentialCi::new(rule);
-/// // A nearly-constant sample: the rule fires right at the floor.
-/// for x in [5.0, 5.1, 4.9, 5.0] {
-///     seq.push(x);
-/// }
-/// assert_eq!(seq.decision(), Decision::PrecisionReached);
-/// assert!(seq.ci().half_width() <= 0.9);
-/// assert_eq!(seq.consumed(), 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SequentialCi {
-    summary: Summary,
-    rule: Precision,
-}
-
-impl SequentialCi {
-    /// Creates an empty accumulator governed by `rule`.
-    pub fn new(rule: Precision) -> Self {
-        SequentialCi {
-            summary: Summary::new(),
-            rule,
-        }
-    }
-
-    /// Rebuilds an accumulator around an already-summarized sample — the
-    /// sufficient-statistics form. This is how a merged shard report
-    /// re-enters the sequential rule: combine the shards' exact moments,
-    /// view them as a [`Summary`], and ask [`decision`](Self::decision)
-    /// whether the merged sample certifies the rule's half-width.
-    pub fn from_summary(rule: Precision, summary: Summary) -> Self {
-        SequentialCi { summary, rule }
-    }
-
-    /// Merges another accumulator's sample into this one (Chan's exact
-    /// summary merge). Both sides must be governed by the same rule, so
-    /// the merged decision is well-defined.
-    ///
-    /// # Panics
-    /// If the rules differ.
-    pub fn merge(&mut self, other: &SequentialCi) {
-        assert!(
-            self.rule == other.rule,
-            "merging SequentialCi under different rules"
-        );
-        self.summary.merge(&other.summary);
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.summary.push(x);
-    }
-
-    /// The rule's verdict on the sample so far.
-    pub fn decision(&self) -> Decision {
-        if self.rule.satisfied_by(&self.summary) {
-            Decision::PrecisionReached
-        } else if self.summary.count() as usize >= self.rule.max_trials {
-            Decision::CapExhausted
-        } else {
-            Decision::Continue
-        }
-    }
-
-    /// Whether sampling should stop (for either reason).
-    pub fn is_done(&self) -> bool {
-        self.decision() != Decision::Continue
-    }
-
-    /// Observations consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.summary.count() as usize
-    }
-
-    /// The accumulated sample summary.
-    pub fn summary(&self) -> &Summary {
-        &self.summary
-    }
-
-    /// The governing rule.
-    pub fn rule(&self) -> &Precision {
-        &self.rule
-    }
-
-    /// The CI at the rule's confidence level around the current mean.
-    pub fn ci(&self) -> ConfidenceInterval {
-        normal_ci(&self.summary, self.rule.confidence)
-    }
-
-    /// Consumes the accumulator, returning the sample summary.
-    pub fn into_summary(self) -> Summary {
-        self.summary
     }
 }
 
@@ -473,60 +328,20 @@ mod tests {
     }
 
     #[test]
-    fn sequential_ci_cap_exhaustion() {
-        let rule = Precision::absolute(1e-12)
-            .with_min_trials(2)
-            .with_max_trials(5);
-        let mut seq = SequentialCi::new(rule);
-        for i in 0..5 {
-            assert_eq!(seq.decision(), Decision::Continue, "at {i}");
-            seq.push(i as f64 * 10.0);
-        }
-        assert_eq!(seq.decision(), Decision::CapExhausted);
-        assert!(seq.is_done());
-        assert_eq!(seq.consumed(), 5);
-    }
-
-    #[test]
-    fn sequential_ci_reports_interval_at_rule_confidence() {
-        let rule = Precision::absolute(10.0)
-            .with_confidence(0.99)
-            .with_min_trials(4);
-        let mut seq = SequentialCi::new(rule);
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            seq.push(x);
-        }
-        assert_eq!(seq.ci().level, 0.99);
-        assert!((seq.ci().point - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sufficient_stats_form_merges_like_one_stream() {
-        // Two partial accumulators (e.g. two shards' moments viewed as
-        // summaries) merge into the same decision a single stream reaches.
+    fn merged_summaries_decide_like_one_stream() {
+        // Two shards' samples, summarized separately and merged, get the
+        // verdict the single stream gets — what post-merge certification
+        // relies on.
         let rule = Precision::absolute(0.5)
             .with_min_trials(4)
             .with_max_trials(64);
         let xs: Vec<f64> = (0..16).map(|i| 10.0 + (i % 2) as f64).collect();
-        let mut whole = SequentialCi::new(rule);
-        for &x in &xs {
-            whole.push(x);
-        }
-        let a = SequentialCi::from_summary(rule, Summary::from_slice(&xs[..7]));
-        let mut b = SequentialCi::from_summary(rule, Summary::from_slice(&xs[7..]));
-        b.merge(&a);
-        assert_eq!(b.consumed(), whole.consumed());
-        assert_eq!(b.decision(), whole.decision());
-        assert_eq!(b.decision(), Decision::PrecisionReached);
-        assert!((b.ci().half_width() - whole.ci().half_width()).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "different rules")]
-    fn merging_under_different_rules_rejected() {
-        let mut a = SequentialCi::new(Precision::absolute(1.0));
-        let b = SequentialCi::new(Precision::relative(0.1));
-        a.merge(&b);
+        let whole = Summary::from_slice(&xs);
+        let mut merged = Summary::from_slice(&xs[7..]);
+        merged.merge(&Summary::from_slice(&xs[..7]));
+        assert_eq!(merged.count(), whole.count());
+        assert!(rule.satisfied_by(&whole));
+        assert_eq!(rule.satisfied_by(&merged), rule.satisfied_by(&whole));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use mrw_stats::ci::{bootstrap_mean_ci, normal_ci};
 use mrw_stats::quantile::{five_num, quantile};
 use mrw_stats::regression::{linear_fit, power_law_fit};
-use mrw_stats::{ladder, Precision, SequentialCi, Summary};
+use mrw_stats::{ladder, Precision, Summary};
 use proptest::prelude::*;
 
 fn finite_sample() -> impl Strategy<Value = Vec<f64>> {
@@ -124,7 +124,7 @@ proptest! {
     }
 
     #[test]
-    fn sequential_ci_stops_iff_rule_satisfied(
+    fn a_satisfied_rule_certifies_its_half_width(
         xs in prop::collection::vec(0.0f64..1e4, 4..120),
         rel in 0.01f64..1.0,
         floor in 2usize..16,
@@ -132,19 +132,13 @@ proptest! {
         let rule = Precision::relative(rel)
             .with_min_trials(floor)
             .with_max_trials(1 << 20);
-        let mut seq = SequentialCi::new(rule);
-        for &x in &xs {
-            seq.push(x);
-        }
         let s = Summary::from_slice(&xs);
-        prop_assert_eq!(
-            seq.decision() == mrw_stats::precision::Decision::PrecisionReached,
-            rule.satisfied_by(&s)
-        );
-        if seq.is_done() && xs.len() < (1 << 20) {
-            // Below the cap, done means the achieved half-width meets the
-            // demanded one.
-            prop_assert!(seq.ci().half_width() <= rule.demanded_half_width(&s) + 1e-9);
+        if rule.satisfied_by(&s) {
+            // The rule fires only above its floor, and only once the
+            // achieved half-width meets the demanded one.
+            prop_assert!(xs.len() >= floor);
+            let ci = normal_ci(&s, rule.confidence);
+            prop_assert!(ci.half_width() <= rule.demanded_half_width(&s) + 1e-9);
         }
     }
 
