@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrw_core::kwalk::{kwalk_cover_rounds_same_start, KWalkMode};
-use mrw_core::{walk_rng, CoverTimeEstimator, EstimatorConfig};
+use mrw_core::{walk_rng, Budget, CoverTimeEstimator};
 use mrw_graph::{generators, Graph, NodeBitSet};
 use rand::Rng;
 
@@ -115,9 +115,12 @@ fn bench_scheduling(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_scheduling");
     group.sample_size(10);
     group.bench_function("dynamic(production)", |b| {
-        let cfg = EstimatorConfig::new(trials)
-            .with_seed(14)
-            .with_threads(threads);
+        let cfg = Budget {
+            trials,
+            seed: 14,
+            threads,
+            ..Budget::default()
+        };
         b.iter(|| CoverTimeEstimator::new(&g, 1, cfg.clone()).run_from(0))
     });
     group.bench_function("static_chunking", |b| {

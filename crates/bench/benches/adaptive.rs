@@ -12,7 +12,7 @@
 //!   rule-evaluation overhead stays visible and bounded.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mrw_core::{CoverTimeEstimator, EstimatorConfig, Precision};
+use mrw_core::{Budget, CoverTimeEstimator, Precision};
 use mrw_graph::generators;
 
 fn bench_adaptive_vs_fixed(c: &mut Criterion) {
@@ -22,11 +22,19 @@ fn bench_adaptive_vs_fixed(c: &mut Criterion) {
 
     let rule = Precision::relative(0.10).with_max_trials(4096);
     group.bench_function("adaptive_rel10pct", |b| {
-        let cfg = EstimatorConfig::adaptive(rule).with_seed(3);
+        let cfg = Budget {
+            precision: Some(rule),
+            seed: 3,
+            ..Budget::default()
+        };
         b.iter(|| CoverTimeEstimator::new(&g, 4, cfg.clone()).run_from(0))
     });
     group.bench_function("fixed_at_cap", |b| {
-        let cfg = EstimatorConfig::new(4096).with_seed(3);
+        let cfg = Budget {
+            trials: 4096,
+            seed: 3,
+            ..Budget::default()
+        };
         b.iter(|| CoverTimeEstimator::new(&g, 4, cfg.clone()).run_from(0))
     });
     group.finish();
@@ -37,14 +45,26 @@ fn bench_wave_overhead(c: &mut Criterion) {
     // Pin the adaptive consumed count once, then time a fixed budget of
     // exactly that size through both fan-out paths.
     let rule = Precision::relative(0.10).with_max_trials(4096);
-    let consumed = CoverTimeEstimator::new(&g, 4, EstimatorConfig::adaptive(rule).with_seed(3))
-        .run_from(0)
-        .consumed_trials() as usize;
+    let consumed = CoverTimeEstimator::new(
+        &g,
+        4,
+        Budget {
+            precision: Some(rule),
+            seed: 3,
+            ..Budget::default()
+        },
+    )
+    .run_from(0)
+    .consumed_trials() as usize;
 
     let mut group = c.benchmark_group("wave_overhead");
     group.sample_size(10);
     group.bench_function(format!("flat_{consumed}_trials"), |b| {
-        let cfg = EstimatorConfig::new(consumed).with_seed(3);
+        let cfg = Budget {
+            trials: consumed,
+            seed: 3,
+            ..Budget::default()
+        };
         b.iter(|| CoverTimeEstimator::new(&g, 4, cfg.clone()).run_from(0))
     });
     group.bench_function(format!("waves_to_{consumed}_trials"), |b| {
@@ -53,7 +73,11 @@ fn bench_wave_overhead(c: &mut Criterion) {
         let hopeless = Precision::absolute(1e-9)
             .with_min_trials(2)
             .with_max_trials(consumed);
-        let cfg = EstimatorConfig::adaptive(hopeless).with_seed(3);
+        let cfg = Budget {
+            precision: Some(hopeless),
+            seed: 3,
+            ..Budget::default()
+        };
         b.iter(|| CoverTimeEstimator::new(&g, 4, cfg.clone()).run_from(0))
     });
     group.finish();

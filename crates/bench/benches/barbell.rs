@@ -5,7 +5,7 @@
 //! the exponential speed-up, measured in seconds instead of rounds.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mrw_core::{bounds, CoverTimeEstimator, EstimatorConfig};
+use mrw_core::{bounds, Budget, CoverTimeEstimator};
 use mrw_graph::generators::{barbell, barbell_center};
 
 fn bench_barbell(c: &mut Criterion) {
@@ -16,11 +16,19 @@ fn bench_barbell(c: &mut Criterion) {
     let mut group = c.benchmark_group("thm7_barbell");
     group.sample_size(10);
     group.bench_function("single_walk_from_center", |b| {
-        let cfg = EstimatorConfig::new(8).with_seed(4);
+        let cfg = Budget {
+            trials: 8,
+            seed: 4,
+            ..Budget::default()
+        };
         b.iter(|| CoverTimeEstimator::new(&g, 1, cfg.clone()).run_from(vc))
     });
     group.bench_function("20ln_n_walks_from_center", |b| {
-        let cfg = EstimatorConfig::new(8).with_seed(4);
+        let cfg = Budget {
+            trials: 8,
+            seed: 4,
+            ..Budget::default()
+        };
         b.iter(|| CoverTimeEstimator::new(&g, k, cfg.clone()).run_from(vc))
     });
     group.finish();

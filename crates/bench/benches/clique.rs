@@ -5,7 +5,7 @@
 //! to simulate) — a useful engine regression canary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mrw_core::{CoverTimeEstimator, EstimatorConfig};
+use mrw_core::{Budget, CoverTimeEstimator};
 use mrw_graph::generators;
 
 fn bench_clique(c: &mut Criterion) {
@@ -15,7 +15,11 @@ fn bench_clique(c: &mut Criterion) {
     for k in [1usize, 4, 16, 64] {
         group.throughput(Throughput::Elements(k as u64));
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
-            let cfg = EstimatorConfig::new(16).with_seed(2);
+            let cfg = Budget {
+                trials: 16,
+                seed: 2,
+                ..Budget::default()
+            };
             b.iter(|| CoverTimeEstimator::new(&g, k, cfg.clone()).run_from(0))
         });
     }

@@ -6,7 +6,7 @@
 //! linearly — wall clock is near-flat, unlike the clique bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrw_core::{CoverTimeEstimator, EstimatorConfig};
+use mrw_core::{Budget, CoverTimeEstimator};
 use mrw_graph::generators;
 
 fn bench_cycle(c: &mut Criterion) {
@@ -15,7 +15,11 @@ fn bench_cycle(c: &mut Criterion) {
     group.sample_size(10);
     for k in [1usize, 8, 64] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
-            let cfg = EstimatorConfig::new(12).with_seed(3);
+            let cfg = Budget {
+                trials: 12,
+                seed: 3,
+                ..Budget::default()
+            };
             b.iter(|| CoverTimeEstimator::new(&g, k, cfg.clone()).run_from(0))
         });
     }

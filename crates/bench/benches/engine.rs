@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use mrw_core::engine::{
     BatchMode, CompiledProcess, Engine, EngineArena, FullCover, Process, SimpleStep,
 };
-use mrw_core::{walk_rng, CoverTimeEstimator, EstimatorConfig, WalkProcess};
+use mrw_core::{walk_rng, Budget, CoverTimeEstimator, WalkProcess};
 use mrw_graph::generators;
 use mrw_par::ThreadPool;
 
@@ -47,7 +47,12 @@ fn bench_trial_scaling(c: &mut Criterion) {
     group.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            let cfg = EstimatorConfig::new(32).with_seed(7).with_threads(t);
+            let cfg = Budget {
+                trials: 32,
+                seed: 7,
+                threads: t,
+                ..Budget::default()
+            };
             b.iter(|| CoverTimeEstimator::new(&g, 2, cfg.clone()).run_from(0))
         });
     }

@@ -2,7 +2,7 @@
 //! certification step (power iteration) the experiment runs first.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrw_core::{CoverTimeEstimator, EstimatorConfig};
+use mrw_core::{Budget, CoverTimeEstimator};
 use mrw_graph::generators;
 use mrw_spectral::power::second_eigenvalue_regular;
 
@@ -16,7 +16,11 @@ fn bench_expander(c: &mut Criterion) {
     });
     for k in [1usize, 16, 128] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
-            let cfg = EstimatorConfig::new(12).with_seed(6);
+            let cfg = Budget {
+                trials: 12,
+                seed: 6,
+                ..Budget::default()
+            };
             b.iter(|| CoverTimeEstimator::new(&g, k, cfg.clone()).run_from(0))
         });
     }

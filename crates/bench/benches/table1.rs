@@ -6,7 +6,7 @@
 //! printed by `mrw table1`; this bench tracks the cost of producing it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrw_core::{speedup_sweep, EstimatorConfig};
+use mrw_core::{speedup_sweep, Budget};
 use mrw_graph::{generators as gen, Graph};
 
 fn families() -> Vec<(&'static str, Graph)> {
@@ -25,7 +25,11 @@ fn families() -> Vec<(&'static str, Graph)> {
 fn bench_table1(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1_row");
     group.sample_size(10);
-    let cfg = EstimatorConfig::new(16).with_seed(1);
+    let cfg = Budget {
+        trials: 16,
+        seed: 1,
+        ..Budget::default()
+    };
     for (name, g) in families() {
         let k = ((g.n() as f64).ln().floor() as usize).max(2);
         group.bench_with_input(BenchmarkId::from_parameter(name), &g, |b, g| {

@@ -4,7 +4,7 @@
 //! (`k ≥ log³ n`). `mrw torus` prints the S^k/k series.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrw_core::{CoverTimeEstimator, EstimatorConfig};
+use mrw_core::{Budget, CoverTimeEstimator};
 use mrw_graph::generators;
 
 fn bench_torus(c: &mut Criterion) {
@@ -13,7 +13,11 @@ fn bench_torus(c: &mut Criterion) {
     group.sample_size(10);
     for k in [2usize, 32, 256] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
-            let cfg = EstimatorConfig::new(12).with_seed(5);
+            let cfg = Budget {
+                trials: 12,
+                seed: 5,
+                ..Budget::default()
+            };
             b.iter(|| CoverTimeEstimator::new(&g, k, cfg.clone()).run_from(0))
         });
     }

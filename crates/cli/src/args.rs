@@ -422,7 +422,11 @@ impl Options {
                 "--no-batch" => opts.batch = Some(false),
                 "--trials" => {
                     let v = it.next().ok_or("--trials needs a value")?;
-                    opts.trials = Some(v.parse().map_err(|_| format!("bad --trials '{v}'"))?);
+                    let t: usize = v.parse().map_err(|_| format!("bad --trials '{v}'"))?;
+                    if t == 0 {
+                        return Err("--trials must be >= 1".into());
+                    }
+                    opts.trials = Some(t);
                 }
                 "--seed" => {
                     let v = it.next().ok_or("--seed needs a value")?;

@@ -591,6 +591,7 @@ fn run_estimate(opts: &Options) -> Result<(), String> {
     if start as usize >= g.n() {
         return Err(format!("--start {start} out of range (n = {})", g.n()));
     }
+    spec.query.validate(&g)?;
     let report = Session::new(spec.budget.clone()).run(&g, &spec.query);
     if opts.json {
         print!("{}", report.to_json());

@@ -481,6 +481,27 @@ fn malformed_requests_get_structured_errors_and_the_daemon_survives() {
         "every corpus entry counted as an error"
     );
 
+    // A graph size the generator rejects is a validation error naming
+    // the size, not the generic internal-error frame of a caught panic.
+    send_frame(
+        &mut writer,
+        br#"{"verb": "run", "spec": {"graph": {"family": "cycle", "n": 1},
+            "query": {"type": "cover", "k": 1, "starts": [0]},
+            "budget": {"trials": 4, "seed": 1}}}"#,
+    );
+    let body = read_frame(&mut reader).expect("degenerate-size response");
+    let v = json::parse(&body).expect("error response parses");
+    assert_eq!(
+        v.get("schema").and_then(Value::as_str),
+        Some("mrw-serve-error-v1"),
+        "unexpected: {body}"
+    );
+    let message = v.get("error").and_then(Value::as_str).unwrap_or_default();
+    assert!(
+        message.contains("cycle needs n ≥ 3, got 1"),
+        "error frame does not name the size: {body}"
+    );
+
     // An oversize frame is the one class that drops the connection — but
     // only after a structured error, and only that connection.
     let stream = TcpStream::connect(&addr).expect("connect");

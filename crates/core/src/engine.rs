@@ -44,9 +44,11 @@
 //!   is specialized per run: on a regular graph (cycle, torus, hypercube,
 //!   clique — every Table 1 family) the CSR row of `v` is addressed
 //!   directly as `adjacency[v·d..(v+1)·d]` with **zero** offset loads and
-//!   the degree hoisted out of the loop; irregular graphs go through
-//!   [`Graph::neighbors_unchecked`], which still elides the redundant
-//!   bound checks of `neighbors()`.
+//!   the degree hoisted out of the loop; irregular graphs under a plain
+//!   uniform pick step through the flat pick table of [`UniformSweep`];
+//!   every other CSR case goes through [`Graph::neighbors_unchecked`],
+//!   which still elides the redundant bound checks of `neighbors()`; and
+//!   implicit backends compute each row into a stack buffer.
 //!
 //! An earlier sorted-bucket design (re-sort tokens by vertex each round,
 //! one row fetch and RNG block per co-located bucket) was measured and
@@ -152,9 +154,9 @@ pub trait Process {
 
     /// `true` when [`step_bits`](Self::step_bits) is exactly
     /// `pick(row, b0)` — a plain uniform neighbor pick with no hold or
-    /// acceptance logic. The bucketed batched sweep uses this to inline
-    /// the pick per degree class (hoisting the power-of-two branch out of
-    /// the inner loop); the result must stay bit-identical to
+    /// acceptance logic. The batched engine then steps irregular CSR
+    /// graphs through the flat pick table ([`UniformSweep`]) instead of
+    /// calling `step_bits`; the result must stay bit-identical to
     /// `step_bits`, so only advertise it for genuinely plain kernels.
     fn is_uniform_pick(&self) -> bool {
         false
@@ -476,34 +478,13 @@ pub enum BatchMode {
 /// Token count at which [`BatchMode::Auto`] switches to the batched sweep.
 pub const BATCH_AUTO_MIN_K: usize = 64;
 
-/// Number of degree classes the bucketed sweep registers before spilling
-/// tokens to the per-token overflow bucket. Every generator family in
-/// this workspace has at most four distinct degrees; eight leaves room
-/// for random families without growing the per-round scan.
-const MAX_DEGREE_CLASSES: usize = 8;
-
-/// Class label of tokens whose degree missed the registry.
-const CLASS_OVERFLOW: u8 = u8::MAX;
-
-/// Maps a class label to its counting-sort slot (overflow gets the last).
-#[inline]
-fn class_slot(cls: u8) -> usize {
-    if cls == CLASS_OVERFLOW {
-        MAX_DEGREE_CLASSES
-    } else {
-        cls as usize
-    }
-}
-
-/// Reusable engine buffers: the token position vector plus the
-/// degree-class bucketing scratch of the batched sweep (per-round draw
-/// block, class labels, row starts, sweep order, and the degree registry).
+/// Reusable engine buffers: the token position vector.
 ///
 /// Allocated once per worker (the estimators do this through
 /// [`mrw_par::par_map_with`]) and handed to every [`Engine::run_with`]
 /// call; after the first run at a given `k` no further heap allocation
-/// happens in the stepping loop. Each run fully re-initializes the buffers
-/// it reads, so outcomes are byte-identical to a fresh engine regardless
+/// happens in the stepping loop. Each run fully re-initializes the
+/// positions, so outcomes are byte-identical to a fresh engine regardless
 /// of what previous runs left behind (property-tested in
 /// `tests/engine_arena.rs`). Observer-side state (visited bitsets, tally
 /// buffers) lives in the observers themselves; reuse those by lending
@@ -513,28 +494,6 @@ fn class_slot(cls: u8) -> usize {
 pub struct EngineArena {
     /// Current token positions (`pos[token]`).
     pos: Vec<u32>,
-    /// Per-vertex `(row_start << 8) | degree_class` table
-    /// (`CLASS_OVERFLOW` = degree missed the registry); rebuilt at the
-    /// start of every bucketed run. One load yields both the CSR row
-    /// start and the class label of a vertex.
-    vinfo: Vec<u64>,
-    /// Bucket entries `(field << 32) | token` grouped by current degree
-    /// class, maintained *incrementally*: a token changes bucket only on
-    /// the (rare) round its degree class actually changes. `field` is the
-    /// token's CSR row start in a classed bucket and its vertex in the
-    /// overflow bucket (slot [`MAX_DEGREE_CLASSES`]).
-    buckets: Vec<Vec<u64>>,
-    /// Per-round staging of `(entry, new class)` moves, applied after the
-    /// sweep so a token never steps twice in one round.
-    moved: Vec<(u64, u8)>,
-    /// Per-bucket scratch of defector entry indices, written branchlessly
-    /// (the slot is always stored, the cursor advances only on a class
-    /// change) and drained after the bucket's sweep so the hot loop never
-    /// mutates the bucket it iterates nor calls an allocating `push`.
-    defect: Vec<u32>,
-    /// Degrees of the registered classes, in vertex-scan discovery order;
-    /// rebuilt at the start of every bucketed run.
-    class_degrees: Vec<usize>,
 }
 
 impl EngineArena {
@@ -722,11 +681,9 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
     /// * irregular CSR with a plain uniform pick — the flat table sweep
     ///   ([`drive_batched_flat`](Self::drive_batched_flat) over
     ///   [`UniformSweep`]);
-    /// * irregular CSR with a multi-word kernel — the degree-class
-    ///   bucketed sweep
-    ///   ([`drive_batched_bucketed`](Self::drive_batched_bucketed)), or a
-    ///   plain row-wise pass when the adjacency array is too large for
-    ///   `u32` row starts;
+    /// * every other CSR case (a two-word kernel, or an adjacency array too
+    ///   large for the flat table's `u32` row starts) — the row-wise pass
+    ///   ([`drive_batched_rowwise`](Self::drive_batched_rowwise));
     /// * implicit backend — arithmetic rows filled into a stack buffer
     ///   ([`drive_batched_implicit`](Self::drive_batched_implicit)).
     ///
@@ -753,8 +710,6 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
                         Some(sweep) => self.drive_batched_flat(&sweep, rng, arena, bpt),
                         None => self.drive_batched_rowwise(csr, rng, arena, bpt),
                     }
-                } else if csr.adjacency().len() <= u32::MAX as usize {
-                    self.drive_batched_bucketed(csr, rng, arena, bpt)
                 } else {
                     self.drive_batched_rowwise(csr, rng, arena, bpt)
                 }
@@ -765,6 +720,11 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
 
     /// Regular-CSR batched sweep: the row of `v` is
     /// `adjacency[v·d..(v+1)·d]` — no offset loads, degree hoisted.
+    ///
+    /// Kept out of line so the loop compiles the same way whatever calls
+    /// the engine: inlined into `Session`'s per-trial closure, `mrw run`
+    /// on torus(128) at `k = 256` measured ~15% slower.
+    #[inline(never)]
     fn drive_batched_regular<R: Rng + ?Sized>(
         &mut self,
         csr: &Graph,
@@ -845,229 +805,11 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
         (rounds, finished)
     }
 
-    /// Irregular-CSR batched sweep with **degree-class bucketing**: token
-    /// ids live in per-degree-class buckets, so each inner loop runs at a
-    /// constant row length — for plain uniform kernels
-    /// ([`Process::is_uniform_pick`]) the power-of-two-vs-Lemire pick
-    /// branch is hoisted out of the loop entirely and the pick inlined.
-    ///
-    /// The buckets are maintained *incrementally*: every vertex is
-    /// labeled with its degree class once per run (`arena.vclass`, a
-    /// byte per vertex), and a token is re-bucketed only on the round its
-    /// class actually changes — on near-regular graphs (the barbell's
-    /// bells, a G(n,p)'s mode) that is a few percent of steps, so the
-    /// steady-state cost per token is one classed step plus one label
-    /// load. There is no per-round classification or sorting pass.
-    ///
-    /// The stream is pinned to the unbucketed sweep: SplitMix64 is a
-    /// pure counter generator, so token `t` fetches its draw words *by
-    /// position* ([`SplitMix64::word`]) — exactly the words the in-order
-    /// loop would have handed it, no matter when its bucket is swept —
-    /// and observer visits are deferred to a final in-token-order pass.
-    /// Byte-identical outcomes, verified by
-    /// `bucketed_sweep_matches_rowwise_stream` below.
-    fn drive_batched_bucketed<R: Rng + ?Sized>(
-        &mut self,
-        csr: &Graph,
-        rng: &mut R,
-        arena: &mut EngineArena,
-        bpt: usize,
-    ) -> (u64, bool) {
-        use rand::rngs::SplitMix64;
-
-        let adj = csr.adjacency();
-        let plain = self.process.is_uniform_pick();
-
-        // Per-run setup: the degree-class registry (distinct degrees in
-        // vertex-scan order, spilling to `CLASS_OVERFLOW` past
-        // `MAX_DEGREE_CLASSES`) and the packed per-vertex
-        // `(row_start << 8) | class` table.
-        arena.class_degrees.clear();
-        arena.vinfo.clear();
-        arena.vinfo.reserve(csr.n());
-        for v in 0..csr.n() as u32 {
-            let (s, e) = csr.row_bounds(v);
-            let d = e - s;
-            let mut cls = CLASS_OVERFLOW;
-            for (ci, &cd) in arena.class_degrees.iter().enumerate() {
-                if cd == d {
-                    cls = ci as u8;
-                    break;
-                }
-            }
-            if cls == CLASS_OVERFLOW && arena.class_degrees.len() < MAX_DEGREE_CLASSES {
-                cls = arena.class_degrees.len() as u8;
-                arena.class_degrees.push(d);
-            }
-            arena.vinfo.push(((s as u64) << 8) | cls as u64);
-        }
-        // Seed the buckets from the starting positions. An entry packs
-        // the token id with its row start (classed) or vertex (overflow).
-        arena.buckets.resize(MAX_DEGREE_CLASSES + 1, Vec::new());
-        for b in &mut arena.buckets {
-            b.clear();
-        }
-        for (t, &p) in arena.pos.iter().enumerate() {
-            let info = arena.vinfo[p as usize];
-            let cls = (info & 0xFF) as u8;
-            let field = if cls == CLASS_OVERFLOW {
-                p as u64
-            } else {
-                info >> 8
-            };
-            arena.buckets[class_slot(cls)].push((field << 32) | t as u64);
-        }
-        arena.moved.clear();
-        arena.defect.clear();
-        arena.defect.resize(arena.pos.len(), 0);
-
-        let EngineArena {
-            pos,
-            vinfo,
-            buckets,
-            moved,
-            defect,
-            class_degrees,
-        } = arena;
-
-        // Removes this bucket's recorded defectors (descending index, so
-        // swap_remove never disturbs an index still pending) and stages
-        // each token's re-packed entry for its destination bucket. The
-        // defector's destination vertex is recovered from `pos` — the hot
-        // loop records only the entry index.
-        let repair = |bucket: &mut Vec<u64>,
-                      defect: &[u32],
-                      moved: &mut Vec<(u64, u8)>,
-                      vinfo: &[u64],
-                      pos: &[u32]| {
-            for &i in defect.iter().rev() {
-                let t = bucket.swap_remove(i as usize) as u32;
-                let next = pos[t as usize];
-                let ninfo = vinfo[next as usize];
-                let ncls = (ninfo & 0xFF) as u8;
-                let field = if ncls == CLASS_OVERFLOW {
-                    next as u64
-                } else {
-                    ninfo >> 8
-                };
-                moved.push(((field << 32) | t as u64, ncls));
-            }
-        };
-
-        let mut rounds = 0u64;
-        loop {
-            if Some(rounds) == self.cap {
-                return (rounds, false);
-            }
-            rounds += 1;
-            let seed = rng.next_u64();
-
-            for (ci, &d) in class_degrees.iter().enumerate() {
-                let bucket = &mut buckets[ci];
-                let cls = ci as u8;
-                let mut di = 0usize;
-                if plain {
-                    // Uniform pick, row length constant for the whole
-                    // bucket: the pow2-vs-Lemire branch is hoisted out and
-                    // the loop body is branchless straight-line code — the
-                    // entry is always re-packed in place, the defect
-                    // cursor advances only on a class change, and repair
-                    // runs after the sweep. No bucket mutation, no
-                    // allocating call in the loop.
-                    if d.is_power_of_two() {
-                        let mask = d as u64 - 1;
-                        for (i, e) in bucket.iter_mut().enumerate() {
-                            let t = *e as u32 as usize;
-                            let s = (*e >> 32) as usize;
-                            let w = SplitMix64::word(seed, (t * bpt) as u64);
-                            let next = adj[s + (w & mask) as usize];
-                            pos[t] = next;
-                            let ninfo = vinfo[next as usize];
-                            *e = ((ninfo >> 8) << 32) | t as u64;
-                            defect[di] = i as u32;
-                            di += ((ninfo & 0xFF) as u8 != cls) as usize;
-                        }
-                    } else {
-                        for (i, e) in bucket.iter_mut().enumerate() {
-                            let t = *e as u32 as usize;
-                            let s = (*e >> 32) as usize;
-                            let w = SplitMix64::word(seed, (t * bpt) as u64);
-                            let next = adj[s + ((w as u128 * d as u128) >> 64) as usize];
-                            pos[t] = next;
-                            let ninfo = vinfo[next as usize];
-                            *e = ((ninfo >> 8) << 32) | t as u64;
-                            defect[di] = i as u32;
-                            di += ((ninfo & 0xFF) as u8 != cls) as usize;
-                        }
-                    }
-                } else {
-                    for (i, e) in bucket.iter_mut().enumerate() {
-                        let t = *e as u32 as usize;
-                        let s = (*e >> 32) as usize;
-                        let p = pos[t];
-                        let b0 = SplitMix64::word(seed, (t * bpt) as u64);
-                        let b1 = if bpt == 2 {
-                            SplitMix64::word(seed, (t * bpt + 1) as u64)
-                        } else {
-                            0
-                        };
-                        let next = self.process.step_bits(&adj[s..s + d], p, b0, b1);
-                        pos[t] = next;
-                        let ninfo = vinfo[next as usize];
-                        *e = ((ninfo >> 8) << 32) | t as u64;
-                        defect[di] = i as u32;
-                        di += ((ninfo & 0xFF) as u8 != cls) as usize;
-                    }
-                }
-                repair(bucket, &defect[..di], moved, vinfo, pos);
-            }
-            // Overflow bucket (degree missed the registry): general row
-            // accessor, still consuming the token's own draw words. The
-            // entry field is the token's vertex here (a defector's stale
-            // field is never read — repair recovers its vertex from `pos`).
-            {
-                let bucket = &mut buckets[MAX_DEGREE_CLASSES];
-                let mut di = 0usize;
-                for (i, e) in bucket.iter_mut().enumerate() {
-                    let t = *e as u32 as usize;
-                    let p = (*e >> 32) as u32;
-                    let b0 = SplitMix64::word(seed, (t * bpt) as u64);
-                    let b1 = if bpt == 2 {
-                        SplitMix64::word(seed, (t * bpt + 1) as u64)
-                    } else {
-                        0
-                    };
-                    let next = self
-                        .process
-                        .step_bits(csr.neighbors_unchecked(p), p, b0, b1);
-                    pos[t] = next;
-                    *e = ((next as u64) << 32) | t as u64;
-                    defect[di] = i as u32;
-                    di += ((vinfo[next as usize] & 0xFF) as u8 != CLASS_OVERFLOW) as usize;
-                }
-                repair(bucket, &defect[..di], moved, vinfo, pos);
-            }
-            // Apply the staged bucket moves (a token never steps twice in
-            // one round, even when its new class has not been swept yet).
-            for &(entry, ncls) in moved.iter() {
-                buckets[class_slot(ncls)].push(entry);
-            }
-            moved.clear();
-
-            // Deferred visits, in token order — the exact call sequence
-            // the in-order sweep produces.
-            for (t, &p) in pos.iter().enumerate() {
-                self.observer.visit(t, p);
-            }
-            if self.observer.end_round(self.g, pos, rng) {
-                return (rounds, true);
-            }
-        }
-    }
-
-    /// Row-wise irregular-CSR batched sweep — the pre-bucketing loop, kept
-    /// for adjacency arrays beyond `u32` row starts (where the bucketing
-    /// scratch would need to double in width for a graph that large).
+    /// Row-wise irregular-CSR batched sweep: the row of each token's
+    /// vertex through [`Graph::neighbors_unchecked`], then the kernel.
+    /// It serves two-word kernels (lazy, Metropolis), whose `step_bits`
+    /// does per-row work a pick table cannot inline, and plain kernels on
+    /// adjacency arrays beyond the flat table's `u32` row starts.
     fn drive_batched_rowwise<R: Rng + ?Sized>(
         &mut self,
         csr: &Graph,
@@ -2030,10 +1772,10 @@ mod tests {
         }
     }
 
-    /// Frozen copy of the pre-bucketing irregular batched loop: one
+    /// Frozen copy of the in-order irregular batched loop: one
     /// sequential pass in token order, rows via `neighbors`, kernel via
-    /// `step_bits`. The bucketed sweep must reproduce its positions
-    /// byte-for-byte (same draw words per token, deferred visits).
+    /// `step_bits`. Every CSR driver must reproduce its positions
+    /// byte-for-byte (same draw words per token).
     fn rowwise_reference<P: Process>(
         g: &mrw_graph::Graph,
         mut process: P,
@@ -2083,33 +1825,10 @@ mod tests {
     }
 
     #[test]
-    fn bucketed_sweep_matches_rowwise_stream() {
-        // Plain uniform kernels dispatch to the flat sweep these days,
-        // but the bucketed driver stays reachable (oversized tables fall
-        // back rowwise, two-word kernels bucket) — pin its plain-kernel
-        // stream by invoking the driver directly so every dispatch
-        // outcome stays one law.
-        for g in [generators::barbell(13), generators::star(20)] {
-            let starts: Vec<u32> = (0..9).map(|t| t % g.n() as u32).collect();
-            for (label, rounds) in [("short", 3u64), ("long", 500u64)] {
-                let mut engine = Engine::new(&g, SimpleStep, ()).cap(rounds);
-                let mut arena = EngineArena::new();
-                arena.pos.clear();
-                arena.pos.extend_from_slice(&starts);
-                let mut rng = walk_rng(42);
-                let (swept, finished) = engine.drive_batched_bucketed(&g, &mut rng, &mut arena, 1);
-                assert_eq!((swept, finished), (rounds, false));
-                let expect = rowwise_reference(&g, SimpleStep, &starts, 42, rounds);
-                assert_eq!(arena.positions(), expect, "{} {label}", g.name());
-            }
-        }
-    }
-
-    #[test]
-    fn bucketed_sweep_matches_rowwise_stream_two_word_kernels() {
-        // bpt = 2 kernels (lazy, metropolis) take the non-inlined class
-        // sweep; the draw-pair assignment per token must still match the
-        // in-order reference.
+    fn rowwise_sweep_matches_reference_stream() {
+        // bpt = 2 kernels (lazy, metropolis) on an irregular graph take
+        // the row-wise sweep; the draw-pair assignment per token must
+        // match the in-order reference.
         let g = generators::barbell(13);
         let starts: Vec<u32> = (0..9).map(|t| t % g.n() as u32).collect();
         for process in [WalkProcess::Lazy(0.3), WalkProcess::Metropolis] {
@@ -2122,6 +1841,15 @@ mod tests {
             let expect = rowwise_reference(&g, compiled, &starts, 7, 400);
             assert_eq!(arena.positions(), expect, "{}", process.label());
         }
+        // Plain kernels reach the row-wise sweep only when the adjacency
+        // array is too large for the flat table, so drive it directly.
+        let mut engine = Engine::new(&g, SimpleStep, ()).cap(500);
+        let mut arena = EngineArena::new();
+        arena.pos.extend_from_slice(&starts);
+        let swept = engine.drive_batched_rowwise(&g, &mut walk_rng(42), &mut arena, 1);
+        assert_eq!(swept, (500, false));
+        let expect = rowwise_reference(&g, SimpleStep, &starts, 42, 500);
+        assert_eq!(arena.positions(), expect, "plain kernel");
     }
 
     #[test]

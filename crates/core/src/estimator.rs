@@ -2,120 +2,25 @@
 //! layer.
 //!
 //! [`CoverTimeEstimator`] is a thin, strongly-typed front end: it
-//! translates `(graph, k, config)` into a
-//! [`Query::Cover`](crate::query::Query) and hands execution to
-//! [`Session::run`](crate::query::Session), which owns the engine
-//! fan-out, the zero-alloc per-worker workspaces, and the adaptive wave
-//! scheduling. The returned [`CoverEstimate`]s are views over the
-//! [`Report`] groups.
+//! translates `(graph, k, budget)` into a
+//! [`Query::Cover`](crate::query::Query) and hands execution, under the
+//! same [`Budget`], to [`Session::run`](crate::query::Session), which
+//! owns the engine fan-out, the zero-alloc per-worker workspaces, and
+//! the adaptive wave scheduling. The returned [`CoverEstimate`]s are
+//! views over the [`Report`] groups.
 //!
 //! Determinism: per-trial RNG streams are derived from the master seed by
 //! counter (never by thread), so an estimate is a pure function of
-//! `(graph, k, config)` regardless of the machine's core count — for an
+//! `(graph, k, budget)` regardless of the machine's core count — for an
 //! adaptive budget this includes the *consumed trial count*, because the
 //! stopping rule is only evaluated at wave boundaries on index-ordered
 //! prefixes (see the wave driver, [`crate::query::waves`]).
 
 use mrw_graph::{Graph, GraphBackend};
 use mrw_stats::ci::{normal_ci, ConfidenceInterval};
-use mrw_stats::precision::{Precision, Trials};
 use mrw_stats::Summary;
 
-use crate::engine::BatchMode;
-use crate::kwalk::KWalkMode;
 use crate::query::{Budget, Group, Query, Report, Session};
-
-/// Configuration shared by all Monte-Carlo estimators.
-#[derive(Debug, Clone)]
-pub struct EstimatorConfig {
-    /// Trial budget: a fixed count or an adaptive precision rule.
-    pub trials: Trials,
-    /// Master seed; per-trial streams are derived deterministically.
-    pub seed: u64,
-    /// Worker threads (default: all available).
-    pub threads: usize,
-    /// k-walk stepping discipline.
-    pub mode: KWalkMode,
-    /// Confidence level for the reported interval. An adaptive budget
-    /// overrides this with its rule's own confidence so the reported
-    /// half-width is the one the stopping rule certified.
-    pub ci_level: f64,
-    /// Batched-vs-scalar engine path selection (default
-    /// [`BatchMode::Auto`]: batch at `k ≥ 64` round-synchronous walks).
-    pub batch: BatchMode,
-}
-
-impl EstimatorConfig {
-    /// `trials` fixed trials, seed 0, all threads, round-synchronous, 95%
-    /// CI, automatic engine-path selection.
-    pub fn new(trials: usize) -> Self {
-        EstimatorConfig {
-            trials: Trials::Fixed(trials),
-            seed: 0,
-            threads: mrw_par::available_threads(),
-            mode: KWalkMode::RoundSynchronous,
-            ci_level: 0.95,
-            batch: BatchMode::Auto,
-        }
-    }
-
-    /// An adaptive configuration: sample until `rule` fires (or its cap).
-    ///
-    /// ```
-    /// use mrw_core::{CoverTimeEstimator, EstimatorConfig};
-    /// use mrw_stats::Precision;
-    /// use mrw_graph::generators;
-    ///
-    /// // Estimate the 2-walk cover time of the 4-cycle to ±10% at 95%
-    /// // confidence: an easy instance, so the rule stops far below its cap.
-    /// let rule = Precision::relative(0.10).with_max_trials(4096);
-    /// let cfg = EstimatorConfig::adaptive(rule).with_seed(7);
-    /// let est = CoverTimeEstimator::new(&generators::cycle(4), 2, cfg).run_from(0);
-    /// assert!(est.consumed_trials() < 4096);
-    /// assert!(est.ci().half_width() <= 0.10 * est.mean());
-    /// ```
-    pub fn adaptive(rule: Precision) -> Self {
-        let mut cfg = EstimatorConfig::new(0);
-        cfg.trials = Trials::Adaptive(rule);
-        cfg.ci_level = rule.confidence;
-        cfg
-    }
-
-    /// Sets the trial budget (accepts a plain count or a
-    /// [`Precision`] rule via `Into<Trials>`).
-    pub fn with_trials(mut self, trials: impl Into<Trials>) -> Self {
-        self.trials = trials.into();
-        if let Trials::Adaptive(rule) = self.trials {
-            self.ci_level = rule.confidence;
-        }
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "need at least one thread");
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the stepping discipline.
-    pub fn with_mode(mut self, mode: KWalkMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the batched-vs-scalar engine path selection.
-    pub fn with_batch(mut self, batch: BatchMode) -> Self {
-        self.batch = batch;
-        self
-    }
-}
 
 /// The result of estimating a (k-)cover time from one start vertex: a
 /// thin typed view over one start group of a
@@ -212,23 +117,38 @@ impl CoverEstimate {
 pub struct CoverTimeEstimator<'g, G: GraphBackend = Graph> {
     g: &'g G,
     k: usize,
-    cfg: EstimatorConfig,
+    budget: Budget,
 }
 
 impl<'g, G: GraphBackend> CoverTimeEstimator<'g, G> {
-    /// Creates an estimator for `k` parallel walks on `g`.
+    /// Creates an estimator for `k` parallel walks on `g` under `budget`:
+    /// a fixed trial count, or an adaptive precision rule.
+    ///
+    /// ```
+    /// use mrw_core::{Budget, CoverTimeEstimator};
+    /// use mrw_stats::Precision;
+    /// use mrw_graph::generators;
+    ///
+    /// // Estimate the 2-walk cover time of the 4-cycle to ±10% at 95%
+    /// // confidence: an easy instance, so the rule stops far below its cap.
+    /// let rule = Precision::relative(0.10).with_max_trials(4096);
+    /// let budget = Budget { precision: Some(rule), seed: 7, ..Budget::default() };
+    /// let est = CoverTimeEstimator::new(&generators::cycle(4), 2, budget).run_from(0);
+    /// assert!(est.consumed_trials() < 4096);
+    /// assert!(est.ci().half_width() <= 0.10 * est.mean());
+    /// ```
     ///
     /// # Panics
     /// If `k = 0`, `trials = 0`, or the graph is disconnected (infinite
     /// cover time).
-    pub fn new(g: &'g G, k: usize, cfg: EstimatorConfig) -> Self {
+    pub fn new(g: &'g G, k: usize, budget: Budget) -> Self {
         assert!(k >= 1, "need at least one walk");
-        assert!(cfg.trials.cap() >= 1, "need at least one trial");
+        assert!(budget.trials_budget().cap() >= 1, "need at least one trial");
         assert!(
             g.is_connected(),
             "cover time is infinite on a disconnected graph"
         );
-        CoverTimeEstimator { g, k, cfg }
+        CoverTimeEstimator { g, k, budget }
     }
 
     /// Estimates `C^k_start`.
@@ -277,7 +197,7 @@ impl<'g, G: GraphBackend> CoverTimeEstimator<'g, G> {
         for &s in starts {
             assert!((s as usize) < self.g.n(), "start {s} out of range");
         }
-        let report = Session::new(Budget::from_estimator(&self.cfg)).run(
+        let report = Session::new(self.budget.clone()).run(
             self.g,
             &Query::Cover {
                 k: self.k,
@@ -300,14 +220,27 @@ mod tests {
     #[test]
     fn deterministic_across_thread_counts() {
         let g = generators::cycle(24);
-        let base =
-            CoverTimeEstimator::new(&g, 2, EstimatorConfig::new(16).with_seed(5).with_threads(1))
-                .run_from(0);
+        let base = CoverTimeEstimator::new(
+            &g,
+            2,
+            Budget {
+                trials: 16,
+                seed: 5,
+                threads: 1,
+                ..Budget::default()
+            },
+        )
+        .run_from(0);
         for threads in [2, 4, 8] {
             let est = CoverTimeEstimator::new(
                 &g,
                 2,
-                EstimatorConfig::new(16).with_seed(5).with_threads(threads),
+                Budget {
+                    trials: 16,
+                    seed: 5,
+                    threads,
+                    ..Budget::default()
+                },
             )
             .run_from(0);
             assert_eq!(
@@ -325,7 +258,12 @@ mod tests {
         // k = 64 crosses the Auto threshold, so this exercises the batched
         // sweep inside the worker-reused arenas.
         let g = generators::cycle(24);
-        let cfg = |threads| EstimatorConfig::new(12).with_seed(9).with_threads(threads);
+        let cfg = |threads| Budget {
+            trials: 12,
+            seed: 9,
+            threads,
+            ..Budget::default()
+        };
         let base = CoverTimeEstimator::new(&g, 64, cfg(1)).run_from(0);
         for threads in [2, 4, 8] {
             let est = CoverTimeEstimator::new(&g, 64, cfg(threads)).run_from(0);
@@ -343,7 +281,12 @@ mod tests {
             CoverTimeEstimator::new(
                 &g,
                 64,
-                EstimatorConfig::new(12).with_seed(9).with_batch(batch),
+                Budget {
+                    trials: 12,
+                    seed: 9,
+                    batch,
+                    ..Budget::default()
+                },
             )
             .run_from(0)
         };
@@ -367,8 +310,16 @@ mod tests {
         // needs a few dozen trials, far below the 2048 cap.
         let g = generators::cycle(16);
         let rule = Precision::relative(0.15).with_max_trials(2048);
-        let est = CoverTimeEstimator::new(&g, 2, EstimatorConfig::adaptive(rule).with_seed(3))
-            .run_from(0);
+        let est = CoverTimeEstimator::new(
+            &g,
+            2,
+            Budget {
+                precision: Some(rule),
+                seed: 3,
+                ..Budget::default()
+            },
+        )
+        .run_from(0);
         assert!(
             est.consumed_trials() < 2048,
             "consumed {} — never stopped early",
@@ -388,9 +339,12 @@ mod tests {
             CoverTimeEstimator::new(
                 &g,
                 2,
-                EstimatorConfig::adaptive(rule)
-                    .with_seed(11)
-                    .with_threads(threads),
+                Budget {
+                    precision: Some(rule),
+                    seed: 11,
+                    threads,
+                    ..Budget::default()
+                },
             )
             .run_from(0)
         };
@@ -416,11 +370,27 @@ mod tests {
         let rule = Precision::relative(0.25)
             .with_min_trials(8)
             .with_max_trials(256);
-        let adaptive = CoverTimeEstimator::new(&g, 1, EstimatorConfig::adaptive(rule).with_seed(5))
-            .run_from(0);
+        let adaptive = CoverTimeEstimator::new(
+            &g,
+            1,
+            Budget {
+                precision: Some(rule),
+                seed: 5,
+                ..Budget::default()
+            },
+        )
+        .run_from(0);
         let m = adaptive.consumed_trials() as usize;
-        let fixed =
-            CoverTimeEstimator::new(&g, 1, EstimatorConfig::new(m).with_seed(5)).run_from(0);
+        let fixed = CoverTimeEstimator::new(
+            &g,
+            1,
+            Budget {
+                trials: m,
+                seed: 5,
+                ..Budget::default()
+            },
+        )
+        .run_from(0);
         assert_eq!(adaptive.cover_time().mean(), fixed.cover_time().mean());
         assert_eq!(adaptive.cover_time().min(), fixed.cover_time().min());
         assert_eq!(adaptive.cover_time().max(), fixed.cover_time().max());
@@ -433,15 +403,31 @@ mod tests {
         let rule = Precision::relative(1e-6)
             .with_min_trials(4)
             .with_max_trials(64);
-        let est = CoverTimeEstimator::new(&g, 1, EstimatorConfig::adaptive(rule).with_seed(2))
-            .run_from(0);
+        let est = CoverTimeEstimator::new(
+            &g,
+            1,
+            Budget {
+                precision: Some(rule),
+                seed: 2,
+                ..Budget::default()
+            },
+        )
+        .run_from(0);
         assert_eq!(est.consumed_trials(), 64);
     }
 
     #[test]
     fn different_starts_draw_different_streams() {
         let g = generators::cycle(24);
-        let est = CoverTimeEstimator::new(&g, 1, EstimatorConfig::new(8).with_seed(5));
+        let est = CoverTimeEstimator::new(
+            &g,
+            1,
+            Budget {
+                trials: 8,
+                seed: 5,
+                ..Budget::default()
+            },
+        );
         let a = est.run_from(0);
         let b = est.run_from(1);
         // Vertex-transitive graph: same distribution, but distinct streams
@@ -453,7 +439,15 @@ mod tests {
     fn clique_matches_coupon_collector() {
         let n = 24;
         let g = generators::complete_with_loops(n);
-        let est = CoverTimeEstimator::new(&g, 1, EstimatorConfig::new(600).with_seed(11));
+        let est = CoverTimeEstimator::new(
+            &g,
+            1,
+            Budget {
+                trials: 600,
+                seed: 11,
+                ..Budget::default()
+            },
+        );
         let e = est.run_from(0);
         let expect = n as f64 * harmonic(n as u64);
         assert!(
@@ -466,10 +460,26 @@ mod tests {
     #[test]
     fn ci_shrinks_with_trials() {
         let g = generators::torus_2d(5);
-        let small =
-            CoverTimeEstimator::new(&g, 1, EstimatorConfig::new(16).with_seed(3)).run_from(0);
-        let large =
-            CoverTimeEstimator::new(&g, 1, EstimatorConfig::new(256).with_seed(3)).run_from(0);
+        let small = CoverTimeEstimator::new(
+            &g,
+            1,
+            Budget {
+                trials: 16,
+                seed: 3,
+                ..Budget::default()
+            },
+        )
+        .run_from(0);
+        let large = CoverTimeEstimator::new(
+            &g,
+            1,
+            Budget {
+                trials: 256,
+                seed: 3,
+                ..Budget::default()
+            },
+        )
+        .run_from(0);
         assert!(large.ci().half_width() < small.ci().half_width());
     }
 
@@ -480,7 +490,15 @@ mod tests {
         // exhaustive branch (n ≤ 16) must therefore report a start whose
         // mean is at least the endpoint's.
         let g = generators::path(12);
-        let est = CoverTimeEstimator::new(&g, 1, EstimatorConfig::new(192).with_seed(4));
+        let est = CoverTimeEstimator::new(
+            &g,
+            1,
+            Budget {
+                trials: 192,
+                seed: 4,
+                ..Budget::default()
+            },
+        );
         let worst = est.run_worst_start();
         let endpoint = est.run_from(0);
         assert!(
@@ -501,7 +519,15 @@ mod tests {
     #[test]
     fn worst_start_sampled_on_larger_graphs() {
         let g = generators::cycle(64);
-        let est = CoverTimeEstimator::new(&g, 2, EstimatorConfig::new(8).with_seed(1));
+        let est = CoverTimeEstimator::new(
+            &g,
+            2,
+            Budget {
+                trials: 8,
+                seed: 1,
+                ..Budget::default()
+            },
+        );
         let e = est.run_worst_start();
         assert!(e.mean() > 0.0);
     }
@@ -513,6 +539,14 @@ mod tests {
         b.add_edge(0, 1);
         b.add_edge(2, 3);
         let g = b.build("frag");
-        CoverTimeEstimator::new(&g, 1, EstimatorConfig::new(4));
+        CoverTimeEstimator::new(
+            &g,
+            1,
+            Budget {
+                trials: 4,
+                seed: 0,
+                ..Budget::default()
+            },
+        );
     }
 }

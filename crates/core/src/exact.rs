@@ -161,7 +161,8 @@ pub const MAX_STATES: u64 = 200_000_000;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::{CoverTimeEstimator, EstimatorConfig};
+    use crate::estimator::CoverTimeEstimator;
+    use crate::query::Budget;
     use mrw_graph::generators;
     use mrw_stats::harmonic::harmonic;
 
@@ -221,9 +222,17 @@ mod tests {
         // of a human formula.
         let g = generators::star(5);
         let exact = exact_kwalk_cover_time(&g, 0, 1);
-        let mc = CoverTimeEstimator::new(&g, 1, EstimatorConfig::new(6000).with_seed(5))
-            .run_from(0)
-            .mean();
+        let mc = CoverTimeEstimator::new(
+            &g,
+            1,
+            Budget {
+                trials: 6000,
+                seed: 5,
+                ..Budget::default()
+            },
+        )
+        .run_from(0)
+        .mean();
         assert!(
             (exact - mc).abs() < exact * 0.05,
             "exact {exact} vs MC {mc}"
@@ -243,9 +252,17 @@ mod tests {
         ] {
             for k in [1usize, 2] {
                 let exact = exact_kwalk_cover_time(&g, 0, k);
-                let mc = CoverTimeEstimator::new(&g, k, EstimatorConfig::new(4000).with_seed(9))
-                    .run_from(0)
-                    .mean();
+                let mc = CoverTimeEstimator::new(
+                    &g,
+                    k,
+                    Budget {
+                        trials: 4000,
+                        seed: 9,
+                        ..Budget::default()
+                    },
+                )
+                .run_from(0)
+                .mean();
                 let rel = (mc - exact).abs() / exact;
                 assert!(
                     rel < 0.06,

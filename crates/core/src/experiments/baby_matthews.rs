@@ -124,7 +124,7 @@ pub fn run(cfg: &Config) -> Report {
         let k_max = bounds::baby_matthews_k_limit(n as u64) as usize;
         let mut k = 1usize;
         while k <= k_max {
-            let ck = CoverTimeEstimator::new(g, k, cfg.budget.estimator())
+            let ck = CoverTimeEstimator::new(g, k, cfg.budget.clone())
                 .run_from(0)
                 .mean();
             rows.push(Row {

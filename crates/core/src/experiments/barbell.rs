@@ -106,7 +106,6 @@ pub fn run(cfg: &Config) -> Report {
         cfg.sizes.len() >= 2,
         "need ≥ 2 sizes to fit growth exponents"
     );
-    let est_cfg = cfg.budget.estimator();
     let rows: Vec<Row> = cfg
         .sizes
         .iter()
@@ -114,10 +113,10 @@ pub fn run(cfg: &Config) -> Report {
             let g = barbell(n);
             let vc = barbell_center(n);
             let k = bounds::barbell_k(n as u64) as usize;
-            let c1 = CoverTimeEstimator::new(&g, 1, est_cfg.clone())
+            let c1 = CoverTimeEstimator::new(&g, 1, cfg.budget.clone())
                 .run_from(vc)
                 .mean();
-            let ck = CoverTimeEstimator::new(&g, k, est_cfg.clone())
+            let ck = CoverTimeEstimator::new(&g, k, cfg.budget.clone())
                 .run_from(vc)
                 .mean();
             Row {

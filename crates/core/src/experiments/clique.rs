@@ -99,7 +99,7 @@ pub fn run(cfg: &Config) -> Report {
         assert!(k <= cfg.n, "Lemma 12 requires k ≤ n (k={k}, n={})", cfg.n);
     }
     let g = mrw_graph::generators::complete_with_loops(cfg.n);
-    let sweep = speedup_sweep(&g, 0, &cfg.ks, &cfg.budget.estimator());
+    let sweep = speedup_sweep(&g, 0, &cfg.ks, &cfg.budget);
     Report {
         n: cfg.n,
         predicted_c1: bounds::coupon_collector(cfg.n as u64),

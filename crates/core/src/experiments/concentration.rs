@@ -131,7 +131,7 @@ pub fn run(cfg: &Config) -> Report {
     for family in [Family::Complete, Family::Torus, Family::Path] {
         for &n in &cfg.sizes {
             let g = family.build(n);
-            let est = CoverTimeEstimator::new(&g, 1, cfg.budget.estimator()).run_from(0);
+            let est = CoverTimeEstimator::new(&g, 1, cfg.budget.clone()).run_from(0);
             rows.push(Row {
                 family,
                 n: g.n(),

@@ -146,7 +146,7 @@ pub fn run(cfg: &Config) -> Report {
     }
     let mut rows = Vec::new();
     for (g, start) in &cfg.cases {
-        let sweep = speedup_sweep(g, *start, &cfg.ks, &cfg.budget.estimator());
+        let sweep = speedup_sweep(g, *start, &cfg.ks, &cfg.budget);
         for p in &sweep.points {
             rows.push(Row {
                 graph: g.name().to_string(),

@@ -102,7 +102,7 @@ impl Report {
 /// Runs the experiment.
 pub fn run(cfg: &Config) -> Report {
     let g = mrw_graph::generators::cycle(cfg.n);
-    let sweep = speedup_sweep(&g, 0, &cfg.ks, &cfg.budget.estimator());
+    let sweep = speedup_sweep(&g, 0, &cfg.ks, &cfg.budget);
     let fit_pts: Vec<(f64, f64)> = sweep
         .points
         .iter()

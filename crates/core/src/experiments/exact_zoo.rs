@@ -15,7 +15,7 @@ use mrw_stats::Table;
 
 use crate::exact::exact_kwalk_cover_time;
 use crate::experiments::Budget;
-use crate::{CoverTimeEstimator, EstimatorConfig};
+use crate::CoverTimeEstimator;
 
 /// Configuration for the exact-validation zoo.
 #[derive(Debug, Clone)]
@@ -148,7 +148,11 @@ pub fn run(cfg: &Config) -> Report {
             let est = CoverTimeEstimator::new(
                 &g,
                 k,
-                EstimatorConfig::new(cfg.trials).with_seed(cfg.seed ^ (k as u64) << 8),
+                Budget {
+                    trials: cfg.trials,
+                    seed: cfg.seed ^ (k as u64) << 8,
+                    ..Budget::default()
+                },
             )
             .run_from(0);
             cells.push(Cell {

@@ -122,7 +122,7 @@ pub fn run(cfg: &Config) -> Report {
         profile.lambda,
         cfg.d
     );
-    let sweep = speedup_sweep(&g, 0, &cfg.ks, &cfg.budget.estimator());
+    let sweep = speedup_sweep(&g, 0, &cfg.ks, &cfg.budget);
     Report {
         n: cfg.n,
         profile,

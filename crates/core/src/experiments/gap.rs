@@ -164,12 +164,12 @@ pub fn run(cfg: &Config) -> Report {
         .map(|g| {
             let ht = hitting_times_all(g);
             let hmax = ht.hmax();
-            let cover = CoverTimeEstimator::new(g, 1, cfg.budget.estimator())
+            let cover = CoverTimeEstimator::new(g, 1, cfg.budget.clone())
                 .run_worst_start()
                 .mean();
             let gap = bounds::gap(cover, hmax);
             let k_star = (bounds::thm5_k_limit(gap, cfg.epsilon).floor() as usize).max(1);
-            let sweep = speedup_sweep(g, 0, &[k_star], &cfg.budget.estimator());
+            let sweep = speedup_sweep(g, 0, &[k_star], &cfg.budget);
             let ck = sweep.points[0].cover.mean();
             Row {
                 graph: g.name().to_string(),

@@ -175,8 +175,7 @@ pub fn run(cfg: &Config) -> Report {
     for g in &graphs {
         let prey = far_vertex(g, 0);
         let mut base_hide = f64::NAN;
-        let est_cfg = cfg.budget.estimator();
-        let cover_base = CoverTimeEstimator::new(g, 1, est_cfg.clone())
+        let cover_base = CoverTimeEstimator::new(g, 1, cfg.budget.clone())
             .run_from(0)
             .mean();
         for &k in &cfg.ks {
@@ -187,7 +186,7 @@ pub fn run(cfg: &Config) -> Report {
             if k == 1 {
                 base_hide = hide;
             }
-            let cover_k = CoverTimeEstimator::new(g, k, est_cfg.clone())
+            let cover_k = CoverTimeEstimator::new(g, k, cfg.budget.clone())
                 .run_from(0)
                 .mean();
             rows.push(Row {

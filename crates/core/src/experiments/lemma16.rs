@@ -176,7 +176,7 @@ pub fn run(cfg: &Config) -> Report {
     let t_h = (2.0 * hmax).ceil() as u64; // Markov: p_h ≥ 1/2 at 2·h_max
 
     // Measure C roughly, set T_c, then measure p_c at T_c.
-    let est = crate::CoverTimeEstimator::new(&g, 1, cfg.budget.estimator()).run_from(0);
+    let est = crate::CoverTimeEstimator::new(&g, 1, cfg.budget.clone()).run_from(0);
     let t_c = (cfg.tc_multiplier * est.mean()).ceil() as u64;
     let trials = cfg.budget.trials;
     let mut covers = 0usize;

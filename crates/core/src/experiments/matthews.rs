@@ -138,7 +138,7 @@ pub fn run(cfg: &Config) -> Report {
         .map(|g| {
             let ht = hitting_times_all(g);
             let n = g.n();
-            let cover = CoverTimeEstimator::new(g, 1, cfg.budget.estimator())
+            let cover = CoverTimeEstimator::new(g, 1, cfg.budget.clone())
                 .run_worst_start()
                 .mean();
             Row {

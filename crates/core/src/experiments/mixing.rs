@@ -140,7 +140,7 @@ pub fn run(cfg: &Config) -> Report {
         let starts: Vec<u32> = vec![0, (n / 2) as u32];
         let t_m = mixing_time(g, &MixingConfig::lazy().with_starts(starts))
             .unwrap_or_else(|| panic!("{}: did not mix within budget", g.name()));
-        let sweep = speedup_sweep(g, 0, &cfg.ks, &cfg.budget.estimator());
+        let sweep = speedup_sweep(g, 0, &cfg.ks, &cfg.budget);
         for p in &sweep.points {
             rows.push(Row {
                 graph: g.name().to_string(),

@@ -140,7 +140,7 @@ pub fn run(cfg: &Config) -> Report {
             mrw_graph::algo::is_connected(&g),
             "rewired instance disconnected at beta = {beta}; reseed"
         );
-        let sweep = speedup_sweep(&g, 0, &[cfg.k], &cfg.budget.estimator());
+        let sweep = speedup_sweep(&g, 0, &[cfg.k], &cfg.budget);
         let point = &sweep.points[0];
         let mixing = mrw_spectral::mixing_time(
             &g,

@@ -157,13 +157,12 @@ fn build_families(cfg: &Config) -> Vec<(&'static str, Graph, &'static str)> {
 /// Runs the full Table 1 regeneration.
 pub fn run(cfg: &Config) -> Report {
     let families = build_families(cfg);
-    let est_cfg = cfg.budget.estimator();
     let rows = families
         .into_iter()
         .map(|(family, g, predicted)| {
             let n = g.n();
             let k = ((n as f64).ln().floor() as usize).max(2);
-            let sweep = speedup_sweep(&g, 0, &[k], &est_cfg);
+            let sweep = speedup_sweep(&g, 0, &[k], &cfg.budget);
             let hm = Session::new(Budget {
                 trials: cfg.budget.trials.min(16),
                 precision: None,

@@ -135,7 +135,7 @@ impl Report {
 pub fn run(cfg: &Config) -> Report {
     let g = torus_2d(cfg.side);
     let n = cfg.side * cfg.side;
-    let sweep = speedup_sweep(&g, 0, &cfg.ks, &cfg.budget.estimator());
+    let sweep = speedup_sweep(&g, 0, &cfg.ks, &cfg.budget);
     Report {
         n,
         sweep,

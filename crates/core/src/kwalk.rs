@@ -2,7 +2,7 @@
 //! [`engine`](crate::engine) that preserve the original seeded streams
 //! for `k <` [`BATCH_AUTO_MIN_K`](crate::engine::BATCH_AUTO_MIN_K);
 //! larger round-synchronous fan-outs route onto the engine's batched
-//! bucket sweep, which draws the same walk *law* from a different RNG
+//! sweep, which draws the same walk *law* from a different RNG
 //! stream (see the engine's module docs). Construct an
 //! [`crate::engine::Engine`] directly with
 //! [`BatchMode::Never`](crate::engine::BatchMode) to pin the legacy

@@ -76,7 +76,7 @@ pub use engine::{
     BatchMode, CompiledProcess, Discipline, Engine, EngineArena, Observer, Process, SimpleStep,
     BATCH_AUTO_MIN_K,
 };
-pub use estimator::{CoverEstimate, CoverTimeEstimator, EstimatorConfig};
+pub use estimator::{CoverEstimate, CoverTimeEstimator};
 pub use kwalk::{
     kwalk_cover_rounds, kwalk_cover_rounds_same_start, kwalk_covers_within, KWalkMode,
 };

@@ -35,7 +35,7 @@
 //! law is unchanged (KS-tested in `engine::tests`). Compilation happens
 //! once per run (regression-pinned by `tests/zero_alloc.rs`), and every
 //! compiled kernel additionally carries a batched `step_bits` twin that
-//! consumes pre-drawn RNG blocks on the engine's bucket sweep — the
+//! consumes pre-drawn RNG blocks on the engine's batched sweep — the
 //! cached Bernoulli threshold and reciprocal tables are reused there,
 //! never re-derived. `WalkProcess` itself stays scalar-only so the
 //! reference can never be routed onto the path it is meant to check.

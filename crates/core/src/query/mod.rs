@@ -12,7 +12,8 @@
 //!   `SpeedupLadder`).
 //! * [`Session`] — the one executor: [`Session::run`] drives the
 //!   [`Engine`] through `mrw_par`'s deterministic fan-out for any query,
-//!   optionally restricted to a [`Shard`] of the trial-index range.
+//!   optionally restricted to a range of trial indices (such as a
+//!   [`Shard`]'s slice).
 //! * [`Report`] — the one result: per-group **exact sufficient
 //!   statistics** ([`IntMoments`]) rather than floating summaries, so
 //!   [`Report::merge`] is lossless, associative, and commutative.
@@ -58,8 +59,8 @@
 //! // One process:
 //! let whole = Session::new(budget.clone()).run(&g, &q);
 //! // Two shards, merged:
-//! let a = Session::new(budget.clone()).with_shard(Shard::new(0, 2)).run(&g, &q);
-//! let b = Session::new(budget).with_shard(Shard::new(1, 2)).run(&g, &q);
+//! let a = Session::new(budget.clone()).with_range(Shard::new(0, 2).slice(64)).run(&g, &q);
+//! let b = Session::new(budget).with_range(Shard::new(1, 2).slice(64)).run(&g, &q);
 //! let merged = Report::merge(&a, &b).unwrap();
 //! assert_eq!(merged, whole);                      // exact, not approximate
 //! assert_eq!(merged.to_json(), whole.to_json()); // byte-identical
@@ -82,7 +83,6 @@ use mrw_stats::precision::PrecisionTarget;
 use mrw_stats::{IntMoments, Precision, Summary, Trials};
 
 use crate::engine::{BatchMode, Engine, EngineArena, FullCover, SimpleStep};
-use crate::estimator::EstimatorConfig;
 use crate::hitting_mc::{hmax_candidates, hmax_mc_cap, HitEstimate, HmaxEstimate};
 use crate::kwalk::KWalkMode;
 use crate::meeting::{meeting_rounds, pursuit_rounds, CatchEstimate, PreyStrategy};
@@ -164,37 +164,6 @@ impl Budget {
     /// [`confidence`](Budget::confidence) otherwise.
     pub fn effective_confidence(&self) -> f64 {
         self.precision.map_or(self.confidence, |r| r.confidence)
-    }
-
-    /// Builds the estimator config for this budget.
-    pub fn estimator(&self) -> EstimatorConfig {
-        let mut cfg = EstimatorConfig::new(self.trials)
-            .with_trials(self.trials_budget())
-            .with_seed(self.seed)
-            .with_threads(self.threads)
-            .with_batch(self.batch)
-            .with_mode(self.mode);
-        cfg.ci_level = self.effective_confidence();
-        cfg
-    }
-
-    /// The inverse of [`estimator`](Budget::estimator): the budget an
-    /// [`EstimatorConfig`] describes (how the deprecated typed entry
-    /// points translate themselves into [`Session`] runs).
-    pub fn from_estimator(cfg: &EstimatorConfig) -> Budget {
-        let (trials, precision) = match cfg.trials {
-            Trials::Fixed(n) => (n, None),
-            Trials::Adaptive(rule) => (rule.max_trials, Some(rule)),
-        };
-        Budget {
-            trials,
-            seed: cfg.seed,
-            threads: cfg.threads,
-            batch: cfg.batch,
-            precision,
-            mode: cfg.mode,
-            confidence: cfg.ci_level,
-        }
     }
 }
 
@@ -288,11 +257,6 @@ impl ShardPlan {
     /// Number of planned shards.
     pub fn count(&self) -> usize {
         self.count
-    }
-
-    /// The trial budget being split.
-    pub fn total_trials(&self) -> usize {
-        self.total
     }
 
     /// Shard `i`'s trial range (the same balanced split as
@@ -521,11 +485,28 @@ impl GraphSpec {
 
     /// Builds the described graph as materialized CSR arrays (the
     /// historical path; [`resolve`](GraphSpec::resolve) adds the backend
-    /// choice and the memory guard on top).
+    /// choice and the memory guard on top). Every size a generator would
+    /// assert on is an `Err` here instead: spec files are untrusted input.
     pub fn build(&self) -> Result<Graph, String> {
         use mrw_graph::generators;
         self.validate_jumps()?;
         let n = self.n;
+        let min = match self.family.as_str() {
+            "path" | "torus" | "clique-loops" => 1,
+            "clique" => 2,
+            "cycle" => 3,
+            "barbell" => 7,
+            _ => 0,
+        };
+        let barbell = self.family == "barbell";
+        if n < min || (barbell && n.is_multiple_of(2)) {
+            let size = if self.family == "torus" { "side" } else { "n" };
+            let parity = if barbell { "odd " } else { "" };
+            return Err(format!(
+                "{} needs {parity}{size} ≥ {min}, got {n}",
+                self.family
+            ));
+        }
         Ok(match self.family.as_str() {
             "cycle" => generators::cycle(n),
             "path" => generators::path(n),
@@ -985,12 +966,6 @@ impl Coverage {
         Coverage(vec![(0, total)])
     }
 
-    /// One shard's slice of an `total`-trial range.
-    pub fn of_shard(shard: Shard, total: usize) -> Coverage {
-        let r = shard.slice(total);
-        Coverage(vec![(r.start as u64, r.end as u64)])
-    }
-
     /// An arbitrary contiguous `[lo, hi)` trial range (the `mrw shard
     /// --range` form `mrw fanout` dispatches).
     ///
@@ -1226,39 +1201,6 @@ impl Report {
                 .zip(&b.groups)
                 .map(|(ga, gb)| ga.merge(gb))
                 .collect(),
-        })
-    }
-
-    /// Reinterprets a fixed-budget report inside a larger trial space:
-    /// the same sample, now presented as partial coverage of a
-    /// `trials`-trial budget. Because a trial is a pure function of
-    /// `(seed, group, index)` — never of the budget's total — a complete
-    /// `0..n` run restated to `m > n` is exactly the `[0, n)` shard of
-    /// the `m`-trial run, so merging it with a fresh `n..m` slice
-    /// reproduces the direct `0..m` run byte-for-byte. This is the
-    /// cache-extension lemma `mrw serve` leans on: serve a bigger budget
-    /// by running only the missing index range.
-    ///
-    /// Fails for adaptive budgets (their trial space is the rule's cap,
-    /// not a free parameter) and when the coverage doesn't fit inside the
-    /// new space.
-    pub fn restate_trials(&self, trials: usize) -> Result<Report, String> {
-        if self.budget.precision.is_some() {
-            return Err("cannot restate an adaptive budget's trial space".into());
-        }
-        if let Some(&(_, hi)) = self.coverage.ranges().last() {
-            if hi > trials as u64 {
-                return Err(format!(
-                    "coverage reaches trial {hi}, past the new {trials}-trial space"
-                ));
-            }
-        }
-        Ok(Report {
-            budget: Budget {
-                trials,
-                ..self.budget.clone()
-            },
-            ..self.clone()
         })
     }
 
@@ -1929,24 +1871,14 @@ impl<R: FnMut(Range<usize>) -> Group> waves::WaveExecutor for InProcess<R> {
     }
 }
 
-/// The restriction of a [`Session`] to part of the trial-index space:
-/// a [`Shard`] (resolved against the budget's total at run time) or an
-/// explicit index range.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum TrialSlice {
-    Shard(Shard),
-    Range(Range<usize>),
-}
-
 /// The one executor: runs any [`Query`] against a graph under a
-/// [`Budget`], optionally restricted to a [`Shard`] (or explicit index
-/// range) of the trial-index range, and optionally to a subset of the
-/// query's groups. See the module docs for the determinism and shard
-/// contracts.
+/// [`Budget`], optionally restricted to a range of trial indices, and
+/// optionally to a subset of the query's groups. See the module docs for
+/// the determinism and shard contracts.
 #[derive(Debug, Clone)]
 pub struct Session {
     budget: Budget,
-    slice: Option<TrialSlice>,
+    range: Option<Range<usize>>,
     groups: Option<Vec<usize>>,
 }
 
@@ -1958,32 +1890,24 @@ impl Session {
         assert!(budget.threads >= 1, "need at least one thread");
         Session {
             budget,
-            slice: None,
+            range: None,
             groups: None,
         }
     }
 
-    /// Restricts the session to one shard of the trial-index range.
-    /// Sharded *adaptive* budgets run their fixed slice of the rule's
-    /// hard cap; the rule is re-evaluated on the merged statistics
-    /// ([`Report::certified`]).
-    pub fn with_shard(mut self, shard: Shard) -> Session {
-        self.slice = Some(TrialSlice::Shard(shard));
-        self
-    }
-
-    /// Restricts the session to an explicit trial-index range — the
-    /// general form of [`with_shard`](Session::with_shard) that `mrw
-    /// fanout`'s adaptive waves need (wave boundaries are not balanced
-    /// shard splits). The range must be non-empty and lie inside
-    /// `[0, budget cap)`.
+    /// Restricts the session to a trial-index range: a shard's balanced
+    /// slice ([`Shard::slice`]) or any other window, such as an adaptive
+    /// fan-out wave. The range must be non-empty and lie inside
+    /// `[0, budget cap)`. A restricted *adaptive* budget runs its fixed
+    /// range of the rule's hard cap; the rule is re-evaluated on the
+    /// merged statistics ([`Report::certified`]).
     ///
     /// # Panics
     /// If the range is empty or extends past the budget's trial cap
     /// (checked at [`run`](Session::run)).
     pub fn with_range(mut self, range: Range<usize>) -> Session {
-        assert!(!range.is_empty(), "empty trial range");
-        self.slice = Some(TrialSlice::Range(range));
+        assert!(!range.is_empty(), "trial range {range:?} is empty");
+        self.range = Some(range);
         self
     }
 
@@ -2016,10 +1940,9 @@ impl Session {
     /// # Panics
     /// If an explicit range extends past `total`.
     fn slice_range(&self, total: usize) -> Range<usize> {
-        match &self.slice {
+        match &self.range {
             None => 0..total,
-            Some(TrialSlice::Shard(s)) => s.slice(total),
-            Some(TrialSlice::Range(r)) => {
+            Some(r) => {
                 assert!(
                     r.end <= total,
                     "trial range {}..{} extends past the {total}-trial budget",
@@ -2039,9 +1962,9 @@ impl Session {
     /// Executes `query` on `g`.
     ///
     /// Trial `i` of every group draws an RNG stream that is a pure
-    /// function of `(budget.seed, group, i)` — the exact streams the
-    /// historical entry points used, so the deprecated shims reproduce
-    /// their pre-query-layer samples bit-for-bit.
+    /// function of `(budget.seed, group, i)`, never of the budget's total
+    /// or the range, so any partition of the index range merges back to
+    /// the whole run bit-for-bit.
     ///
     /// # Panics
     /// On invalid queries — anything [`Query::validate`] rejects:
@@ -2055,10 +1978,6 @@ impl Session {
         }
         let total = self.budget.trials_budget().cap();
         let range = self.slice_range(total);
-        assert!(
-            !range.is_empty(),
-            "shard slice {range:?} of a {total}-trial budget is empty"
-        );
         let groups = match query {
             Query::Cover { k, starts } => self.cover_groups(g, *k, starts, None, 0),
             Query::PartialCover { k, start, gammas } => self.partial_groups(g, *k, *start, gammas),
@@ -2092,7 +2011,7 @@ impl Session {
             },
             query: query.clone(),
             budget: self.budget.clone(),
-            coverage: if self.slice.is_none() {
+            coverage: if self.range.is_none() {
                 Coverage::full(total as u64)
             } else {
                 Coverage::of_range(range)
@@ -2124,7 +2043,7 @@ impl Session {
             let outcomes = par_map_with(range.len(), threads, &init, |ws, i| sample(ws, lo + i));
             collect(label.clone(), &outcomes)
         };
-        if !matches!((trials, &self.slice), (Trials::Adaptive(_), None)) {
+        if !matches!((trials, &self.range), (Trials::Adaptive(_), None)) {
             return run(self.slice_range(trials.cap()));
         }
         let mut exec = InProcess {
@@ -2618,13 +2537,15 @@ mod tests {
             seed: 1,
             ..Budget::default()
         };
-        let _ = Session::new(budget).with_shard(Shard::new(0, 2)).run(
-            &g,
-            &Query::Cover {
-                k: 1,
-                starts: vec![0],
-            },
-        );
+        let _ = Session::new(budget)
+            .with_range(Shard::new(0, 2).slice(1))
+            .run(
+                &g,
+                &Query::Cover {
+                    k: 1,
+                    starts: vec![0],
+                },
+            );
     }
 
     #[test]
@@ -2641,10 +2562,10 @@ mod tests {
         };
         let whole = Session::new(budget.clone()).run(&g, &q);
         let a = Session::new(budget.clone())
-            .with_shard(Shard::new(0, 2))
+            .with_range(Shard::new(0, 2).slice(32))
             .run(&g, &q);
         let b = Session::new(budget)
-            .with_shard(Shard::new(1, 2))
+            .with_range(Shard::new(1, 2).slice(32))
             .run(&g, &q);
         let merged = Report::merge(&a, &b).unwrap();
         assert_eq!(merged, whole);
@@ -2694,7 +2615,7 @@ mod tests {
         };
         let half = |i| {
             Session::new(budget.clone())
-                .with_shard(Shard::new(i, 2))
+                .with_range(Shard::new(i, 2).slice(12))
                 .run(&g, &q)
         };
         let (a, b) = (half(0), half(1));
@@ -2706,7 +2627,7 @@ mod tests {
         assert!(Report::merge(&whole, &a).is_err());
         // Shards from incompatible partitions overlap partially.
         let third = Session::new(budget)
-            .with_shard(Shard::new(0, 3))
+            .with_range(Shard::new(0, 3).slice(12))
             .run(&g, &q);
         assert!(Report::merge(&a, &third).is_err());
         // Partial merges say so: a lone shard is not the complete run.
@@ -2828,25 +2749,6 @@ mod tests {
         };
         let back = QuerySpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(back, spec);
-    }
-
-    #[test]
-    fn budget_estimator_round_trip() {
-        let b = Budget {
-            trials: 48,
-            seed: 9,
-            batch: BatchMode::Never,
-            mode: KWalkMode::Interleaved,
-            ..Budget::default()
-        };
-        let back = Budget::from_estimator(&b.estimator());
-        assert_eq!(back, b);
-        let adaptive = Budget {
-            precision: Some(Precision::relative(0.1)),
-            ..b
-        };
-        let back = Budget::from_estimator(&adaptive.estimator());
-        assert_eq!(back, adaptive);
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! A sweep fixes the graph and start vertex, estimates `C^1` once, then
 //! estimates `C^k` for each `k` in a ladder, reporting the ratio with
-//! delta-method error bars. The sweep is the workhorse behind Table 1's
-//! speed-up column and the Theorem 6/8/18 experiments.
+//! delta-method error bars, all under one [`Budget`]. The sweep is the
+//! workhorse behind Table 1's speed-up column and the Theorem 6/8/18
+//! experiments.
 
 use mrw_graph::Graph;
 use mrw_stats::ci::{ratio_ci, ConfidenceInterval};
 
-use crate::estimator::{CoverEstimate, EstimatorConfig};
+use crate::estimator::CoverEstimate;
 use crate::query::{Budget, Query, Report, Session};
 
 /// One point of a speed-up sweep.
@@ -53,14 +54,14 @@ impl SpeedupSweep {
 }
 
 /// Runs a speed-up sweep on `g` from `start` over the walk counts `ks` —
-/// one [`Query::SpeedupLadder`] through [`Session::run`], viewed as
-/// typed rows.
+/// one [`Query::SpeedupLadder`] through [`Session::run`] under `budget`,
+/// viewed as typed rows.
 ///
 /// `k = 1` need not be in `ks`; the baseline is always estimated. Each `k`
 /// draws an independent seed stream, so adding a point to the ladder
 /// never perturbs the others.
-pub fn speedup_sweep(g: &Graph, start: u32, ks: &[usize], cfg: &EstimatorConfig) -> SpeedupSweep {
-    let report = Session::new(Budget::from_estimator(cfg)).run(
+pub fn speedup_sweep(g: &Graph, start: u32, ks: &[usize], budget: &Budget) -> SpeedupSweep {
+    let report = Session::new(budget.clone()).run(
         g,
         &Query::SpeedupLadder {
             start,
@@ -111,7 +112,16 @@ mod tests {
     #[test]
     fn speedup_at_k1_is_one_ish() {
         let g = generators::torus_2d(5);
-        let sweep = speedup_sweep(&g, 0, &[1], &EstimatorConfig::new(128).with_seed(3));
+        let sweep = speedup_sweep(
+            &g,
+            0,
+            &[1],
+            &Budget {
+                trials: 128,
+                seed: 3,
+                ..Budget::default()
+            },
+        );
         let s1 = sweep.speedup_at(1).unwrap();
         assert!(
             (s1 - 1.0).abs() < 0.25,
@@ -123,7 +133,16 @@ mod tests {
     fn clique_speedup_linear() {
         // Lemma 12: S^k = k on the clique (up to rounding).
         let g = generators::complete_with_loops(32);
-        let sweep = speedup_sweep(&g, 0, &[2, 4, 8], &EstimatorConfig::new(300).with_seed(17));
+        let sweep = speedup_sweep(
+            &g,
+            0,
+            &[2, 4, 8],
+            &Budget {
+                trials: 300,
+                seed: 17,
+                ..Budget::default()
+            },
+        );
         for p in &sweep.points {
             let rel = (p.speedup.point - p.k as f64).abs() / p.k as f64;
             assert!(
@@ -140,7 +159,16 @@ mod tests {
     fn cycle_speedup_sublinear() {
         // Theorem 6: S^k = Θ(log k) ≪ k already for moderate k.
         let g = generators::cycle(64);
-        let sweep = speedup_sweep(&g, 0, &[16], &EstimatorConfig::new(200).with_seed(23));
+        let sweep = speedup_sweep(
+            &g,
+            0,
+            &[16],
+            &Budget {
+                trials: 200,
+                seed: 23,
+                ..Budget::default()
+            },
+        );
         let s16 = sweep.speedup_at(16).unwrap();
         assert!(s16 < 9.0, "cycle S^16 = {s16} suspiciously close to linear");
         assert!(s16 > 1.2, "cycle S^16 = {s16} — no speed-up at all?");
@@ -149,7 +177,16 @@ mod tests {
     #[test]
     fn series_shape() {
         let g = generators::complete(16);
-        let sweep = speedup_sweep(&g, 0, &[1, 2, 4], &EstimatorConfig::new(32).with_seed(0));
+        let sweep = speedup_sweep(
+            &g,
+            0,
+            &[1, 2, 4],
+            &Budget {
+                trials: 32,
+                seed: 0,
+                ..Budget::default()
+            },
+        );
         let (ks, ss) = sweep.series();
         assert_eq!(ks, vec![1.0, 2.0, 4.0]);
         assert_eq!(ss.len(), 3);
@@ -159,7 +196,11 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = generators::cycle(32);
-        let cfg = EstimatorConfig::new(32).with_seed(5);
+        let cfg = Budget {
+            trials: 32,
+            seed: 5,
+            ..Budget::default()
+        };
         let a = speedup_sweep(&g, 0, &[2, 4], &cfg);
         let b = speedup_sweep(&g, 0, &[2, 4], &cfg);
         assert_eq!(a.speedup_at(4), b.speedup_at(4));

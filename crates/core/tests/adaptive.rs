@@ -17,7 +17,7 @@ use std::ops::Range;
 
 use mrw_core::query::waves::{self, WaveExecutor};
 use mrw_core::query::Group;
-use mrw_core::{CoverTimeEstimator, EstimatorConfig, Precision};
+use mrw_core::{Budget, CoverTimeEstimator, Precision};
 use mrw_graph::generators;
 use mrw_stats::{IntMoments, Trials};
 use proptest::prelude::*;
@@ -114,8 +114,8 @@ proptest! {
     ) {
         let g = generators::cycle(n);
         let rule = Precision::relative(rel).with_min_trials(8).with_max_trials(256);
-        let est = CoverTimeEstimator::new(&g, k, EstimatorConfig::adaptive(rule).with_seed(seed))
-            .run_from(0);
+        let budget = Budget { precision: Some(rule), seed, ..Budget::default() };
+        let est = CoverTimeEstimator::new(&g, k, budget).run_from(0);
         let consumed = est.consumed_trials() as usize;
         // (a) floor ≤ consumed ≤ cap, always.
         prop_assert!(consumed >= rule.min_trials, "below floor: {consumed}");
@@ -142,7 +142,7 @@ proptest! {
             CoverTimeEstimator::new(
                 &g,
                 2,
-                EstimatorConfig::adaptive(rule).with_seed(seed).with_threads(threads),
+                Budget { precision: Some(rule), seed, threads, ..Budget::default() },
             )
             .run_from(0)
         };
@@ -165,8 +165,8 @@ proptest! {
     ) {
         let g = generators::cycle(n);
         let rule = Precision::absolute(1e-9).with_min_trials(4).with_max_trials(48);
-        let est = CoverTimeEstimator::new(&g, 1, EstimatorConfig::adaptive(rule).with_seed(seed))
-            .run_from(0);
+        let budget = Budget { precision: Some(rule), seed, ..Budget::default() };
+        let est = CoverTimeEstimator::new(&g, 1, budget).run_from(0);
         prop_assert_eq!(est.consumed_trials(), 48);
     }
 

@@ -12,7 +12,7 @@
 
 use mrw_core::{
     kwalk_cover_rounds, kwalk_covers_within, kwalk_multicover_rounds, kwalk_partial_cover_rounds,
-    walk_rng, CoverTimeEstimator, EstimatorConfig, KWalkMode,
+    walk_rng, Budget, CoverTimeEstimator, KWalkMode,
 };
 use mrw_graph::{generators, Graph};
 use mrw_stats::ks_two_sample;
@@ -426,7 +426,12 @@ fn estimator_parallel_fanout_matches_serial_exactly() {
         CoverTimeEstimator::new(
             &g,
             2,
-            EstimatorConfig::new(16).with_seed(3).with_threads(threads),
+            Budget {
+                trials: 16,
+                seed: 3,
+                threads,
+                ..Budget::default()
+            },
         )
         .run_worst_start()
     };

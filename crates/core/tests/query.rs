@@ -13,7 +13,7 @@
 //!   equivalent to the `Session::run` reports they view.
 
 use mrw_core::query::{Budget, Query, Report, Session, Shard};
-use mrw_core::{CoverTimeEstimator, EstimatorConfig, Precision, PreyStrategy};
+use mrw_core::{CoverTimeEstimator, Precision, PreyStrategy};
 use mrw_graph::generators;
 use proptest::prelude::*;
 
@@ -52,7 +52,7 @@ proptest! {
         let shards: Vec<Report> = (0..ways)
             .map(|i| {
                 Session::new(budget.clone())
-                    .with_shard(Shard::new(i, ways))
+                    .with_range(Shard::new(i, ways).slice(trials))
                     .run(&g, &q)
             })
             .collect();
@@ -136,7 +136,7 @@ proptest! {
         let (g, q, budget) = cover_setup(n, 2, trials, seed);
         let shard = |i: usize, threads: usize| {
             Session::new(Budget { threads, ..budget.clone() })
-                .with_shard(Shard::new(i, 3))
+                .with_range(Shard::new(i, 3).slice(trials))
                 .run(&g, &q)
         };
         let (a, b, c) = (shard(0, 1), shard(1, 2), shard(2, 4));
@@ -161,8 +161,8 @@ proptest! {
         let rule = Precision::relative(rel).with_min_trials(8).with_max_trials(64);
         let q = Query::Cover { k: 2, starts: vec![0] };
         let budget = Budget { precision: Some(rule), seed, ..Budget::default() };
-        let a = Session::new(budget.clone()).with_shard(Shard::new(0, 2)).run(&g, &q);
-        let b = Session::new(budget).with_shard(Shard::new(1, 2)).run(&g, &q);
+        let a = Session::new(budget.clone()).with_range(Shard::new(0, 2).slice(64)).run(&g, &q);
+        let b = Session::new(budget).with_range(Shard::new(1, 2).slice(64)).run(&g, &q);
         // Each shard ran exactly its slice of the cap.
         prop_assert_eq!(a.consumed_trials() + b.consumed_trials(), 64);
         let merged = Report::merge(&a, &b).unwrap();
@@ -191,7 +191,7 @@ proptest! {
             cap: 50_000,
         };
         let report = Session::new(Budget { trials, seed, ..Budget::default() })
-            .with_shard(Shard::new(0, 2))
+            .with_range(Shard::new(0, 2).slice(trials))
             .run(&g, &q);
         let text = report.to_json();
         let back = Report::from_json(&text).unwrap();
@@ -200,11 +200,12 @@ proptest! {
     }
 
     /// The cache-extension soundness lemma, independent of the daemon: a
-    /// complete `0..n` run restated into an `m`-trial space and merged
-    /// with a fresh `n..m` slice is JSON-byte-identical to the direct
-    /// `0..m` run — trials are pure functions of `(seed, group, index)`,
-    /// never of the budget's total, so a cached report extends by
-    /// running only the missing range.
+    /// complete `0..small` run holds exactly the groups of the `0..small`
+    /// range of an `m`-trial budget, and merging that range with a fresh
+    /// `small..m` range is JSON-byte-identical to the direct `0..m` run —
+    /// trials are pure functions of `(seed, group, index)`, never of the
+    /// budget's total, so a cached report extends by running only the
+    /// missing range.
     #[test]
     fn range_extension_merges_to_the_direct_run(
         n in 6usize..24,
@@ -219,39 +220,14 @@ proptest! {
         assert!(cached.is_complete());
         let big_budget = Budget { trials: m, ..budget };
         let direct = Session::new(big_budget.clone()).run(&g, &q);
-        // Restate the cached 0..small run in the m-trial space, run only
-        // the missing small..m slice, and merge.
-        let restated = cached.restate_trials(m).unwrap();
-        prop_assert!(!restated.is_complete());
+        let head = Session::new(big_budget.clone()).with_range(0..small).run(&g, &q);
+        prop_assert_eq!(&head.groups, &cached.groups);
+        prop_assert!(!head.is_complete());
         let tail = Session::new(big_budget).with_range(small..m).run(&g, &q);
-        let extended = Report::merge(&restated, &tail).unwrap();
+        let extended = Report::merge(&head, &tail).unwrap();
         prop_assert_eq!(&extended, &direct);
         prop_assert_eq!(extended.to_json(), direct.to_json());
-        // Shrinking the space back is the inverse where coverage allows.
-        let back = restated.restate_trials(small).unwrap();
-        prop_assert_eq!(back.to_json(), cached.to_json());
-        prop_assert!(restated.restate_trials(small - 1).is_err());
     }
-}
-
-/// `restate_trials` guards its preconditions: adaptive budgets have no
-/// free trial-space parameter, and coverage must fit in the new space.
-#[test]
-fn restate_trials_rejects_adaptive_budgets() {
-    let g = generators::cycle(12);
-    let q = Query::Cover {
-        k: 2,
-        starts: vec![0],
-    };
-    let rule = Precision::relative(0.5)
-        .with_min_trials(4)
-        .with_max_trials(16);
-    let budget = Budget {
-        precision: Some(rule),
-        ..Budget::default()
-    };
-    let report = Session::new(budget).run(&g, &q);
-    assert!(report.restate_trials(64).is_err());
 }
 
 /// The deprecated estimator facade and a raw `Session` run are the same
@@ -259,7 +235,11 @@ fn restate_trials_rejects_adaptive_budgets() {
 #[test]
 fn estimator_facade_equals_session_run() {
     let g = generators::cycle(40);
-    let cfg = EstimatorConfig::new(24).with_seed(13);
+    let cfg = Budget {
+        trials: 24,
+        seed: 13,
+        ..Budget::default()
+    };
     let facade = CoverTimeEstimator::new(&g, 3, cfg).run_from(5);
     let report = Session::new(Budget {
         trials: 24,
@@ -285,7 +265,11 @@ fn estimator_facade_equals_session_run() {
 fn speedup_sweep_equals_ladder_report() {
     use mrw_core::speedup::{speedup_sweep, SpeedupSweep};
     let g = generators::cycle(32);
-    let cfg = EstimatorConfig::new(16).with_seed(7);
+    let cfg = Budget {
+        trials: 16,
+        seed: 7,
+        ..Budget::default()
+    };
     let sweep = speedup_sweep(&g, 0, &[2, 4], &cfg);
     let report = Session::new(Budget {
         trials: 16,
@@ -382,7 +366,7 @@ fn hitting_shards_merge_discards_exactly() {
     let parts: Vec<Report> = (0..3)
         .map(|i| {
             Session::new(budget.clone())
-                .with_shard(Shard::new(i, 3))
+                .with_range(Shard::new(i, 3).slice(60))
                 .run(&g, &q)
         })
         .collect();

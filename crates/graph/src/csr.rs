@@ -129,8 +129,8 @@ impl Graph {
     }
 
     /// `(start, end)` of `v`'s row inside [`adjacency`](Self::adjacency).
-    /// The bucketed batched sweep classifies tokens by `end - start` and
-    /// later gathers rows directly from the adjacency array.
+    /// The flat batched sweep ([`UniformSweep`](crate::UniformSweep))
+    /// packs each vertex's row start and degree from these bounds.
     #[inline]
     pub fn row_bounds(&self, v: u32) -> (usize, usize) {
         let v = v as usize;

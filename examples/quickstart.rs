@@ -8,10 +8,14 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use many_walks::graph::generators;
-use many_walks::walks::{speedup_sweep, EstimatorConfig};
+use many_walks::walks::{speedup_sweep, Budget};
 
 fn main() {
-    let cfg = EstimatorConfig::new(64).with_seed(2008);
+    let budget = Budget {
+        trials: 64,
+        seed: 2008,
+        ..Budget::default()
+    };
     let k = 8;
 
     let mut rng = many_walks::walks::walk_rng(42);
@@ -28,7 +32,7 @@ fn main() {
     );
     println!("{}", "-".repeat(66));
     for g in &graphs {
-        let sweep = speedup_sweep(g, 0, &[k], &cfg);
+        let sweep = speedup_sweep(g, 0, &[k], &budget);
         let s = sweep.speedup_at(k).expect("k probed");
         println!(
             "{:<22} {:>12.1} {:>12.1} {:>8.2} {:>8.2}",

@@ -26,15 +26,15 @@
 //!
 //! ```
 //! use many_walks::graph::generators;
-//! use many_walks::walks::{CoverTimeEstimator, EstimatorConfig};
+//! use many_walks::walks::{Budget, CoverTimeEstimator};
 //!
 //! // Cover time of a 64-vertex cycle by 1 walk vs 4 parallel walks.
 //! // Estimator trials fan out over all cores; results depend only on the
 //! // seed, never on the thread count.
 //! let g = generators::cycle(64);
-//! let cfg = EstimatorConfig::new(32).with_seed(7);
-//! let single = CoverTimeEstimator::new(&g, 1, cfg.clone()).run_worst_start();
-//! let four = CoverTimeEstimator::new(&g, 4, cfg).run_worst_start();
+//! let budget = Budget { trials: 32, seed: 7, ..Budget::default() };
+//! let single = CoverTimeEstimator::new(&g, 1, budget.clone()).run_worst_start();
+//! let four = CoverTimeEstimator::new(&g, 4, budget).run_worst_start();
 //! assert!(four.cover_time().mean() < single.cover_time().mean());
 //! ```
 //!
@@ -46,13 +46,13 @@
 //! ```
 //! use many_walks::graph::generators;
 //! use many_walks::stats::Precision;
-//! use many_walks::walks::{CoverTimeEstimator, EstimatorConfig};
+//! use many_walks::walks::{Budget, CoverTimeEstimator};
 //!
 //! // Full-cover estimate on the 4-cycle to ±10% at 95% confidence.
 //! let g = generators::cycle(4);
 //! let rule = Precision::relative(0.10).with_max_trials(4096);
-//! let est = CoverTimeEstimator::new(&g, 2, EstimatorConfig::adaptive(rule).with_seed(1))
-//!     .run_from(0);
+//! let budget = Budget { precision: Some(rule), seed: 1, ..Budget::default() };
+//! let est = CoverTimeEstimator::new(&g, 2, budget).run_from(0);
 //! assert!(est.consumed_trials() < 4096); // easy instance: stops early
 //! assert!(est.ci().half_width() <= 0.10 * est.mean());
 //! ```

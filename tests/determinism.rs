@@ -5,7 +5,7 @@
 //! tests pin that contract at the integration level.
 
 use many_walks::graph::generators;
-use many_walks::walks::{speedup_sweep, CoverTimeEstimator, EstimatorConfig};
+use many_walks::walks::{speedup_sweep, Budget, CoverTimeEstimator};
 
 #[test]
 fn estimates_identical_across_thread_counts() {
@@ -14,7 +14,12 @@ fn estimates_identical_across_thread_counts() {
         CoverTimeEstimator::new(
             &g,
             4,
-            EstimatorConfig::new(32).with_seed(11).with_threads(threads),
+            Budget {
+                trials: 32,
+                seed: 11,
+                threads,
+                ..Budget::default()
+            },
         )
         .run_from(0)
     };
@@ -35,7 +40,11 @@ fn estimates_identical_across_thread_counts() {
 #[test]
 fn sweeps_identical_across_runs() {
     let g = generators::cycle(48);
-    let cfg = EstimatorConfig::new(24).with_seed(12);
+    let cfg = Budget {
+        trials: 24,
+        seed: 12,
+        ..Budget::default()
+    };
     let a = speedup_sweep(&g, 0, &[2, 8], &cfg);
     let b = speedup_sweep(&g, 0, &[2, 8], &cfg);
     assert_eq!(a.baseline.mean(), b.baseline.mean());
@@ -48,7 +57,11 @@ fn adding_a_k_point_does_not_perturb_others() {
     // Per-k child seeds: the k=8 estimate must not depend on whether k=2
     // was also measured.
     let g = generators::cycle(48);
-    let cfg = EstimatorConfig::new(24).with_seed(13);
+    let cfg = Budget {
+        trials: 24,
+        seed: 13,
+        ..Budget::default()
+    };
     let with_two = speedup_sweep(&g, 0, &[2, 8], &cfg);
     let alone = speedup_sweep(&g, 0, &[8], &cfg);
     assert_eq!(with_two.speedup_at(8), alone.speedup_at(8));
@@ -57,8 +70,26 @@ fn adding_a_k_point_does_not_perturb_others() {
 #[test]
 fn different_seeds_differ() {
     let g = generators::cycle(48);
-    let a = CoverTimeEstimator::new(&g, 1, EstimatorConfig::new(16).with_seed(1)).run_from(0);
-    let b = CoverTimeEstimator::new(&g, 1, EstimatorConfig::new(16).with_seed(2)).run_from(0);
+    let a = CoverTimeEstimator::new(
+        &g,
+        1,
+        Budget {
+            trials: 16,
+            seed: 1,
+            ..Budget::default()
+        },
+    )
+    .run_from(0);
+    let b = CoverTimeEstimator::new(
+        &g,
+        1,
+        Budget {
+            trials: 16,
+            seed: 2,
+            ..Budget::default()
+        },
+    )
+    .run_from(0);
     assert_ne!(a.cover_time().mean(), b.cover_time().mean());
 }
 

@@ -11,7 +11,7 @@ use many_walks::spectral::{
 };
 use many_walks::walks::{
     cover_time_process, fraction_target, kwalk_multicover_rounds, kwalk_partial_cover_rounds,
-    kwalk_visit_counts, walk_rng, CoverTimeEstimator, EstimatorConfig, WalkProcess,
+    kwalk_visit_counts, walk_rng, Budget, CoverTimeEstimator, WalkProcess,
 };
 
 #[test]
@@ -103,7 +103,11 @@ fn resistance_diameter_predicts_cover_difficulty() {
         r_barbell > r_torus,
         "resistance order: {r_barbell} vs {r_torus}"
     );
-    let cfg = EstimatorConfig::new(48).with_seed(11);
+    let cfg = Budget {
+        trials: 48,
+        seed: 11,
+        ..Budget::default()
+    };
     let c_barbell = CoverTimeEstimator::new(&barbell, 1, cfg.clone())
         .run_from(0)
         .mean();
@@ -199,7 +203,11 @@ fn new_generators_cover_and_speed_up_sanely() {
     let ba = generators::barabasi_albert(128, 3, &mut rng);
     for g in [&ws, &ba] {
         assert!(algo::is_connected(g), "{} disconnected", g.name());
-        let cfg = EstimatorConfig::new(48).with_seed(5);
+        let cfg = Budget {
+            trials: 48,
+            seed: 5,
+            ..Budget::default()
+        };
         let c1 = CoverTimeEstimator::new(g, 1, cfg.clone())
             .run_from(0)
             .mean();
@@ -218,7 +226,11 @@ fn small_world_interpolates_cover_time_between_cycle_and_random() {
     // The Watts–Strogatz knob: cover time at β = 0 (lattice) strictly
     // above β = 0.5, itself comparable to an expander of equal degree.
     let n = 96;
-    let cfg = EstimatorConfig::new(40).with_seed(9);
+    let cfg = Budget {
+        trials: 40,
+        seed: 9,
+        ..Budget::default()
+    };
     let mut rng = walk_rng(21);
     let lattice = generators::watts_strogatz(n, 4, 0.0, &mut rng);
     let small_world = generators::watts_strogatz(n, 4, 0.5, &mut rng);

@@ -6,10 +6,14 @@
 
 use many_walks::graph::generators;
 use many_walks::stats::harmonic::harmonic;
-use many_walks::walks::{speedup_sweep, CoverTimeEstimator, EstimatorConfig};
+use many_walks::walks::{speedup_sweep, Budget, CoverTimeEstimator};
 
-fn cfg(trials: usize, seed: u64) -> EstimatorConfig {
-    EstimatorConfig::new(trials).with_seed(seed)
+fn cfg(trials: usize, seed: u64) -> Budget {
+    Budget {
+        trials,
+        seed,
+        ..Budget::default()
+    }
 }
 
 #[test]

@@ -9,9 +9,7 @@
 
 use many_walks::graph::{generators, GraphBuilder};
 use many_walks::spectral;
-use many_walks::walks::{
-    self, walk_rng, CoverTimeEstimator, EstimatorConfig, PreyStrategy, WalkProcess,
-};
+use many_walks::walks::{self, walk_rng, Budget, CoverTimeEstimator, PreyStrategy, WalkProcess};
 
 fn disconnected() -> many_walks::graph::Graph {
     let mut b = GraphBuilder::new(4);
@@ -179,7 +177,16 @@ fn pursuit_cap_returns_none_not_hang() {
 #[test]
 fn estimator_single_trial_has_degenerate_but_finite_ci() {
     let g = generators::cycle(8);
-    let est = CoverTimeEstimator::new(&g, 1, EstimatorConfig::new(1).with_seed(3)).run_from(0);
+    let est = CoverTimeEstimator::new(
+        &g,
+        1,
+        Budget {
+            trials: 1,
+            seed: 3,
+            ..Budget::default()
+        },
+    )
+    .run_from(0);
     assert!(est.mean().is_finite());
 }
 
