@@ -1,168 +1,19 @@
-//! Bench: raw engine throughput — walk steps per second on graphs with
-//! different degree profiles, thread-pool scaling of the trial fan-out,
-//! and the batched-vs-scalar stepping comparison, which additionally
-//! emits `BENCH_engine.json` at the workspace root so CI tracks the
-//! perf trajectory (see `.github/workflows/ci.yml`, bench-smoke step).
+//! Bench: batched vs scalar engine stepping, written to
+//! `BENCH_engine.json` at the workspace root so CI archives the perf
+//! trajectory and gates the regular-family speed-up (see
+//! `.github/workflows/ci.yml`, bench-smoke step).
+//!
+//! A plain `fn main` (`harness = false`): `cargo bench --bench engine`
+//! runs it, and the `-- --test` flag the CI smoke step passes is ignored.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mrw_core::engine::{
-    BatchMode, CompiledProcess, Engine, EngineArena, FullCover, Process, SimpleStep,
-};
-use mrw_core::{walk_rng, Budget, CoverTimeEstimator, WalkProcess};
-use mrw_graph::generators;
-use mrw_par::ThreadPool;
-
-fn bench_step_throughput(c: &mut Criterion) {
-    let mut group = c.benchmark_group("walk_step_throughput");
-    const STEPS: u64 = 100_000;
-    group.throughput(Throughput::Elements(STEPS));
-    let graphs = vec![
-        generators::cycle(1 << 14), // degree 2
-        generators::torus_2d(128),  // degree 4 (pow2 fast path)
-        generators::hypercube(14),  // degree 14
-        generators::complete(4096), // degree 4095
-    ];
-    for g in graphs {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(g.name().to_string()),
-            &g,
-            |b, g| {
-                b.iter(|| {
-                    let mut rng = walk_rng(1);
-                    let mut pos = 0u32;
-                    for _ in 0..STEPS {
-                        pos = mrw_core::walk::step(g, pos, &mut rng);
-                    }
-                    pos
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_trial_scaling(c: &mut Criterion) {
-    let g = generators::torus_2d(24);
-    let mut group = c.benchmark_group("trial_fanout_scaling");
-    group.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            let cfg = Budget {
-                trials: 32,
-                seed: 7,
-                threads: t,
-                ..Budget::default()
-            };
-            b.iter(|| CoverTimeEstimator::new(&g, 2, cfg.clone()).run_from(0))
-        });
-    }
-    group.finish();
-}
-
-fn bench_pool_dispatch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pool_dispatch_overhead");
-    group.sample_size(10);
-    const JOBS: usize = 10_000;
-    group.throughput(Throughput::Elements(JOBS as u64));
-    group.bench_function("work_stealing_pool", |b| {
-        let pool = ThreadPool::new(4);
-        b.iter(|| {
-            for _ in 0..JOBS {
-                pool.execute(|| {
-                    std::hint::black_box(3u64.wrapping_mul(5));
-                });
-            }
-            pool.join();
-        })
-    });
-    group.finish();
-}
-
-fn bench_unified_engine_ablation(c: &mut Criterion) {
-    // The refactor's two hot-path claims, measured:
-    // (1) cached lazy holds (pre-built Bernoulli, one integer compare)
-    //     vs the uncached reference (`WalkProcess::step`, a float draw
-    //     and compare per hold decision);
-    // (2) cached Metropolis acceptance (degree-reciprocal multiply) vs
-    //     the uncached reference (divide per proposal).
-    let g = generators::torus_2d(64);
-    let mut group = c.benchmark_group("unified_engine_ablation");
-    group.sample_size(10);
-    const STEPS: u64 = 100_000;
-    group.throughput(Throughput::Elements(STEPS));
-
-    fn bench_kernel<P: Process>(
-        group: &mut criterion::BenchmarkGroup<'_>,
-        label: &str,
-        g: &mrw_graph::Graph,
-        mut kernel: P,
-        steps: u64,
-    ) {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut rng = walk_rng(1);
-                let mut pos = 0u32;
-                for _ in 0..steps {
-                    pos = kernel.step(g, pos, &mut rng);
-                }
-                pos
-            })
-        });
-    }
-
-    let lazy = WalkProcess::Lazy(0.5);
-    bench_kernel(
-        &mut group,
-        "lazy_cached_bernoulli",
-        &g,
-        CompiledProcess::new(lazy, &g),
-        STEPS,
-    );
-    bench_kernel(&mut group, "lazy_uncached_reference", &g, lazy, STEPS);
-    let metro = WalkProcess::Metropolis;
-    bench_kernel(
-        &mut group,
-        "metropolis_cached_recip",
-        &g,
-        CompiledProcess::new(metro, &g),
-        STEPS,
-    );
-    bench_kernel(
-        &mut group,
-        "metropolis_uncached_reference",
-        &g,
-        metro,
-        STEPS,
-    );
-    group.finish();
-
-    // End-to-end: the one engine loop under its heaviest observer vs the
-    // lightest, same trajectory length, isolating observer overhead.
-    let g = generators::torus_2d(24);
-    let mut group = c.benchmark_group("engine_observer_overhead");
-    group.sample_size(10);
-    group.bench_function("full_cover", |b| {
-        b.iter(|| {
-            Engine::new(&g, SimpleStep, FullCover::new(g.n()))
-                .run(&[0, 0, 0, 0], &mut walk_rng(3))
-                .rounds
-        })
-    });
-    group.bench_function("pure_horizon", |b| {
-        b.iter(|| {
-            Engine::new(&g, SimpleStep, ())
-                .cap(2000)
-                .run(&[0, 0, 0, 0], &mut walk_rng(3))
-                .rounds
-        })
-    });
-    group.finish();
-}
+use mrw_core::engine::{BatchMode, Engine, EngineArena, SimpleStep};
+use mrw_core::walk_rng;
+use mrw_graph::{generators, Graph, GraphBackend, ImplicitGraph};
 
 /// Best-of-`reps` ns/step for one engine path (pure horizon run, so the
 /// two paths differ only in stepping machinery). Generic over the graph
 /// backend so CSR and implicit runs share one measurement harness.
-fn engine_ns_per_step<G: mrw_graph::GraphBackend>(
+fn engine_ns_per_step<G: GraphBackend>(
     g: &G,
     start: u32,
     k: usize,
@@ -192,14 +43,14 @@ fn engine_ns_per_step<G: mrw_graph::GraphBackend>(
 
 /// One graph of the perf-trajectory matrix.
 struct MatrixCase {
-    g: mrw_graph::Graph,
+    g: Graph,
     ks: Vec<usize>,
     /// Regular families feed the CI perf gate (fixed 1.3× floor); the
     /// irregular rows are tracked but gated only against the JSON diff.
     regular: bool,
     /// Implicit twin where one exists: measured batched at the same `k`
     /// and reported as an implicit-vs-CSR column.
-    implicit: Option<mrw_graph::ImplicitGraph>,
+    implicit: Option<ImplicitGraph>,
 }
 
 /// The perf-trajectory measurement: batched vs scalar ns/step across the
@@ -208,8 +59,7 @@ struct MatrixCase {
 /// batched column where an implicit twin exists. Written to
 /// `BENCH_engine.json` (workspace root, or `$BENCH_ENGINE_JSON`) for CI
 /// to archive and gate on.
-fn bench_batched_vs_scalar(_c: &mut Criterion) {
-    use mrw_graph::ImplicitGraph;
+fn main() {
     const ROUNDS: u64 = 1_500;
     const REPS: usize = 7;
     let cases = vec![
@@ -294,13 +144,3 @@ fn bench_batched_vs_scalar(_c: &mut Criterion) {
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
 }
-
-criterion_group!(
-    benches,
-    bench_step_throughput,
-    bench_trial_scaling,
-    bench_pool_dispatch,
-    bench_unified_engine_ablation,
-    bench_batched_vs_scalar
-);
-criterion_main!(benches);

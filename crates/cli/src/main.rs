@@ -87,9 +87,9 @@ fn print_table(t: &mrw_stats::Table, fmt: Format) {
 }
 
 /// Applies only the explicitly-passed overrides, preserving the
-/// experiment's (or spec file's) own defaults — several appendix
-/// experiments need more than `Budget::default()`'s 64 trials to resolve
-/// small probabilities.
+/// experiment's (or spec file's) own defaults — several experiments need
+/// more than `Budget::default()`'s 64 trials to resolve small
+/// probabilities or a spread. Every experiment verb goes through here.
 fn apply_overrides(b: &mut Budget, opts: &Options) {
     // Flag combinations are validated up front in main().
     let rule = opts.precision_rule().expect("validated in main");
@@ -119,6 +119,8 @@ fn apply_overrides(b: &mut Budget, opts: &Options) {
     }
 }
 
+/// The `mrw estimate` budget: `Budget::quick()` under `--quick`, else
+/// `Budget::default()`, plus the explicit overrides.
 fn budget(opts: &Options) -> Budget {
     let mut b = if opts.quick {
         Budget::quick()
@@ -135,7 +137,7 @@ fn run_table1(opts: &Options) {
     } else {
         table1::Config::default()
     };
-    cfg.budget = budget(opts);
+    apply_overrides(&mut cfg.budget, opts);
     print_table(&table1::run(&cfg).table(), opts.format);
 }
 
@@ -145,7 +147,7 @@ fn run_clique(opts: &Options) {
     } else {
         clique::Config::default()
     };
-    cfg.budget = budget(opts);
+    apply_overrides(&mut cfg.budget, opts);
     let report = clique::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -162,7 +164,7 @@ fn run_cycle(opts: &Options) {
     } else {
         cycle::Config::default()
     };
-    cfg.budget = budget(opts);
+    apply_overrides(&mut cfg.budget, opts);
     let report = cycle::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -177,7 +179,7 @@ fn run_barbell(opts: &Options) {
     } else {
         barbell::Config::default()
     };
-    cfg.budget = budget(opts);
+    apply_overrides(&mut cfg.budget, opts);
     let report = barbell::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -192,7 +194,7 @@ fn run_torus(opts: &Options) {
     } else {
         torus::Config::default()
     };
-    cfg.budget = budget(opts);
+    apply_overrides(&mut cfg.budget, opts);
     let report = torus::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -208,7 +210,7 @@ fn run_expander(opts: &Options) {
     } else {
         expander::Config::default()
     };
-    cfg.budget = budget(opts);
+    apply_overrides(&mut cfg.budget, opts);
     let report = expander::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -223,7 +225,7 @@ fn run_matthews(opts: &Options) {
     } else {
         matthews::Config::default()
     };
-    cfg.budget = budget(opts);
+    apply_overrides(&mut cfg.budget, opts);
     let report = matthews::run(&cfg);
     print_table(&report.table(), opts.format);
     let violations: Vec<&str> = report
@@ -245,7 +247,7 @@ fn run_baby_matthews(opts: &Options) {
     } else {
         baby_matthews::Config::default()
     };
-    cfg.budget = budget(opts);
+    apply_overrides(&mut cfg.budget, opts);
     let report = baby_matthews::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -260,7 +262,7 @@ fn run_mixing(opts: &Options) {
     } else {
         mixing::Config::default()
     };
-    cfg.budget = budget(opts);
+    apply_overrides(&mut cfg.budget, opts);
     let report = mixing::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -275,7 +277,7 @@ fn run_gap(opts: &Options) {
     } else {
         gap::Config::default()
     };
-    cfg.budget = budget(opts);
+    apply_overrides(&mut cfg.budget, opts);
     let report = gap::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -290,7 +292,7 @@ fn run_concentration(opts: &Options) {
     } else {
         concentration::Config::default()
     };
-    cfg.budget = budget(opts);
+    apply_overrides(&mut cfg.budget, opts);
     let report = concentration::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -305,7 +307,7 @@ fn run_stationary(opts: &Options) {
     } else {
         stationary::Config::default()
     };
-    cfg.budget = budget(opts);
+    apply_overrides(&mut cfg.budget, opts);
     let report = stationary::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -320,7 +322,7 @@ fn run_conjectures(opts: &Options) {
     } else {
         conjectures::Config::default()
     };
-    cfg.budget = budget(opts);
+    apply_overrides(&mut cfg.budget, opts);
     let report = conjectures::run(&cfg);
     print_table(&report.table(), opts.format);
     let max = report.max_per_k();
@@ -413,12 +415,7 @@ fn run_exact_zoo(opts: &Options) {
     } else {
         exact_zoo::Config::default()
     };
-    if let Some(t) = opts.trials {
-        cfg.trials = t;
-    }
-    if let Some(s) = opts.seed {
-        cfg.seed = s;
-    }
+    apply_overrides(&mut cfg.budget, opts);
     let report = exact_zoo::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -435,7 +432,7 @@ fn run_projection(opts: &Options) {
     } else {
         projection::Config::default()
     };
-    cfg.budget = budget(opts);
+    apply_overrides(&mut cfg.budget, opts);
     let report = projection::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(

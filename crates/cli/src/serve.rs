@@ -429,72 +429,37 @@ impl Runner<'_> {
     }
 }
 
-/// One report-cache entry: the per-group prefix ledgers
-/// ([`LedgerGroup`] — the exact shape `mrw-ledger-v1` persists) plus
-/// everything needed to assemble byte-identical responses and to
-/// serialize the entry (the graph identity reports carry, and the spec
-/// template whose budget holds the key's seed / mode / batch with the
-/// precision rule stripped).
+/// One report-cache entry: the [`Ledger`] it persists as (the exact
+/// `mrw-ledger-v1` shape — the spec template whose budget holds the
+/// key's seed / mode / batch with the precision rule stripped, the graph
+/// identity reports carry, and the per-group prefix windows) plus its
+/// LRU tick. Every window insert keeps the ledger's rule that the spec's
+/// trial count is the largest window bound, so persisting an entry
+/// writes its ledger as is.
 struct ReportEntry {
-    graph: GraphInfo,
-    spec: QuerySpec,
-    groups: Vec<LedgerGroup>,
+    ledger: Ledger,
     tick: u64,
 }
 
 impl ReportEntry {
     fn new(spec: &QuerySpec, g: &AnyGraph) -> ReportEntry {
-        ReportEntry {
-            graph: GraphInfo {
-                name: g.name().to_string(),
-                n: g.n(),
-            },
+        let ledger = Ledger {
             spec: QuerySpec {
                 graph: spec.graph.clone(),
                 query: spec.query.clone(),
                 budget: Budget {
+                    trials: 0,
                     precision: None,
                     ..spec.budget.clone()
                 },
             },
-            groups: Vec::new(),
-            tick: 0,
-        }
-    }
-
-    /// Rehydrates a warm-start entry from a validated on-disk ledger.
-    fn from_ledger(ledger: Ledger, tick: u64) -> ReportEntry {
-        ReportEntry {
-            graph: ledger.graph,
-            spec: ledger.spec,
-            groups: ledger.groups,
-            tick,
-        }
-    }
-
-    /// The persistable view of this entry. The embedded spec's trial
-    /// count is restated to the largest materialized boundary, so the
-    /// document is self-consistent without carrying extra state.
-    fn to_ledger(&self) -> Ledger {
-        let max_hi = self
-            .groups
-            .iter()
-            .filter_map(|g| g.prefixes.last())
-            .map(|p| p.0)
-            .max()
-            .unwrap_or(0);
-        Ledger {
-            spec: QuerySpec {
-                budget: Budget {
-                    trials: max_hi as usize,
-                    ..self.spec.budget.clone()
-                },
-                graph: self.spec.graph.clone(),
-                query: self.spec.query.clone(),
+            graph: GraphInfo {
+                name: g.name().to_string(),
+                n: g.n(),
             },
-            graph: self.graph.clone(),
-            groups: self.groups.clone(),
-        }
+            groups: Vec::new(),
+        };
+        ReportEntry { ledger, tick: 0 }
     }
 
     /// Deterministic cost estimate — a fixed header plus a per-snapshot
@@ -502,10 +467,17 @@ impl ReportEntry {
     /// measurement, so eviction tests can size `--cache-bytes` exactly).
     fn bytes(&self) -> usize {
         256 + self
+            .ledger
             .groups
             .iter()
             .map(|l| 64 + l.label.len() + l.prefixes.len() * 96)
             .sum::<usize>()
+    }
+
+    /// Raises the spec's trial count to a newly inserted window bound.
+    fn note_window(&mut self, hi: u64) {
+        let trials = &mut self.ledger.spec.budget.trials;
+        *trials = (*trials).max(hi as usize);
     }
 
     /// First contact: run trials `[0, n)` unfiltered to discover the
@@ -513,12 +485,13 @@ impl ReportEntry {
     /// its candidate pairs from it) and seed every ledger with the
     /// boundary. Returns the trial count dispatched.
     fn initialize(&mut self, runner: &Runner<'_>, n: usize) -> Result<u64, String> {
+        let spec = &self.ledger.spec;
         let budget = Budget {
             trials: n,
-            ..self.spec.budget.clone()
+            ..spec.budget.clone()
         };
-        let report = runner.run_range(&self.spec, budget, 0, n, None)?;
-        self.groups = report
+        let report = runner.run_range(spec, budget, 0, n, None)?;
+        self.ledger.groups = report
             .groups
             .into_iter()
             .map(|grp| {
@@ -529,7 +502,8 @@ impl ReportEntry {
                 }
             })
             .collect();
-        Ok((n * self.groups.len()) as u64)
+        self.note_window(n as u64);
+        Ok((n * self.ledger.groups.len()) as u64)
     }
 
     /// Cumulative statistics of group `idx` over trials `[0, n)`,
@@ -539,21 +513,23 @@ impl ReportEntry {
     /// wherever requests actually land. Returns the group and the trial
     /// count dispatched.
     fn prefix(&mut self, runner: &Runner<'_>, idx: usize, n: u64) -> Result<(Group, u64), String> {
-        match self.groups[idx].prefixes.binary_search_by_key(&n, |p| p.0) {
-            Ok(pos) => Ok((self.groups[idx].prefixes[pos].1.clone(), 0)),
+        let Ledger { spec, groups, .. } = &self.ledger;
+        let prefixes = &groups[idx].prefixes;
+        match prefixes.binary_search_by_key(&n, |p| p.0) {
+            Ok(pos) => Ok((prefixes[pos].1.clone(), 0)),
             Err(pos) => {
                 let (lo, base) = if pos == 0 {
-                    (0, Group::empty(self.groups[idx].label.clone()))
+                    (0, Group::empty(groups[idx].label.clone()))
                 } else {
-                    let (hi, cum) = &self.groups[idx].prefixes[pos - 1];
+                    let (hi, cum) = &prefixes[pos - 1];
                     (*hi, cum.clone())
                 };
                 let budget = Budget {
                     trials: n as usize,
-                    ..self.spec.budget.clone()
+                    ..spec.budget.clone()
                 };
                 let mut delta_groups = runner
-                    .run_range(&self.spec, budget, lo as usize, n as usize, Some(vec![idx]))?
+                    .run_range(spec, budget, lo as usize, n as usize, Some(vec![idx]))?
                     .groups;
                 if idx >= delta_groups.len() {
                     return Err(format!(
@@ -564,7 +540,10 @@ impl ReportEntry {
                 }
                 let delta = delta_groups.swap_remove(idx);
                 let cum = base.merge(&delta);
-                self.groups[idx].prefixes.insert(pos, (n, cum.clone()));
+                self.ledger.groups[idx]
+                    .prefixes
+                    .insert(pos, (n, cum.clone()));
+                self.note_window(n);
                 Ok((cum, n - lo))
             }
         }
@@ -699,10 +678,11 @@ impl waves::WaveExecutor for LedgerExecutor<'_, '_> {
         window: Range<usize>,
         _next: Option<Range<usize>>,
     ) -> Result<Vec<Group>, String> {
-        if self.entry.groups.is_empty() {
+        if self.entry.ledger.groups.is_empty() {
             self.ran += self.entry.initialize(self.runner, window.end)?;
         }
-        let ids = active.map_or_else(|| (0..self.entry.groups.len()).collect(), <[usize]>::to_vec);
+        let groups = self.entry.ledger.groups.len();
+        let ids = active.map_or_else(|| (0..groups).collect(), <[usize]>::to_vec);
         let mut out = Vec::with_capacity(ids.len());
         for idx in ids {
             let (cum, ran) = self.entry.prefix(self.runner, idx, window.end as u64)?;
@@ -732,7 +712,7 @@ fn compute_run(
     };
     let groups = waves::drive(spec.budget.trials_budget(), &mut exec)?;
     let report = Report {
-        graph: exec.entry.graph.clone(),
+        graph: exec.entry.ledger.graph.clone(),
         query: spec.query.clone(),
         budget: spec.budget.clone(),
         coverage: Coverage::full(cap as u64),
@@ -800,8 +780,7 @@ fn serve_run(server: &Server, spec: &QuerySpec) -> Result<Report, String> {
                 entry.tick = tick;
                 let doc = match (&server.persist, *ran > 0) {
                     (Some(dir), true) => {
-                        let ledger = entry.to_ledger();
-                        Some((dir.join(ledger.file_name()), ledger.to_json()))
+                        Some((dir.join(entry.ledger.file_name()), entry.ledger.to_json()))
                     }
                     _ => None,
                 };
@@ -1009,10 +988,9 @@ fn warm_start(server: &Server, dir: &Path) {
             Ok(ledger) => {
                 inner.tick += 1;
                 let tick = inner.tick;
-                let key = ledger.report_key();
                 inner
                     .reports
-                    .insert(key, ReportEntry::from_ledger(ledger, tick));
+                    .insert(ledger.report_key(), ReportEntry { ledger, tick });
                 loaded += 1;
             }
             Err(e) => eprintln!("mrw serve: skipping ledger {}: {e}", path.display()),

@@ -287,6 +287,26 @@ fn degenerate_graph_sizes_are_friendly_errors() {
 }
 
 // ---------------------------------------------------------------------------
+// Experiment verbs.
+
+/// Every experiment verb applies its flags on top of the experiment's
+/// own budget: `--quick` runs the experiment's quick trial count
+/// (projection 60, concentration 96), not the generic 24 of
+/// `Budget::quick()`.
+#[test]
+fn experiment_verbs_keep_their_own_trial_budgets() {
+    for (verb, trials) in [("projection", "60"), ("concentration", "96")] {
+        let quick = mrw_stdout(&[verb, "--quick"]);
+        assert_eq!(
+            quick,
+            mrw_stdout(&[verb, "--quick", "--trials", trials]),
+            "mrw {verb} --quick must run the experiment's {trials} trials"
+        );
+        assert_ne!(quick, mrw_stdout(&[verb, "--quick", "--trials", "24"]));
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The fanout driver.
 
 #[test]

@@ -18,6 +18,7 @@ use std::time::Duration;
 
 use assert_cmd::{Command, Daemon};
 use mrw_core::query::json::{self, Value};
+use mrw_core::query::Ledger;
 
 /// A scratch directory removed when the test finishes.
 struct TempDir(std::path::PathBuf);
@@ -867,6 +868,47 @@ fn corrupt_truncated_and_tampered_ledgers_are_skipped_not_trusted() {
     let (_daemon, addr) = start_daemon(&["--persist", &persist_arg]);
     assert_eq!(ctl(&addr, &["run", spec_arg]), oracle);
     assert_eq!(counter(&stats(&addr), &["trials_executed"]), 0);
+}
+
+/// A ledger an earlier release's `mrw serve --persist` wrote for
+/// `FIXED_SPEC` after a 96-trial miss and a 128-trial extension (two
+/// windows per group). It pins the on-disk `mrw-ledger-v1` format across
+/// versions: the persist tests above write and read with one binary.
+const GOLDEN_LEDGER_FILE: &str = "ledger-cb99860a4f0af580.json";
+const GOLDEN_LEDGER: &str = include_str!("fixtures/ledger-cb99860a4f0af580.json");
+
+#[test]
+fn golden_ledger_loads_and_re_renders_byte_for_byte() {
+    let ledger = Ledger::from_json(GOLDEN_LEDGER).expect("golden ledger loads");
+    assert_eq!(ledger.to_json(), GOLDEN_LEDGER);
+    assert_eq!(ledger.file_name(), GOLDEN_LEDGER_FILE);
+}
+
+#[test]
+fn daemon_warm_started_from_the_golden_ledger_answers_with_hits() {
+    let tmp = TempDir::new("golden");
+    let persist = tmp.path("ledgers");
+    std::fs::create_dir_all(&persist).expect("create persist dir");
+    std::fs::write(persist.join(GOLDEN_LEDGER_FILE), GOLDEN_LEDGER).expect("seed golden ledger");
+    let fixed = tmp.file("spec.json", FIXED_SPEC);
+    let more = tmp.file(
+        "more.json",
+        &FIXED_SPEC.replace("\"trials\": 96", "\"trials\": 128"),
+    );
+
+    let (_daemon, addr) = start_daemon(&["--persist", persist.to_str().unwrap()]);
+    for spec in [&fixed, &more] {
+        let spec_arg = spec.to_str().unwrap();
+        assert_eq!(
+            ctl(&addr, &["run", spec_arg]),
+            mrw_stdout(&["run", spec_arg, "--json"]),
+            "golden ledger served bytes that differ from the cold oracle"
+        );
+    }
+    let s = stats(&addr);
+    assert_eq!(counter(&s, &["hits"]), 2);
+    assert_eq!(counter(&s, &["misses"]), 0);
+    assert_eq!(counter(&s, &["trials_executed"]), 0);
 }
 
 // ---------------------------------------------------------------------------

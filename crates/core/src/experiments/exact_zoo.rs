@@ -22,18 +22,19 @@ use crate::CoverTimeEstimator;
 pub struct Config {
     /// Walk counts (state space grows as `n^k·2ⁿ`; keep `k ≤ 3`).
     pub ks: Vec<usize>,
-    /// Monte-Carlo trials per graph/k cell.
-    pub trials: usize,
-    /// Master seed.
-    pub seed: u64,
+    /// Monte-Carlo budget per graph/k cell; each `k` runs under the
+    /// master seed mixed with `k`.
+    pub budget: Budget,
 }
 
 impl Default for Config {
     fn default() -> Self {
         Config {
             ks: vec![1, 2, 3],
-            trials: 20_000,
-            seed: Budget::default().seed,
+            budget: Budget {
+                trials: 20_000,
+                ..Budget::default()
+            },
         }
     }
 }
@@ -43,8 +44,10 @@ impl Config {
     pub fn quick() -> Self {
         Config {
             ks: vec![1, 2],
-            trials: 5_000,
-            seed: Budget::default().seed,
+            budget: Budget {
+                trials: 5_000,
+                ..Budget::default()
+            },
         }
     }
 }
@@ -149,9 +152,8 @@ pub fn run(cfg: &Config) -> Report {
                 &g,
                 k,
                 Budget {
-                    trials: cfg.trials,
-                    seed: cfg.seed ^ (k as u64) << 8,
-                    ..Budget::default()
+                    seed: cfg.budget.seed ^ (k as u64) << 8,
+                    ..cfg.budget.clone()
                 },
             )
             .run_from(0);

@@ -28,7 +28,8 @@
 //! runs [`crate::engine::CompiledProcess`] instead,
 //! which pre-builds per-process state: a cached `Bernoulli` for lazy
 //! holds (one integer compare per step instead of an `f64` conversion —
-//! ~35% faster on the torus, see `benches/engine.rs`) and
+//! ~35% faster on torus(64), as measured by the since-removed
+//! `bench_unified_engine_ablation` of `benches/engine.rs`) and
 //! degree-reciprocal tables for Metropolis acceptance. The lazy cache
 //! changes which RNG bits decide a hold, so seeded `Lazy` traces differ
 //! from the pre-engine seed implementation — an intentional change; the

@@ -99,14 +99,6 @@ impl Value {
         }
     }
 
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as an array slice, if it is one.
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {

@@ -36,7 +36,6 @@
 use super::checkpoint::spec_hash;
 use super::json::{self, Value};
 use super::{GraphInfo, Group, QuerySpec};
-use mrw_stats::IntMoments;
 
 /// The canonical-JSON schema tag of serialized ledgers.
 pub const LEDGER_SCHEMA: &str = "mrw-ledger-v1";
@@ -207,19 +206,12 @@ impl Ledger {
     }
 }
 
-/// One `(hi, Group)` window; field shape mirrors report groups so the
-/// two schemas read alike, with the window bound `hi` first.
+/// One `(hi, Group)` window: the window bound `hi`, then the same
+/// statistics fields report groups carry ([`Group::stat_fields`]).
 fn prefix_to_value(hi: u64, g: &Group) -> Value {
-    Value::obj(vec![
-        ("hi", Value::num(hi)),
-        ("trials", Value::num(g.trials)),
-        ("count", Value::num(g.moments.count())),
-        ("sum", Value::num(g.moments.sum())),
-        ("sum_sq", Value::num(g.moments.sum_sq())),
-        ("min", g.moments.min().map_or(Value::Null, Value::num)),
-        ("max", g.moments.max().map_or(Value::Null, Value::num)),
-        ("censored", Value::num(g.censored)),
-    ])
+    let mut fields = vec![("hi", Value::num(hi))];
+    fields.extend(g.stat_fields());
+    Value::obj(fields)
 }
 
 fn ledger_group_from_value(v: &Value) -> Result<LedgerGroup, String> {
@@ -244,43 +236,15 @@ fn ledger_group_from_value(v: &Value) -> Result<LedgerGroup, String> {
             ));
         }
         prev_hi = hi;
-        let trials = p
-            .req("trials")?
-            .as_u64()
-            .ok_or("trials must be an integer")?;
-        if trials != hi {
+        let group =
+            Group::from_stat_fields(label.clone(), p).map_err(|e| format!("prefixes[{i}]: {e}"))?;
+        if group.trials != hi {
             return Err(format!(
                 "prefixes[{i}]: a [0, {hi}) prefix must have dispatched exactly {hi} trials, \
-                 not {trials}"
+                 not {}",
+                group.trials
             ));
         }
-        let count = p.req("count")?.as_u64().ok_or("count must be an integer")?;
-        let min = match p.req("min")? {
-            Value::Null => u64::MAX,
-            m => m.as_u64().ok_or("min must be an integer")?,
-        };
-        let max = match p.req("max")? {
-            Value::Null => 0,
-            m => m.as_u64().ok_or("max must be an integer")?,
-        };
-        let group = Group {
-            label: label.clone(),
-            trials,
-            moments: IntMoments::try_from_raw(
-                count,
-                p.req("sum")?.as_u128().ok_or("sum must be an integer")?,
-                p.req("sum_sq")?
-                    .as_u128()
-                    .ok_or("sum_sq must be an integer")?,
-                min,
-                max,
-            )
-            .map_err(|e| format!("prefixes[{i}]: {e}"))?,
-            censored: p
-                .req("censored")?
-                .as_u64()
-                .ok_or("censored must be an integer")?,
-        };
         prefixes.push((hi, group));
     }
     if prefixes.is_empty() {

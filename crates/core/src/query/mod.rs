@@ -939,6 +939,55 @@ impl Group {
             censored: self.censored + other.censored,
         }
     }
+
+    /// The group's exact statistics as serialized fields, in schema
+    /// order: `trials`, `count`, `sum`, `sum_sq`, `min`, `max` (`null`
+    /// when nothing was counted), `censored`. Report groups
+    /// (`mrw-report-v1`, and the checkpoints that embed reports) and
+    /// ledger windows (`mrw-ledger-v1`) both write exactly these.
+    pub(crate) fn stat_fields(&self) -> [(&'static str, Value); 7] {
+        let m = &self.moments;
+        [
+            ("trials", Value::num(self.trials)),
+            ("count", Value::num(m.count())),
+            ("sum", Value::num(m.sum())),
+            ("sum_sq", Value::num(m.sum_sq())),
+            ("min", m.min().map_or(Value::Null, Value::num)),
+            ("max", m.max().map_or(Value::Null, Value::num)),
+            ("censored", Value::num(self.censored)),
+        ]
+    }
+
+    /// Parses the fields [`stat_fields`](Group::stat_fields) writes out
+    /// of `v`, rejecting moments no sample could have produced.
+    pub(crate) fn from_stat_fields(label: String, v: &Value) -> Result<Group, String> {
+        let int = |key: &str| {
+            v.req(key)?
+                .as_u64()
+                .ok_or_else(|| format!("{key} must be an integer"))
+        };
+        let wide = |key: &str| {
+            v.req(key)?
+                .as_u128()
+                .ok_or_else(|| format!("{key} must be an integer"))
+        };
+        let bound = |key: &str, empty: u64| match v.req(key)? {
+            Value::Null => Ok(empty),
+            _ => int(key),
+        };
+        Ok(Group {
+            label,
+            trials: int("trials")?,
+            moments: IntMoments::try_from_raw(
+                int("count")?,
+                wide("sum")?,
+                wide("sum_sq")?,
+                bound("min", u64::MAX)?,
+                bound("max", 0)?,
+            )?,
+            censored: int("censored")?,
+        })
+    }
 }
 
 /// The graph a report was measured on (name + size; enough to check merge
@@ -1251,18 +1300,11 @@ impl Report {
                 self.groups
                     .iter()
                     .map(|g| {
-                        Value::obj(vec![
-                            ("label", Value::str(&g.label)),
-                            ("trials", Value::num(g.trials)),
-                            ("count", Value::num(g.moments.count())),
-                            ("sum", Value::num(g.moments.sum())),
-                            ("sum_sq", Value::num(g.moments.sum_sq())),
-                            ("min", g.moments.min().map_or(Value::Null, Value::num)),
-                            ("max", g.moments.max().map_or(Value::Null, Value::num)),
-                            ("censored", Value::num(g.censored)),
-                            ("mean", Value::float(g.mean())),
-                            ("half_width", Value::float(g.ci(level).half_width())),
-                        ])
+                        let mut group = vec![("label", Value::str(&g.label))];
+                        group.extend(g.stat_fields());
+                        group.push(("mean", Value::float(g.mean())));
+                        group.push(("half_width", Value::float(g.ci(level).half_width())));
+                        Value::obj(group)
                     })
                     .collect(),
             ),
@@ -1320,45 +1362,14 @@ impl Report {
             .as_arr()
             .ok_or("groups must be an array")?
             .iter()
-            .map(|g| {
-                let count = g
-                    .req("count")?
-                    .as_u64()
-                    .ok_or("group.count must be an integer")?;
-                let min = match g.req("min")? {
-                    Value::Null => u64::MAX,
-                    m => m.as_u64().ok_or("group.min must be an integer")?,
-                };
-                let max = match g.req("max")? {
-                    Value::Null => 0,
-                    m => m.as_u64().ok_or("group.max must be an integer")?,
-                };
-                Ok(Group {
-                    label: g
-                        .req("label")?
-                        .as_str()
-                        .ok_or("group.label must be a string")?
-                        .to_string(),
-                    trials: g
-                        .req("trials")?
-                        .as_u64()
-                        .ok_or("group.trials must be an integer")?,
-                    moments: IntMoments::try_from_raw(
-                        count,
-                        g.req("sum")?
-                            .as_u128()
-                            .ok_or("group.sum must be an integer")?,
-                        g.req("sum_sq")?
-                            .as_u128()
-                            .ok_or("group.sum_sq must be an integer")?,
-                        min,
-                        max,
-                    )?,
-                    censored: g
-                        .req("censored")?
-                        .as_u64()
-                        .ok_or("group.censored must be an integer")?,
-                })
+            .enumerate()
+            .map(|(i, g)| {
+                let label = g
+                    .req("label")?
+                    .as_str()
+                    .ok_or("group.label must be a string")?;
+                Group::from_stat_fields(label.to_string(), g)
+                    .map_err(|e| format!("groups[{i}]: {e}"))
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok(Report {

@@ -44,13 +44,6 @@ impl SpeedupSweep {
             .find(|p| p.k == k)
             .map(|p| p.speedup.point)
     }
-
-    /// `(k, S^k)` pairs for fitting.
-    pub fn series(&self) -> (Vec<f64>, Vec<f64>) {
-        let ks = self.points.iter().map(|p| p.k as f64).collect();
-        let ss = self.points.iter().map(|p| p.speedup.point).collect();
-        (ks, ss)
-    }
 }
 
 /// Runs a speed-up sweep on `g` from `start` over the walk counts `ks` —
@@ -187,9 +180,8 @@ mod tests {
                 ..Budget::default()
             },
         );
-        let (ks, ss) = sweep.series();
-        assert_eq!(ks, vec![1.0, 2.0, 4.0]);
-        assert_eq!(ss.len(), 3);
+        let ks: Vec<usize> = sweep.points.iter().map(|p| p.k).collect();
+        assert_eq!(ks, vec![1, 2, 4]);
         assert!(sweep.speedup_at(3).is_none());
     }
 

@@ -37,14 +37,6 @@ pub fn sample_stationary_starts<R: Rng + ?Sized>(g: &Graph, k: usize, rng: &mut 
         .collect()
 }
 
-/// Samples `k` i.i.d. uniform vertices (the stationary distribution of a
-/// regular graph, and a common approximation elsewhere).
-pub fn sample_uniform_starts<R: Rng + ?Sized>(g: &Graph, k: usize, rng: &mut R) -> Vec<u32> {
-    assert!(k >= 1, "need at least one start");
-    assert!(g.n() > 0, "empty graph");
-    (0..k).map(|_| rng.gen_range(0..g.n()) as u32).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,15 +70,6 @@ mod tests {
         for (v, &c) in counts.iter().enumerate() {
             let frac = c as f64 / draws as f64;
             assert!((frac - 1.0 / 16.0).abs() < 0.01, "vertex {v}: frac {frac}");
-        }
-    }
-
-    #[test]
-    fn uniform_sampler_in_range() {
-        let g = generators::barbell(13);
-        let mut rng = walk_rng(1);
-        for &s in &sample_uniform_starts(&g, 500, &mut rng) {
-            assert!((s as usize) < g.n());
         }
     }
 

@@ -67,12 +67,6 @@ impl VisitCounts {
         *self.counts.iter().min().expect("nonempty")
     }
 
-    /// Fraction of vertices visited at least once.
-    pub fn fraction_visited(&self) -> f64 {
-        let seen = self.counts.iter().filter(|&&c| c > 0).count();
-        seen as f64 / self.counts.len() as f64
-    }
-
     /// Coefficient of variation of the per-vertex counts (population
     /// standard deviation over mean) — 0 is perfectly balanced load.
     pub fn coefficient_of_variation(&self) -> f64 {
@@ -239,7 +233,6 @@ mod tests {
         let g = generators::complete_with_loops(16);
         let vc = kwalk_visit_counts(&g, &[0], 100_000, WalkProcess::Simple, &mut walk_rng(6));
         assert!(vc.coefficient_of_variation() < 0.05);
-        assert_eq!(vc.fraction_visited(), 1.0);
     }
 
     #[test]
@@ -249,7 +242,6 @@ mod tests {
         assert_eq!(vc.counts()[2], 2);
         assert_eq!(vc.counts()[5], 1);
         assert_eq!(vc.total(), 3);
-        assert!((vc.fraction_visited() - 2.0 / 8.0).abs() < 1e-12);
     }
 
     #[test]

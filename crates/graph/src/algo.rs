@@ -70,14 +70,6 @@ pub fn connected_components(g: &Graph) -> Vec<u32> {
     comp
 }
 
-/// Number of connected components.
-pub fn component_count(g: &Graph) -> usize {
-    if g.n() == 0 {
-        return 0;
-    }
-    *connected_components(g).iter().max().unwrap() as usize + 1
-}
-
 /// Eccentricity of `src`: the greatest BFS distance to any vertex, or
 /// `None` if some vertex is unreachable.
 pub fn eccentricity<G: GraphBackend>(g: &G, src: u32) -> Option<u32> {
@@ -143,7 +135,6 @@ mod tests {
         b.add_edge(2, 3);
         let g = b.build("two-pairs");
         assert!(!is_connected(&g));
-        assert_eq!(component_count(&g), 2);
         let comp = connected_components(&g);
         assert_eq!(comp[0], comp[1]);
         assert_eq!(comp[2], comp[3]);
@@ -185,7 +176,6 @@ mod tests {
         let g = GraphBuilder::new(1).build("v");
         assert!(is_connected(&g));
         assert_eq!(diameter(&g), Some(0));
-        assert_eq!(component_count(&g), 1);
     }
 
     #[test]

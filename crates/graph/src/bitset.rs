@@ -28,15 +28,9 @@ impl NodeBitSet {
         self.len
     }
 
-    /// True when the universe itself is empty (clippy-conventional alias of
-    /// [`is_empty_universe`](Self::is_empty_universe); note this is about
-    /// the *universe*, not the member count — see [`count`](Self::count)).
+    /// True when the universe itself is empty (this is about the
+    /// *universe*, not the member count — see [`count`](Self::count)).
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// True when the universe itself is empty.
-    pub fn is_empty_universe(&self) -> bool {
         self.len == 0
     }
 
@@ -103,21 +97,6 @@ impl NodeBitSet {
             })
         })
     }
-
-    /// First vertex **not** in the set, if any — handy for reporting which
-    /// vertex kept a cover running longest.
-    pub fn first_missing(&self) -> Option<u32> {
-        for (wi, &w) in self.words.iter().enumerate() {
-            if w != u64::MAX {
-                let b = (!w).trailing_zeros() as usize;
-                let v = wi * 64 + b;
-                if v < self.len {
-                    return Some(v as u32);
-                }
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -169,36 +148,10 @@ mod tests {
     }
 
     #[test]
-    fn first_missing_basic() {
-        let mut s = NodeBitSet::new(130);
-        for v in 0..130 {
-            s.insert(v);
-        }
-        assert_eq!(s.first_missing(), None);
-        s.remove(128);
-        assert_eq!(s.first_missing(), Some(128));
-        s.remove(0);
-        assert_eq!(s.first_missing(), Some(0));
-    }
-
-    #[test]
-    fn first_missing_respects_universe_boundary() {
-        // 64-aligned trap: bits past `len` in the last word are zero but must
-        // not be reported as missing ... they are not *in* the universe,
-        // but they *are* missing members below len. Universe 64 exactly:
-        let mut s = NodeBitSet::new(64);
-        for v in 0..64 {
-            s.insert(v);
-        }
-        assert_eq!(s.first_missing(), None);
-    }
-
-    #[test]
     fn empty_universe() {
         let s = NodeBitSet::new(0);
-        assert!(s.is_empty_universe());
+        assert!(s.is_empty());
         assert_eq!(s.count(), 0);
         assert!(s.is_full()); // vacuously full
-        assert_eq!(s.first_missing(), None);
     }
 }

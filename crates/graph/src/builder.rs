@@ -53,19 +53,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Adds a self-loop at every vertex (the clique-with-loops convention of
-    /// the paper's Lemma 12 and the lazy-walk trick).
-    pub fn add_all_self_loops(&mut self) {
-        for v in 0..self.n as u32 {
-            self.arcs.push((v, v));
-        }
-    }
-
-    /// Number of arcs added so far (before dedup).
-    pub fn arc_count(&self) -> usize {
-        self.arcs.len()
-    }
-
     /// Finalizes into a CSR graph named `name`.
     pub fn build(mut self, name: impl Into<String>) -> Graph {
         self.arcs.sort_unstable();
@@ -112,7 +99,9 @@ mod tests {
     fn all_self_loops() {
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 1);
-        b.add_all_self_loops();
+        for v in 0..3 {
+            b.add_edge(v, v);
+        }
         let g = b.build("loops");
         assert_eq!(g.self_loops(), 3);
         assert_eq!(g.degree(0), 2);
@@ -143,14 +132,5 @@ mod tests {
             b.add_edge(u, v);
         }
         assert_eq!(a.build("a").m(), b.build("b").m());
-    }
-
-    #[test]
-    fn arc_count_tracks_additions() {
-        let mut b = GraphBuilder::new(3);
-        assert_eq!(b.arc_count(), 0);
-        b.add_edge(0, 1); // two arcs
-        b.add_edge(1, 1); // one arc (loop)
-        assert_eq!(b.arc_count(), 3);
     }
 }

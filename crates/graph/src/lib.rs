@@ -35,7 +35,6 @@ pub mod builder;
 pub mod csr;
 pub mod dot;
 pub mod generators;
-pub mod properties;
 pub mod sweep;
 
 pub use backend::{GraphBackend, ImplicitGraph, MAX_IMPLICIT_DEGREE};

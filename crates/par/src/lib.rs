@@ -6,9 +6,9 @@
 //!
 //! * [`ThreadPool`] — a persistent work-stealing pool (crossbeam deques:
 //!   one injector, one worker deque per thread, sibling stealing, parked
-//!   idle workers) for `'static` jobs.
+//!   idle workers) for `'static` jobs. Only tests use it (see [`pool`]).
 //! * [`scope`] — borrowing data-parallel helpers ([`par_map`],
-//!   [`par_for_each`], [`par_reduce`], [`par_map_with`]) built on
+//!   [`par_map_with`]) built on
 //!   `std::thread::scope` with dynamic self-scheduling, so closures can
 //!   borrow the graph without `Arc`. Adaptive (precision-targeted)
 //!   estimators call [`par_map_with`] once per wave window; the wave
@@ -30,5 +30,5 @@ pub mod scope;
 pub mod seeds;
 
 pub use pool::ThreadPool;
-pub use scope::{available_threads, par_for_each, par_map, par_map_with, par_reduce};
+pub use scope::{available_threads, par_map, par_map_with};
 pub use seeds::SeedSequence;

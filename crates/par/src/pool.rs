@@ -13,9 +13,9 @@
 //! [`ThreadPool::join`] can block until the pool is quiescent.
 //!
 //! The pool accepts `'static` jobs. For borrowing data-parallel loops, use
-//! [`crate::scope`] instead — the estimators do; the pool exists for
-//! fire-and-forget pipelines (e.g. streaming experiment shards from the CLI)
-//! and as the subject of the scheduling ablation bench.
+//! [`crate::scope`] instead — the estimators do. Only tests use the pool;
+//! it stays until `perfbench/Cargo.lock`, which lists `crossbeam` and
+//! `parking_lot` under `mrw-par`, can drop them together with it.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -131,28 +131,6 @@ where
     result
 }
 
-/// Runs `f` for every index in `0..items` in parallel, discarding results.
-pub fn par_for_each<F>(items: usize, threads: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    par_map(items, threads, f);
-}
-
-/// Parallel map-reduce: maps `f` over `0..items` and folds the results with
-/// the associative operation `op` starting from `identity`.
-///
-/// The reduction order is deterministic (index order), so `op` need not be
-/// commutative — but it must be associative for the answer to be meaningful.
-pub fn par_reduce<R, F, Op>(items: usize, threads: usize, identity: R, f: F, op: Op) -> R
-where
-    R: Send + Clone,
-    F: Fn(usize) -> R + Sync,
-    Op: Fn(R, R) -> R,
-{
-    par_map(items, threads, f).into_iter().fold(identity, op)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,25 +159,12 @@ mod tests {
     #[test]
     fn each_index_visited_exactly_once() {
         let hits: Vec<AtomicU64> = (0..257).map(|_| AtomicU64::new(0)).collect();
-        par_for_each(257, 5, |i| {
+        par_map(257, 5, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "index {i}");
         }
-    }
-
-    #[test]
-    fn reduce_sums() {
-        let total = par_reduce(1000, 4, 0u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(total, 499_500);
-    }
-
-    #[test]
-    fn reduce_non_commutative_op_still_ordered() {
-        // String concatenation is associative but not commutative.
-        let s = par_reduce(10, 4, String::new(), |i| i.to_string(), |a, b| a + &b);
-        assert_eq!(s, "0123456789");
     }
 
     #[test]
@@ -215,7 +180,7 @@ mod tests {
     fn threads_actually_used() {
         // With enough slow items, more than one OS thread should participate.
         let ids = Mutex::new(HashSet::new());
-        par_for_each(64, 4, |_| {
+        par_map(64, 4, |_| {
             std::thread::sleep(std::time::Duration::from_millis(1));
             ids.lock().unwrap().insert(std::thread::current().id());
         });

@@ -67,14 +67,6 @@ impl HittingTimes {
         best
     }
 
-    /// `max_v h(u, v)` — the worst target from a fixed start.
-    pub fn hmax_from(&self, u: u32) -> f64 {
-        (0..self.n)
-            .filter(|&v| v != u as usize)
-            .map(|v| self.h[u as usize * self.n + v])
-            .fold(0.0, f64::max)
-    }
-
     /// The ordered pair attaining `hmax`.
     pub fn argmax(&self) -> (u32, u32) {
         let mut best = (0u32, 0u32);
@@ -296,15 +288,6 @@ mod tests {
         assert!((ht.hmax() - 64.0).abs() < TOL);
         // hmin = hitting adjacent vertex = n − 1 = 15 on a cycle.
         assert!((ht.hmin() - 15.0).abs() < TOL);
-    }
-
-    #[test]
-    fn hmax_from_center_smaller_than_global() {
-        let g = generators::path(11);
-        let ht = hitting_times_all(&g);
-        assert!(ht.hmax_from(5) < ht.hmax());
-        // From center 5 to either end: 10² − 5² = 75.
-        assert!((ht.hmax_from(5) - 75.0).abs() < TOL);
     }
 
     #[test]

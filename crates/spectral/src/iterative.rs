@@ -17,8 +17,7 @@
 //!   [`effective_resistance_cg`] to solve `L x = e_u − e_v` on the
 //!   subspace orthogonal to the all-ones kernel.
 //!
-//! Everything is cross-checked against the LU route in tests; the bench
-//! `spectral` compares their scaling.
+//! Everything is cross-checked against the LU route in tests.
 
 use mrw_graph::Graph;
 

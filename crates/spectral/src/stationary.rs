@@ -23,12 +23,6 @@ pub fn stationary_distribution(g: &Graph) -> Vec<f64> {
         .collect()
 }
 
-/// Total-variation distance `½·Σ|p − q|` between two distributions.
-pub fn tv_distance(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len(), "distribution length mismatch");
-    0.5 * p.iter().zip(q).map(|(a, b)| (a - b).abs()).sum::<f64>()
-}
-
 /// The paper's mixing distance: `Σ_v |p(v) − π(v)|` (un-halved L1 norm, as
 /// in its definition of `t_m` in §2).
 pub fn l1_distance(p: &[f64], q: &[f64]) -> f64 {
@@ -83,9 +77,7 @@ mod tests {
     fn distances() {
         let p = [1.0, 0.0];
         let q = [0.0, 1.0];
-        assert!((tv_distance(&p, &q) - 1.0).abs() < 1e-12);
         assert!((l1_distance(&p, &q) - 2.0).abs() < 1e-12);
-        assert_eq!(tv_distance(&p, &p), 0.0);
     }
 
     #[test]

@@ -2,11 +2,8 @@
 //!
 //! Cover-time samples are heavy-tailed but have finite variance on finite
 //! graphs, so the normal approximation is adequate at the trial counts we
-//! use (≥ 32). For small samples or strongly skewed statistics (e.g. the
-//! ratio estimator behind the speed-up `S^k`), a percentile bootstrap is
-//! provided; it needs an external source of randomness which the caller
-//! supplies as a simple `u64 -> u64` mixing function to keep this crate
-//! dependency-free.
+//! use (≥ 32). The speed-up `S^k = C/C^k` is a ratio of means; [`ratio_ci`]
+//! gives its delta-method interval.
 
 use crate::summary::Summary;
 
@@ -150,52 +147,6 @@ pub fn ratio_ci(numer: &Summary, denom: &Summary, level: f64) -> ConfidenceInter
     }
 }
 
-/// SplitMix64 step — the mixing function used by the bootstrap resampler.
-/// Public so tests and callers can share the identical stream.
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-/// Percentile-bootstrap CI for the mean of `sample`.
-///
-/// Draws `resamples` bootstrap replicates using an internal SplitMix64
-/// stream seeded by `seed`; deterministic for a fixed seed.
-pub fn bootstrap_mean_ci(
-    sample: &[f64],
-    level: f64,
-    resamples: usize,
-    seed: u64,
-) -> ConfidenceInterval {
-    assert!(!sample.is_empty(), "bootstrap on empty sample");
-    assert!(resamples >= 2, "need at least 2 resamples");
-    let n = sample.len();
-    let mut state = seed ^ 0xdeadbeefcafef00d;
-    let mut means = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
-        let mut acc = 0.0;
-        for _ in 0..n {
-            let idx = (splitmix64(&mut state) % n as u64) as usize;
-            acc += sample[idx];
-        }
-        means.push(acc / n as f64);
-    }
-    means.sort_by(|a, b| a.partial_cmp(b).expect("NaN in bootstrap means"));
-    let alpha = (1.0 - level) / 2.0;
-    let lo_idx = ((resamples as f64) * alpha).floor() as usize;
-    let hi_idx = (((resamples as f64) * (1.0 - alpha)).ceil() as usize).min(resamples - 1);
-    let point = sample.iter().sum::<f64>() / n as f64;
-    ConfidenceInterval {
-        point,
-        lo: means[lo_idx],
-        hi: means[hi_idx],
-        level,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,33 +198,5 @@ mod tests {
         let ci = ratio_ci(&a, &b, 0.95);
         assert!(ci.contains(5.0));
         assert!(ci.point > 4.5 && ci.point < 5.5);
-    }
-
-    #[test]
-    fn bootstrap_is_deterministic_and_brackets() {
-        let sample: Vec<f64> = (0..100).map(|i| (i % 10) as f64).collect();
-        let ci1 = bootstrap_mean_ci(&sample, 0.95, 500, 42);
-        let ci2 = bootstrap_mean_ci(&sample, 0.95, 500, 42);
-        assert_eq!(ci1, ci2);
-        assert!(ci1.contains(4.5));
-        let ci3 = bootstrap_mean_ci(&sample, 0.95, 500, 43);
-        assert!(ci3.lo != ci1.lo || ci3.hi != ci1.hi);
-    }
-
-    #[test]
-    fn bootstrap_constant_sample_degenerate() {
-        let ci = bootstrap_mean_ci(&[7.0; 20], 0.95, 100, 1);
-        assert_eq!(ci.lo, 7.0);
-        assert_eq!(ci.hi, 7.0);
-        assert_eq!(ci.point, 7.0);
-    }
-
-    #[test]
-    fn splitmix_is_reproducible() {
-        let mut s1 = 7u64;
-        let mut s2 = 7u64;
-        for _ in 0..10 {
-            assert_eq!(splitmix64(&mut s1), splitmix64(&mut s2));
-        }
     }
 }

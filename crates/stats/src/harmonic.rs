@@ -37,26 +37,10 @@ pub fn harmonic_fast(n: u64) -> f64 {
     }
 }
 
-/// Natural log of `n` as f64, panicking on `n = 0` with a useful message.
-pub fn ln_u64(n: u64) -> f64 {
-    assert!(n > 0, "ln of zero");
-    (n as f64).ln()
-}
-
 /// Base-2 logarithm of `n` rounded down (position of highest set bit).
 pub fn log2_floor(n: u64) -> u32 {
     assert!(n > 0, "log2 of zero");
     63 - n.leading_zeros()
-}
-
-/// `⌈log₂ n⌉`.
-pub fn log2_ceil(n: u64) -> u32 {
-    assert!(n > 0, "log2 of zero");
-    if n.is_power_of_two() {
-        log2_floor(n)
-    } else {
-        log2_floor(n) + 1
-    }
 }
 
 #[cfg(test)]
@@ -107,14 +91,5 @@ mod tests {
         assert_eq!(log2_floor(2), 1);
         assert_eq!(log2_floor(3), 1);
         assert_eq!(log2_floor(1024), 10);
-        assert_eq!(log2_ceil(1024), 10);
-        assert_eq!(log2_ceil(1025), 11);
-        assert_eq!(log2_ceil(1), 0);
-    }
-
-    #[test]
-    fn ln_helper() {
-        assert!((ln_u64(1)).abs() < 1e-15);
-        assert!((ln_u64(64) - 64f64.ln()).abs() < 1e-15);
     }
 }

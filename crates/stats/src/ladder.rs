@@ -4,24 +4,6 @@
 //! the problem size `n` and the walk count `k`, so that a log–log fit has
 //! evenly spaced abscissae.
 
-/// Powers of two in `[lo, hi]`, e.g. `powers_of_two(4, 64) = [4, 8, 16, 32, 64]`.
-pub fn powers_of_two(lo: u64, hi: u64) -> Vec<u64> {
-    assert!(lo >= 1 && hi >= lo, "invalid range {lo}..={hi}");
-    let mut v = Vec::new();
-    let mut x = 1u64;
-    while x < lo {
-        x <<= 1;
-    }
-    while x <= hi {
-        v.push(x);
-        if x > hi / 2 {
-            break;
-        }
-        x <<= 1;
-    }
-    v
-}
-
 /// Geometric ladder of `points` values from `lo` to `hi` inclusive,
 /// deduplicated after rounding to integers.
 pub fn geometric(lo: u64, hi: u64, points: usize) -> Vec<u64> {
@@ -58,37 +40,9 @@ pub fn k_ladder(k_max: u64) -> Vec<u64> {
     v
 }
 
-/// Odd geometric ladder (useful for barbell sizes, which must be odd).
-pub fn odd_geometric(lo: u64, hi: u64, points: usize) -> Vec<u64> {
-    geometric(lo, hi, points)
-        .into_iter()
-        .map(|x| if x % 2 == 0 { x + 1 } else { x })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .fold(Vec::new(), |mut acc, x| {
-            if acc.last() != Some(&x) {
-                acc.push(x);
-            }
-            acc
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn powers_of_two_basic() {
-        assert_eq!(powers_of_two(4, 64), vec![4, 8, 16, 32, 64]);
-        assert_eq!(powers_of_two(1, 1), vec![1]);
-        assert_eq!(powers_of_two(3, 9), vec![4, 8]);
-    }
-
-    #[test]
-    fn powers_of_two_no_overflow_near_max() {
-        let v = powers_of_two(1 << 62, u64::MAX);
-        assert_eq!(v, vec![1 << 62, 1 << 63]);
-    }
 
     #[test]
     fn geometric_endpoints() {
@@ -114,12 +68,5 @@ mod tests {
             assert!(w[1] == w[0] * 2);
         }
         assert_eq!(k_ladder(1), vec![1]);
-    }
-
-    #[test]
-    fn odd_ladder_all_odd() {
-        for x in odd_geometric(10, 2000, 8) {
-            assert_eq!(x % 2, 1, "{x} is even");
-        }
     }
 }

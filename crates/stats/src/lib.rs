@@ -9,10 +9,8 @@
 //! * [`Summary`] — single-pass Welford accumulation of count / mean /
 //!   variance / min / max, with exact merging so per-thread partial summaries
 //!   can be combined deterministically.
-//! * [`ci`] — normal-approximation and bootstrap confidence intervals.
+//! * [`ci`] — normal-approximation confidence intervals.
 //! * [`quantile`] — order statistics on sample vectors.
-//! * [`Histogram`] — linear- and log-bucketed histograms for cover-time
-//!   distributions.
 //! * [`regression`] — ordinary least squares and log–log growth-exponent
 //!   fitting, used to verify asymptotic laws such as `C(cycle) ~ n²/2`.
 //! * [`harmonic`] — harmonic numbers `H_n` appearing in Matthews' bound.
@@ -28,7 +26,6 @@
 
 pub mod ci;
 pub mod harmonic;
-pub mod histogram;
 pub mod ks;
 pub mod ladder;
 pub mod moments;
@@ -39,7 +36,6 @@ pub mod summary;
 pub mod table;
 
 pub use ci::ConfidenceInterval;
-pub use histogram::Histogram;
 pub use ks::{kolmogorov_q, ks_two_sample, KsTest};
 pub use moments::IntMoments;
 pub use precision::{Precision, Trials};

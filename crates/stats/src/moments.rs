@@ -110,18 +110,6 @@ impl IntMoments {
         })
     }
 
-    /// Panicking convenience over [`try_from_raw`](Self::try_from_raw)
-    /// for statistics already known to be consistent.
-    ///
-    /// # Panics
-    /// Whenever `try_from_raw` would return an error.
-    pub fn from_raw(count: u64, sum: u128, sum_sq: u128, min: u64, max: u64) -> Self {
-        match Self::try_from_raw(count, sum, sum_sq, min, max) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Adds one observation.
     pub fn push(&mut self, x: u64) {
         self.count += 1;
@@ -297,19 +285,12 @@ mod tests {
         for x in [5u64, 10, 15] {
             m.push(x);
         }
-        let r = IntMoments::from_raw(m.count(), m.sum(), m.sum_sq(), 5, 15);
-        assert_eq!(r, m);
+        let r = IntMoments::try_from_raw(m.count(), m.sum(), m.sum_sq(), 5, 15);
+        assert_eq!(r, Ok(m));
         assert_eq!(
-            IntMoments::from_raw(0, 0, 0, u64::MAX, 0),
-            IntMoments::new()
+            IntMoments::try_from_raw(0, 0, 0, u64::MAX, 0),
+            Ok(IntMoments::new())
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "inconsistent moments")]
-    fn from_raw_rejects_impossible_moments() {
-        // n = 2, Σx = 10, Σx² = 40 < 100/2 · … — 2·40 < 100 violates C-S.
-        IntMoments::from_raw(2, 10, 40, 5, 5);
     }
 
     #[test]

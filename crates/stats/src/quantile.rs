@@ -43,13 +43,6 @@ pub fn median(sample: &[f64]) -> f64 {
     quantile(sample, 0.5)
 }
 
-/// Interquartile range (`q75 − q25`).
-pub fn iqr(sample: &[f64]) -> f64 {
-    let mut xs = sample.to_vec();
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
-    quantile_sorted(&xs, 0.75) - quantile_sorted(&xs, 0.25)
-}
-
 /// Five-number summary: min, q25, median, q75, max.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FiveNum {
@@ -110,12 +103,6 @@ mod tests {
         assert!((quantile(&[1.0, 2.0, 3.0, 4.0], 0.25) - 1.75).abs() < 1e-12);
         // numpy.percentile([1,2,3,4], 75) == 3.25
         assert!((quantile(&[1.0, 2.0, 3.0, 4.0], 0.75) - 3.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn iqr_of_uniform_grid() {
-        let xs: Vec<f64> = (0..101).map(|i| i as f64).collect();
-        assert!((iqr(&xs) - 50.0).abs() < 1e-12);
     }
 
     #[test]

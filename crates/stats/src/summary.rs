@@ -144,15 +144,6 @@ impl Summary {
         }
     }
 
-    /// Population variance (`M2 / n`). Zero when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
@@ -186,16 +177,6 @@ impl Summary {
     pub fn coeff_of_variation(&self) -> f64 {
         self.std_dev() / self.mean()
     }
-
-    /// Relative half-width of the 95% normal CI around the mean; a common
-    /// stopping rule for adaptive Monte-Carlo sampling.
-    pub fn relative_precision(&self) -> f64 {
-        if self.count < 2 || self.mean() == 0.0 {
-            f64::INFINITY
-        } else {
-            1.96 * self.std_err() / self.mean().abs()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -216,7 +197,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.sum(), 0.0);
-        assert!(s.relative_precision().is_infinite());
     }
 
     #[test]
