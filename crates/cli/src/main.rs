@@ -3,34 +3,11 @@
 //!
 //! ```text
 //! mrw <experiment> [--quick] [--trials N] [--seed S] [--threads T] [--format F]
-//!
-//! experiments:
-//!   table1          Table 1: all seven families
-//!   clique          Lemma 12: coupon-collector linear speed-up
-//!   cycle           Theorem 6: S^k = Θ(log k) on the ring
-//!   barbell         Theorems 7/26: exponential speed-up from the center
-//!   torus           Theorems 8/24: the speed-up spectrum on the 2-d torus
-//!   expander        Theorems 3/18: linear speed-up up to k ≈ n
-//!   matthews        Theorem 1: the h·H_n sandwich
-//!   baby-matthews   Theorem 13: C^k ≤ (e/k)·h_max·H_n
-//!   mixing          Theorem 9: S^k vs k/(t_m ln n)
-//!   lemma16         Lemma 16: the compositional coverage bound
-//!   lemma19         Lemma 19 / Corollary 20: expander hit probabilities
-//!   prop23          Proposition 23: exact binomial tail sandwich
-//!   barbell-events  Theorem 26: the proof events E1/E2/E3
-//!   exact           exact DP vs Monte-Carlo validation zoo
-//!   projection      Theorem 24: the projection coupling
-//!   figure1         Figure 1: DOT rendering of the barbell B_13
-//!   estimate        one C^k estimate on a chosen family
-//!   run             execute a serialized query spec (any estimate kind)
-//!   shard           run one shard of a spec's trial range (JSON report)
-//!   merge           losslessly merge shard reports
-//!   fanout          run a spec across N local worker processes and merge
-//!   serve           resident estimate daemon: incremental report cache,
-//!                   warm-start ledger persistence, fanout delegation
-//!   serve-ctl       line client for mrw serve (run | stats | ping | shutdown)
-//!   all             every experiment above, in order
 //! ```
+//!
+//! `mrw help` lists every experiment and service verb with its options.
+//! The experiment verbs are the [`EXPERIMENTS`] table, which also drives
+//! `mrw all`.
 //!
 //! Any estimator-driven experiment accepts an adaptive trial budget:
 //! `--precision H` or `--rel-precision R` (with `--confidence`,
@@ -152,7 +129,7 @@ fn run_clique(opts: &Options) {
     print_table(&report.table(), opts.format);
     println!(
         "baseline C = {:.1} (coupon collector n·H_n = {:.1}); worst |S^k/k − 1| = {:.3}",
-        report.sweep.baseline.mean(),
+        report.ladder.mean(),
         report.predicted_c1,
         report.worst_linearity_error()
     );
@@ -480,9 +457,39 @@ fn run_smallworld(opts: &Options) {
     );
 }
 
-fn run_figure1() {
+fn run_figure1(_opts: &Options) {
     print!("{}", mrw_graph::dot::figure1());
 }
+
+/// An experiment verb's driver: build the config, apply the overrides,
+/// run, print.
+type Runner = fn(&Options);
+
+/// Every experiment verb, in `mrw all` order.
+const EXPERIMENTS: &[(&str, Runner)] = &[
+    ("table1", run_table1),
+    ("clique", run_clique),
+    ("cycle", run_cycle),
+    ("barbell", run_barbell),
+    ("torus", run_torus),
+    ("expander", run_expander),
+    ("matthews", run_matthews),
+    ("baby-matthews", run_baby_matthews),
+    ("mixing", run_mixing),
+    ("gap", run_gap),
+    ("concentration", run_concentration),
+    ("stationary", run_stationary),
+    ("conjectures", run_conjectures),
+    ("lemma16", run_lemma16),
+    ("lemma19", run_lemma19),
+    ("prop23", run_prop23),
+    ("barbell-events", run_barbell_events),
+    ("exact", run_exact_zoo),
+    ("projection", run_projection),
+    ("hunting", run_hunting),
+    ("smallworld", run_smallworld),
+    ("figure1", run_figure1),
+];
 
 /// The `mrw estimate` flags as a [`QuerySpec`] — the same value `mrw run`
 /// reads from a file, so both verbs share one execution and one JSON
@@ -594,7 +601,10 @@ fn run_estimate(opts: &Options) -> Result<(), String> {
         print!("{}", report.to_json());
         return Ok(());
     }
-    let est = mrw_core::CoverEstimate::from_report(&report, 0);
+    let Query::Cover { k, .. } = spec.query else {
+        unreachable!("estimate_spec builds a cover query")
+    };
+    let ci = report.groups[0].ci(report.confidence());
     let (budget_desc, stop_desc) = stop_description(&report);
 
     let mut t = mrw_stats::Table::new(vec![
@@ -612,14 +622,14 @@ fn run_estimate(opts: &Options) -> Result<(), String> {
     .with_title(format!("mrw estimate — {} (n = {})", g.name(), g.n()));
     t.push_row(vec![
         g.name().to_string(),
-        est.k().to_string(),
+        k.to_string(),
         start.to_string(),
         budget_desc,
-        est.consumed_trials().to_string(),
-        format!("{:.2}", est.mean()),
-        format!("{:.2}", est.ci().half_width()),
-        format!("{:.1}%", est.relative_half_width() * 100.0),
-        format!("[{:.2}, {:.2}]", est.ci().lo, est.ci().hi),
+        report.consumed_trials().to_string(),
+        format!("{:.2}", report.mean()),
+        format!("{:.2}", ci.half_width()),
+        format!("{:.1}%", ci.relative_half_width() * 100.0),
+        format!("[{:.2}, {:.2}]", ci.lo, ci.hi),
         stop_desc,
     ]);
     print_table(&t, opts.format);
@@ -849,58 +859,37 @@ fn main() -> ExitCode {
             }
             return ExitCode::SUCCESS;
         }
-        "table1" => run_table1(&opts),
-        "clique" => run_clique(&opts),
-        "cycle" => run_cycle(&opts),
-        "barbell" => run_barbell(&opts),
-        "torus" => run_torus(&opts),
-        "expander" => run_expander(&opts),
-        "matthews" => run_matthews(&opts),
-        "baby-matthews" => run_baby_matthews(&opts),
-        "mixing" => run_mixing(&opts),
-        "gap" => run_gap(&opts),
-        "concentration" => run_concentration(&opts),
-        "stationary" => run_stationary(&opts),
-        "conjectures" => run_conjectures(&opts),
-        "lemma16" => run_lemma16(&opts),
-        "lemma19" => run_lemma19(&opts),
-        "prop23" => run_prop23(&opts),
-        "barbell-events" => run_barbell_events(&opts),
-        "exact" => run_exact_zoo(&opts),
-        "projection" => run_projection(&opts),
-        "hunting" => run_hunting(&opts),
-        "smallworld" => run_smallworld(&opts),
-        "figure1" => run_figure1(),
         "all" => {
-            run_table1(&opts);
-            run_clique(&opts);
-            run_cycle(&opts);
-            run_barbell(&opts);
-            run_torus(&opts);
-            run_expander(&opts);
-            run_matthews(&opts);
-            run_baby_matthews(&opts);
-            run_mixing(&opts);
-            run_gap(&opts);
-            run_concentration(&opts);
-            run_stationary(&opts);
-            run_conjectures(&opts);
-            run_lemma16(&opts);
-            run_lemma19(&opts);
-            run_prop23(&opts);
-            run_barbell_events(&opts);
-            run_exact_zoo(&opts);
-            run_projection(&opts);
-            run_hunting(&opts);
-            run_smallworld(&opts);
-            run_figure1();
+            for (_, run) in EXPERIMENTS {
+                run(&opts);
+            }
         }
         "help" | "--help" | "-h" => println!("{}", args::USAGE),
-        other => {
-            eprintln!("error: unknown experiment '{other}'\n");
-            eprintln!("{}", args::USAGE);
-            return ExitCode::FAILURE;
-        }
+        other => match EXPERIMENTS.iter().find(|(name, _)| *name == other) {
+            Some((_, run)) => run(&opts),
+            None => {
+                eprintln!("error: unknown experiment '{other}'\n");
+                eprintln!("{}", args::USAGE);
+                return ExitCode::FAILURE;
+            }
+        },
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_experiment() {
+        for (name, _) in EXPERIMENTS {
+            assert!(
+                args::USAGE
+                    .lines()
+                    .any(|line| line.trim_start().starts_with(&format!("{name} "))),
+                "USAGE does not list '{name}'"
+            );
+        }
+    }
 }

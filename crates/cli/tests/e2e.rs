@@ -280,6 +280,18 @@ fn degenerate_graph_sizes_are_friendly_errors() {
         ],
         "cover time is infinite on a disconnected graph",
     );
+    // Walks never leave their start's component, so a partial cover whose
+    // target lies beyond it would never stop.
+    let partial = tmp.file(
+        "partial.json",
+        r#"{"graph": {"family": "circulant", "n": 8, "jumps": [2]},
+            "query": {"type": "partial-cover", "k": 2, "start": 0, "gammas": [1.0]},
+            "budget": {"trials": 4, "seed": 1}}"#,
+    );
+    expect_error(
+        &["run", partial.to_str().unwrap()],
+        "partial cover needs a connected graph",
+    );
     expect_error(
         &["estimate", "--family", "cycle", "--trials", "0"],
         "--trials must be >= 1",
@@ -288,6 +300,16 @@ fn degenerate_graph_sizes_are_friendly_errors() {
 
 // ---------------------------------------------------------------------------
 // Experiment verbs.
+
+/// `mrw all --quick` prints the checked-in experiment tables byte for
+/// byte: every verb's numbers are pinned, not just its exit code.
+/// Regenerate the fixture only for a change that means to move them:
+/// `mrw all --quick > crates/cli/tests/fixtures/all-quick.txt`.
+#[test]
+fn all_quick_prints_the_golden_tables() {
+    let golden = include_str!("fixtures/all-quick.txt");
+    assert_eq!(mrw_stdout(&["all", "--quick"]), golden);
+}
 
 /// Every experiment verb applies its flags on top of the experiment's
 /// own budget: `--quick` runs the experiment's quick trial count

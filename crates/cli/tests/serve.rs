@@ -419,6 +419,12 @@ fn malformed_requests_get_structured_errors_and_the_daemon_survives() {
             "query": {"type": "cover", "k": 2, "starts": [99]},
             "budget": {"trials": 4, "seed": 1}}}"#
             .to_vec(),
+        // Valid spec shape, fails graph validation: a partial cover on a
+        // disconnected graph, which would otherwise never finish.
+        br#"{"verb": "run", "spec": {"graph": {"family": "circulant", "n": 8, "jumps": [2]},
+            "query": {"type": "partial-cover", "k": 2, "start": 0, "gammas": [1.0]},
+            "budget": {"trials": 4, "seed": 1}}}"#
+            .to_vec(),
         // Not UTF-8 at all.
         vec![0xC3, 0x28, 0xFF],
     ];
@@ -443,7 +449,8 @@ fn malformed_requests_get_structured_errors_and_the_daemon_survives() {
     }
 
     // One persistent connection eats the whole corpus: every frame gets
-    // a structured error response and the connection stays alive.
+    // a structured error response — a rejection, never the internal-error
+    // frame of a caught panic — and the connection stays alive.
     let stream = TcpStream::connect(&addr).expect("connect");
     let mut writer = stream.try_clone().expect("clone stream");
     let mut reader = BufReader::new(stream);
@@ -458,9 +465,11 @@ fn malformed_requests_get_structured_errors_and_the_daemon_survives() {
             Some("mrw-serve-error-v1"),
             "corpus entry {i} got a non-error response: {body}"
         );
+        let message = v.get("error").and_then(Value::as_str);
+        assert!(message.is_some(), "error frame without a message: {body}");
         assert!(
-            v.get("error").and_then(Value::as_str).is_some(),
-            "error frame without a message: {body}"
+            !message.unwrap_or_default().starts_with("internal error"),
+            "corpus entry {i} panicked the request: {body}"
         );
     }
 

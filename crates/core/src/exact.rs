@@ -161,8 +161,7 @@ pub const MAX_STATES: u64 = 200_000_000;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::CoverTimeEstimator;
-    use crate::query::Budget;
+    use crate::query::{Budget, Query, Session};
     use mrw_graph::generators;
     use mrw_stats::harmonic::harmonic;
 
@@ -222,16 +221,18 @@ mod tests {
         // of a human formula.
         let g = generators::star(5);
         let exact = exact_kwalk_cover_time(&g, 0, 1);
-        let mc = CoverTimeEstimator::new(
+        let mc = Session::new(Budget {
+            trials: 6000,
+            seed: 5,
+            ..Budget::default()
+        })
+        .run(
             &g,
-            1,
-            Budget {
-                trials: 6000,
-                seed: 5,
-                ..Budget::default()
+            &Query::Cover {
+                k: 1,
+                starts: vec![0],
             },
         )
-        .run_from(0)
         .mean();
         assert!(
             (exact - mc).abs() < exact * 0.05,
@@ -252,16 +253,12 @@ mod tests {
         ] {
             for k in [1usize, 2] {
                 let exact = exact_kwalk_cover_time(&g, 0, k);
-                let mc = CoverTimeEstimator::new(
-                    &g,
-                    k,
-                    Budget {
-                        trials: 4000,
-                        seed: 9,
-                        ..Budget::default()
-                    },
-                )
-                .run_from(0)
+                let mc = Session::new(Budget {
+                    trials: 4000,
+                    seed: 9,
+                    ..Budget::default()
+                })
+                .run(&g, &Query::Cover { k, starts: vec![0] })
                 .mean();
                 let rel = (mc - exact).abs() / exact;
                 assert!(

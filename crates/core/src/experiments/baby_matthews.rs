@@ -11,8 +11,8 @@ use mrw_spectral::hitting_times_all;
 use mrw_stats::Table;
 
 use crate::bounds;
-use crate::estimator::CoverTimeEstimator;
 use crate::experiments::Budget;
+use crate::query::{Query, Session};
 
 /// One `(family, k)` measurement.
 #[derive(Debug, Clone)]
@@ -122,11 +122,10 @@ pub fn run(cfg: &Config) -> Report {
         let hmax = ht.hmax();
         let n = g.n();
         let k_max = bounds::baby_matthews_k_limit(n as u64) as usize;
+        let session = Session::new(cfg.budget.clone());
         let mut k = 1usize;
         while k <= k_max {
-            let ck = CoverTimeEstimator::new(g, k, cfg.budget.clone())
-                .run_from(0)
-                .mean();
+            let ck = session.run(g, &Query::Cover { k, starts: vec![0] }).mean();
             rows.push(Row {
                 graph: g.name().to_string(),
                 n,

@@ -15,8 +15,8 @@ use mrw_stats::regression::{power_law_fit, PowerLawFit};
 use mrw_stats::Table;
 
 use crate::bounds;
-use crate::estimator::CoverTimeEstimator;
 use crate::experiments::Budget;
+use crate::query::{Query, Session};
 
 /// Configuration for the barbell experiment.
 #[derive(Debug, Clone)]
@@ -113,12 +113,12 @@ pub fn run(cfg: &Config) -> Report {
             let g = barbell(n);
             let vc = barbell_center(n);
             let k = bounds::barbell_k(n as u64) as usize;
-            let c1 = CoverTimeEstimator::new(&g, 1, cfg.budget.clone())
-                .run_from(vc)
-                .mean();
-            let ck = CoverTimeEstimator::new(&g, k, cfg.budget.clone())
-                .run_from(vc)
-                .mean();
+            let session = Session::new(cfg.budget.clone());
+            let cover = |k| {
+                let starts = vec![vc];
+                session.run(&g, &Query::Cover { k, starts }).mean()
+            };
+            let (c1, ck) = (cover(1), cover(k));
             Row {
                 n,
                 k,

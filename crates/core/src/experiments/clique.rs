@@ -11,7 +11,7 @@ use mrw_stats::{ladder, Table};
 
 use crate::bounds;
 use crate::experiments::Budget;
-use crate::speedup::{speedup_sweep, SpeedupSweep};
+use crate::query::{self, Query, Session};
 
 /// Configuration for the clique experiment.
 #[derive(Debug, Clone)]
@@ -48,8 +48,8 @@ impl Config {
 /// Results of the clique experiment.
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// The sweep (baseline + per-k points).
-    pub sweep: SpeedupSweep,
+    /// The [`Query::SpeedupLadder`] report (baseline + one group per k).
+    pub ladder: query::Report,
     /// Clique size.
     pub n: usize,
     /// Coupon-collector prediction `n·H_n`.
@@ -68,14 +68,15 @@ impl Report {
             "S^k/k",
         ])
         .with_title(format!("Lemma 12 — clique K_{} coupon collector", self.n));
-        for p in &self.sweep.points {
-            let pred = bounds::clique_kwalk_cover(self.n as u64, p.k as u64);
+        let level = self.ladder.confidence();
+        for (k, group, speedup) in self.ladder.speedups() {
+            let pred = bounds::clique_kwalk_cover(self.n as u64, k as u64);
             t.push_row(vec![
-                p.k.to_string(),
-                super::fmt_pm(p.cover.mean(), p.cover.ci().half_width()),
+                k.to_string(),
+                super::fmt_pm(group.mean(), group.ci(level).half_width()),
                 format!("{:.1}", pred),
-                format!("{:.2}", p.speedup.point),
-                format!("{:.3}", p.speedup.point / p.k as f64),
+                format!("{:.2}", speedup),
+                format!("{:.3}", speedup / k as f64),
             ]);
         }
         t
@@ -84,11 +85,11 @@ impl Report {
     /// Worst relative deviation of `S^k/k` from 1 across the ladder
     /// (excluding `k = 1`).
     pub fn worst_linearity_error(&self) -> f64 {
-        self.sweep
-            .points
-            .iter()
-            .filter(|p| p.k > 1)
-            .map(|p| (p.speedup.point / p.k as f64 - 1.0).abs())
+        self.ladder
+            .speedups()
+            .into_iter()
+            .filter(|&(k, ..)| k > 1)
+            .map(|(k, _, speedup)| (speedup / k as f64 - 1.0).abs())
             .fold(0.0, f64::max)
     }
 }
@@ -99,11 +100,17 @@ pub fn run(cfg: &Config) -> Report {
         assert!(k <= cfg.n, "Lemma 12 requires k ≤ n (k={k}, n={})", cfg.n);
     }
     let g = mrw_graph::generators::complete_with_loops(cfg.n);
-    let sweep = speedup_sweep(&g, 0, &cfg.ks, &cfg.budget);
+    let ladder = Session::new(cfg.budget.clone()).run(
+        &g,
+        &Query::SpeedupLadder {
+            start: 0,
+            ks: cfg.ks.clone(),
+        },
+    );
     Report {
         n: cfg.n,
         predicted_c1: bounds::coupon_collector(cfg.n as u64),
-        sweep,
+        ladder,
     }
 }
 
@@ -118,7 +125,7 @@ mod tests {
         cfg.budget.seed = 42;
         let report = run(&cfg);
         // Baseline should match n·H_n within a few percent.
-        let rel = (report.sweep.baseline.mean() - report.predicted_c1).abs() / report.predicted_c1;
+        let rel = (report.ladder.mean() - report.predicted_c1).abs() / report.predicted_c1;
         assert!(rel < 0.08, "baseline off by {rel}");
         // Every k: S^k within 25% of k.
         assert!(

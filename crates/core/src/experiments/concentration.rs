@@ -13,8 +13,8 @@
 
 use mrw_stats::Table;
 
-use crate::estimator::CoverTimeEstimator;
 use crate::experiments::Budget;
+use crate::query::{Query, Session};
 
 /// Which family to ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,16 +127,24 @@ impl Report {
 /// Runs the experiment.
 pub fn run(cfg: &Config) -> Report {
     assert!(cfg.sizes.len() >= 2, "need a size ladder");
+    let session = Session::new(cfg.budget.clone());
     let mut rows = Vec::new();
     for family in [Family::Complete, Family::Torus, Family::Path] {
         for &n in &cfg.sizes {
             let g = family.build(n);
-            let est = CoverTimeEstimator::new(&g, 1, cfg.budget.clone()).run_from(0);
+            let report = session.run(
+                &g,
+                &Query::Cover {
+                    k: 1,
+                    starts: vec![0],
+                },
+            );
+            let cover_time = report.groups[0].summary();
             rows.push(Row {
                 family,
                 n: g.n(),
-                mean: est.cover_time().mean(),
-                cv: est.cover_time().coeff_of_variation(),
+                mean: cover_time.mean(),
+                cv: cover_time.coeff_of_variation(),
             });
         }
     }

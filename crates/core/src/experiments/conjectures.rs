@@ -19,7 +19,7 @@ use mrw_graph::{generators as gen, Graph};
 use mrw_stats::Table;
 
 use crate::experiments::Budget;
-use crate::speedup::speedup_sweep;
+use crate::query::{Query, Session};
 
 /// One `(graph, start, k)` scan point.
 #[derive(Debug, Clone)]
@@ -146,13 +146,19 @@ pub fn run(cfg: &Config) -> Report {
     }
     let mut rows = Vec::new();
     for (g, start) in &cfg.cases {
-        let sweep = speedup_sweep(g, *start, &cfg.ks, &cfg.budget);
-        for p in &sweep.points {
+        let ladder = Session::new(cfg.budget.clone()).run(
+            g,
+            &Query::SpeedupLadder {
+                start: *start,
+                ks: cfg.ks.clone(),
+            },
+        );
+        for (k, _, speedup) in ladder.speedups() {
             rows.push(Row {
                 graph: g.name().to_string(),
                 start: *start,
-                k: p.k,
-                speedup: p.speedup.point,
+                k,
+                speedup,
             });
         }
     }

@@ -11,7 +11,7 @@ use mrw_stats::{ladder, Table};
 
 use crate::bounds;
 use crate::experiments::Budget;
-use crate::speedup::{speedup_sweep, SpeedupSweep};
+use crate::query::{self, Query, Session};
 
 /// Configuration for the cycle experiment.
 #[derive(Debug, Clone)]
@@ -50,8 +50,8 @@ impl Config {
 pub struct Report {
     /// Cycle length.
     pub n: usize,
-    /// The sweep.
-    pub sweep: SpeedupSweep,
+    /// The [`Query::SpeedupLadder`] report.
+    pub ladder: query::Report,
     /// Fit of `S^k = a + b·ln k` over `k ≥ 2`.
     pub log_law: LinearFit,
 }
@@ -72,27 +72,25 @@ impl Report {
             self.n,
             bounds::cycle_cover_exact(self.n as u64)
         ));
-        for p in &self.sweep.points {
-            let bound = if p.k >= 3 {
-                format!(
-                    "{:.0}",
-                    bounds::cycle_kwalk_upper(self.n as u64, p.k as u64)
-                )
+        let level = self.ladder.confidence();
+        for (k, group, speedup) in self.ladder.speedups() {
+            let bound = if k >= 3 {
+                format!("{:.0}", bounds::cycle_kwalk_upper(self.n as u64, k as u64))
             } else {
                 "—".to_string()
             };
-            let per_log = if p.k >= 2 {
-                format!("{:.3}", p.speedup.point / (p.k as f64).ln())
+            let per_log = if k >= 2 {
+                format!("{:.3}", speedup / (k as f64).ln())
             } else {
                 "—".to_string()
             };
             t.push_row(vec![
-                p.k.to_string(),
-                super::fmt_pm(p.cover.mean(), p.cover.ci().half_width()),
+                k.to_string(),
+                super::fmt_pm(group.mean(), group.ci(level).half_width()),
                 bound,
-                format!("{:.2}", p.speedup.point),
+                format!("{:.2}", speedup),
                 per_log,
-                format!("{:.3}", p.speedup.point / p.k as f64),
+                format!("{:.3}", speedup / k as f64),
             ]);
         }
         t
@@ -102,12 +100,18 @@ impl Report {
 /// Runs the experiment.
 pub fn run(cfg: &Config) -> Report {
     let g = mrw_graph::generators::cycle(cfg.n);
-    let sweep = speedup_sweep(&g, 0, &cfg.ks, &cfg.budget);
-    let fit_pts: Vec<(f64, f64)> = sweep
-        .points
-        .iter()
-        .filter(|p| p.k >= 2)
-        .map(|p| (p.k as f64, p.speedup.point))
+    let ladder = Session::new(cfg.budget.clone()).run(
+        &g,
+        &Query::SpeedupLadder {
+            start: 0,
+            ks: cfg.ks.clone(),
+        },
+    );
+    let fit_pts: Vec<(f64, f64)> = ladder
+        .speedups()
+        .into_iter()
+        .filter(|&(k, ..)| k >= 2)
+        .map(|(k, _, speedup)| (k as f64, speedup))
         .collect();
     assert!(
         fit_pts.len() >= 2,
@@ -117,7 +121,7 @@ pub fn run(cfg: &Config) -> Report {
     let log_law = log_fit(&ks, &ss);
     Report {
         n: cfg.n,
-        sweep,
+        ladder,
         log_law,
     }
 }
@@ -145,27 +149,24 @@ mod tests {
         // ...with positive slope (more walks do help a bit)...
         assert!(report.log_law.slope > 0.0);
         // ...and the largest-k point must be far below linear speed-up.
-        let last = report.sweep.points.last().unwrap();
+        let (k, _, speedup) = *report.ladder.speedups().last().unwrap();
         assert!(
-            last.speedup.point < 0.5 * last.k as f64,
-            "S^{} = {} — looks linear, not logarithmic",
-            last.k,
-            last.speedup.point
+            speedup < 0.5 * k as f64,
+            "S^{k} = {speedup} — looks linear, not logarithmic"
         );
     }
 
     #[test]
     fn lemma22_upper_bound_holds() {
         let report = run(&test_cfg());
-        for p in &report.sweep.points {
-            if p.k >= 8 {
+        for (k, group, _) in report.ladder.speedups() {
+            if k >= 8 {
                 // "k large enough" in the lemma.
-                let bound = bounds::cycle_kwalk_upper(report.n as u64, p.k as u64);
+                let bound = bounds::cycle_kwalk_upper(report.n as u64, k as u64);
                 assert!(
-                    p.cover.mean() <= bound * 1.05,
-                    "k={}: C^k = {} exceeds Lemma 22 bound {bound}",
-                    p.k,
-                    p.cover.mean()
+                    group.mean() <= bound * 1.05,
+                    "k={k}: C^k = {} exceeds Lemma 22 bound {bound}",
+                    group.mean()
                 );
             }
         }
@@ -175,11 +176,11 @@ mod tests {
     fn baseline_matches_gambler_ruin() {
         let report = run(&test_cfg());
         let exact = bounds::cycle_cover_exact(report.n as u64);
-        let rel = (report.sweep.baseline.mean() - exact).abs() / exact;
+        let rel = (report.ladder.mean() - exact).abs() / exact;
         assert!(
             rel < 0.15,
             "C measured {} vs exact {exact}",
-            report.sweep.baseline.mean()
+            report.ladder.mean()
         );
     }
 

@@ -15,7 +15,7 @@ use mrw_stats::Table;
 
 use crate::exact::exact_kwalk_cover_time;
 use crate::experiments::Budget;
-use crate::CoverTimeEstimator;
+use crate::query::{Query, Session};
 
 /// Configuration for the exact-validation zoo.
 #[derive(Debug, Clone)]
@@ -148,21 +148,17 @@ pub fn run(cfg: &Config) -> Report {
     for g in zoo() {
         for &k in &cfg.ks {
             let exact = exact_kwalk_cover_time(&g, 0, k);
-            let est = CoverTimeEstimator::new(
-                &g,
-                k,
-                Budget {
-                    seed: cfg.budget.seed ^ (k as u64) << 8,
-                    ..cfg.budget.clone()
-                },
-            )
-            .run_from(0);
+            let report = Session::new(Budget {
+                seed: cfg.budget.seed ^ (k as u64) << 8,
+                ..cfg.budget.clone()
+            })
+            .run(&g, &Query::Cover { k, starts: vec![0] });
             cells.push(Cell {
                 graph: g.name().to_string(),
                 k,
                 exact,
-                mc_mean: est.mean(),
-                mc_half_width: est.ci().half_width(),
+                mc_mean: report.mean(),
+                mc_half_width: report.half_width(),
             });
         }
     }

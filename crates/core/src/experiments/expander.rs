@@ -14,7 +14,7 @@ use mrw_stats::Table;
 
 use crate::bounds;
 use crate::experiments::Budget;
-use crate::speedup::{speedup_sweep, SpeedupSweep};
+use crate::query::{self, Query, Session};
 use crate::walk::walk_rng;
 
 /// Configuration for the expander experiment.
@@ -60,19 +60,19 @@ pub struct Report {
     pub n: usize,
     /// The certified spectral profile of the sampled instance.
     pub profile: SpectralProfile,
-    /// The sweep.
-    pub sweep: SpeedupSweep,
+    /// The [`Query::SpeedupLadder`] report.
+    pub ladder: query::Report,
 }
 
 impl Report {
     /// Minimum `S^k/k` across the ladder (excluding `k = 1`) — Theorem 18
     /// says this is bounded below by a constant for all `k ≤ n`.
     pub fn min_efficiency(&self) -> f64 {
-        self.sweep
-            .points
-            .iter()
-            .filter(|p| p.k > 1)
-            .map(|p| p.speedup.point / p.k as f64)
+        self.ladder
+            .speedups()
+            .into_iter()
+            .filter(|&(k, ..)| k > 1)
+            .map(|(k, _, speedup)| speedup / k as f64)
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -90,16 +90,17 @@ impl Report {
             self.profile.d, self.n, self.profile.lambda,
             self.profile.lambda / self.profile.d as f64, self.profile.b
         ));
-        for p in &self.sweep.points {
+        let level = self.ladder.confidence();
+        for (k, group, speedup) in self.ladder.speedups() {
             t.push_row(vec![
-                p.k.to_string(),
-                super::fmt_pm(p.cover.mean(), p.cover.ci().half_width()),
+                k.to_string(),
+                super::fmt_pm(group.mean(), group.ci(level).half_width()),
                 format!(
                     "{:.0}",
-                    bounds::expander_walk_length(self.n as u64, self.profile.b, p.k as u64)
+                    bounds::expander_walk_length(self.n as u64, self.profile.b, k as u64)
                 ),
-                format!("{:.2}", p.speedup.point),
-                format!("{:.3}", p.speedup.point / p.k as f64),
+                format!("{:.2}", speedup),
+                format!("{:.3}", speedup / k as f64),
             ]);
         }
         t
@@ -122,11 +123,17 @@ pub fn run(cfg: &Config) -> Report {
         profile.lambda,
         cfg.d
     );
-    let sweep = speedup_sweep(&g, 0, &cfg.ks, &cfg.budget);
+    let ladder = Session::new(cfg.budget.clone()).run(
+        &g,
+        &Query::SpeedupLadder {
+            start: 0,
+            ks: cfg.ks.clone(),
+        },
+    );
     Report {
         n: cfg.n,
         profile,
-        sweep,
+        ladder,
     }
 }
 
@@ -166,7 +173,9 @@ mod tests {
         cfg.ks = vec![64];
         cfg.budget.trials = 32;
         let report = run(&cfg);
-        assert!(report.sweep.speedup_at(64).unwrap() > 15.0);
+        let (k, _, speedup) = report.ladder.speedups()[0];
+        assert_eq!(k, 64);
+        assert!(speedup > 15.0);
     }
 
     #[test]

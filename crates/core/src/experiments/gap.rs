@@ -20,9 +20,8 @@ use mrw_spectral::hitting_times_all;
 use mrw_stats::Table;
 
 use crate::bounds;
-use crate::estimator::CoverTimeEstimator;
-use crate::experiments::Budget;
-use crate::speedup::speedup_sweep;
+use crate::experiments::{worst_start_cover, Budget};
+use crate::query::{Query, Session};
 
 /// One family's gap measurement.
 #[derive(Debug, Clone)]
@@ -164,13 +163,17 @@ pub fn run(cfg: &Config) -> Report {
         .map(|g| {
             let ht = hitting_times_all(g);
             let hmax = ht.hmax();
-            let cover = CoverTimeEstimator::new(g, 1, cfg.budget.clone())
-                .run_worst_start()
-                .mean();
+            let cover = worst_start_cover(g, &cfg.budget);
             let gap = bounds::gap(cover, hmax);
             let k_star = (bounds::thm5_k_limit(gap, cfg.epsilon).floor() as usize).max(1);
-            let sweep = speedup_sweep(g, 0, &[k_star], &cfg.budget);
-            let ck = sweep.points[0].cover.mean();
+            let ladder = Session::new(cfg.budget.clone()).run(
+                g,
+                &Query::SpeedupLadder {
+                    start: 0,
+                    ks: vec![k_star],
+                },
+            );
+            let (_, rung, speedup) = ladder.speedups()[0];
             Row {
                 graph: g.name().to_string(),
                 n: g.n(),
@@ -178,9 +181,9 @@ pub fn run(cfg: &Config) -> Report {
                 cover,
                 gap,
                 k_star,
-                speedup: sweep.speedup_at(k_star).expect("k* probed"),
+                speedup,
                 thm14_bound: bounds::thm14_upper(cover, hmax, k_star as u64, gap.ln().max(1.0)),
-                ck,
+                ck: rung.mean(),
             }
         })
         .collect();

@@ -20,8 +20,7 @@ use mrw_stats::Table;
 
 use crate::experiments::Budget;
 use crate::meeting::PreyStrategy;
-use crate::query::{prey_to_str, Session};
-use crate::CoverTimeEstimator;
+use crate::query::{prey_to_str, Query, Session};
 
 /// Configuration for the hunting experiment.
 #[derive(Debug, Clone)]
@@ -171,33 +170,44 @@ pub fn run(cfg: &Config) -> Report {
         seed: cfg.budget.seed ^ 0xBEEF,
         ..cfg.budget.clone()
     });
+    let cover_session = Session::new(cfg.budget.clone());
     let mut rows = Vec::new();
     for g in &graphs {
         let prey = far_vertex(g, 0);
+        // One pursuit rung per k: each game's stream is seed ⊕ k ⊕ trial,
+        // whatever the rung's position in the ladder.
+        let pursuit = |session: &Session, strategy| {
+            let query = Query::Pursuit {
+                ks: cfg.ks.clone(),
+                hunters: 0,
+                prey,
+                strategy,
+                cap: cfg.cap,
+            };
+            session.run(g, &query).groups
+        };
+        let hide = pursuit(&hide_session, PreyStrategy::Hide);
+        let moving = pursuit(&move_session, cfg.mover);
+        let cover = |k| {
+            cover_session
+                .run(g, &Query::Cover { k, starts: vec![0] })
+                .mean()
+        };
+        let cover_base = cover(1);
         let mut base_hide = f64::NAN;
-        let cover_base = CoverTimeEstimator::new(g, 1, cfg.budget.clone())
-            .run_from(0)
-            .mean();
-        for &k in &cfg.ks {
-            let hide_est = hide_session.pursuit(g, 0, prey, k, PreyStrategy::Hide, cfg.cap);
-            let move_est = move_session.pursuit(g, 0, prey, k, cfg.mover, cfg.cap);
-            let (hide, mv) = (hide_est.mean(), move_est.mean());
-            let (c1, c2) = (hide_est.censored(), move_est.censored());
+        for ((&k, hide), moving) in cfg.ks.iter().zip(&hide).zip(&moving) {
             if k == 1 {
-                base_hide = hide;
+                base_hide = hide.mean();
             }
-            let cover_k = CoverTimeEstimator::new(g, k, cfg.budget.clone())
-                .run_from(0)
-                .mean();
             rows.push(Row {
                 graph: g.name().to_string(),
                 k,
-                catch_hide: hide,
-                catch_move: mv,
+                catch_hide: hide.mean(),
+                catch_move: moving.mean(),
                 mover: prey_to_str(cfg.mover),
-                censored: c1 + c2,
-                catch_speedup: base_hide / hide,
-                cover_speedup: cover_base / cover_k,
+                censored: (hide.censored + moving.censored) as usize,
+                catch_speedup: base_hide / hide.mean(),
+                cover_speedup: cover_base / cover(k),
             });
         }
     }

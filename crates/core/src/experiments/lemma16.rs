@@ -25,6 +25,7 @@ use mrw_stats::Table;
 
 use crate::experiments::Budget;
 use crate::kwalk::kwalk_covers_within;
+use crate::query::{Query, Session};
 use crate::walk::{steps_to_hit, walk_rng};
 
 /// Configuration for the Lemma 16 experiment.
@@ -176,8 +177,14 @@ pub fn run(cfg: &Config) -> Report {
     let t_h = (2.0 * hmax).ceil() as u64; // Markov: p_h ≥ 1/2 at 2·h_max
 
     // Measure C roughly, set T_c, then measure p_c at T_c.
-    let est = crate::CoverTimeEstimator::new(&g, 1, cfg.budget.clone()).run_from(0);
-    let t_c = (cfg.tc_multiplier * est.mean()).ceil() as u64;
+    let cover = Session::new(cfg.budget.clone()).run(
+        &g,
+        &Query::Cover {
+            k: 1,
+            starts: vec![0],
+        },
+    );
+    let t_c = (cfg.tc_multiplier * cover.mean()).ceil() as u64;
     let trials = cfg.budget.trials;
     let mut covers = 0usize;
     for t in 0..trials {

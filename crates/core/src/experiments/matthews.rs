@@ -13,8 +13,7 @@ use mrw_spectral::hitting_times_all;
 use mrw_stats::harmonic::harmonic;
 use mrw_stats::Table;
 
-use crate::estimator::CoverTimeEstimator;
-use crate::experiments::Budget;
+use crate::experiments::{worst_start_cover, Budget};
 
 /// One family's sandwich check.
 #[derive(Debug, Clone)]
@@ -138,9 +137,7 @@ pub fn run(cfg: &Config) -> Report {
         .map(|g| {
             let ht = hitting_times_all(g);
             let n = g.n();
-            let cover = CoverTimeEstimator::new(g, 1, cfg.budget.clone())
-                .run_worst_start()
-                .mean();
+            let cover = worst_start_cover(g, &cfg.budget);
             Row {
                 graph: g.name().to_string(),
                 n,

@@ -13,7 +13,7 @@ use mrw_spectral::{mixing_time, MixingConfig};
 use mrw_stats::Table;
 
 use crate::experiments::Budget;
-use crate::speedup::speedup_sweep;
+use crate::query::{Query, Session};
 
 /// One `(family, k)` measurement.
 #[derive(Debug, Clone)]
@@ -140,15 +140,21 @@ pub fn run(cfg: &Config) -> Report {
         let starts: Vec<u32> = vec![0, (n / 2) as u32];
         let t_m = mixing_time(g, &MixingConfig::lazy().with_starts(starts))
             .unwrap_or_else(|| panic!("{}: did not mix within budget", g.name()));
-        let sweep = speedup_sweep(g, 0, &cfg.ks, &cfg.budget);
-        for p in &sweep.points {
+        let ladder = Session::new(cfg.budget.clone()).run(
+            g,
+            &Query::SpeedupLadder {
+                start: 0,
+                ks: cfg.ks.clone(),
+            },
+        );
+        for (k, _, speedup) in ladder.speedups() {
             rows.push(Row {
                 graph: g.name().to_string(),
                 n,
                 t_m,
-                k: p.k,
-                speedup: p.speedup.point,
-                reference: crate::bounds::thm9_speedup_reference(p.k as u64, t_m as f64, n as u64),
+                k,
+                speedup,
+                reference: crate::bounds::thm9_speedup_reference(k as u64, t_m as f64, n as u64),
             });
         }
     }

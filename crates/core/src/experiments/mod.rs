@@ -27,7 +27,11 @@
 //! Every driver follows one convention: a `Config` struct whose `Default`
 //! is paper scale and whose `quick()` is CI scale, a `run(&Config) ->
 //! Report` function, and a `Report::table()` that renders the rows the
-//! paper reports. All drivers are deterministic given `Config::seed`.
+//! paper reports. Estimates come from
+//! [`Session::run`](crate::query::Session::run) and are read off its
+//! [`Report`](crate::query::Report) groups. Every driver is deterministic
+//! given its `Config`: the sampling ones draw every stream from
+//! `Config::budget.seed`.
 
 pub mod baby_matthews;
 pub mod barbell;
@@ -51,11 +55,30 @@ pub mod stationary;
 pub mod table1;
 pub mod torus;
 
+use mrw_graph::Graph;
 use mrw_stats::table::fmt_num;
+
+use crate::query::{Group, Query, Session};
+use crate::starts::worst_start_candidates;
 
 /// Formats a measured value with its CI half-width as `x ±h`.
 pub(crate) fn fmt_pm(point: f64, half: f64) -> String {
     format!("{} ±{}", fmt_num(point), fmt_num(half))
+}
+
+/// The single-walk worst-start cover time `C(G) = max_i C_i`: the largest
+/// group mean over the [`worst_start_candidates`].
+pub(crate) fn worst_start_cover(g: &Graph, budget: &Budget) -> f64 {
+    let query = Query::Cover {
+        k: 1,
+        starts: worst_start_candidates(g.n()),
+    };
+    Session::new(budget.clone())
+        .run(g, &query)
+        .groups
+        .iter()
+        .map(Group::mean)
+        .fold(f64::NEG_INFINITY, f64::max)
 }
 
 // The budget struct migrated to the query layer (it now also configures

@@ -17,7 +17,7 @@
 use mrw_stats::Table;
 
 use crate::experiments::Budget;
-use crate::speedup::speedup_sweep;
+use crate::query::{Query, Session};
 
 /// Configuration for the small-world sweep.
 #[derive(Debug, Clone)]
@@ -140,17 +140,23 @@ pub fn run(cfg: &Config) -> Report {
             mrw_graph::algo::is_connected(&g),
             "rewired instance disconnected at beta = {beta}; reseed"
         );
-        let sweep = speedup_sweep(&g, 0, &[cfg.k], &cfg.budget);
-        let point = &sweep.points[0];
+        let ladder = Session::new(cfg.budget.clone()).run(
+            &g,
+            &Query::SpeedupLadder {
+                start: 0,
+                ks: vec![cfg.k],
+            },
+        );
+        let (_, rung, speedup) = ladder.speedups()[0];
         let mixing = mrw_spectral::mixing_time(
             &g,
             &mrw_spectral::MixingConfig::lazy().with_max_steps(200 * cfg.n),
         );
         rows.push(Row {
             beta,
-            c1: sweep.baseline.mean(),
-            ck: point.cover.mean(),
-            speedup: point.speedup.point,
+            c1: ladder.mean(),
+            ck: rung.mean(),
+            speedup,
             mixing,
         });
     }

@@ -4,7 +4,8 @@
 //! d-dim grid with d > 2, hypercube, complete graph, expander, Erdős–Rényi
 //! random graph) we measure:
 //!
-//! * the single-walk cover time `C` (Monte Carlo, worst probed start),
+//! * the single-walk cover time `C` (Monte Carlo, from vertex 0: the
+//!   speed-up ladder's `k = 1` baseline),
 //! * the maximum hitting time `h_max` (exact below the size limit,
 //!   Monte-Carlo diametral search above),
 //! * the mixing time `t_m` (exact lazy-walk distribution evolution), and
@@ -19,8 +20,7 @@ use mrw_spectral::{mixing_time, MixingConfig};
 use mrw_stats::Table;
 
 use crate::experiments::Budget;
-use crate::query::Session;
-use crate::speedup::speedup_sweep;
+use crate::query::{Query, Session};
 use crate::walk::walk_rng;
 
 /// One family's measured row.
@@ -162,7 +162,13 @@ pub fn run(cfg: &Config) -> Report {
         .map(|(family, g, predicted)| {
             let n = g.n();
             let k = ((n as f64).ln().floor() as usize).max(2);
-            let sweep = speedup_sweep(&g, 0, &[k], &cfg.budget);
+            let ladder = Session::new(cfg.budget.clone()).run(
+                &g,
+                &Query::SpeedupLadder {
+                    start: 0,
+                    ks: vec![k],
+                },
+            );
             let hm = Session::new(Budget {
                 trials: cfg.budget.trials.min(16),
                 precision: None,
@@ -179,12 +185,12 @@ pub fn run(cfg: &Config) -> Report {
                 family,
                 graph: g.name().to_string(),
                 n,
-                cover: sweep.baseline.mean(),
+                cover: ladder.mean(),
                 hmax: hm.hmax,
                 hmax_exact: hm.exact,
                 t_m,
                 k,
-                speedup: sweep.speedup_at(k).expect("k probed"),
+                speedup: ladder.speedups()[0].2,
                 predicted,
             }
         })

@@ -16,7 +16,7 @@ use mrw_stats::Table;
 
 use crate::bounds;
 use crate::experiments::Budget;
-use crate::speedup::{speedup_sweep, SpeedupSweep};
+use crate::query::{self, Query, Session};
 
 /// Configuration for the torus-spectrum experiment.
 #[derive(Debug, Clone)]
@@ -55,8 +55,8 @@ impl Config {
 pub struct Report {
     /// `n = side²`.
     pub n: usize,
-    /// The sweep.
-    pub sweep: SpeedupSweep,
+    /// The [`Query::SpeedupLadder`] report.
+    pub ladder: query::Report,
     /// `(log n, log³ n)` regime thresholds.
     pub thresholds: (f64, f64),
 }
@@ -66,11 +66,11 @@ impl Report {
     pub fn low_regime_efficiency(&self) -> f64 {
         let (lo, _) = self.thresholds;
         let pts: Vec<f64> = self
-            .sweep
-            .points
-            .iter()
-            .filter(|p| p.k > 1 && (p.k as f64) <= lo)
-            .map(|p| p.speedup.point / p.k as f64)
+            .ladder
+            .speedups()
+            .into_iter()
+            .filter(|&(k, ..)| k > 1 && (k as f64) <= lo)
+            .map(|(k, _, speedup)| speedup / k as f64)
             .collect();
         assert!(!pts.is_empty(), "no sweep points in the k ≤ log n regime");
         pts.iter().sum::<f64>() / pts.len() as f64
@@ -78,13 +78,13 @@ impl Report {
 
     /// `S^k/k` at the largest probed `k`.
     pub fn high_regime_efficiency(&self) -> f64 {
-        let p = self
-            .sweep
-            .points
-            .iter()
-            .max_by_key(|p| p.k)
-            .expect("non-empty sweep");
-        p.speedup.point / p.k as f64
+        let (k, _, speedup) = self
+            .ladder
+            .speedups()
+            .into_iter()
+            .max_by_key(|&(k, ..)| k)
+            .expect("non-empty ladder");
+        speedup / k as f64
     }
 
     /// Renders the per-k table with regime annotations.
@@ -102,29 +102,30 @@ impl Report {
             "Theorem 8 — torus √n×√n (n = {}): linear speed-up for k ≤ log n ≈ {:.1}, sub-linear beyond log³ n ≈ {:.0}",
             self.n, lo, hi
         ));
-        for p in &self.sweep.points {
-            let regime = if (p.k as f64) <= lo {
+        let level = self.ladder.confidence();
+        for (k, group, speedup) in self.ladder.speedups() {
+            let regime = if (k as f64) <= lo {
                 "k ≤ log n"
-            } else if (p.k as f64) >= hi {
+            } else if (k as f64) >= hi {
                 "k ≥ log³ n"
             } else {
                 "between"
             };
-            let lower = if p.k >= 2 {
+            let lower = if k >= 2 {
                 format!(
                     "{:.1}",
-                    bounds::torus_kwalk_lower_reference(self.n as u64, 2, p.k as u64)
+                    bounds::torus_kwalk_lower_reference(self.n as u64, 2, k as u64)
                 )
             } else {
                 "—".to_string()
             };
             t.push_row(vec![
-                p.k.to_string(),
+                k.to_string(),
                 regime.to_string(),
-                super::fmt_pm(p.cover.mean(), p.cover.ci().half_width()),
+                super::fmt_pm(group.mean(), group.ci(level).half_width()),
                 lower,
-                format!("{:.2}", p.speedup.point),
-                format!("{:.3}", p.speedup.point / p.k as f64),
+                format!("{:.2}", speedup),
+                format!("{:.3}", speedup / k as f64),
             ]);
         }
         t
@@ -135,10 +136,16 @@ impl Report {
 pub fn run(cfg: &Config) -> Report {
     let g = torus_2d(cfg.side);
     let n = cfg.side * cfg.side;
-    let sweep = speedup_sweep(&g, 0, &cfg.ks, &cfg.budget);
+    let ladder = Session::new(cfg.budget.clone()).run(
+        &g,
+        &Query::SpeedupLadder {
+            start: 0,
+            ks: cfg.ks.clone(),
+        },
+    );
     Report {
         n,
-        sweep,
+        ladder,
         thresholds: bounds::torus_spectrum_thresholds(n as u64),
     }
 }
@@ -170,13 +177,12 @@ mod tests {
         cfg.ks = vec![4, 64];
         cfg.budget.trials = 32;
         let report = run(&cfg);
-        for p in &report.sweep.points {
-            let lower = bounds::torus_kwalk_lower_reference(report.n as u64, 2, p.k as u64);
+        for (k, group, _) in report.ladder.speedups() {
+            let lower = bounds::torus_kwalk_lower_reference(report.n as u64, 2, k as u64);
             assert!(
-                p.cover.mean() > lower,
-                "k={}: C^k = {} below projection bound {lower}",
-                p.k,
-                p.cover.mean()
+                group.mean() > lower,
+                "k={k}: C^k = {} below projection bound {lower}",
+                group.mean()
             );
         }
     }

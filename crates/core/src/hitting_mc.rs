@@ -14,80 +14,22 @@
 //!   *depend* on `h_max` (Matthews sandwich, Baby-Matthews) also run the
 //!   exact path on sizes where both are available to validate the MC one.
 //!
-//! Since the query-layer redesign, execution lives in
-//! [`Session`](crate::query::Session) ([`Query::Hitting`](crate::query::Query)
-//! / [`Query::HMax`](crate::query::Query)); this module keeps the typed
-//! result views ([`HitEstimate`], [`HmaxEstimate`]) and the deterministic
-//! planning helpers ([`hmax_candidates`], [`hmax_mc_cap`]) those queries
-//! share. The pre-redesign free-function shims were removed in 0.3.0 —
-//! build a [`Budget`](crate::query::Budget) and call
-//! [`Session::hitting`](crate::query::Session::hitting) /
-//! [`Session::hmax`](crate::query::Session::hmax).
+//! Execution lives in [`Session`](crate::query::Session):
+//! [`Query::Hitting`](crate::query::Query) and
+//! [`Query::HMax`](crate::query::Query) estimates come back as
+//! [`Report`](crate::query::Report)s, and
+//! [`Session::hmax`](crate::query::Session::hmax) picks between the exact
+//! solver and the Monte-Carlo search. This module keeps the deterministic
+//! planning helpers ([`hmax_candidates`], [`hmax_mc_cap`]) those paths
+//! share.
 
 use mrw_graph::{algo, GraphBackend};
-use mrw_stats::Summary;
-
-use crate::query::Report;
-
-/// Monte-Carlo estimate of `h(u,v)` from independent walks.
-///
-/// `cap` bounds each walk; capped trials are *discarded* (reported via
-/// `capped`), so on slow graphs choose `cap ≫` the expected hitting time
-/// or the estimate will be biased low.
-#[derive(Debug, Clone)]
-pub struct HitEstimate {
-    /// Source vertex.
-    pub from: u32,
-    /// Target vertex.
-    pub to: u32,
-    /// Summary over un-capped trials.
-    pub steps: Summary,
-    /// Number of trials that hit the cap and were discarded.
-    pub capped: usize,
-}
-
-impl HitEstimate {
-    /// Builds the typed view over one group of a
-    /// [`Query::Hitting`](crate::query::Query) (or
-    /// [`Query::HMax`](crate::query::Query)) report.
-    ///
-    /// # Panics
-    /// If the report is for a different query kind or `group` is out of
-    /// range.
-    pub fn from_report(report: &Report, group: usize) -> HitEstimate {
-        use crate::query::Query;
-        let (from, to) = match &report.query {
-            Query::Hitting { from, to, .. } => (*from, *to),
-            Query::HMax => hmax_label_pair(&report.groups[group].label),
-            other => panic!("not a hitting report: {}", other.kind()),
-        };
-        let g = &report.groups[group];
-        HitEstimate {
-            from,
-            to,
-            steps: g.summary(),
-            capped: g.censored as usize,
-        }
-    }
-}
-
-/// Recovers the `(from, to)` pair from an `h(u->v)` group label.
-fn hmax_label_pair(label: &str) -> (u32, u32) {
-    let inner = label
-        .strip_prefix("h(")
-        .and_then(|s| s.strip_suffix(')'))
-        .expect("hmax group label");
-    let (u, v) = inner.split_once("->").expect("hmax group label");
-    (u.parse().expect("vertex"), v.parse().expect("vertex"))
-}
 
 /// Result of an `h_max` search.
 #[derive(Debug, Clone)]
 pub struct HmaxEstimate {
     /// The estimated maximum hitting time.
     pub hmax: f64,
-    /// The pair attaining it.
-    pub pair: (u32, u32),
     /// Whether the value is exact (spectral solve) or a Monte-Carlo lower
     /// bound over candidate pairs.
     pub exact: bool,
@@ -143,8 +85,7 @@ pub fn hmax_mc_cap<G: GraphBackend>(g: &G) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::query::{Budget, Query, Session};
+    use crate::query::{Budget, Query, Report, Session};
     use mrw_graph::generators;
 
     fn session(trials: usize, seed: u64, threads: usize) -> Session {
@@ -156,14 +97,18 @@ mod tests {
         })
     }
 
+    fn hitting(session: Session, g: &mrw_graph::Graph, from: u32, to: u32, cap: u64) -> Report {
+        session.run(g, &Query::Hitting { from, to, cap })
+    }
+
     #[test]
     fn mc_matches_exact_on_cycle() {
         let n = 16;
         let g = generators::cycle(n);
         // h(0, 8) = 8 · 8 = 64 exactly.
-        let est = session(3000, 77, 4).hitting(&g, 0, 8, 10_000_000);
-        assert_eq!(est.capped, 0);
-        let mean = est.steps.mean();
+        let report = hitting(session(3000, 77, 4), &g, 0, 8, 10_000_000);
+        assert_eq!(report.groups[0].censored, 0);
+        let mean = report.mean();
         assert!((mean - 64.0).abs() < 4.0, "mean {mean}");
     }
 
@@ -178,17 +123,17 @@ mod tests {
     #[test]
     fn capped_trials_reported() {
         let g = generators::cycle(64);
-        let est = session(50, 5, 2).hitting(&g, 0, 32, 3);
-        assert_eq!(est.capped, 50);
-        assert_eq!(est.steps.count(), 0);
+        let report = hitting(session(50, 5, 2), &g, 0, 32, 3);
+        assert_eq!(report.groups[0].censored, 50);
+        assert_eq!(report.groups[0].moments.count(), 0);
     }
 
     #[test]
     fn deterministic() {
         let g = generators::torus_2d(5);
-        let a = session(64, 9, 1).hitting(&g, 0, 12, 1_000_000);
-        let b = session(64, 9, 4).hitting(&g, 0, 12, 1_000_000);
-        assert_eq!(a.steps.mean(), b.steps.mean());
+        let a = hitting(session(64, 9, 1), &g, 0, 12, 1_000_000);
+        let b = hitting(session(64, 9, 4), &g, 0, 12, 1_000_000);
+        assert_eq!(a.groups, b.groups);
     }
 
     #[test]
@@ -204,28 +149,5 @@ mod tests {
             "hmax {} vs theory {expect}",
             e.hmax
         );
-    }
-
-    #[test]
-    fn convenience_equals_session_run_view() {
-        let g = generators::torus_2d(5);
-        let convenience = session(48, 9, 2).hitting(&g, 0, 12, 1_000_000);
-        let report = session(48, 9, 2).run(
-            &g,
-            &Query::Hitting {
-                from: 0,
-                to: 12,
-                cap: 1_000_000,
-            },
-        );
-        let direct = HitEstimate::from_report(&report, 0);
-        assert_eq!(convenience.steps, direct.steps);
-        assert_eq!(convenience.capped, direct.capped);
-        assert_eq!((direct.from, direct.to), (0, 12));
-    }
-
-    #[test]
-    fn hmax_label_pair_round_trips() {
-        assert_eq!(hmax_label_pair("h(3->17)"), (3, 17));
     }
 }

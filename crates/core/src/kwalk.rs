@@ -28,8 +28,8 @@
 //!   of Theorem 9); the reported time is `⌈total/k⌉`.
 //!
 //! Each function here runs **one** trial on a caller-supplied RNG. The
-//! Monte-Carlo layer above ([`estimator`](crate::estimator)) repeats
-//! these trials under a [`Trials`](crate::Trials) budget — a fixed count
+//! query layer above ([`Session::run`](crate::query::Session::run))
+//! repeats trials under a [`Trials`](crate::Trials) budget — a fixed count
 //! fanned out flat, or an adaptive precision rule that stops the fan-out
 //! once the confidence interval is tight enough.
 

@@ -22,11 +22,12 @@
 //!   ladders), one [`Session`] executor over the engine,
 //!   and one [`Report`] whose exact sufficient statistics
 //!   merge losslessly — the shard protocol behind `mrw shard`/`mrw merge`.
-//! * **Monte-Carlo estimators** with deterministic parallel fan-out,
-//!   confidence intervals, and worst-start search ([`estimator`]), plus
-//!   Monte-Carlo hitting times ([`hitting_mc`]).
-//! * **Speed-up measurement** `S^k(G) = C(G)/C^k(G)` (Definition 2 of the
-//!   paper) with delta-method error bars ([`speedup`]).
+//!   Every estimate comes back as a `Report`: cover times, hitting and
+//!   catch times, partial covers, and the speed-up
+//!   `S^k(G) = C(G)/C^k(G)` of Definition 2
+//!   ([`Report::speedups`](query::Report::speedups)) are all read from
+//!   its groups. [`hitting_mc`] plans the `h_max` search and
+//!   [`starts`] the worst-start probes.
 //! * **Every closed-form bound stated in the paper** ([`bounds`]):
 //!   Matthews (Thm 1), Baby Matthews (Thm 13), the cover/hitting
 //!   decomposition (Thm 14), the cycle bounds (Lemmas 21–22), the expander
@@ -58,7 +59,6 @@
 pub mod bounds;
 pub mod coverage;
 pub mod engine;
-pub mod estimator;
 pub mod exact;
 pub mod experiments;
 pub mod hitting_mc;
@@ -67,7 +67,6 @@ pub mod meeting;
 pub mod partial;
 pub mod process;
 pub mod query;
-pub mod speedup;
 pub mod starts;
 pub mod visits;
 pub mod walk;
@@ -76,18 +75,16 @@ pub use engine::{
     BatchMode, CompiledProcess, Discipline, Engine, EngineArena, Observer, Process, SimpleStep,
     BATCH_AUTO_MIN_K,
 };
-pub use estimator::{CoverEstimate, CoverTimeEstimator};
 pub use kwalk::{
     kwalk_cover_rounds, kwalk_cover_rounds_same_start, kwalk_covers_within, KWalkMode,
 };
-pub use meeting::{meeting_rounds, pursuit_rounds, CatchEstimate, PreyStrategy};
+pub use meeting::{meeting_rounds, pursuit_rounds, PreyStrategy};
 pub use mrw_stats::precision::{Precision, Trials};
-pub use partial::{fraction_target, kwalk_partial_cover_rounds, PartialCoverPoint};
+pub use partial::{fraction_target, kwalk_partial_cover_rounds};
 pub use process::{cover_time_process, kwalk_cover_rounds_process, WalkProcess};
 pub use query::{
     AnyGraph, BackendChoice, Budget, Checkpoint, GraphSpec, Group, Ledger, LedgerGroup, Query,
     QuerySpec, Report, Session, Shard,
 };
-pub use speedup::{speedup_sweep, SpeedupPoint, SpeedupSweep};
 pub use visits::{kwalk_multicover_rounds, kwalk_visit_counts, VisitCounts};
 pub use walk::{cover_time_single, steps_to_hit, walk_rng, WalkRng};

@@ -32,18 +32,15 @@
 //! ([`Query::Meeting`](crate::query::Query) /
 //! [`Query::Pursuit`](crate::query::Query)) — build a
 //! [`Budget`](crate::query::Budget) and call
-//! [`Session::pursuit`](crate::query::Session::pursuit). The two
-//! single-game functions here are the primitives the
+//! [`Session::run`](crate::query::Session::run). The two single-game
+//! functions here are the primitives the
 //! [`Session`](crate::query::Session) executor itself plays.
 
 use mrw_graph::GraphBackend;
-use mrw_stats::ci::{normal_ci, ConfidenceInterval};
-use mrw_stats::Summary;
 use rand::Rng;
 
 use crate::engine::{CompiledProcess, Engine, Meeting, Pursuit, SimpleStep};
 use crate::process::WalkProcess;
-use crate::query::{Group, Report};
 
 pub use crate::engine::PreyMove;
 
@@ -127,105 +124,27 @@ pub fn pursuit_rounds<G: GraphBackend, R: Rng + ?Sized>(
     out.stopped.then_some(out.rounds)
 }
 
-/// Summary of a Monte-Carlo pursuit experiment: a thin typed view over
-/// one `k` group of a [`Query::Pursuit`](crate::query::Query)
-/// [`Report`]. Censored games are counted at the cap, so
-/// [`mean`](CatchEstimate::mean) is a lower bound whenever
-/// [`censored`](CatchEstimate::censored) is nonzero.
-///
-/// The accessor surface matches
-/// [`CoverEstimate`](crate::estimator::CoverEstimate) — `mean`,
-/// `consumed_trials`, `ci`, `half_width`, `relative_half_width` — so
-/// result handling is uniform across estimate kinds.
-#[derive(Debug, Clone)]
-pub struct CatchEstimate {
-    k: usize,
-    group: Group,
-    confidence: f64,
-}
-
-impl CatchEstimate {
-    /// Builds the typed view over one group of a
-    /// [`Query::Pursuit`](crate::query::Query) report.
-    ///
-    /// # Panics
-    /// If the report is for a different query kind or `group` is out of
-    /// range.
-    pub fn from_report(report: &Report, group: usize) -> CatchEstimate {
-        use crate::query::Query;
-        let k = match &report.query {
-            Query::Pursuit { ks, .. } => ks[group],
-            other => panic!("not a pursuit report: {}", other.kind()),
-        };
-        CatchEstimate {
-            k,
-            group: report.groups[group].clone(),
-            confidence: report.confidence(),
-        }
-    }
-
-    /// Number of hunters in this game.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Per-game catch rounds (censored games counted at the cap).
-    pub fn rounds(&self) -> Summary {
-        self.group.summary()
-    }
-
-    /// Number of games that hit the round cap without a catch.
-    pub fn censored(&self) -> usize {
-        self.group.censored as usize
-    }
-
-    /// Mean rounds to catch across the consumed games.
-    pub fn mean(&self) -> f64 {
-        self.group.mean()
-    }
-
-    /// Games actually played: the fixed count, or wherever the adaptive
-    /// rule stopped.
-    pub fn consumed_trials(&self) -> u64 {
-        self.group.trials
-    }
-
-    /// Confidence interval around the mean at the report's level.
-    pub fn ci(&self) -> ConfidenceInterval {
-        normal_ci(&self.group.summary(), self.confidence)
-    }
-
-    /// Achieved CI half-width.
-    pub fn half_width(&self) -> f64 {
-        self.ci().half_width()
-    }
-
-    /// Achieved CI half-width relative to the point estimate.
-    pub fn relative_half_width(&self) -> f64 {
-        self.ci().relative_half_width()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{Budget, Session};
+    use crate::query::{Budget, Query, Report, Session};
     use crate::walk::walk_rng;
     use mrw_graph::generators;
 
-    /// Plays `trials` pursuit games through the query layer with the
-    /// historical `(trials, seed)` shape these tests were written against.
-    #[allow(clippy::too_many_arguments)] // mirrors the historical signature
+    /// Plays `trials` pursuit games of `k` hunters from `hunters` through
+    /// one [`Query::Pursuit`] rung, with the `(trials, seed)` shape these
+    /// tests were written against.
+    #[allow(clippy::too_many_arguments)] // one argument per game parameter
     fn catch(
         g: &mrw_graph::Graph,
-        hunter_start: u32,
+        hunters: u32,
         prey: u32,
         k: usize,
         strategy: PreyStrategy,
         cap: u64,
         trials: impl Into<mrw_stats::Trials>,
         seed: u64,
-    ) -> CatchEstimate {
+    ) -> Report {
         let (fixed, precision) = match trials.into() {
             mrw_stats::Trials::Fixed(n) => (n, None),
             mrw_stats::Trials::Adaptive(rule) => (rule.max_trials, Some(rule)),
@@ -236,7 +155,14 @@ mod tests {
             precision,
             ..Budget::default()
         };
-        Session::new(budget).pursuit(g, hunter_start, prey, k, strategy, cap)
+        let query = Query::Pursuit {
+            ks: vec![k],
+            hunters,
+            prey,
+            strategy,
+            cap,
+        };
+        Session::new(budget).run(g, &query)
     }
 
     #[test]
@@ -301,7 +227,7 @@ mod tests {
         let n = 20;
         let g = generators::complete_with_loops(n);
         let est = catch(&g, 0, 7, 1, PreyStrategy::Hide, 1_000_000, 2000, 1);
-        assert_eq!(est.censored(), 0);
+        assert_eq!(est.groups[0].censored, 0);
         assert_eq!(est.consumed_trials(), 2000);
         let mean = est.mean();
         assert!((mean - n as f64).abs() < n as f64 * 0.1, "mean {mean}");
@@ -344,8 +270,8 @@ mod tests {
         let g = generators::cycle(16);
         let uniform = catch(&g, 0, 8, 3, PreyStrategy::RandomWalk, 1_000_000, 400, 6);
         let evader = catch(&g, 0, 8, 3, PreyStrategy::Adversarial, 1_000_000, 400, 6);
-        assert_eq!(uniform.censored(), 0);
-        assert_eq!(evader.censored(), 0);
+        assert_eq!(uniform.groups[0].censored, 0);
+        assert_eq!(evader.groups[0].censored, 0);
         assert!(
             evader.mean() > uniform.mean(),
             "evader {} caught faster than uniform prey {}",
@@ -481,7 +407,7 @@ mod tests {
         // the cornered branch.
         let g = generators::complete(8);
         let est = catch(&g, 0, 5, 6, PreyStrategy::Adversarial, 100_000, 200, 7);
-        assert_eq!(est.censored(), 0);
+        assert_eq!(est.groups[0].censored, 0);
         assert!(est.mean() >= 0.0);
     }
 
@@ -494,7 +420,7 @@ mod tests {
             None
         );
         let est = catch(&g, 0, 32, 1, PreyStrategy::Hide, 1, 10, 6);
-        assert_eq!(est.censored(), 10);
+        assert_eq!(est.groups[0].censored, 10);
         assert_eq!(est.mean(), 1.0);
     }
 
@@ -512,9 +438,9 @@ mod tests {
         assert!(a.consumed_trials() >= 16);
         assert_eq!(a.consumed_trials(), b.consumed_trials());
         assert_eq!(a.mean(), b.mean());
-        // The unified ergonomics: a relative half-width is available and
-        // consistent with the rule that stopped the run.
-        assert!(a.relative_half_width() <= 0.2);
+        // The achieved relative half-width is consistent with the rule
+        // that stopped the run.
+        assert!(a.groups[0].ci(a.confidence()).relative_half_width() <= 0.2);
     }
 
     #[test]

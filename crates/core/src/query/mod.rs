@@ -83,10 +83,10 @@ use mrw_stats::precision::PrecisionTarget;
 use mrw_stats::{IntMoments, Precision, Summary, Trials};
 
 use crate::engine::{BatchMode, Engine, EngineArena, FullCover, SimpleStep};
-use crate::hitting_mc::{hmax_candidates, hmax_mc_cap, HitEstimate, HmaxEstimate};
+use crate::hitting_mc::{hmax_candidates, hmax_mc_cap, HmaxEstimate};
 use crate::kwalk::KWalkMode;
-use crate::meeting::{meeting_rounds, pursuit_rounds, CatchEstimate, PreyStrategy};
-use crate::partial::{fraction_target, kwalk_partial_cover_rounds, PartialCoverPoint};
+use crate::meeting::{meeting_rounds, pursuit_rounds, PreyStrategy};
+use crate::partial::{fraction_target, kwalk_partial_cover_rounds};
 use crate::process::WalkProcess;
 use crate::walk::{steps_to_hit, walk_rng};
 
@@ -777,9 +777,11 @@ pub enum Query {
 impl Query {
     /// Checks the query against a concrete graph: vertex ranges, walk
     /// counts, fractions, and connectivity (for quantities whose
-    /// expectation is infinite on a disconnected graph). [`Session::run`]
-    /// panics on exactly these conditions; callers with untrusted input
-    /// (spec files) should validate first and surface the error.
+    /// expectation is infinite on a disconnected graph, and for partial
+    /// cover, whose target may lie outside the start's component).
+    /// [`Session::run`] panics on exactly these conditions; callers with
+    /// untrusted input (spec files) should validate first and surface the
+    /// error.
     pub fn validate<G: GraphBackend>(&self, g: &G) -> Result<(), String> {
         let n = g.n();
         let vertex = |label: &str, v: u32| {
@@ -789,11 +791,11 @@ impl Query {
                 Err(format!("{label} {v} out of range (n = {n})"))
             }
         };
-        let connected = |what: &str| {
+        let connected = |error: &str| {
             if g.is_connected() {
                 Ok(())
             } else {
-                Err(format!("{what} is infinite on a disconnected graph"))
+                Err(error.to_string())
             }
         };
         match self {
@@ -807,7 +809,7 @@ impl Query {
                 for &s in starts {
                     vertex("start", s)?;
                 }
-                connected("cover time")
+                connected("cover time is infinite on a disconnected graph")
             }
             Query::PartialCover { k, start, gammas } => {
                 if *k < 1 {
@@ -821,14 +823,17 @@ impl Query {
                         return Err(format!("fraction {gamma} not in (0,1]"));
                     }
                 }
-                vertex("start", *start)
+                vertex("start", *start)?;
+                // Walks never leave their start's component, so a target
+                // beyond it is never reached: the run would not stop.
+                connected("partial cover needs a connected graph")
             }
             Query::Hitting { from, to, .. } => {
                 vertex("from", *from)?;
                 vertex("to", *to)?;
-                connected("hitting time")
+                connected("hitting time is infinite on a disconnected graph")
             }
-            Query::HMax => connected("h_max"),
+            Query::HMax => connected("h_max is infinite on a disconnected graph"),
             Query::Meeting { a, b, laziness, .. } => {
                 vertex("start", *a)?;
                 vertex("start", *b)?;
@@ -859,7 +864,7 @@ impl Query {
                     return Err("k must be ≥ 1".into());
                 }
                 vertex("start", *start)?;
-                connected("cover time")
+                connected("cover time is infinite on a disconnected graph")
             }
         }
     }
@@ -1162,13 +1167,9 @@ impl Report {
         self.budget.effective_confidence()
     }
 
-    /// The group with the given label.
-    pub fn group(&self, label: &str) -> Option<&Group> {
-        self.groups.iter().find(|g| g.label == label)
-    }
-
-    /// Point estimate of the report's first group (the only group for
-    /// single-quantity queries).
+    /// Point estimate of the report's first group: the only group for
+    /// single-quantity queries, and the `k = 1` baseline `C^1` of a
+    /// [`Query::SpeedupLadder`].
     pub fn mean(&self) -> f64 {
         self.groups[0].mean()
     }
@@ -1178,9 +1179,20 @@ impl Report {
         self.groups[0].ci(self.confidence()).half_width()
     }
 
-    /// Half-width relative to the point estimate (first group).
-    pub fn relative_half_width(&self) -> f64 {
-        self.half_width() / self.mean().abs()
+    /// Each [`Query::SpeedupLadder`] rung as `(k, group, S^k)`, where
+    /// `S^k = C^1/C^k` divides the baseline's mean by the rung's (the
+    /// speed-up of Definition 2). Empty for every other query.
+    pub fn speedups(&self) -> Vec<(usize, &Group, f64)> {
+        // Layout: the baseline group first, then one group per rung.
+        let (Query::SpeedupLadder { ks, .. }, Some((baseline, rungs))) =
+            (&self.query, self.groups.split_first())
+        else {
+            return Vec::new();
+        };
+        ks.iter()
+            .zip(rungs)
+            .map(|(&k, group)| (k, group, baseline.mean() / group.mean()))
+            .collect()
     }
 
     /// Total trials dispatched across all groups.
@@ -1977,6 +1989,21 @@ impl Session {
     /// or the range, so any partition of the index range merges back to
     /// the whole run bit-for-bit.
     ///
+    /// ```
+    /// use mrw_core::query::{Budget, Query, Session};
+    /// use mrw_core::Precision;
+    /// use mrw_graph::generators;
+    ///
+    /// // Estimate the 2-walk cover time of the 4-cycle to ±10% at 95%
+    /// // confidence: an easy instance, so the rule stops far below its cap.
+    /// let rule = Precision::relative(0.10).with_max_trials(4096);
+    /// let budget = Budget { precision: Some(rule), seed: 7, ..Budget::default() };
+    /// let q = Query::Cover { k: 2, starts: vec![0] };
+    /// let report = Session::new(budget).run(&generators::cycle(4), &q);
+    /// assert!(report.consumed_trials() < 4096);
+    /// assert!(report.half_width() <= 0.10 * report.mean());
+    /// ```
+    ///
     /// # Panics
     /// On invalid queries — anything [`Query::validate`] rejects:
     /// out-of-range vertices, `k = 0`, empty ladders, fractions outside
@@ -2253,69 +2280,7 @@ impl Session {
         groups
     }
 
-    // -- typed conveniences over `run` ------------------------------------
-
-    /// Monte-Carlo `h(from, to)` as a typed view (see
-    /// [`Query::Hitting`] for the capping semantics).
-    pub fn hitting<G: GraphBackend>(&self, g: &G, from: u32, to: u32, cap: u64) -> HitEstimate {
-        let report = self.run(g, &Query::Hitting { from, to, cap });
-        HitEstimate::from_report(&report, 0)
-    }
-
-    /// Mean catch time of `k` hunters from `hunter_start` against a prey
-    /// at `prey`, as a typed view over a one-rung [`Query::Pursuit`].
-    pub fn pursuit<G: GraphBackend>(
-        &self,
-        g: &G,
-        hunter_start: u32,
-        prey: u32,
-        k: usize,
-        strategy: PreyStrategy,
-        cap: u64,
-    ) -> CatchEstimate {
-        let report = self.run(
-            g,
-            &Query::Pursuit {
-                ks: vec![k],
-                hunters: hunter_start,
-                prey,
-                strategy,
-                cap,
-            },
-        );
-        CatchEstimate::from_report(&report, 0)
-    }
-
-    /// Partial-cover profile `C^k_γ` for each `γ`, as typed rows over a
-    /// [`Query::PartialCover`].
-    pub fn partial_profile<G: GraphBackend>(
-        &self,
-        g: &G,
-        start: u32,
-        k: usize,
-        gammas: &[f64],
-    ) -> Vec<PartialCoverPoint> {
-        let report = self.run(
-            g,
-            &Query::PartialCover {
-                k,
-                start,
-                gammas: gammas.to_vec(),
-            },
-        );
-        gammas
-            .iter()
-            .zip(&report.groups)
-            .map(|(&gamma, group)| PartialCoverPoint {
-                gamma,
-                target: fraction_target(g.n(), gamma),
-                mean_rounds: group.mean(),
-                trials: group.trials as usize,
-            })
-            .collect()
-    }
-
-    /// `h_max(G)` with the attaining pair: the exact `O(n³)` solver below
+    /// `h_max(G)`: the exact `O(n³)` solver below
     /// [`EXACT_HMAX_LIMIT`](crate::hitting_mc::EXACT_HMAX_LIMIT), a
     /// [`Query::HMax`] Monte-Carlo lower bound over candidate pairs
     /// otherwise.
@@ -2333,26 +2298,19 @@ impl Session {
                 Some(csr) => mrw_spectral::hitting_times_all(csr),
                 None => mrw_spectral::hitting_times_all(&g.to_csr()),
             };
-            let pair = ht.argmax();
             return HmaxEstimate {
                 hmax: ht.hmax(),
-                pair,
                 exact: true,
             };
         }
         let report = self.run(g, &Query::HMax);
-        let mut best = HmaxEstimate {
-            hmax: 0.0,
-            pair: (0, 0),
-            exact: false,
-        };
-        for (group, (u, v)) in report.groups.iter().zip(hmax_candidates(g)) {
-            if !group.moments.is_empty() && group.mean() > best.hmax {
-                best.hmax = group.mean();
-                best.pair = (u, v);
-            }
-        }
-        best
+        let hmax = report
+            .groups
+            .iter()
+            .filter(|group| !group.moments.is_empty())
+            .map(Group::mean)
+            .fold(0.0, f64::max);
+        HmaxEstimate { hmax, exact: false }
     }
 }
 

@@ -6,7 +6,8 @@
 //! `O(m² log³ n / k²)`, and the paper notes its own Lemma 19 improves this
 //! to `O((n log n)/k)` on expanders ("our proofs in Section 4 do not depend
 //! on the starting distribution"). This module provides the samplers the
-//! stationary-start experiment needs.
+//! stationary-start experiment needs, and the probe set behind the
+//! worst-start cover time `C(G) = max_i C_i`.
 
 use mrw_graph::Graph;
 use rand::Rng;
@@ -35,6 +36,21 @@ pub fn sample_stationary_starts<R: Rng + ?Sized>(g: &Graph, k: usize, rng: &mut 
             prefix.partition_point(|&p| p <= x) as u32
         })
         .collect()
+}
+
+/// The start vertices probed for a worst-start cover time
+/// `C^k(G) = max_i C^k_i`: every vertex when `n ≤ 16`, otherwise 8 evenly
+/// spaced ones. For the vertex-transitive families of Table 1 (cycle,
+/// torus, hypercube, clique) every start is equivalent, so sampling loses
+/// nothing; where the start matters (the barbell's center) the
+/// experiments fix it explicitly.
+pub fn worst_start_candidates(n: usize) -> Vec<u32> {
+    if n <= 16 {
+        (0..n as u32).collect()
+    } else {
+        let stride = n / 8;
+        (0..8).map(|i| (i * stride) as u32).collect()
+    }
 }
 
 #[cfg(test)]

@@ -17,8 +17,8 @@ use std::ops::Range;
 
 use mrw_core::query::waves::{self, WaveExecutor};
 use mrw_core::query::Group;
-use mrw_core::{Budget, CoverTimeEstimator, Precision};
-use mrw_graph::generators;
+use mrw_core::{Budget, Precision, Query, Report, Session};
+use mrw_graph::{generators, Graph};
 use mrw_stats::{IntMoments, Trials};
 use proptest::prelude::*;
 
@@ -102,6 +102,11 @@ fn table(seed: u64, groups: usize, cap: usize) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// The `k`-walk cover estimate from vertex 0 under `budget`.
+fn cover(g: &Graph, k: usize, budget: Budget) -> Report {
+    Session::new(budget).run(g, &Query::Cover { k, starts: vec![0] })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -115,7 +120,7 @@ proptest! {
         let g = generators::cycle(n);
         let rule = Precision::relative(rel).with_min_trials(8).with_max_trials(256);
         let budget = Budget { precision: Some(rule), seed, ..Budget::default() };
-        let est = CoverTimeEstimator::new(&g, k, budget).run_from(0);
+        let est = cover(&g, k, budget);
         let consumed = est.consumed_trials() as usize;
         // (a) floor ≤ consumed ≤ cap, always.
         prop_assert!(consumed >= rule.min_trials, "below floor: {consumed}");
@@ -123,9 +128,9 @@ proptest! {
         // (b) stopping below the cap certifies the target.
         if consumed < rule.max_trials {
             prop_assert!(
-                est.ci().half_width() <= rel * est.mean().abs() + 1e-12,
+                est.half_width() <= rel * est.mean().abs() + 1e-12,
                 "stopped at {consumed} with half-width {} > {rel} × {}",
-                est.ci().half_width(),
+                est.half_width(),
                 est.mean()
             );
         }
@@ -139,12 +144,7 @@ proptest! {
         let g = generators::torus_2d(4 + n % 4);
         let rule = Precision::relative(0.2).with_min_trials(8).with_max_trials(128);
         let run = |threads: usize| {
-            CoverTimeEstimator::new(
-                &g,
-                2,
-                Budget { precision: Some(rule), seed, threads, ..Budget::default() },
-            )
-            .run_from(0)
+            cover(&g, 2, Budget { precision: Some(rule), seed, threads, ..Budget::default() })
         };
         // (c) 1-, 2-, and 4-thread pools agree byte-for-byte: same
         // consumed count, same sample moments.
@@ -152,9 +152,7 @@ proptest! {
         for threads in [2usize, 4] {
             let est = run(threads);
             prop_assert_eq!(est.consumed_trials(), base.consumed_trials(), "threads={}", threads);
-            prop_assert_eq!(est.cover_time().mean(), base.cover_time().mean(), "threads={}", threads);
-            prop_assert_eq!(est.cover_time().min(), base.cover_time().min(), "threads={}", threads);
-            prop_assert_eq!(est.cover_time().max(), base.cover_time().max(), "threads={}", threads);
+            prop_assert_eq!(&est.groups, &base.groups, "threads={}", threads);
         }
     }
 
@@ -166,7 +164,7 @@ proptest! {
         let g = generators::cycle(n);
         let rule = Precision::absolute(1e-9).with_min_trials(4).with_max_trials(48);
         let budget = Budget { precision: Some(rule), seed, ..Budget::default() };
-        let est = CoverTimeEstimator::new(&g, 1, budget).run_from(0);
+        let est = cover(&g, 1, budget);
         prop_assert_eq!(est.consumed_trials(), 48);
     }
 

@@ -10,9 +10,10 @@
 //! checked at the wrong boundary — these tests fail on the exact seed
 //! that exposes it.
 
+use mrw_core::starts::worst_start_candidates;
 use mrw_core::{
     kwalk_cover_rounds, kwalk_covers_within, kwalk_multicover_rounds, kwalk_partial_cover_rounds,
-    walk_rng, Budget, CoverTimeEstimator, KWalkMode,
+    walk_rng, Budget, KWalkMode, Query, Session,
 };
 use mrw_graph::{generators, Graph};
 use mrw_stats::ks_two_sample;
@@ -420,25 +421,23 @@ fn disciplines_agree_in_distribution_ks() {
 #[test]
 fn estimator_parallel_fanout_matches_serial_exactly() {
     // The flattened (start × trial) fan-out must not change any estimate:
-    // worst-start search on 1 thread == 8 threads, sample for sample.
+    // the worst-start probes on 1 thread == 8 threads, sample for sample.
     let g = generators::cycle(32);
+    let query = Query::Cover {
+        k: 2,
+        starts: worst_start_candidates(g.n()),
+    };
     let run = |threads: usize| {
-        CoverTimeEstimator::new(
-            &g,
-            2,
-            Budget {
-                trials: 16,
-                seed: 3,
-                threads,
-                ..Budget::default()
-            },
-        )
-        .run_worst_start()
+        Session::new(Budget {
+            trials: 16,
+            seed: 3,
+            threads,
+            ..Budget::default()
+        })
+        .run(&g, &query)
     };
     let serial = run(1);
     let parallel = run(8);
-    assert_eq!(serial.start(), parallel.start());
-    assert_eq!(serial.cover_time().mean(), parallel.cover_time().mean());
-    assert_eq!(serial.cover_time().min(), parallel.cover_time().min());
-    assert_eq!(serial.cover_time().max(), parallel.cover_time().max());
+    assert_eq!(serial.groups.len(), 8);
+    assert_eq!(serial, parallel);
 }

@@ -9,12 +9,15 @@
 //!   across thread counts.
 //! * Sharded adaptive budgets certify their achieved half-width after the
 //!   merge.
-//! * The typed `Session` convenience entry points are bit-for-bit
-//!   equivalent to the `Session::run` reports they view.
+//! * Cover reports behave as estimates should: adaptive runs stop early
+//!   and extend fixed runs, starts draw distinct streams, and the CI
+//!   shrinks with the trial count.
 
 use mrw_core::query::{Budget, Query, Report, Session, Shard};
-use mrw_core::{CoverTimeEstimator, Precision, PreyStrategy};
-use mrw_graph::generators;
+use mrw_core::starts::worst_start_candidates;
+use mrw_core::{BatchMode, Precision, PreyStrategy};
+use mrw_graph::{generators, Graph};
+use mrw_stats::harmonic::harmonic;
 use proptest::prelude::*;
 
 /// A fixed-budget cover query with everything randomized that the
@@ -230,71 +233,147 @@ proptest! {
     }
 }
 
-/// The deprecated estimator facade and a raw `Session` run are the same
-/// computation — the view must expose identical statistics.
+/// `Report::speedups` knows the ladder's layout: the baseline group first,
+/// then one rung per `k` in query order, each `S^k = C^1/C^k`. Every other
+/// query has no rungs.
 #[test]
-fn estimator_facade_equals_session_run() {
-    let g = generators::cycle(40);
-    let cfg = Budget {
-        trials: 24,
-        seed: 13,
+fn speedups_follow_the_ladder_layout() {
+    let g = generators::complete(16);
+    let budget = Budget {
+        trials: 32,
+        seed: 0,
         ..Budget::default()
     };
-    let facade = CoverTimeEstimator::new(&g, 3, cfg).run_from(5);
-    let report = Session::new(Budget {
-        trials: 24,
-        seed: 13,
-        ..Budget::default()
-    })
-    .run(
+    let report = Session::new(budget.clone()).run(
         &g,
-        &Query::Cover {
-            k: 3,
-            starts: vec![5],
+        &Query::SpeedupLadder {
+            start: 0,
+            ks: vec![1, 2, 4],
         },
     );
-    assert_eq!(facade.cover_time(), report.groups[0].summary());
-    assert_eq!(facade.consumed_trials(), report.groups[0].trials);
-    assert_eq!(facade.mean(), report.mean());
-    assert_eq!(facade.half_width(), report.half_width());
+    assert_eq!(report.groups.len(), 4);
+    assert_eq!(report.groups[0].label, "baseline");
+    let rungs = report.speedups();
+    let ks: Vec<usize> = rungs.iter().map(|&(k, ..)| k).collect();
+    assert_eq!(ks, vec![1, 2, 4]);
+    for (i, &(k, group, speedup)) in rungs.iter().enumerate() {
+        assert_eq!(group, &report.groups[i + 1]);
+        assert_eq!(group.label, format!("k={k}"));
+        assert_eq!(speedup, report.mean() / group.mean());
+    }
+    let cover = Session::new(budget).run(
+        &g,
+        &Query::Cover {
+            k: 2,
+            starts: vec![0],
+        },
+    );
+    assert!(cover.speedups().is_empty());
 }
 
-/// `speedup_sweep` is a view over `Query::SpeedupLadder`: identical
-/// baseline and per-k estimates.
+/// A `k = 1` rung draws its own stream, independent of the baseline's, so
+/// `S^1` is a ratio of two estimates of the same `C`: close to 1, not 1.
 #[test]
-fn speedup_sweep_equals_ladder_report() {
-    use mrw_core::speedup::{speedup_sweep, SpeedupSweep};
-    let g = generators::cycle(32);
-    let cfg = Budget {
-        trials: 16,
-        seed: 7,
-        ..Budget::default()
-    };
-    let sweep = speedup_sweep(&g, 0, &[2, 4], &cfg);
+fn k1_rung_speedup_is_about_one() {
+    let g = generators::torus_2d(5);
     let report = Session::new(Budget {
-        trials: 16,
-        seed: 7,
+        trials: 128,
+        seed: 3,
         ..Budget::default()
     })
     .run(
         &g,
         &Query::SpeedupLadder {
             start: 0,
+            ks: vec![1],
+        },
+    );
+    let (_, rung, s1) = report.speedups()[0];
+    assert_ne!(
+        rung, &report.groups[0],
+        "the rung reused the baseline stream"
+    );
+    assert!(
+        (s1 - 1.0).abs() < 0.25,
+        "S^1 = {s1} should be ≈ 1 (independent streams, same distribution)"
+    );
+}
+
+/// Lemma 12: `S^k = k` on the clique (up to sampling noise).
+#[test]
+fn clique_speedups_are_linear() {
+    let g = generators::complete_with_loops(32);
+    let report = Session::new(fixed(300, 17)).run(
+        &g,
+        &Query::SpeedupLadder {
+            start: 0,
+            ks: vec![2, 4, 8],
+        },
+    );
+    for (k, _, speedup) in report.speedups() {
+        let rel = (speedup - k as f64).abs() / k as f64;
+        assert!(rel < 0.25, "clique S^{k} = {speedup} — expected ≈ {k}");
+    }
+}
+
+/// Theorem 6: `S^k = Θ(log k) ≪ k` on the cycle already for moderate `k`.
+#[test]
+fn cycle_speedup_is_sublinear() {
+    let g = generators::cycle(64);
+    let report = Session::new(fixed(200, 23)).run(
+        &g,
+        &Query::SpeedupLadder {
+            start: 0,
+            ks: vec![16],
+        },
+    );
+    let (_, _, s16) = report.speedups()[0];
+    assert!(s16 < 9.0, "cycle S^16 = {s16} suspiciously close to linear");
+    assert!(s16 > 1.2, "cycle S^16 = {s16} — no speed-up at all?");
+}
+
+#[test]
+fn speedup_ladder_is_deterministic() {
+    let g = generators::cycle(32);
+    let ladder = Query::SpeedupLadder {
+        start: 0,
+        ks: vec![2, 4],
+    };
+    let a = Session::new(fixed(32, 5)).run(&g, &ladder);
+    let b = Session::new(fixed(32, 5)).run(&g, &ladder);
+    assert_eq!(a, b);
+    assert_eq!(a.speedups()[1].2, b.speedups()[1].2);
+}
+
+/// A ladder without a `k = 1` rung still leads with the baseline: the
+/// groups are `baseline, k=2, k=4`, and `S^4` divides the first mean by
+/// the last.
+#[test]
+fn speedup_ladder_labels_each_rung_by_k() {
+    let g = generators::cycle(32);
+    let report = Session::new(fixed(16, 7)).run(
+        &g,
+        &Query::SpeedupLadder {
+            start: 0,
             ks: vec![2, 4],
         },
     );
-    let view = SpeedupSweep::from_report(&report);
-    assert_eq!(sweep.baseline.mean(), view.baseline.mean());
-    assert_eq!(sweep.speedup_at(4), view.speedup_at(4));
-    assert_eq!(report.groups.len(), 3);
-    assert_eq!(report.groups[0].label, "baseline");
-    assert_eq!(report.groups[2].label, "k=4");
+    let labels: Vec<&str> = report
+        .groups
+        .iter()
+        .map(|group| group.label.as_str())
+        .collect();
+    assert_eq!(labels, ["baseline", "k=2", "k=4"]);
+    let (k, _, s4) = report.speedups()[1];
+    assert_eq!(k, 4);
+    assert_eq!(s4, report.groups[0].mean() / report.groups[2].mean());
 }
 
-/// `Session::pursuit` is a typed view over `Session::run` with
-/// `Query::Pursuit` — same stream, same statistics, same censored tally.
+/// Each group of a multi-rung `Query::Pursuit` equals the one-rung run of
+/// its `k`: a game's stream is `seed ⊕ k ⊕ trial`, whatever the rung's
+/// position in the ladder.
 #[test]
-fn pursuit_convenience_equals_session_run() {
+fn pursuit_rungs_equal_one_rung_runs() {
     let g = generators::torus_2d(6);
     let prey = (g.n() - 1) as u32;
     let budget = Budget {
@@ -302,47 +381,21 @@ fn pursuit_convenience_equals_session_run() {
         seed: 21,
         ..Budget::default()
     };
-    let direct = Session::new(budget.clone()).pursuit(&g, 0, prey, 2, PreyStrategy::Hide, 100_000);
-    let report = Session::new(budget).run(
-        &g,
-        &Query::Pursuit {
-            ks: vec![2],
-            hunters: 0,
-            prey,
-            strategy: PreyStrategy::Hide,
-            cap: 100_000,
-        },
-    );
-    let view = mrw_core::CatchEstimate::from_report(&report, 0);
-    assert_eq!(view.rounds(), direct.rounds());
-    assert_eq!(view.censored(), direct.censored());
-    assert_eq!(view.consumed_trials(), direct.consumed_trials());
-}
-
-/// `Session::partial_profile` is a typed view over `Session::run` with
-/// `Query::PartialCover` — same per-γ means and consumed counts.
-#[test]
-fn partial_profile_convenience_equals_session_run() {
-    let g = generators::torus_2d(5);
-    let gammas = [0.25, 0.75, 1.0];
-    let budget = Budget {
-        trials: 32,
-        seed: 9,
-        ..Budget::default()
+    let pursuit = |ks: Vec<usize>| {
+        Session::new(budget.clone()).run(
+            &g,
+            &Query::Pursuit {
+                ks,
+                hunters: 0,
+                prey,
+                strategy: PreyStrategy::Hide,
+                cap: 100_000,
+            },
+        )
     };
-    let direct = Session::new(budget.clone()).partial_profile(&g, 0, 2, &gammas);
-    let report = Session::new(budget).run(
-        &g,
-        &Query::PartialCover {
-            start: 0,
-            k: 2,
-            gammas: gammas.to_vec(),
-        },
-    );
-    assert_eq!(report.groups.len(), direct.len());
-    for (a, b) in direct.iter().zip(&report.groups) {
-        assert_eq!(a.mean_rounds, b.mean());
-        assert_eq!(a.trials as u64, b.trials);
+    let ladder = pursuit(vec![1, 2, 4]);
+    for (i, k) in [1, 2, 4].into_iter().enumerate() {
+        assert_eq!(ladder.groups[i], pursuit(vec![k]).groups[0], "k={k}");
     }
 }
 
@@ -375,4 +428,248 @@ fn hitting_shards_merge_discards_exactly() {
     let group = &whole.groups[0];
     assert!(group.censored > 0, "cap chosen to censor some walks");
     assert_eq!(group.moments.count() + group.censored, group.trials);
+}
+
+/// The `k`-walk cover report from each of `starts` under `budget`.
+fn cover(g: &Graph, k: usize, starts: Vec<u32>, budget: Budget) -> Report {
+    Session::new(budget).run(g, &Query::Cover { k, starts })
+}
+
+fn fixed(trials: usize, seed: u64) -> Budget {
+    Budget {
+        trials,
+        seed,
+        ..Budget::default()
+    }
+}
+
+#[test]
+fn batched_cover_identical_across_thread_counts() {
+    // k = 64 crosses the Auto threshold, so this exercises the batched
+    // sweep inside the worker-reused arenas.
+    let g = generators::cycle(24);
+    let run = |threads| {
+        cover(
+            &g,
+            64,
+            vec![0],
+            Budget {
+                threads,
+                ..fixed(12, 9)
+            },
+        )
+    };
+    let base = run(1);
+    for threads in [2, 4, 8] {
+        assert_eq!(run(threads).groups, base.groups, "threads={threads}");
+    }
+}
+
+#[test]
+fn batch_mode_selects_engine_path() {
+    let g = generators::cycle(24);
+    let run = |batch| {
+        cover(
+            &g,
+            64,
+            vec![0],
+            Budget {
+                batch,
+                ..fixed(12, 9)
+            },
+        )
+    };
+    // Auto at k = 64 takes the batched stream; Never the scalar one.
+    // Same law, different draws — the samples differ with overwhelming
+    // probability, while each mode stays internally deterministic.
+    let auto = run(BatchMode::Auto);
+    let always = run(BatchMode::Always);
+    let never = run(BatchMode::Never);
+    assert_eq!(auto.groups, always.groups);
+    assert_ne!(auto.groups[0].moments.min(), never.groups[0].moments.min());
+    assert_eq!(never.groups, run(BatchMode::Never).groups);
+}
+
+#[test]
+fn adaptive_cover_stops_early_on_easy_instance() {
+    // A small cycle has modest cover-time dispersion: ±15% at 95% needs
+    // a few dozen trials, far below the 2048 cap.
+    let g = generators::cycle(16);
+    let rule = Precision::relative(0.15).with_max_trials(2048);
+    let budget = Budget {
+        precision: Some(rule),
+        seed: 3,
+        ..Budget::default()
+    };
+    let report = cover(&g, 2, vec![0], budget);
+    let consumed = report.consumed_trials();
+    assert!(consumed < 2048, "consumed {consumed} — never stopped early");
+    assert!(report.half_width() <= 0.15 * report.mean());
+    assert!(consumed >= rule.min_trials as u64);
+}
+
+#[test]
+fn cover_identical_across_thread_counts() {
+    let g = generators::cycle(24);
+    let run = |threads| {
+        cover(
+            &g,
+            2,
+            vec![0],
+            Budget {
+                threads,
+                ..fixed(16, 5)
+            },
+        )
+    };
+    let base = run(1);
+    for threads in [2, 4, 8] {
+        assert_eq!(run(threads).groups, base.groups, "threads={threads}");
+    }
+}
+
+#[test]
+fn adaptive_cover_consumed_count_identical_across_thread_counts() {
+    let g = generators::cycle(16);
+    let rule = Precision::relative(0.2)
+        .with_min_trials(8)
+        .with_max_trials(512);
+    let run = |threads| {
+        cover(
+            &g,
+            2,
+            vec![0],
+            Budget {
+                precision: Some(rule),
+                seed: 11,
+                threads,
+                ..Budget::default()
+            },
+        )
+    };
+    let base = run(1);
+    for threads in [2, 4, 8] {
+        let report = run(threads);
+        assert_eq!(
+            report.consumed_trials(),
+            base.consumed_trials(),
+            "threads={threads}"
+        );
+        assert_eq!(report.groups, base.groups, "threads={threads}");
+    }
+}
+
+#[test]
+fn adaptive_cover_stops_at_the_cap_on_hopeless_precision() {
+    // A precision no sample will reach: the run must stop at the cap.
+    let g = generators::cycle(12);
+    let rule = Precision::relative(1e-6)
+        .with_min_trials(4)
+        .with_max_trials(64);
+    let budget = Budget {
+        precision: Some(rule),
+        seed: 2,
+        ..Budget::default()
+    };
+    assert_eq!(cover(&g, 1, vec![0], budget).consumed_trials(), 64);
+}
+
+#[test]
+fn adaptive_cover_is_a_prefix_of_the_fixed_run() {
+    // Trial i draws the same stream under either budget, so an adaptive
+    // run that consumed m trials holds exactly the fixed-budget sample of
+    // m trials.
+    let g = generators::torus_2d(4);
+    let rule = Precision::relative(0.25)
+        .with_min_trials(8)
+        .with_max_trials(256);
+    let adaptive = cover(
+        &g,
+        1,
+        vec![0],
+        Budget {
+            precision: Some(rule),
+            seed: 5,
+            ..Budget::default()
+        },
+    );
+    let m = adaptive.consumed_trials() as usize;
+    let fixed = cover(&g, 1, vec![0], fixed(m, 5));
+    assert_eq!(adaptive.groups, fixed.groups);
+}
+
+#[test]
+fn different_starts_draw_different_streams() {
+    let g = generators::cycle(24);
+    let report = cover(&g, 1, vec![0, 1], fixed(8, 5));
+    // Vertex-transitive graph: same distribution, but distinct streams
+    // mean samples differ with overwhelming probability.
+    assert_ne!(
+        report.groups[0].moments.min(),
+        report.groups[1].moments.min()
+    );
+}
+
+#[test]
+fn clique_cover_matches_coupon_collector() {
+    let n = 24;
+    let g = generators::complete_with_loops(n);
+    let report = cover(&g, 1, vec![0], fixed(600, 11));
+    let expect = n as f64 * harmonic(n as u64);
+    let ci = report.groups[0].ci(report.confidence());
+    assert!(
+        ci.contains(expect) || (report.mean() - expect).abs() < expect * 0.08,
+        "mean {} vs nH_n {expect}",
+        report.mean()
+    );
+}
+
+#[test]
+fn cover_ci_shrinks_with_trials() {
+    let g = generators::torus_2d(5);
+    let small = cover(&g, 1, vec![0], fixed(16, 3));
+    let large = cover(&g, 1, vec![0], fixed(256, 3));
+    assert!(large.half_width() < small.half_width());
+}
+
+#[test]
+fn worst_start_on_path_is_interior() {
+    // On the path the worst start is interior (the walk must reach both
+    // ends: ≈ 1.25·L² from the center vs L² from an endpoint). The
+    // candidates are exhaustive at n ≤ 16, so the largest group mean must
+    // come from an interior start.
+    let g = generators::path(12);
+    let starts = worst_start_candidates(g.n());
+    assert_eq!(starts, (0..12).collect::<Vec<u32>>());
+    let report = cover(&g, 1, starts.clone(), fixed(192, 4));
+    let (worst, group) = starts
+        .iter()
+        .zip(&report.groups)
+        .max_by(|a, b| a.1.mean().total_cmp(&b.1.mean()))
+        .unwrap();
+    assert!(group.mean() >= report.groups[0].mean());
+    assert!(
+        *worst != 0 && *worst != 11,
+        "endpoint {worst} reported as worst; interior starts dominate on a path"
+    );
+}
+
+#[test]
+fn worst_start_candidates_sample_eight_starts_on_larger_graphs() {
+    let g = generators::cycle(64);
+    let starts = worst_start_candidates(g.n());
+    assert_eq!(starts, vec![0, 8, 16, 24, 32, 40, 48, 56]);
+    let report = cover(&g, 2, starts, fixed(8, 1));
+    assert_eq!(report.groups.len(), 8);
+    assert!(report.groups.iter().all(|group| group.mean() > 0.0));
+}
+
+#[test]
+#[should_panic(expected = "disconnected")]
+fn disconnected_cover_is_rejected() {
+    let mut b = mrw_graph::GraphBuilder::new(4);
+    b.add_edge(0, 1);
+    b.add_edge(2, 3);
+    let g = b.build("frag");
+    cover(&g, 1, vec![0], fixed(4, 0));
 }

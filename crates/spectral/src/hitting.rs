@@ -66,21 +66,6 @@ impl HittingTimes {
         }
         best
     }
-
-    /// The ordered pair attaining `hmax`.
-    pub fn argmax(&self) -> (u32, u32) {
-        let mut best = (0u32, 0u32);
-        let mut best_val = -1.0;
-        for u in 0..self.n {
-            for v in 0..self.n {
-                if u != v && self.h[u * self.n + v] > best_val {
-                    best_val = self.h[u * self.n + v];
-                    best = (u as u32, v as u32);
-                }
-            }
-        }
-        best
-    }
 }
 
 /// Computes all-pairs hitting times via the fundamental matrix.
@@ -228,11 +213,8 @@ mod tests {
                 );
             }
         }
-        // h_max on the path: end-to-end = (n−1)²; either orientation may win
-        // the floating-point tie.
+        // h_max on the path: end-to-end = (n−1)².
         assert!((ht.hmax() - 64.0).abs() < TOL);
-        let am = ht.argmax();
-        assert!(am == (0, 8) || am == (8, 0), "argmax = {am:?}");
     }
 
     #[test]

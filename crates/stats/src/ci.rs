@@ -2,15 +2,14 @@
 //!
 //! Cover-time samples are heavy-tailed but have finite variance on finite
 //! graphs, so the normal approximation is adequate at the trial counts we
-//! use (≥ 32). The speed-up `S^k = C/C^k` is a ratio of means; [`ratio_ci`]
-//! gives its delta-method interval.
+//! use (≥ 32).
 
 use crate::summary::Summary;
 
 /// A two-sided confidence interval `[lo, hi]` around a point estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
-    /// Point estimate (sample mean or ratio of means).
+    /// Point estimate (the sample mean).
     pub point: f64,
     /// Lower bound.
     pub lo: f64,
@@ -125,28 +124,6 @@ pub fn normal_ci(summary: &Summary, level: f64) -> ConfidenceInterval {
     }
 }
 
-/// Normal-approximation CI for a ratio of two independent means `a / b`
-/// using the delta method: `Var(a/b) ≈ (1/b²)Var(a) + (a²/b⁴)Var(b)` with
-/// per-mean variances `s²/n`.
-///
-/// This is how the speed-up `S^k = C / C^k` gets its error bars.
-pub fn ratio_ci(numer: &Summary, denom: &Summary, level: f64) -> ConfidenceInterval {
-    let a = numer.mean();
-    let b = denom.mean();
-    assert!(b != 0.0, "ratio_ci: denominator mean is zero");
-    let va = numer.std_err().powi(2);
-    let vb = denom.std_err().powi(2);
-    let point = a / b;
-    let var = va / (b * b) + (a * a) * vb / (b * b * b * b);
-    let half = z_quantile(level) * var.sqrt();
-    ConfidenceInterval {
-        point,
-        lo: point - half,
-        hi: point + half,
-        level,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,14 +166,5 @@ mod tests {
         let ci95 = normal_ci(&s, 0.95);
         let ci99 = normal_ci(&s, 0.99);
         assert!(ci99.half_width() > ci95.half_width());
-    }
-
-    #[test]
-    fn ratio_ci_sane() {
-        let a = Summary::from_slice(&[10.0, 11.0, 9.0, 10.5, 9.5]);
-        let b = Summary::from_slice(&[2.0, 2.1, 1.9, 2.05, 1.95]);
-        let ci = ratio_ci(&a, &b, 0.95);
-        assert!(ci.contains(5.0));
-        assert!(ci.point > 4.5 && ci.point < 5.5);
     }
 }

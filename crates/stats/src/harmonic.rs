@@ -37,12 +37,6 @@ pub fn harmonic_fast(n: u64) -> f64 {
     }
 }
 
-/// Base-2 logarithm of `n` rounded down (position of highest set bit).
-pub fn log2_floor(n: u64) -> u32 {
-    assert!(n > 0, "log2 of zero");
-    63 - n.leading_zeros()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,13 +77,5 @@ mod tests {
             assert!(h > prev);
             prev = h;
         }
-    }
-
-    #[test]
-    fn log2_helpers() {
-        assert_eq!(log2_floor(1), 0);
-        assert_eq!(log2_floor(2), 1);
-        assert_eq!(log2_floor(3), 1);
-        assert_eq!(log2_floor(1024), 10);
     }
 }

@@ -16,7 +16,7 @@
 //! * [`harmonic`] — harmonic numbers `H_n` appearing in Matthews' bound.
 //! * [`Table`] — ASCII / Markdown / CSV rendering of result tables in the
 //!   layout of the paper's Table 1.
-//! * [`ladder`] — geometric parameter ladders for sweeps over `n` and `k`.
+//! * [`ladder`] — the geometric `k` ladder of speed-up sweeps.
 //! * [`precision`] — sequential stopping rules ([`Precision`], [`Trials`])
 //!   for adaptive trial budgets: sample until the CI half-width crosses a
 //!   requested target instead of running a fixed count.

@@ -3,7 +3,7 @@
 use mrw_stats::ci::normal_ci;
 use mrw_stats::quantile::{five_num, quantile};
 use mrw_stats::regression::{linear_fit, power_law_fit};
-use mrw_stats::{ladder, Precision, Summary};
+use mrw_stats::{Precision, Summary};
 use proptest::prelude::*;
 
 fn finite_sample() -> impl Strategy<Value = Vec<f64>> {
@@ -69,17 +69,6 @@ proptest! {
         let fit = power_law_fit(&xs, &ys);
         prop_assert!((fit.exponent - exp).abs() < 1e-6);
         prop_assert!((fit.coeff - coeff).abs() < 1e-6 * coeff);
-    }
-
-    #[test]
-    fn ladders_sorted_within_range(lo in 1u64..1000, span in 1u64..100_000, points in 2usize..20) {
-        let hi = lo + span;
-        let v = ladder::geometric(lo, hi, points);
-        prop_assert_eq!(*v.first().unwrap(), lo);
-        prop_assert_eq!(*v.last().unwrap(), hi);
-        for w in v.windows(2) {
-            prop_assert!(w[1] > w[0]);
-        }
     }
 
     #[test]

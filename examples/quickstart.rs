@@ -3,12 +3,13 @@
 //!
 //! Builds three graphs with very different personalities — a ring, a torus,
 //! and an expander — and measures the cover-time speed-up of k = 8 parallel
-//! walks on each, reproducing the paper's headline in three API calls.
+//! walks on each with one speed-up-ladder query per graph, reproducing the
+//! paper's headline.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use many_walks::graph::generators;
-use many_walks::walks::{speedup_sweep, Budget};
+use many_walks::walks::{Budget, Query, Session};
 
 fn main() {
     let budget = Budget {
@@ -31,14 +32,18 @@ fn main() {
         "graph", "C (1 walk)", "C^k", "S^k", "S^k/k"
     );
     println!("{}", "-".repeat(66));
+    let ladder = Query::SpeedupLadder {
+        start: 0,
+        ks: vec![k],
+    };
     for g in &graphs {
-        let sweep = speedup_sweep(g, 0, &[k], &budget);
-        let s = sweep.speedup_at(k).expect("k probed");
+        let report = Session::new(budget.clone()).run(g, &ladder);
+        let (_, rung, s) = report.speedups()[0];
         println!(
             "{:<22} {:>12.1} {:>12.1} {:>8.2} {:>8.2}",
             g.name(),
-            sweep.baseline.mean(),
-            sweep.points[0].cover.mean(),
+            report.mean(),
+            rung.mean(),
             s,
             s / k as f64,
         );

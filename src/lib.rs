@@ -26,35 +26,38 @@
 //!
 //! ```
 //! use many_walks::graph::generators;
-//! use many_walks::walks::{Budget, CoverTimeEstimator};
+//! use many_walks::walks::{Budget, Query, Session};
 //!
-//! // Cover time of a 64-vertex cycle by 1 walk vs 4 parallel walks.
-//! // Estimator trials fan out over all cores; results depend only on the
-//! // seed, never on the thread count.
+//! // Cover time of a 64-vertex cycle by 1 walk vs 4 parallel walks: one
+//! // speed-up ladder from vertex 0. Trials fan out over all cores; results
+//! // depend only on the seed, never on the thread count.
 //! let g = generators::cycle(64);
 //! let budget = Budget { trials: 32, seed: 7, ..Budget::default() };
-//! let single = CoverTimeEstimator::new(&g, 1, budget.clone()).run_worst_start();
-//! let four = CoverTimeEstimator::new(&g, 4, budget).run_worst_start();
-//! assert!(four.cover_time().mean() < single.cover_time().mean());
+//! let ladder = Query::SpeedupLadder { start: 0, ks: vec![4] };
+//! let report = Session::new(budget).run(&g, &ladder);
+//! let (k, four, speedup) = report.speedups()[0];
+//! assert_eq!(k, 4);
+//! assert!(four.mean() < report.mean()); // C^4 < C^1, the baseline
+//! assert!(speedup > 1.0);
 //! ```
 //!
 //! Budgets can also be *adaptive*: instead of a fixed trial count, give
-//! the estimator a precision target and it samples in waves until the CI
+//! the session a precision target and it samples in waves until the CI
 //! half-width crosses it (or a hard cap) — consuming an identical trial
 //! count on any thread count:
 //!
 //! ```
 //! use many_walks::graph::generators;
 //! use many_walks::stats::Precision;
-//! use many_walks::walks::{Budget, CoverTimeEstimator};
+//! use many_walks::walks::{Budget, Query, Session};
 //!
 //! // Full-cover estimate on the 4-cycle to ±10% at 95% confidence.
 //! let g = generators::cycle(4);
 //! let rule = Precision::relative(0.10).with_max_trials(4096);
 //! let budget = Budget { precision: Some(rule), seed: 1, ..Budget::default() };
-//! let est = CoverTimeEstimator::new(&g, 2, budget).run_from(0);
-//! assert!(est.consumed_trials() < 4096); // easy instance: stops early
-//! assert!(est.ci().half_width() <= 0.10 * est.mean());
+//! let report = Session::new(budget).run(&g, &Query::Cover { k: 2, starts: vec![0] });
+//! assert!(report.consumed_trials() < 4096); // easy instance: stops early
+//! assert!(report.half_width() <= 0.10 * report.mean());
 //! ```
 //!
 //! Every simulation in the crate is one primitive observed through a

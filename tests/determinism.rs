@@ -4,52 +4,48 @@
 //! across runs, thread counts, and unrelated configuration changes. These
 //! tests pin that contract at the integration level.
 
-use many_walks::graph::generators;
-use many_walks::walks::{speedup_sweep, Budget, CoverTimeEstimator};
+use many_walks::graph::{generators, Graph};
+use many_walks::walks::{Budget, Query, Report, Session};
+
+/// A fixed-budget run of `query` on `g`.
+fn run(g: &Graph, query: &Query, trials: usize, seed: u64, threads: usize) -> Report {
+    let budget = Budget {
+        trials,
+        seed,
+        threads,
+        ..Budget::default()
+    };
+    Session::new(budget).run(g, query)
+}
+
+fn ladder(ks: &[usize]) -> Query {
+    Query::SpeedupLadder {
+        start: 0,
+        ks: ks.to_vec(),
+    }
+}
 
 #[test]
 fn estimates_identical_across_thread_counts() {
     let g = generators::torus_2d(8);
-    let run = |threads: usize| {
-        CoverTimeEstimator::new(
-            &g,
-            4,
-            Budget {
-                trials: 32,
-                seed: 11,
-                threads,
-                ..Budget::default()
-            },
-        )
-        .run_from(0)
+    let q = Query::Cover {
+        k: 4,
+        starts: vec![0],
     };
-    let base = run(1);
+    let base = run(&g, &q, 32, 11, 1);
     for threads in [2, 3, 8, 13] {
-        let est = run(threads);
-        assert_eq!(
-            est.cover_time().mean(),
-            base.cover_time().mean(),
-            "threads={threads}"
-        );
-        assert_eq!(est.cover_time().variance(), base.cover_time().variance());
-        assert_eq!(est.cover_time().min(), base.cover_time().min());
-        assert_eq!(est.cover_time().max(), base.cover_time().max());
+        let est = run(&g, &q, 32, 11, threads);
+        assert_eq!(est.groups, base.groups, "threads={threads}");
     }
 }
 
 #[test]
 fn sweeps_identical_across_runs() {
     let g = generators::cycle(48);
-    let cfg = Budget {
-        trials: 24,
-        seed: 12,
-        ..Budget::default()
-    };
-    let a = speedup_sweep(&g, 0, &[2, 8], &cfg);
-    let b = speedup_sweep(&g, 0, &[2, 8], &cfg);
-    assert_eq!(a.baseline.mean(), b.baseline.mean());
-    assert_eq!(a.speedup_at(2), b.speedup_at(2));
-    assert_eq!(a.speedup_at(8), b.speedup_at(8));
+    let a = run(&g, &ladder(&[2, 8]), 24, 12, 1);
+    let b = run(&g, &ladder(&[2, 8]), 24, 12, 1);
+    assert_eq!(a, b);
+    assert_eq!(a.speedups(), b.speedups());
 }
 
 #[test]
@@ -57,40 +53,21 @@ fn adding_a_k_point_does_not_perturb_others() {
     // Per-k child seeds: the k=8 estimate must not depend on whether k=2
     // was also measured.
     let g = generators::cycle(48);
-    let cfg = Budget {
-        trials: 24,
-        seed: 13,
-        ..Budget::default()
-    };
-    let with_two = speedup_sweep(&g, 0, &[2, 8], &cfg);
-    let alone = speedup_sweep(&g, 0, &[8], &cfg);
-    assert_eq!(with_two.speedup_at(8), alone.speedup_at(8));
+    let with_two = run(&g, &ladder(&[2, 8]), 24, 13, 1);
+    let alone = run(&g, &ladder(&[8]), 24, 13, 1);
+    assert_eq!(with_two.speedups()[1], alone.speedups()[0]);
 }
 
 #[test]
 fn different_seeds_differ() {
     let g = generators::cycle(48);
-    let a = CoverTimeEstimator::new(
-        &g,
-        1,
-        Budget {
-            trials: 16,
-            seed: 1,
-            ..Budget::default()
-        },
-    )
-    .run_from(0);
-    let b = CoverTimeEstimator::new(
-        &g,
-        1,
-        Budget {
-            trials: 16,
-            seed: 2,
-            ..Budget::default()
-        },
-    )
-    .run_from(0);
-    assert_ne!(a.cover_time().mean(), b.cover_time().mean());
+    let q = Query::Cover {
+        k: 1,
+        starts: vec![0],
+    };
+    let a = run(&g, &q, 16, 1, 1);
+    let b = run(&g, &q, 16, 2, 1);
+    assert_ne!(a.mean(), b.mean());
 }
 
 #[test]

@@ -6,7 +6,7 @@
 
 use many_walks::graph::generators;
 use many_walks::spectral::{hitting_times_all, mixing_time, MixingConfig, TransitionOp};
-use many_walks::walks::{walk::walk_trace, walk_rng, Budget, Session};
+use many_walks::walks::{walk::walk_trace, walk_rng, Budget, Query, Session};
 
 #[test]
 fn hitting_time_mc_matches_fundamental_matrix() {
@@ -29,10 +29,17 @@ fn hitting_time_mc_matches_fundamental_matrix() {
                 threads: 4,
                 ..Budget::default()
             });
-            let mc = session.hitting(&g, u, v, 50_000_000);
-            assert_eq!(mc.capped, 0, "{}: trials capped", g.name());
+            let mc = session.run(
+                &g,
+                &Query::Hitting {
+                    from: u,
+                    to: v,
+                    cap: 50_000_000,
+                },
+            );
+            assert_eq!(mc.groups[0].censored, 0, "{}: trials capped", g.name());
             let e = exact.get(u, v);
-            let m = mc.steps.mean();
+            let m = mc.mean();
             let rel = (m - e).abs() / e.max(1.0);
             assert!(
                 rel < 0.12,

@@ -3,7 +3,7 @@
 //! generalized walk processes against the paper's engine, and partial
 //! coverage / visit statistics against known laws.
 
-use many_walks::graph::{algo, generators};
+use many_walks::graph::{algo, generators, Graph};
 use many_walks::spectral::{
     effective_resistance_cg, hitting_times_all, hitting_times_to_gs, lazy_spectrum,
     max_effective_resistance, mixing_time, mixing_time_sandwich, stationary_distribution,
@@ -11,8 +11,15 @@ use many_walks::spectral::{
 };
 use many_walks::walks::{
     cover_time_process, fraction_target, kwalk_multicover_rounds, kwalk_partial_cover_rounds,
-    kwalk_visit_counts, walk_rng, Budget, CoverTimeEstimator, WalkProcess,
+    kwalk_visit_counts, walk_rng, Budget, Query, Session, WalkProcess,
 };
+
+/// Mean `k`-walk cover time from vertex 0 under `budget`.
+fn cover_mean(g: &Graph, k: usize, budget: &Budget) -> f64 {
+    Session::new(budget.clone())
+        .run(g, &Query::Cover { k, starts: vec![0] })
+        .mean()
+}
 
 #[test]
 fn spectral_sandwich_brackets_exact_mixing_on_every_family() {
@@ -108,10 +115,8 @@ fn resistance_diameter_predicts_cover_difficulty() {
         seed: 11,
         ..Budget::default()
     };
-    let c_barbell = CoverTimeEstimator::new(&barbell, 1, cfg.clone())
-        .run_from(0)
-        .mean();
-    let c_torus = CoverTimeEstimator::new(&torus, 1, cfg).run_from(0).mean();
+    let c_barbell = cover_mean(&barbell, 1, &cfg);
+    let c_torus = cover_mean(&torus, 1, &cfg);
     assert!(c_barbell > c_torus, "cover order: {c_barbell} vs {c_torus}");
 }
 
@@ -208,10 +213,8 @@ fn new_generators_cover_and_speed_up_sanely() {
             seed: 5,
             ..Budget::default()
         };
-        let c1 = CoverTimeEstimator::new(g, 1, cfg.clone())
-            .run_from(0)
-            .mean();
-        let c4 = CoverTimeEstimator::new(g, 4, cfg).run_from(0).mean();
+        let c1 = cover_mean(g, 1, &cfg);
+        let c4 = cover_mean(g, 4, &cfg);
         let s4 = c1 / c4;
         assert!(
             s4 > 2.0 && s4 < 5.0,
@@ -234,12 +237,8 @@ fn small_world_interpolates_cover_time_between_cycle_and_random() {
     let mut rng = walk_rng(21);
     let lattice = generators::watts_strogatz(n, 4, 0.0, &mut rng);
     let small_world = generators::watts_strogatz(n, 4, 0.5, &mut rng);
-    let c_lattice = CoverTimeEstimator::new(&lattice, 1, cfg.clone())
-        .run_from(0)
-        .mean();
-    let c_sw = CoverTimeEstimator::new(&small_world, 1, cfg)
-        .run_from(0)
-        .mean();
+    let c_lattice = cover_mean(&lattice, 1, &cfg);
+    let c_sw = cover_mean(&small_world, 1, &cfg);
     assert!(
         c_lattice > 1.5 * c_sw,
         "rewiring did not accelerate cover: {c_lattice} vs {c_sw}"

@@ -9,7 +9,7 @@
 
 use many_walks::graph::{generators, GraphBuilder};
 use many_walks::spectral;
-use many_walks::walks::{self, walk_rng, Budget, CoverTimeEstimator, PreyStrategy, WalkProcess};
+use many_walks::walks::{self, walk_rng, Budget, PreyStrategy, Query, Session, WalkProcess};
 
 fn disconnected() -> many_walks::graph::Graph {
     let mut b = GraphBuilder::new(4);
@@ -177,17 +177,19 @@ fn pursuit_cap_returns_none_not_hang() {
 #[test]
 fn estimator_single_trial_has_degenerate_but_finite_ci() {
     let g = generators::cycle(8);
-    let est = CoverTimeEstimator::new(
+    let report = Session::new(Budget {
+        trials: 1,
+        seed: 3,
+        ..Budget::default()
+    })
+    .run(
         &g,
-        1,
-        Budget {
-            trials: 1,
-            seed: 3,
-            ..Budget::default()
+        &Query::Cover {
+            k: 1,
+            starts: vec![0],
         },
-    )
-    .run_from(0);
-    assert!(est.mean().is_finite());
+    );
+    assert!(report.mean().is_finite());
 }
 
 #[test]
