@@ -72,11 +72,6 @@ impl Lexed {
         }
     }
 
-    /// Whether `line` holds any code token.
-    pub fn has_code(&self, line: usize) -> bool {
-        self.first_token_on(line).is_some()
-    }
-
     /// The first token on `line`, if any.
     pub fn first_token_on(&self, line: usize) -> Option<&Tok> {
         let i = self.tokens.partition_point(|t| t.line < line);

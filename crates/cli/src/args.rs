@@ -62,12 +62,13 @@ options:
   --threads T     override worker-thread count
   --batch         force the engine's batched stepping sweep at any k
   --no-batch      force the scalar stepping loop (legacy seeded streams)
-                  (default: auto - batch k >= 64 round-synchronous walks)
+                  (default: auto - batch k >= 64 round-synchronous walks;
+                  either flag reaches every trial of every query kind)
   --format F      output format: ascii (default) | markdown | csv
   --json          emit the canonical JSON report schema instead of a table
                   (estimate / run; the same schema mrw shard emits)
 
-sharding (run / shard / merge):
+sharding (mrw shard only; every other verb rejects these):
   --shard I/S     run shard I of S (trials [I*N/S, (I+1)*N/S) of an
                   N-trial budget); reports merge with 'mrw merge'
   --range A..B    run the explicit trial range [A, B) instead of a

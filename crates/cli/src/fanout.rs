@@ -45,7 +45,7 @@ use std::ops::Range;
 use std::process::Command;
 use std::time::Duration;
 
-use mrw_core::query::{waves, Checkpoint, Coverage, GraphInfo, ShardPlan};
+use mrw_core::query::{split_range, waves, Checkpoint, Coverage, GraphInfo};
 use mrw_core::{AnyGraph, Group, QuerySpec, Report};
 use mrw_graph::GraphBackend;
 
@@ -157,7 +157,7 @@ struct DriveResult {
 
 /// Cuts a contiguous gap into chunks of at most `chunk_len` trials.
 fn split_chunks(gap: Range<usize>, chunk_len: usize) -> Vec<Range<usize>> {
-    ShardPlan::split(gap.clone(), gap.len().div_ceil(chunk_len.max(1)))
+    split_range(gap.clone(), gap.len().div_ceil(chunk_len.max(1)))
 }
 
 /// The still-missing chunk ranges of one wave window, given whatever a
@@ -205,7 +205,7 @@ impl ChunkPlan {
     /// The chunks covering `gap`, a still-missing part of `window`.
     fn chunks(&self, window: &Range<usize>, gap: Range<usize>) -> Vec<Range<usize>> {
         match self.chunk {
-            None if gap == *window => ShardPlan::split(gap, self.fresh),
+            None if gap == *window => split_range(gap, self.fresh),
             chunk => {
                 let len = window.len();
                 let chunk_len = chunk.unwrap_or_else(|| len.div_ceil(self.parts.min(len).max(1)));

@@ -675,14 +675,7 @@ fn load_spec(opts: &Options) -> Result<(QuerySpec, AnyGraph), String> {
 /// per-group table.
 fn run_spec(opts: &Options) -> Result<(), String> {
     let (spec, g) = load_spec(opts)?;
-    let mut session = Session::new(spec.budget.clone());
-    if opts.shard.is_some() || opts.range.is_some() {
-        session = session.with_range(resolve_range(opts, &spec)?);
-    }
-    if let Some(groups) = &opts.groups {
-        session = session.with_groups(groups.clone());
-    }
-    let report = session.run(&g, &spec.query);
+    let report = Session::new(spec.budget.clone()).run(&g, &spec.query);
     if opts.json {
         print!("{}", report.to_json());
         return Ok(());
@@ -709,7 +702,7 @@ fn resolve_range(opts: &Options, spec: &QuerySpec) -> Result<std::ops::Range<usi
     let range = match (&opts.shard, &opts.range) {
         (Some(shard), None) => shard.slice(cap),
         (None, Some(range)) => range.clone(),
-        _ => unreachable!("callers check exactly one is present"),
+        _ => return Err("mrw shard needs --shard I/S or --range A..B".into()),
     };
     if range.end > cap {
         return Err(format!(
@@ -732,9 +725,6 @@ fn resolve_range(opts: &Options, spec: &QuerySpec) -> Result<std::ops::Range<usi
 /// execution to the listed group indices, which is how `mrw fanout`'s
 /// adaptive waves skip groups whose stopping rule already fired.
 fn run_shard(opts: &Options) -> Result<(), String> {
-    if opts.shard.is_none() && opts.range.is_none() {
-        return Err("mrw shard needs --shard I/S or --range A..B".into());
-    }
     let (spec, g) = load_spec(opts)?;
     let range = resolve_range(opts, &spec)?;
     let fault = fanout::fault_hook(&range);
@@ -743,6 +733,12 @@ fn run_shard(opts: &Options) -> Result<(), String> {
         session = session.with_groups(groups.clone());
     }
     let report = session.run(&g, &spec.query);
+    let count = report.groups.len();
+    if let Some(index) = opts.groups.iter().flatten().find(|&&i| i >= count) {
+        return Err(format!(
+            "--groups index {index} is out of range: the query has {count} group(s)"
+        ));
+    }
     let json = report.to_json();
     if fault == fanout::FaultAction::CorruptOutput {
         // Emit a torn write: truncate at a char boundary around the
@@ -839,6 +835,20 @@ fn main() -> ExitCode {
         );
         eprintln!("{}", args::USAGE);
         return ExitCode::FAILURE;
+    }
+    // Trial selection is the worker protocol's, so it belongs to `mrw
+    // shard`; every other verb runs whole specs and would ignore it.
+    let selection = [
+        ("--shard", opts.shard.is_some()),
+        ("--range", opts.range.is_some()),
+        ("--groups", opts.groups.is_some()),
+    ];
+    if let Some((flag, _)) = selection.iter().find(|(_, given)| *given) {
+        if command != "shard" {
+            eprintln!("error: {flag} is only for 'mrw shard', not '{command}'\n");
+            eprintln!("{}", args::USAGE);
+            return ExitCode::FAILURE;
+        }
     }
     match command {
         "estimate" | "run" | "shard" | "merge" | "fanout" | "resume" | "serve" | "serve-ctl" => {

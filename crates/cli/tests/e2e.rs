@@ -226,6 +226,60 @@ fn shard_errors_are_friendly() {
         .stderr(contains("error:"));
 }
 
+/// `--shard`, `--range` and `--groups` select trials for the worker
+/// protocol, so only `mrw shard` takes them: any other verb is an
+/// `error:` with exit 1 instead of a silently complete run, and a group
+/// index the query does not have names both numbers. Nothing reaches
+/// stdout.
+#[test]
+fn trial_selection_flags_belong_to_shard() {
+    let tmp = TempDir::new("selection");
+    let spec = tmp.file("spec.json", FIXED_SPEC);
+    let one_group = tmp.file(
+        "one.json",
+        r#"{"graph": {"family": "cycle", "n": 32},
+            "query": {"type": "cover", "k": 4, "starts": [0]},
+            "budget": {"trials": 64, "seed": 7}}"#,
+    );
+    let (spec, one_group) = (spec.to_str().unwrap(), one_group.to_str().unwrap());
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &[
+                "fanout",
+                spec,
+                "--workers",
+                "2",
+                "--range",
+                "0..10",
+                "--json",
+            ],
+            "--range is only for 'mrw shard', not 'fanout'",
+        ),
+        (
+            &["estimate", "--shard", "0/2", "--json"],
+            "--shard is only for 'mrw shard', not 'estimate'",
+        ),
+        (
+            &["run", one_group, "--groups", "7", "--json"],
+            "--groups is only for 'mrw shard', not 'run'",
+        ),
+        (
+            &["shard", one_group, "--range", "0..64", "--groups", "5"],
+            "--groups index 5 is out of range: the query has 1 group(s)",
+        ),
+    ];
+    for (args, message) in cases {
+        let assert = mrw().args(args).assert().code(1);
+        let output = assert.get_output();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("error: {message}")),
+            "mrw {args:?}: stderr lacks '{message}':\n{stderr}"
+        );
+        assert!(output.stdout.is_empty(), "mrw {args:?} printed to stdout");
+    }
+}
+
 /// A graph size its generator rejects is a friendly `error:` line that
 /// names the size and exit 1 — never a panic — whether it arrives in a
 /// spec file (`mrw run`) or as flags (`mrw estimate`); `mrw estimate`

@@ -23,10 +23,11 @@
 //!   [`Trace`], and `()` (a pure horizon run).
 //!
 //! The public wrappers in [`walk`](crate::walk), [`kwalk`](crate::kwalk),
-//! [`process`](crate::process), [`partial`](crate::partial),
-//! [`visits`](crate::visits), [`meeting`](crate::meeting), and
+//! [`process`](crate::process), [`visits`](crate::visits), and
 //! [`coverage`](crate::coverage) are thin shims over this engine and keep
-//! their exact pre-refactor signatures.
+//! their exact pre-refactor signatures. Monte-Carlo estimates build their
+//! engines in one place, [`Session`](crate::query::Session), which applies
+//! the budget's discipline and [`BatchMode`] to every trial.
 //!
 //! ## Batched vs scalar stepping
 //!
@@ -1101,6 +1102,12 @@ impl Observer for Hit {
 /// time; the classical definition for two walkers, generalized to k).
 /// Stateless beyond the verdict: it reads the engine's own position
 /// vector at the `placed`/`end_round` hooks.
+///
+/// Beware the parity trap: on a bipartite graph, two simple walks at odd
+/// distance can *never* meet (both flip sides every round) — the
+/// classical reason pursuit analyses use lazy walks. Run the tokens as a
+/// [`CompiledProcess`] of [`WalkProcess::Lazy`] to break parity, as
+/// [`Query::Meeting`](crate::query::Query::Meeting)'s `laziness` does.
 #[derive(Debug, Clone, Default)]
 pub struct Meeting {
     met: bool,
@@ -1142,34 +1149,57 @@ impl Observer for Meeting {
 
 /// What the pursuit prey does each round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PreyMove {
-    /// The prey stays put (a hider).
+pub enum PreyStrategy {
+    /// The prey stays put (a hider); catching it is a k-walk hitting
+    /// problem. (CLI name: `stationary`.)
     Hide,
-    /// The prey performs its own simple random walk.
+    /// The prey performs its own simple random walk. (CLI name:
+    /// `uniform`.)
     RandomWalk,
     /// A greedy evader: the prey steps to a uniformly chosen neighbor
     /// *not currently occupied by a hunter*, and stays put when cornered
     /// (every neighbor occupied). Locally adversarial — it never blunders
     /// into a hunter — but memoryless and distance-blind, so it remains
-    /// catchable.
+    /// catchable. (CLI name: `adversarial`.)
     Adversarial,
 }
 
-/// The hunters-vs-prey game: tokens are hunters; the prey is an
-/// adversarial component moving in [`end_round`](Observer::end_round),
-/// *after* the hunters, from the same RNG stream. A catch fires when a
-/// hunter steps onto the prey, or when a moving prey blunders onto a
-/// hunter.
+/// The hunters-vs-prey game of the paper's §1: "the prey begins at one
+/// node, the hunters begin at other nodes, and in every step each player
+/// can traverse an edge." Tokens are hunters; the prey is an adversarial
+/// component moving in [`end_round`](Observer::end_round), *after* the
+/// hunters, from the same RNG stream. A catch fires when a hunter steps
+/// onto the prey, or when a moving prey blunders onto a hunter (the
+/// [adversarial](PreyStrategy::Adversarial) prey never does). Starting a
+/// hunter on the prey is a catch in 0 rounds.
+///
+/// Against a hiding prey, `k` hunters from one vertex catch in roughly
+/// `h(u, v)/k` time on fast-mixing graphs by the same union-bound logic
+/// as Baby Matthews; the hunting experiment
+/// ([`experiments::hunting`](crate::experiments::hunting)) measures that
+/// speed-up next to the cover-time speed-up the paper proves.
+///
+/// ```
+/// use mrw_core::engine::{Engine, Pursuit, SimpleStep};
+/// use mrw_core::{walk_rng, PreyStrategy};
+/// use mrw_graph::generators;
+///
+/// let g = generators::complete(16);
+/// let out = Engine::new(&g, SimpleStep, Pursuit::new(9, PreyStrategy::Hide))
+///     .cap(10_000)
+///     .run(&[0, 0, 0], &mut walk_rng(4));
+/// assert!(out.stopped);
+/// ```
 #[derive(Debug, Clone)]
 pub struct Pursuit {
     prey: u32,
-    strategy: PreyMove,
+    strategy: PreyStrategy,
     caught: bool,
 }
 
 impl Pursuit {
     /// A game against a prey starting at `prey`.
-    pub fn new(prey: u32, strategy: PreyMove) -> Self {
+    pub fn new(prey: u32, strategy: PreyStrategy) -> Self {
         Pursuit {
             prey,
             strategy,
@@ -1205,14 +1235,14 @@ impl Observer for Pursuit {
             return true;
         }
         match self.strategy {
-            PreyMove::Hide => {}
-            PreyMove::RandomWalk => {
+            PreyStrategy::Hide => {}
+            PreyStrategy::RandomWalk => {
                 self.prey = step(g, self.prey, rng);
                 if positions.contains(&self.prey) {
                     self.caught = true;
                 }
             }
-            PreyMove::Adversarial => {
+            PreyStrategy::Adversarial => {
                 // Count hunter-free neighbors, then pick the j-th one —
                 // two passes so the move needs no allocation. Indexed
                 // neighbor access (not a row slice) keeps this backend-
@@ -1539,18 +1569,20 @@ mod tests {
             &mut walk_rng(0),
         );
         assert_eq!(vc.counts()[3], 11, "token must hold at its start");
-        let met =
-            crate::meeting::meeting_rounds(&g, 0, 4, WalkProcess::Lazy(1.0), 50, &mut walk_rng(0));
-        assert_eq!(met, None, "frozen walkers at distinct starts never meet");
+        let frozen = CompiledProcess::new(WalkProcess::Lazy(1.0), &g);
+        let met = Engine::new(&g, frozen, Meeting::new())
+            .cap(50)
+            .run(&[0, 4], &mut walk_rng(0));
+        assert!(!met.stopped, "frozen walkers at distinct starts never meet");
     }
 
     #[test]
     fn pursuit_prey_draws_after_hunters() {
         let g = generators::torus_2d(6);
-        let a = Engine::new(&g, SimpleStep, Pursuit::new(20, PreyMove::RandomWalk))
+        let a = Engine::new(&g, SimpleStep, Pursuit::new(20, PreyStrategy::RandomWalk))
             .cap(100_000)
             .run(&[0, 0], &mut walk_rng(9));
-        let b = Engine::new(&g, SimpleStep, Pursuit::new(20, PreyMove::RandomWalk))
+        let b = Engine::new(&g, SimpleStep, Pursuit::new(20, PreyStrategy::RandomWalk))
             .cap(100_000)
             .run(&[0, 0], &mut walk_rng(9));
         assert_eq!(a.rounds, b.rounds);
@@ -1700,7 +1732,7 @@ mod tests {
         // the batched path must keep that interleaving deterministic.
         let g = generators::torus_2d(6);
         let run = || {
-            Engine::new(&g, SimpleStep, Pursuit::new(20, PreyMove::RandomWalk))
+            Engine::new(&g, SimpleStep, Pursuit::new(20, PreyStrategy::RandomWalk))
                 .batch(BatchMode::Always)
                 .cap(100_000)
                 .run(&[0; 8], &mut walk_rng(9))

@@ -1,4 +1,5 @@
-//! Exact k-walk cover times on small graphs by dynamic programming.
+//! Exact k-walk cover and partial cover times on small graphs by dynamic
+//! programming.
 //!
 //! Ground truth for the Monte-Carlo engine: the k-walk process is a Markov
 //! chain on states `(positions, visited-mask)`. Since the visited mask only
@@ -23,6 +24,17 @@ use mrw_spectral::DenseMatrix;
 /// `2ⁿ·n^k` exceeds [`MAX_STATES`] (this is a brute-force validator, not
 /// an estimator).
 pub fn exact_kwalk_cover_time(g: &Graph, start: u32, k: usize) -> f64 {
+    exact_kwalk_partial_cover_time(g, start, k, g.n())
+}
+
+/// Exact expected number of parallel rounds for `k` walks from `start` to
+/// visit `target` distinct vertices — the partial cover time `C^k_γ` at
+/// `target = ⌈γn⌉`. Every mask with at least `target` vertices is
+/// terminal; `target = n` is full cover.
+///
+/// # Panics
+/// As [`exact_kwalk_cover_time`], and if `target > n`.
+pub fn exact_kwalk_partial_cover_time(g: &Graph, start: u32, k: usize, target: usize) -> f64 {
     assert!(k >= 1, "need at least one walk");
     assert!(g.n() >= 1, "empty graph");
     assert!((start as usize) < g.n(), "start out of range");
@@ -32,6 +44,7 @@ pub fn exact_kwalk_cover_time(g: &Graph, start: u32, k: usize) -> f64 {
     );
     let n = g.n();
     assert!(n <= 20, "exact solver limited to n ≤ 20, got {n}");
+    assert!(target <= n, "target {target} exceeds n = {n}");
     let tuples = (n as u64).pow(k as u32);
     let states = tuples.saturating_mul(1u64 << n);
     assert!(
@@ -78,7 +91,7 @@ pub fn exact_kwalk_cover_time(g: &Graph, start: u32, k: usize) -> f64 {
     };
 
     for &mask in &masks_by_popcount {
-        if mask == full {
+        if mask.count_ones() as usize >= target {
             e[mask as usize] = vec![0.0; n_tuples];
             continue;
         }
@@ -210,6 +223,27 @@ mod tests {
             (exact - cc / 2.0).abs() < 1.0,
             "C² = {exact} vs nH_n/2 = {}",
             cc / 2.0
+        );
+    }
+
+    #[test]
+    fn partial_target_on_looped_clique_is_truncated_coupon_collector() {
+        // Each step of one walk on K_n+loops is uniform over all n
+        // vertices, so reaching the j-th distinct vertex takes n/(n − j + 1)
+        // steps on average; target 1 is the start itself.
+        let n = 7;
+        let g = generators::complete_with_loops(n);
+        for target in 1..=n {
+            let exact = exact_kwalk_partial_cover_time(&g, 0, 1, target);
+            let expect: f64 = (1..target).map(|j| n as f64 / (n - j) as f64).sum();
+            assert!(
+                (exact - expect).abs() < 1e-7,
+                "target {target}: {exact} vs {expect}"
+            );
+        }
+        assert_eq!(
+            exact_kwalk_partial_cover_time(&g, 0, 2, n),
+            exact_kwalk_cover_time(&g, 0, 2)
         );
     }
 

@@ -18,8 +18,8 @@
 use mrw_graph::Graph;
 use mrw_stats::Table;
 
+use crate::engine::PreyStrategy;
 use crate::experiments::Budget;
-use crate::meeting::PreyStrategy;
 use crate::query::{prey_to_str, Query, Session};
 
 /// Configuration for the hunting experiment.

@@ -102,14 +102,6 @@ pub struct CorollaryRow {
     pub trials: usize,
 }
 
-impl CorollaryRow {
-    /// Empirical miss probability (bounded above by `1/n²` per the
-    /// corollary).
-    pub fn miss_rate(&self) -> f64 {
-        self.misses as f64 / self.trials as f64
-    }
-}
-
 /// Report of both checks.
 #[derive(Debug, Clone)]
 pub struct Report {

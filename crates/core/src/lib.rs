@@ -19,7 +19,8 @@
 //! * **The query layer** ([`query`]) — one typed, serializable
 //!   [`Query`] describing any Monte-Carlo estimate (cover,
 //!   partial cover, hitting, `h_max`, meeting, pursuit, speed-up
-//!   ladders), one [`Session`] executor over the engine,
+//!   ladders), one [`Session`] executor that builds every trial's
+//!   engine under the budget's discipline and batch mode,
 //!   and one [`Report`] whose exact sufficient statistics
 //!   merge losslessly — the shard protocol behind `mrw shard`/`mrw merge`.
 //!   Every estimate comes back as a `Report`: cover times, hitting and
@@ -43,8 +44,8 @@
 //!   every Monte-Carlo path.
 //! * **Generalized processes** ([`process`]): lazy walks (the Theorem 24
 //!   projection chain) and Metropolis walks (uniform stationary law), plus
-//!   [`partial`] cover times `C^k_γ` and [`visits`]/multicover statistics
-//!   for the applications the paper's introduction motivates.
+//!   partial cover times `C^k_γ` ([`partial`]) and [`visits`]/multicover
+//!   statistics for the applications the paper's introduction motivates.
 //!
 //! ## Model
 //!
@@ -63,7 +64,6 @@ pub mod exact;
 pub mod experiments;
 pub mod hitting_mc;
 pub mod kwalk;
-pub mod meeting;
 pub mod partial;
 pub mod process;
 pub mod query;
@@ -72,15 +72,14 @@ pub mod visits;
 pub mod walk;
 
 pub use engine::{
-    BatchMode, CompiledProcess, Discipline, Engine, EngineArena, Observer, Process, SimpleStep,
-    BATCH_AUTO_MIN_K,
+    BatchMode, CompiledProcess, Discipline, Engine, EngineArena, Observer, PreyStrategy, Process,
+    SimpleStep, BATCH_AUTO_MIN_K,
 };
 pub use kwalk::{
     kwalk_cover_rounds, kwalk_cover_rounds_same_start, kwalk_covers_within, KWalkMode,
 };
-pub use meeting::{meeting_rounds, pursuit_rounds, PreyStrategy};
 pub use mrw_stats::precision::{Precision, Trials};
-pub use partial::{fraction_target, kwalk_partial_cover_rounds};
+pub use partial::fraction_target;
 pub use process::{cover_time_process, kwalk_cover_rounds_process, WalkProcess};
 pub use query::{
     AnyGraph, BackendChoice, Budget, Checkpoint, GraphSpec, Group, Ledger, LedgerGroup, Query,

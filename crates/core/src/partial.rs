@@ -12,55 +12,25 @@
 //! The speed-up story changes too — on the cycle, `k` walks reach a
 //! constant fraction `k` times faster (each token sweeps its own arc) even
 //! though full cover only improves by `Θ(log k)`.
-
-use mrw_graph::GraphBackend;
-use rand::Rng;
-
-use crate::engine::{Engine, PartialCover, SimpleStep};
-
-/// Rounds until `k` round-synchronous walks from `starts` have visited at
-/// least `target` distinct vertices (start vertices count as visited at
-/// time 0). `target = g.n()` is exactly full cover; `target ≤ distinct
-/// starts` returns 0.
-///
-/// ```
-/// use mrw_core::partial::kwalk_partial_cover_rounds;
-/// use mrw_core::walk_rng;
-/// use mrw_graph::generators;
-///
-/// let g = generators::torus_2d(6);
-/// let half = kwalk_partial_cover_rounds(&g, &[0, 0], 18, &mut walk_rng(1));
-/// let full = kwalk_partial_cover_rounds(&g, &[0, 0], 36, &mut walk_rng(1));
-/// assert!(half <= full); // nested stopping times on the same trajectory
-/// ```
-///
-/// # Panics
-/// If `starts` is empty, any start is out of range, `target > g.n()`, or
-/// (debug) the graph is disconnected.
-// Inlined into the query layer's per-trial closure: outlined, short trials
-// (implicit torus side 1024, k = 256, γ = 0.001) ran ~15% slower on a
-// 2-vCPU x86-64 host.
-#[inline]
-pub fn kwalk_partial_cover_rounds<G: GraphBackend, R: Rng + ?Sized>(
-    g: &G,
-    starts: &[u32],
-    target: usize,
-    rng: &mut R,
-) -> u64 {
-    assert!(!starts.is_empty(), "need at least one walk");
-    assert!(target <= g.n(), "target {target} exceeds n = {}", g.n());
-    for &s in starts {
-        assert!((s as usize) < g.n(), "start {s} out of range");
-    }
-    debug_assert!(
-        g.is_connected(),
-        "partial cover unreachable: disconnected graph"
-    );
-
-    Engine::new(g, SimpleStep, PartialCover::new(g.n(), target))
-        .run(starts, rng)
-        .rounds
-}
+//!
+//! The estimate is [`Query::PartialCover`](crate::query::Query::PartialCover),
+//! whose trials [`Session`](crate::query::Session) runs on the engine's
+//! [`PartialCover`](crate::engine::PartialCover) observer; this module
+//! turns a fraction `γ` into its vertex target. One trial by hand:
+//!
+//! ```
+//! use mrw_core::engine::{Engine, PartialCover, SimpleStep};
+//! use mrw_core::walk_rng;
+//! use mrw_graph::generators;
+//!
+//! let g = generators::torus_2d(6);
+//! let rounds = |target| {
+//!     Engine::new(&g, SimpleStep, PartialCover::new(g.n(), target))
+//!         .run(&[0, 0], &mut walk_rng(1))
+//!         .rounds
+//! };
+//! assert!(rounds(18) <= rounds(36)); // nested stopping times on the same trajectory
+//! ```
 
 /// Converts a coverage fraction `γ ∈ (0, 1]` to a vertex target
 /// `max(1, ⌈γn⌉)`.
@@ -75,17 +45,26 @@ pub fn fraction_target(n: usize, gamma: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, PartialCover, SimpleStep};
     use crate::kwalk::{kwalk_cover_rounds, KWalkMode};
     use crate::query::{Budget, Group, Query, Session};
     use crate::walk::walk_rng;
-    use mrw_graph::generators;
+    use mrw_graph::{generators, Graph};
     use mrw_stats::harmonic::harmonic;
+
+    /// Rounds until walks from `starts` have visited `target` distinct
+    /// vertices: one partial-cover trial on a default engine.
+    fn partial_rounds(g: &Graph, starts: &[u32], target: usize, seed: u64) -> u64 {
+        Engine::new(g, SimpleStep, PartialCover::new(g.n(), target))
+            .run(starts, &mut walk_rng(seed))
+            .rounds
+    }
 
     #[test]
     fn full_target_is_exactly_full_cover_same_seed() {
         let g = generators::torus_2d(5);
         let starts = [0u32, 0, 0];
-        let a = kwalk_partial_cover_rounds(&g, &starts, g.n(), &mut walk_rng(4));
+        let a = partial_rounds(&g, &starts, g.n(), 4);
         let b = kwalk_cover_rounds(&g, &starts, KWalkMode::RoundSynchronous, &mut walk_rng(4));
         assert_eq!(a, b);
     }
@@ -93,11 +72,8 @@ mod tests {
     #[test]
     fn target_at_or_below_starts_is_zero() {
         let g = generators::cycle(10);
-        assert_eq!(kwalk_partial_cover_rounds(&g, &[3], 1, &mut walk_rng(0)), 0);
-        assert_eq!(
-            kwalk_partial_cover_rounds(&g, &[3, 7], 2, &mut walk_rng(0)),
-            0
-        );
+        assert_eq!(partial_rounds(&g, &[3], 1, 0), 0);
+        assert_eq!(partial_rounds(&g, &[3, 7], 2, 0), 0);
     }
 
     #[test]
@@ -106,7 +82,7 @@ mod tests {
         let g = generators::barbell(13);
         let mut last = 0u64;
         for target in 1..=g.n() {
-            let r = kwalk_partial_cover_rounds(&g, &[6], target, &mut walk_rng(99));
+            let r = partial_rounds(&g, &[6], target, 99);
             assert!(r >= last, "target {target}: {r} < {last}");
             last = r;
         }
@@ -122,7 +98,7 @@ mod tests {
         let trials = 1200u64;
         let mut total = 0u64;
         for t in 0..trials {
-            total += kwalk_partial_cover_rounds(&g, &[0], target, &mut walk_rng(t));
+            total += partial_rounds(&g, &[0], target, t);
         }
         let mean = total as f64 / trials as f64;
         let expect = n as f64 * (harmonic(n as u64 - 1) - harmonic((n - target) as u64));
@@ -139,9 +115,8 @@ mod tests {
         let mut p90 = 0u64;
         let mut full = 0u64;
         for t in 0..trials {
-            p90 +=
-                kwalk_partial_cover_rounds(&g, &[0], fraction_target(g.n(), 0.9), &mut walk_rng(t));
-            full += kwalk_partial_cover_rounds(&g, &[0], g.n(), &mut walk_rng(10_000 + t));
+            p90 += partial_rounds(&g, &[0], fraction_target(g.n(), 0.9), t);
+            full += partial_rounds(&g, &[0], g.n(), 10_000 + t);
         }
         assert!(
             (p90 as f64) < 0.66 * full as f64,
@@ -244,7 +219,7 @@ mod tests {
             let starts = vec![0u32; k];
             let mut total = 0u64;
             for t in 0..trials {
-                total += kwalk_partial_cover_rounds(&g, &starts, target, &mut walk_rng(700 + t));
+                total += partial_rounds(&g, &starts, target, 700 + t);
             }
             total as f64 / trials as f64
         };
@@ -260,6 +235,6 @@ mod tests {
     #[should_panic(expected = "exceeds n")]
     fn oversized_target_rejected() {
         let g = generators::cycle(5);
-        kwalk_partial_cover_rounds(&g, &[0], 6, &mut walk_rng(0));
+        partial_rounds(&g, &[0], 6, 0);
     }
 }

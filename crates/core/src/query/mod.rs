@@ -13,7 +13,8 @@
 //! * [`Session`] — the one executor: [`Session::run`] drives the
 //!   [`Engine`] through `mrw_par`'s deterministic fan-out for any query,
 //!   optionally restricted to a range of trial indices (such as a
-//!   [`Shard`]'s slice).
+//!   [`Shard`]'s slice). Every trial's engine comes from one builder that
+//!   applies the [`Budget`]'s `mode` and `batch`.
 //! * [`Report`] — the one result: per-group **exact sufficient
 //!   statistics** ([`IntMoments`]) rather than floating summaries, so
 //!   [`Report::merge`] is lossless, associative, and commutative.
@@ -82,13 +83,15 @@ use mrw_stats::ci::{normal_ci, ConfidenceInterval};
 use mrw_stats::precision::PrecisionTarget;
 use mrw_stats::{IntMoments, Precision, Summary, Trials};
 
-use crate::engine::{BatchMode, Engine, EngineArena, FullCover, SimpleStep};
+use crate::engine::{
+    BatchMode, CompiledProcess, Engine, EngineArena, FullCover, Hit, Meeting, Observer,
+    PartialCover, PreyStrategy, Process, Pursuit, SimpleStep,
+};
 use crate::hitting_mc::{hmax_candidates, hmax_mc_cap, HmaxEstimate};
 use crate::kwalk::KWalkMode;
-use crate::meeting::{meeting_rounds, pursuit_rounds, PreyStrategy};
-use crate::partial::{fraction_target, kwalk_partial_cover_rounds};
+use crate::partial::fraction_target;
 use crate::process::WalkProcess;
-use crate::walk::{steps_to_hit, walk_rng};
+use crate::walk::walk_rng;
 
 use json::Value;
 
@@ -111,14 +114,15 @@ pub struct Budget {
     /// Worker threads. Never serialized and never part of `==`: results
     /// are bit-identical across thread counts.
     pub threads: usize,
-    /// Engine path selection (`--batch` / `--no-batch`; default: batch
-    /// round-synchronous runs of `k ≥ 64` walks).
+    /// Engine path selection for every trial of every query (`--batch` /
+    /// `--no-batch`; default: batch round-synchronous runs of `k ≥ 64`
+    /// walks).
     pub batch: BatchMode,
     /// When set (`--precision` / `--rel-precision` on the CLI), estimators
     /// sample adaptively until this sequential rule fires instead of
     /// running the fixed `trials` count.
     pub precision: Option<Precision>,
-    /// k-walk stepping discipline.
+    /// Stepping discipline for every trial of every query.
     pub mode: KWalkMode,
     /// Confidence level for reported intervals when the budget is fixed;
     /// an adaptive budget reports at its rule's own confidence (see
@@ -217,78 +221,37 @@ impl Shard {
     }
 }
 
-/// How a trial budget splits into disjoint, non-empty child work ranges —
-/// the plan `mrw fanout` dispatches to its worker processes.
+/// Splits a non-empty trial range into at most `parts` non-empty,
+/// balanced pieces in index order — how `mrw fanout` cuts a fixed budget,
+/// or an adaptive wave `[c, c + w)`, into the work ranges its worker
+/// processes pull.
 ///
-/// The requested shard count is clamped to the trial total, so **every
-/// planned range is non-empty**: a worker never produces a report with
-/// degenerate coverage, and the union of all planned ranges is exactly
-/// `[0, total)`.
+/// `parts` is clamped to the range length, so **no piece is empty** and
+/// the pieces partition the range exactly. Piece `i` of `p` is
+/// [`Shard::slice`]'s balanced split shifted to the range start, so over
+/// `0..n` `mrw shard --shard i/p` and the piece's `--range` describe
+/// identical work.
 ///
 /// ```
-/// use mrw_core::query::ShardPlan;
+/// use mrw_core::query::split_range;
 ///
-/// let plan = ShardPlan::new(10, 4);
-/// let ranges: Vec<_> = plan.ranges().collect();
-/// assert_eq!(ranges, vec![0..2, 2..5, 5..7, 7..10]);
-/// // More shards than trials: clamped, never empty.
-/// assert_eq!(ShardPlan::new(3, 8).count(), 3);
+/// assert_eq!(split_range(0..10, 4), vec![0..2, 2..5, 5..7, 7..10]);
+/// // More parts than trials: clamped, never empty.
+/// assert_eq!(split_range(0..3, 8).len(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPlan {
-    total: usize,
-    count: usize,
-}
-
-impl ShardPlan {
-    /// Plans `requested` shards over a `total`-trial budget, clamping the
-    /// count to `[1, total]` so no shard is empty.
-    ///
-    /// # Panics
-    /// If `total == 0` (a budget needs at least one trial).
-    pub fn new(total: usize, requested: usize) -> ShardPlan {
-        assert!(total >= 1, "cannot plan shards over an empty trial budget");
-        ShardPlan {
-            total,
-            count: requested.clamp(1, total),
-        }
-    }
-
-    /// Number of planned shards.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Shard `i`'s trial range (the same balanced split as
-    /// [`Shard::slice`], so `mrw shard --shard i/s` and `--range lo..hi`
-    /// describe identical work).
-    ///
-    /// # Panics
-    /// If `i >= count`.
-    pub fn range(&self, i: usize) -> Range<usize> {
-        Shard::new(i, self.count).slice(self.total)
-    }
-
-    /// All planned ranges in index order (a partition of `[0, total)`).
-    pub fn ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
-        (0..self.count).map(|i| self.range(i))
-    }
-
-    /// Splits an arbitrary sub-range into at most `parts` non-empty
-    /// balanced pieces — how an adaptive fan-out wave `[c, c + w)` is
-    /// spread over the worker pool.
-    ///
-    /// # Panics
-    /// If the range is empty or `parts == 0`.
-    pub fn split(range: Range<usize>, parts: usize) -> Vec<Range<usize>> {
-        assert!(!range.is_empty(), "cannot split an empty range");
-        assert!(parts >= 1, "need at least one part");
-        let len = range.len();
-        let sub = ShardPlan::new(len, parts);
-        sub.ranges()
-            .map(|r| (range.start + r.start)..(range.start + r.end))
-            .collect()
-    }
+///
+/// # Panics
+/// If the range is empty or `parts == 0`.
+pub fn split_range(range: Range<usize>, parts: usize) -> Vec<Range<usize>> {
+    assert!(!range.is_empty(), "cannot split an empty range");
+    assert!(parts >= 1, "need at least one part");
+    let (len, count) = (range.len(), parts.min(range.len()));
+    (0..count)
+        .map(|i| {
+            let piece = Shard::new(i, count).slice(len);
+            (range.start + piece.start)..(range.start + piece.end)
+        })
+        .collect()
 }
 
 /// How a [`GraphSpec`] materializes its graph: explicit CSR arrays, the
@@ -1982,6 +1945,19 @@ impl Session {
         &self.budget
     }
 
+    /// The engine every trial of every query runs on: `process` and
+    /// `observer` on `g`, stepped under the budget's `mode` and `batch`.
+    fn engine<'g, G: GraphBackend, P: Process, O: Observer>(
+        &self,
+        g: &'g G,
+        process: P,
+        observer: O,
+    ) -> Engine<'g, G, P, O> {
+        Engine::new(g, process, observer)
+            .discipline(self.budget.mode)
+            .batch(self.budget.batch)
+    }
+
     /// Executes `query` on `g`.
     ///
     /// Trial `i` of every group draws an RNG stream that is a pure
@@ -2126,10 +2102,11 @@ impl Session {
                         ws.starts.clear();
                         ws.starts.resize(k, start);
                         ws.cover.reset(g.n());
-                        let out = Engine::new(g, SimpleStep, &mut ws.cover)
-                            .discipline(self.budget.mode)
-                            .batch(self.budget.batch)
-                            .run_with(&ws.starts, &mut rng, &mut ws.arena);
+                        let out = self.engine(g, SimpleStep, &mut ws.cover).run_with(
+                            &ws.starts,
+                            &mut rng,
+                            &mut ws.arena,
+                        );
                         Outcome::Value(out.rounds)
                     },
                 )
@@ -2163,7 +2140,9 @@ impl Session {
                             seed ^ (gi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
                                 ^ (t as u64) << 20,
                         );
-                        Outcome::Value(kwalk_partial_cover_rounds(g, &starts, target, &mut rng))
+                        let observer = PartialCover::new(g.n(), target);
+                        let out = self.engine(g, SimpleStep, observer).run(&starts, &mut rng);
+                        Outcome::Value(out.rounds)
                     },
                 )
             })
@@ -2187,9 +2166,14 @@ impl Session {
             || (),
             |(), t| {
                 let mut rng = walk_rng(seq.seed_for(t as u64));
-                match steps_to_hit(g, from, to, cap, &mut rng) {
-                    Some(steps) => Outcome::Value(steps),
-                    None => Outcome::Discarded,
+                let out = self
+                    .engine(g, SimpleStep, Hit::new(to))
+                    .cap(cap)
+                    .run(&[from], &mut rng);
+                if out.stopped {
+                    Outcome::Value(out.rounds)
+                } else {
+                    Outcome::Discarded
                 }
             },
         )
@@ -2216,6 +2200,7 @@ impl Session {
         cap: u64,
     ) -> Group {
         let process = laziness.map_or(WalkProcess::Simple, WalkProcess::Lazy);
+        let process = CompiledProcess::new(process, g);
         let seq = SeedSequence::new(self.budget.seed).child(0x4D45_4554); // "MEET"
         self.run_group(
             0,
@@ -2223,9 +2208,14 @@ impl Session {
             || (),
             |(), t| {
                 let mut rng = walk_rng(seq.seed_for(t as u64));
-                match meeting_rounds(g, a, b, process, cap, &mut rng) {
-                    Some(rounds) => Outcome::Value(rounds),
-                    None => Outcome::CensoredAt(cap),
+                let out = self
+                    .engine(g, process.clone(), Meeting::new())
+                    .cap(cap)
+                    .run(&[a, b], &mut rng);
+                if out.stopped {
+                    Outcome::Value(out.rounds)
+                } else {
+                    Outcome::CensoredAt(cap)
                 }
             },
         )
@@ -2252,9 +2242,14 @@ impl Session {
             |(), t| {
                 // The historical mean_catch_time stream: seed ⊕ k ⊕ t.
                 let mut rng = walk_rng(seed ^ ((k as u64) << 40) ^ t as u64);
-                match pursuit_rounds(g, &hunters, prey, strategy, cap, &mut rng) {
-                    Some(rounds) => Outcome::Value(rounds),
-                    None => Outcome::CensoredAt(cap),
+                let out = self
+                    .engine(g, SimpleStep, Pursuit::new(prey, strategy))
+                    .cap(cap)
+                    .run(&hunters, &mut rng);
+                if out.stopped {
+                    Outcome::Value(out.rounds)
+                } else {
+                    Outcome::CensoredAt(cap)
                 }
             },
         )
@@ -2348,11 +2343,11 @@ mod tests {
     fn shard_plan_partitions_without_empty_ranges() {
         for total in [1usize, 2, 7, 64, 513] {
             for requested in [1usize, 2, 4, 9, 1000] {
-                let plan = ShardPlan::new(total, requested);
-                assert!(plan.count() >= 1 && plan.count() <= total.max(1));
-                assert_eq!(plan.count(), requested.clamp(1, total));
+                let plan = split_range(0..total, requested);
+                assert!(!plan.is_empty() && plan.len() <= total.max(1));
+                assert_eq!(plan.len(), requested.clamp(1, total));
                 let mut cursor = 0;
-                for r in plan.ranges() {
+                for r in plan {
                     assert_eq!(r.start, cursor, "gap in plan({total}, {requested})");
                     assert!(!r.is_empty(), "empty range in plan({total}, {requested})");
                     cursor = r.end;
@@ -2365,16 +2360,16 @@ mod tests {
     #[test]
     fn shard_plan_ranges_match_shard_slices() {
         // --shard i/s and --range from the plan must describe the same work.
-        let plan = ShardPlan::new(100, 3);
-        for i in 0..3 {
-            assert_eq!(plan.range(i), Shard::new(i, 3).slice(100));
+        let plan = split_range(0..100, 3);
+        for (i, range) in plan.into_iter().enumerate() {
+            assert_eq!(range, Shard::new(i, 3).slice(100));
         }
     }
 
     #[test]
     fn shard_plan_split_covers_subrange() {
         for (range, parts) in [(10..20, 3), (0..1, 5), (7..8, 1), (3..103, 7)] {
-            let pieces = ShardPlan::split(range.clone(), parts);
+            let pieces = split_range(range.clone(), parts);
             assert!(pieces.len() <= parts);
             let mut cursor = range.start;
             for p in &pieces {

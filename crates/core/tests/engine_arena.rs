@@ -7,7 +7,7 @@
 
 use mrw_core::engine::{
     BatchMode, CompiledProcess, CoverageCurve, Discipline, Engine, EngineArena, FullCover, Hit,
-    Meeting, Multicover, Observer, PartialCover, PreyMove, Process, Pursuit, SimpleStep, Trace,
+    Meeting, Multicover, Observer, PartialCover, PreyStrategy, Process, Pursuit, SimpleStep, Trace,
     VisitTally,
 };
 use mrw_core::{walk_rng, WalkProcess};
@@ -134,11 +134,11 @@ proptest! {
         case!(Multicover::new(n, 2), |o: Multicover| o.counts().to_vec());
         case!(Hit::new(probe), |o: Hit| vec![o.done() as u64]);
         case!(Meeting::new(), |o: Meeting| vec![o.done() as u64]);
-        case!(Pursuit::new(probe, PreyMove::Hide), |o: Pursuit| vec![
+        case!(Pursuit::new(probe, PreyStrategy::Hide), |o: Pursuit| vec![
             o.prey_position() as u64,
             o.done() as u64
         ]);
-        case!(Pursuit::new(probe, PreyMove::RandomWalk), |o: Pursuit| vec![
+        case!(Pursuit::new(probe, PreyStrategy::RandomWalk), |o: Pursuit| vec![
             o.prey_position() as u64,
             o.done() as u64
         ]);

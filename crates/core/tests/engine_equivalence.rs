@@ -10,10 +10,11 @@
 //! checked at the wrong boundary — these tests fail on the exact seed
 //! that exposes it.
 
+use mrw_core::engine::PartialCover;
 use mrw_core::starts::worst_start_candidates;
 use mrw_core::{
-    kwalk_cover_rounds, kwalk_covers_within, kwalk_multicover_rounds, kwalk_partial_cover_rounds,
-    walk_rng, Budget, KWalkMode, Query, Session,
+    kwalk_cover_rounds, kwalk_covers_within, kwalk_multicover_rounds, walk_rng, Budget, Engine,
+    KWalkMode, Query, Session, SimpleStep,
 };
 use mrw_graph::{generators, Graph};
 use mrw_stats::ks_two_sample;
@@ -312,7 +313,9 @@ fn partial_cover_is_bit_for_bit_legacy() {
         for &target in &targets {
             for seed in 0..16u64 {
                 let starts = [0u32, 0];
-                let new = kwalk_partial_cover_rounds(&g, &starts, target, &mut walk_rng(seed));
+                let new = Engine::new(&g, SimpleStep, PartialCover::new(g.n(), target))
+                    .run(&starts, &mut walk_rng(seed))
+                    .rounds;
                 let old =
                     legacy::kwalk_partial_cover_rounds(&g, &starts, target, &mut walk_rng(seed));
                 assert_eq!(new, old, "{} target={target} seed={seed}", g.name());

@@ -15,7 +15,7 @@
 
 use mrw_core::query::{Budget, Query, Report, Session, Shard};
 use mrw_core::starts::worst_start_candidates;
-use mrw_core::{BatchMode, Precision, PreyStrategy};
+use mrw_core::{BatchMode, KWalkMode, Precision, PreyStrategy};
 use mrw_graph::{generators, Graph};
 use mrw_stats::harmonic::harmonic;
 use proptest::prelude::*;
@@ -468,26 +468,78 @@ fn batched_cover_identical_across_thread_counts() {
 #[test]
 fn batch_mode_selects_engine_path() {
     let g = generators::cycle(24);
-    let run = |batch| {
-        cover(
-            &g,
-            64,
-            vec![0],
-            Budget {
-                batch,
-                ..fixed(12, 9)
+    // (query, k ≥ 64): every query kind whose trials run on the engine,
+    // each under the budget's batch mode and discipline.
+    let inputs = [
+        (
+            Query::Cover {
+                k: 64,
+                starts: vec![0],
             },
-        )
-    };
-    // Auto at k = 64 takes the batched stream; Never the scalar one.
-    // Same law, different draws — the samples differ with overwhelming
-    // probability, while each mode stays internally deterministic.
-    let auto = run(BatchMode::Auto);
-    let always = run(BatchMode::Always);
-    let never = run(BatchMode::Never);
-    assert_eq!(auto.groups, always.groups);
-    assert_ne!(auto.groups[0].moments.min(), never.groups[0].moments.min());
-    assert_eq!(never.groups, run(BatchMode::Never).groups);
+            true,
+        ),
+        (
+            Query::PartialCover {
+                k: 64,
+                start: 0,
+                gammas: vec![0.5],
+            },
+            true,
+        ),
+        (
+            Query::Hitting {
+                from: 0,
+                to: 12,
+                cap: 1_000_000,
+            },
+            false,
+        ),
+        (
+            Query::Meeting {
+                a: 0,
+                b: 1,
+                laziness: Some(0.5),
+                cap: 100_000,
+            },
+            false,
+        ),
+        (
+            Query::Pursuit {
+                ks: vec![64],
+                hunters: 0,
+                prey: 12,
+                strategy: PreyStrategy::RandomWalk,
+                cap: 100_000,
+            },
+            true,
+        ),
+    ];
+    for (query, wide) in &inputs {
+        let run = |batch, mode| {
+            let budget = Budget {
+                batch,
+                mode,
+                ..fixed(12, 9)
+            };
+            Session::new(budget).run(&g, query).groups
+        };
+        let sync = KWalkMode::RoundSynchronous;
+        // Always takes the batched stream, Never the scalar one. Same
+        // law, different draws — the samples differ with overwhelming
+        // probability, while each mode stays internally deterministic.
+        let always = run(BatchMode::Always, sync);
+        let never = run(BatchMode::Never, sync);
+        let kind = query.kind();
+        assert_ne!(always, never, "{kind}: batch mode never reached the engine");
+        assert_eq!(never, run(BatchMode::Never, sync), "{kind}");
+        if *wide {
+            // Auto batches at k = 64; the interleaved loop is always
+            // scalar and stops in the round the scalar loop does.
+            assert_eq!(run(BatchMode::Auto, sync), always, "{kind}");
+            let interleaved = run(BatchMode::Auto, KWalkMode::Interleaved);
+            assert_eq!(interleaved, never, "{kind}: mode never reached the engine");
+        }
+    }
 }
 
 #[test]

@@ -9,9 +9,10 @@ use many_walks::spectral::{
     max_effective_resistance, mixing_time, mixing_time_sandwich, stationary_distribution,
     summarize_spectrum, walk_spectrum, MixingConfig,
 };
+use many_walks::walks::engine::PartialCover;
 use many_walks::walks::{
-    cover_time_process, fraction_target, kwalk_multicover_rounds, kwalk_partial_cover_rounds,
-    kwalk_visit_counts, walk_rng, Budget, Query, Session, WalkProcess,
+    cover_time_process, fraction_target, kwalk_multicover_rounds, kwalk_visit_counts, walk_rng,
+    Budget, Engine, Query, Session, SimpleStep, WalkProcess,
 };
 
 /// Mean `k`-walk cover time from vertex 0 under `budget`.
@@ -153,10 +154,14 @@ fn partial_cover_beats_full_cover_proportionally_harder_on_cycle() {
     let trials = 150u64;
     let mut p90 = 0u64;
     let mut full = 0u64;
+    let partial = |target, seed| {
+        Engine::new(&clique, SimpleStep, PartialCover::new(64, target))
+            .run(&[0], &mut walk_rng(seed))
+            .rounds
+    };
     for t in 0..trials {
-        p90 +=
-            kwalk_partial_cover_rounds(&clique, &[0], fraction_target(64, 0.9), &mut walk_rng(t));
-        full += kwalk_partial_cover_rounds(&clique, &[0], 64, &mut walk_rng(5_000 + t));
+        p90 += partial(fraction_target(64, 0.9), t);
+        full += partial(64, 5_000 + t);
     }
     let ratio = p90 as f64 / full as f64;
     // n(H_n − H_{0.1n}) / nH_n ≈ (ln 10)/H_64 ≈ 0.485.

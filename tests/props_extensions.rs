@@ -8,8 +8,9 @@ use many_walks::spectral::{
     effective_resistance_cg, hitting_times_all, hitting_times_to_gs, jacobi_eigen, walk_spectrum,
     DenseMatrix, LaplacianOp,
 };
+use many_walks::walks::engine::PartialCover;
 use many_walks::walks::{
-    fraction_target, kwalk_multicover_rounds, kwalk_partial_cover_rounds, walk_rng, WalkProcess,
+    fraction_target, kwalk_multicover_rounds, walk_rng, Engine, SimpleStep, WalkProcess,
 };
 use proptest::prelude::*;
 
@@ -181,9 +182,14 @@ proptest! {
         seed in 0u64..200,
     ) {
         let g = generators::cycle(n);
-        let t25 = kwalk_partial_cover_rounds(&g, &[0], fraction_target(n, 0.25), &mut walk_rng(seed));
-        let t50 = kwalk_partial_cover_rounds(&g, &[0], fraction_target(n, 0.5), &mut walk_rng(seed));
-        let t100 = kwalk_partial_cover_rounds(&g, &[0], n, &mut walk_rng(seed));
+        let partial = |target| {
+            Engine::new(&g, SimpleStep, PartialCover::new(n, target))
+                .run(&[0], &mut walk_rng(seed))
+                .rounds
+        };
+        let t25 = partial(fraction_target(n, 0.25));
+        let t50 = partial(fraction_target(n, 0.5));
+        let t100 = partial(n);
         // Same seed = same trajectory: thresholds are nested stopping times.
         prop_assert!(t25 <= t50 && t50 <= t100);
     }

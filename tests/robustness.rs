@@ -9,7 +9,10 @@
 
 use many_walks::graph::{generators, GraphBuilder};
 use many_walks::spectral;
-use many_walks::walks::{self, walk_rng, Budget, PreyStrategy, Query, Session, WalkProcess};
+use many_walks::walks::engine::{PartialCover, Pursuit};
+use many_walks::walks::{
+    self, walk_rng, Budget, Engine, PreyStrategy, Query, Session, SimpleStep, WalkProcess,
+};
 
 fn disconnected() -> many_walks::graph::Graph {
     let mut b = GraphBuilder::new(4);
@@ -47,7 +50,7 @@ fn exact_dp_rejects_disconnected() {
 #[should_panic(expected = "exceeds n")]
 fn partial_cover_target_too_large() {
     let g = generators::cycle(5);
-    walks::kwalk_partial_cover_rounds(&g, &[0], 6, &mut walk_rng(0));
+    Engine::new(&g, SimpleStep, PartialCover::new(g.n(), 6)).run(&[0], &mut walk_rng(0));
 }
 
 #[test]
@@ -70,18 +73,33 @@ fn multicover_rejects_zero_visits() {
     walks::kwalk_multicover_rounds(&g, &[0], 0, &mut walk_rng(0));
 }
 
+/// One fixed-budget trial of a pursuit query on `g`.
+fn pursuit_trial(g: &many_walks::graph::Graph, ks: Vec<usize>, prey: u32) {
+    let query = Query::Pursuit {
+        ks,
+        hunters: 0,
+        prey,
+        strategy: PreyStrategy::Hide,
+        cap: 10,
+    };
+    Session::new(Budget {
+        trials: 1,
+        seed: 0,
+        ..Budget::default()
+    })
+    .run(g, &query);
+}
+
 #[test]
-#[should_panic(expected = "prey out of range")]
+#[should_panic(expected = "prey 9 out of range")]
 fn pursuit_prey_out_of_range() {
-    let g = generators::cycle(5);
-    walks::pursuit_rounds(&g, &[0], 9, PreyStrategy::Hide, 10, &mut walk_rng(0));
+    pursuit_trial(&generators::cycle(5), vec![1], 9);
 }
 
 #[test]
 #[should_panic(expected = "at least one hunter")]
 fn pursuit_no_hunters() {
-    let g = generators::cycle(5);
-    walks::pursuit_rounds(&g, &[], 1, PreyStrategy::Hide, 10, &mut walk_rng(0));
+    pursuit_trial(&generators::cycle(5), vec![0], 1);
 }
 
 #[test]
@@ -168,10 +186,10 @@ fn hit_cap_returns_none_not_hang() {
 #[test]
 fn pursuit_cap_returns_none_not_hang() {
     let g = generators::cycle(1024);
-    assert_eq!(
-        walks::pursuit_rounds(&g, &[0], 512, PreyStrategy::Hide, 10, &mut walk_rng(0)),
-        None
-    );
+    let out = Engine::new(&g, SimpleStep, Pursuit::new(512, PreyStrategy::Hide))
+        .cap(10)
+        .run(&[0], &mut walk_rng(0));
+    assert!(!out.stopped);
 }
 
 #[test]
