@@ -42,9 +42,10 @@ experiments:
                   validated output) and merge - byte-identical to
                   mrw run, fixed or adaptive budgets
   resume CKPT.json
-                  finish an interrupted fanout from its checkpoint,
-                  dispatching only the still-missing trial ranges -
-                  completes byte-identically to an unfailed mrw run
+                  finish an interrupted fanout from its checkpoint (an
+                  mrw-ledger-v1 file): windows it holds cost nothing and
+                  only the still-missing trial ranges run - completes
+                  byte-identically to an unfailed mrw run
   serve --listen ADDR
                   resident estimate daemon with an incremental report
                   cache: repeated, extending, and precision-upgrading
@@ -91,9 +92,10 @@ fanout / resume (multi-process scale-out):
   --partial-ok    on retry exhaustion, emit the merged partial report
                   and exit 0 instead of aborting (a checkpoint is
                   written either way)
-  --checkpoint P  where to write the resume checkpoint on failure
-                  (default: mrw-checkpoint-<spec-hash>.json in the
-                  temp dir; resume reuses its input file)
+  --checkpoint P  where to write the resume checkpoint, an
+                  mrw-ledger-v1 file, on failure (default:
+                  mrw-checkpoint-<spec-hash>.json in the temp dir;
+                  resume reuses its input file)
 
 serve / serve-ctl (resident estimate service):
   --listen ADDR   where the daemon listens: host:port (TCP; port 0

@@ -25,8 +25,9 @@
 //!   overlap rejection sits behind every merge).
 //! * **Retry exhaustion**: the dispatcher stops spawning, kills what is
 //!   still running, and reports the surviving state — completed chunk
-//!   reports stay available so the caller can checkpoint them
-//!   ([`mrw_core::query::Checkpoint`]) instead of discarding the work.
+//!   reports stay available so the caller can checkpoint them (as the
+//!   frontier of an [`mrw_core::query::Ledger`]) instead of discarding
+//!   the work.
 //!
 //! Backoff delays use *deterministic* seeded jitter
 //! ([`SplitMix64::word`] keyed by the spec seed, chunk start, and attempt

@@ -22,32 +22,38 @@
 //! them with `mrw shard --range --groups` restricted to the groups still
 //! active. The next window is queued before the current one is awaited,
 //! under the current active set: a superset of the groups that will need
-//! it, and the running totals read only the groups the driver asks about,
-//! so the optimistic extra trials never reach the report and the output
-//! (per-group consumed counts included) is byte-identical to `mrw run`.
+//! it. Each finished window is recorded in a [`Ledger`] as a prefix
+//! window of exactly the groups the driver asked about, so the optimistic
+//! extra trials never reach the report and the output (per-group consumed
+//! counts included) is byte-identical to `mrw run`.
 //!
 //! ## Failure handling, checkpoints, and resume
 //!
 //! Worker death, hangs (deadline-SIGKILLed), and corrupt output are all
 //! retryable faults with exponential backoff (see `dispatch.rs`). When a
 //! chunk exhausts its retry budget the driver does not discard the
-//! completed work: it freezes every finished chunk into a canonical-JSON
-//! [`Checkpoint`] and either aborts with the still-missing ranges and the
-//! exact `mrw resume` command that would continue (default), or — with
-//! `--partial-ok` — prints the merged partial report and exits cleanly.
-//! `mrw resume checkpoint.json` drives the same windows again, slotting
-//! each checkpointed report into its window and dispatching only the
-//! still-missing sub-ranges, and completes byte-identically to an
-//! unfailed `mrw run`. `mrw serve --delegate-trials` runs its big ranges
-//! as one window of the same pool ([`run_on_pool`]).
+//! completed work: it writes its ledger as a canonical
+//! [`mrw-ledger-v1`](mrw_core::query::ledger) checkpoint — the finished
+//! windows, a `frontier` report per unfinished window with its completed
+//! chunks, and the failure log, fingerprinted over the whole payload — and
+//! either aborts with the still-missing ranges and the exact `mrw resume`
+//! command that would continue (default), or — with `--partial-ok` —
+//! prints the merged partial report and exits cleanly. `mrw resume
+//! checkpoint.json` loads it with [`Ledger::from_json`] (the loader `mrw
+//! serve --persist` uses), drives the same windows again, answers the
+//! window ends the ledger holds without dispatching, slots each frontier
+//! report into its window and dispatches only the still-missing
+//! sub-ranges, and completes byte-identically to an unfailed `mrw run`.
+//! `mrw serve --delegate-trials` runs its big ranges as one window of the
+//! same pool ([`run_on_pool`]).
 
 use std::ops::Range;
 use std::process::Command;
 use std::time::Duration;
 
-use mrw_core::query::{split_range, waves, Checkpoint, Coverage, GraphInfo};
+use mrw_core::query::json::{self, Value};
+use mrw_core::query::{spec_hash, split_range, waves, Coverage, GraphInfo, Ledger};
 use mrw_core::{AnyGraph, Group, QuerySpec, Report};
-use mrw_graph::GraphBackend;
 
 use crate::args::Options;
 use crate::dispatch::{merge_all, Chunk, DispatchConfig, Dispatcher, Scratch};
@@ -138,12 +144,12 @@ pub fn fault_hook(range: &Range<usize>) -> FaultAction {
     FaultAction::Clean
 }
 
-/// A run stopped by retry exhaustion: what stopped it, what finished
-/// anyway (merged per wave window, ready for a [`Checkpoint`]), and the
-/// dispatched-but-incomplete trial ranges.
+/// A run stopped by retry exhaustion: what stopped it, its checkpoint
+/// (the finished windows plus the frontier of the unfinished ones), and
+/// the dispatched-but-incomplete trial ranges.
 struct Interrupted {
     error: String,
-    waves: Vec<Report>,
+    checkpoint: Ledger,
     missing: Vec<(u64, u64)>,
 }
 
@@ -161,7 +167,7 @@ fn split_chunks(gap: Range<usize>, chunk_len: usize) -> Vec<Range<usize>> {
 }
 
 /// The still-missing chunk ranges of one wave window, given whatever a
-/// checkpoint already covers of it.
+/// checkpoint's frontier already covers of it.
 fn window_gaps(window: &Range<usize>, saved: Option<&Report>) -> Vec<Range<usize>> {
     match saved {
         None => vec![window.clone()],
@@ -215,57 +221,62 @@ impl ChunkPlan {
     }
 }
 
-/// The worker pool as a [`waves::WaveExecutor`]: every window is cut into
-/// chunks the pool pulls, and the next window is queued before the
-/// current one is awaited, so the pool never drains at a window boundary.
-/// The next window runs under the active set the driver passed for the
-/// current one — a superset of the groups that will need it (groups only
-/// ever retire), and the running totals read only the groups the driver
-/// asks about, so the optimistic extra trials never reach the report.
+/// The worker pool as a [`waves::WaveExecutor`] over a [`Ledger`]: every
+/// finished window becomes a prefix window of each group the driver asked
+/// about, and a window the ledger already holds (a resumed checkpoint's) is
+/// answered without dispatching. Any other window is cut into chunks the
+/// pool pulls, and the next window is queued before the current one is
+/// awaited, so the pool never drains at a window boundary. The next window
+/// runs under the active set the driver passed for the current one — a
+/// superset of the groups that will need it (groups only ever retire) —
+/// and the ledger records only the groups the driver asks about, so the
+/// optimistic extra trials never reach the report.
 struct PoolExecutor<'s> {
     pool: Dispatcher<'s>,
     plan: ChunkPlan,
     windows: Vec<Range<usize>>,
-    /// Checkpointed progress per window, merged in when the window
-    /// finishes.
+    /// The finished windows, per group.
+    ledger: Ledger,
+    /// The checkpoint's frontier report of each window, merged in when
+    /// the window finishes.
     saved: Vec<Option<Report>>,
-    /// Windows `[0, queued)` have had their chunks enqueued.
+    /// Windows `[0, queued)` have had their chunks enqueued (or are held
+    /// by the ledger).
     queued: usize,
-    /// The merged report of every finished window, in order — exactly
-    /// what a checkpoint keeps.
-    finished: Vec<Report>,
-    /// Running per-group statistics over the finished windows.
-    totals: Vec<Group>,
+    /// Windows `[0, finished)` are answered: the next one the driver asks
+    /// for is `windows[finished]`.
+    finished: usize,
     /// Whether a chunk exhausted its retries: the drive stopped, but its
     /// finished work can be checkpointed.
     exhausted: bool,
 }
 
 impl<'s> PoolExecutor<'s> {
-    /// A pool over `windows` of `spec`, resuming from a checkpoint's
-    /// per-window `saved` reports (each slotted into the window that
-    /// contains it). The children read `spec` from the scratch directory:
-    /// the *resolved* spec (CLI overrides applied, or a checkpoint's frozen
-    /// spec), never the user's file.
+    /// A pool over `windows` of `ledger`'s spec, resuming from the
+    /// ledger's windows and its frontier (each frontier report slotted into
+    /// the window that contains it). The children read the spec from the
+    /// scratch directory: the *resolved* spec (CLI overrides applied, or a
+    /// checkpoint's frozen spec), never the user's file.
     fn new(
-        spec: &QuerySpec,
+        mut ledger: Ledger,
         scratch: &'s Scratch,
         cfg: DispatchConfig,
         plan: ChunkPlan,
         windows: Vec<Range<usize>>,
-        saved: &[Report],
     ) -> Result<PoolExecutor<'s>, String> {
         let mut slots: Vec<Option<Report>> = vec![None; windows.len()];
-        for report in saved {
+        for report in std::mem::take(&mut ledger.frontier) {
             let Some(&(start, _)) = report.coverage.ranges().first() else {
-                return Err("checkpoint wave covers no trials".into());
+                return Err("checkpoint frontier covers no trials".into());
             };
             let start = start as usize;
             let w = windows
                 .iter()
                 .position(|win| win.start <= start && start < win.end)
                 .ok_or_else(|| {
-                    format!("checkpoint wave at trial {start} is outside the spec's wave schedule")
+                    format!(
+                        "checkpoint frontier at trial {start} is outside the spec's wave schedule"
+                    )
                 })?;
             let (lo, hi) = (windows[w].start as u64, windows[w].end as u64);
             if report
@@ -275,26 +286,26 @@ impl<'s> PoolExecutor<'s> {
                 .any(|&(a, b)| a < lo || b > hi)
             {
                 return Err(format!(
-                    "checkpoint wave covering {:?} crosses the wave boundary at trial {hi}",
+                    "checkpoint frontier covering {:?} crosses the wave boundary at trial {hi}",
                     report.coverage.ranges()
                 ));
             }
             slots[w] = Some(match slots[w].take() {
-                None => report.clone(),
-                Some(prev) => Report::merge(&prev, report)?,
+                None => report,
+                Some(prev) => Report::merge(&prev, &report)?,
             });
         }
         let spec_path = scratch.path("spec.json");
-        std::fs::write(&spec_path, spec.to_json())
+        std::fs::write(&spec_path, ledger.spec.to_json())
             .map_err(|e| format!("{}: {e}", spec_path.display()))?;
         Ok(PoolExecutor {
             pool: Dispatcher::new(spec_path, scratch, cfg)?,
             plan,
             windows,
+            ledger,
             saved: slots,
             queued: 0,
-            finished: Vec::new(),
-            totals: Vec::new(),
+            finished: 0,
             exhausted: false,
         })
     }
@@ -315,16 +326,10 @@ impl<'s> PoolExecutor<'s> {
         }
     }
 
-    /// Waits for the next unfinished window's chunks and merges them (with
-    /// its checkpointed part) into the window's report, which must cover
-    /// the whole window.
-    fn finish(&mut self) -> Result<Report, String> {
-        let w = self.finished.len();
-        let window = self
-            .windows
-            .get(w)
-            .cloned()
-            .ok_or_else(|| format!("internal: no window {w} to finish"))?;
+    /// Waits for window `w`'s chunks and merges them (with its frontier
+    /// part) into the window's report, which must cover the whole window.
+    fn finish(&mut self, w: usize) -> Result<Report, String> {
+        let window = self.windows[w].clone();
         if let Err(e) = self.pool.run_until_wave_done(w) {
             self.exhausted = true;
             return Err(e);
@@ -341,20 +346,35 @@ impl<'s> PoolExecutor<'s> {
         Ok(report)
     }
 
-    /// Freezes a drive stopped by retry exhaustion: every finished window,
-    /// plus whatever completed (or was checkpointed) of later ones.
+    /// The ledger's statistics over `[0, end)` of the groups in `active`
+    /// (every group when `None`), if it holds that window for all of them.
+    fn held(&self, active: Option<&[usize]>, end: u64) -> Option<Vec<Group>> {
+        if self.ledger.groups.is_empty() {
+            return None;
+        }
+        let every: Vec<usize> = (0..self.ledger.groups.len()).collect();
+        active
+            .unwrap_or(&every)
+            .iter()
+            .map(|&gi| self.ledger.window(gi, end).cloned())
+            .collect()
+    }
+
+    /// Freezes a drive stopped by retry exhaustion into its checkpoint:
+    /// the ledger's finished windows, plus one frontier report per
+    /// unfinished window with whatever completed of it.
     fn interrupted(&mut self, error: String) -> Result<Interrupted, String> {
-        let mut waves = std::mem::take(&mut self.finished);
-        for w in waves.len()..self.windows.len() {
+        let mut checkpoint = self.ledger.clone();
+        for w in self.finished..self.windows.len() {
             let mut parts = self.pool.take_completed(w);
             parts.extend(self.saved[w].take());
             if !parts.is_empty() {
-                waves.push(merge_all(&parts)?);
+                checkpoint.frontier.push(merge_all(&parts)?);
             }
         }
         Ok(Interrupted {
             error,
-            waves,
+            checkpoint,
             missing: self.pool.missing_ranges(),
         })
     }
@@ -369,49 +389,49 @@ impl waves::WaveExecutor for PoolExecutor<'_> {
         window: Range<usize>,
         next: Option<Range<usize>>,
     ) -> Result<Vec<Group>, String> {
-        let w = self.finished.len();
+        let w = self.finished;
         if self.windows.get(w) != Some(&window) {
             return Err(format!(
                 "internal: asked for trials {window:?} out of the wave schedule"
             ));
         }
-        // Only the first window is not queued yet; the next one starts now.
+        let end = window.end as u64;
+        if let Some(held) = self.held(active, end) {
+            self.finished += 1;
+            return Ok(held);
+        }
+        // This window is queued already if it was pipelined; the next one
+        // starts now.
+        self.queued = self.queued.max(w);
         self.queue(w + usize::from(next.is_some()), active);
-        let report = self.finish()?;
-        let out = match active {
-            None => {
-                self.totals = report.groups.clone();
-                self.totals.clone()
-            }
+        let report = self.finish(w)?;
+        match active {
+            None => self.ledger.open(end, report.groups),
             Some(ids) => {
-                let mut out = Vec::with_capacity(ids.len());
                 for &gi in ids {
-                    let (Some(total), Some(part)) =
-                        (self.totals.get_mut(gi), report.groups.get(gi))
-                    else {
-                        return Err(format!("internal: no group {gi} in trials {window:?}"));
+                    let (lo, base) = self.ledger.floor(gi, end);
+                    let part = report.groups.get(gi).filter(|_| lo == window.start as u64);
+                    let Some(part) = part else {
+                        return Err(format!(
+                            "internal: no group {gi} to extend by trials {window:?}"
+                        ));
                     };
-                    *total = total.merge(part);
-                    out.push(total.clone());
+                    self.ledger.record(gi, end, base.merge(part));
                 }
-                out
             }
-        };
-        self.finished.push(report);
-        Ok(out)
+        }
+        self.finished += 1;
+        self.held(active, end)
+            .ok_or_else(|| format!("internal: trials {window:?} left a group unrecorded"))
     }
 }
 
-/// Runs a spec across the worker pool, fresh (`saved` empty) or resumed
-/// from a checkpoint's per-wave partial reports, through the one wave
-/// driver: a fixed budget is its one-window case.
-fn drive(
-    spec: &QuerySpec,
-    g: &AnyGraph,
-    saved: &[Report],
-    opts: &Options,
-) -> Result<DriveResult, String> {
+/// Runs a ledger's spec across the worker pool, fresh (an empty ledger)
+/// or resumed from a checkpoint, through the one wave driver: a fixed
+/// budget is its one-window case.
+fn drive(ledger: Ledger, opts: &Options) -> Result<DriveResult, String> {
     let workers = opts.workers.unwrap_or_else(mrw_par::available_threads);
+    let spec = ledger.spec.clone();
     let trials = spec.budget.trials_budget();
     if trials.cap() < 1 {
         return Err("budget needs at least one trial".into());
@@ -426,19 +446,16 @@ fn drive(
     };
     let fixed = spec.budget.precision.is_none();
     let plan = ChunkPlan::new(opts.chunk, opts.fanout_shards, workers, fixed);
-    let mut exec = PoolExecutor::new(spec, &scratch, cfg, plan, waves::windows(trials), saved)?;
+    let mut exec = PoolExecutor::new(ledger, &scratch, cfg, plan, waves::windows(trials))?;
     let outcome = match waves::drive(trials, &mut exec) {
         Ok(groups) => {
             // Cancel whatever the pipeline ran ahead on: the rule retired
             // every group, or the cap cut the schedule.
             exec.pool.abort_in_flight();
             Ok(Report {
-                graph: GraphInfo {
-                    name: g.name().to_string(),
-                    n: g.n(),
-                },
-                query: spec.query.clone(),
-                budget: spec.budget.clone(),
+                graph: exec.ledger.graph.clone(),
+                query: spec.query,
+                budget: spec.budget,
                 coverage: Coverage::full(trials.cap() as u64),
                 groups,
             })
@@ -459,15 +476,17 @@ fn drive(
 /// chunk plan, dispatch, merge, and coverage check as a fanout window.
 pub(crate) fn run_on_pool(
     spec: &QuerySpec,
+    g: &AnyGraph,
     range: Range<usize>,
     groups: Option<&[usize]>,
     cfg: DispatchConfig,
 ) -> Result<Report, String> {
     let scratch = Scratch::new()?;
     let plan = ChunkPlan::new(None, None, cfg.workers, true);
-    let mut exec = PoolExecutor::new(spec, &scratch, cfg, plan, vec![range], &[])?;
+    let ledger = Ledger::new(spec.clone(), GraphInfo::of(g));
+    let mut exec = PoolExecutor::new(ledger, &scratch, cfg, plan, vec![range])?;
     exec.queue(0, groups);
-    exec.finish()
+    exec.finish(0)
 }
 
 /// Prints a completed merged report exactly like `mrw run` would, plus
@@ -498,31 +517,50 @@ fn emit_complete(merged: &Report, opts: &Options, workers: usize, retries_used: 
     }
 }
 
+/// Everything a checkpoint holds as one partial report: each group's last
+/// prefix window merged with the frontier, covering the prefix windows
+/// `[0, end)` plus the frontier's ranges. `None` when nothing completed.
+fn partial_report(checkpoint: &Ledger) -> Result<Option<Report>, String> {
+    let mut parts = checkpoint.frontier.clone();
+    let end = checkpoint.prefix_end();
+    if end > 0 {
+        parts.push(Report {
+            graph: checkpoint.graph.clone(),
+            query: checkpoint.spec.query.clone(),
+            budget: checkpoint.spec.budget.clone(),
+            coverage: Coverage::of_range(0..end as usize),
+            groups: (0..checkpoint.groups.len())
+                .map(|gi| checkpoint.floor(gi, end).1)
+                .collect(),
+        });
+    }
+    if parts.is_empty() {
+        return Ok(None);
+    }
+    merge_all(&parts).map(Some)
+}
+
 /// Shared tail of `mrw fanout` and `mrw resume`: emit the completed
 /// report, or checkpoint the partial progress and either abort with the
 /// resume instructions or (`--partial-ok`) emit the merged partial.
 fn conclude(
-    spec: QuerySpec,
     result: DriveResult,
     opts: &Options,
-    prior_failures: Vec<String>,
     reuse_checkpoint: Option<String>,
 ) -> Result<(), String> {
     let workers = opts.workers.unwrap_or_else(mrw_par::available_threads);
-    let interrupted = match result.outcome {
+    let Interrupted {
+        error,
+        mut checkpoint,
+        missing,
+    } = match result.outcome {
         Ok(merged) => {
             emit_complete(&merged, opts, workers, result.retries_used);
             return Ok(());
         }
         Err(interrupted) => interrupted,
     };
-    let mut failures = prior_failures;
-    failures.extend(result.failures);
-    let checkpoint = Checkpoint {
-        spec,
-        failures,
-        waves: interrupted.waves,
-    };
+    checkpoint.failures.extend(result.failures);
     // Precedence: --checkpoint, then the checkpoint file being resumed
     // (progress folds back into it), then a spec-hash-derived temp path.
     let path = opts
@@ -530,30 +568,27 @@ fn conclude(
         .clone()
         .or(reuse_checkpoint)
         .unwrap_or_else(|| {
+            let hash = spec_hash(&checkpoint.spec.to_json());
             std::env::temp_dir()
-                .join(format!("mrw-checkpoint-{}.json", checkpoint.spec_hash()))
+                .join(format!("mrw-checkpoint-{hash}.json"))
                 .display()
                 .to_string()
         });
     std::fs::write(&path, checkpoint.to_json()).map_err(|e| format!("{path}: {e}"))?;
     if opts.partial_ok {
+        let partial = partial_report(&checkpoint)?;
         eprintln!(
-            "mrw fanout: {}; still missing {:?}; emitting the merged partial report \
+            "mrw fanout: {error}; still missing {missing:?}; emitting the merged partial report \
              ({} of {} trials); checkpointed to {path} — finish with: mrw resume {path}",
-            interrupted.error,
-            interrupted.missing,
-            checkpoint.covered_trials(),
-            spec_trial_space(&checkpoint),
-            path = path
+            partial.as_ref().map_or(0, |r| r.coverage.covered_trials()),
+            checkpoint.spec.budget.trials_budget().cap(),
         );
-        if checkpoint.waves.is_empty() {
+        let Some(partial) = partial else {
             return Err(format!(
-                "{}; no chunk completed, so there is no partial report to emit \
-                 (checkpoint still written to {path})",
-                interrupted.error
+                "{error}; no chunk completed, so there is no partial report to emit \
+                 (checkpoint still written to {path})"
             ));
-        }
-        let partial = merge_all(&checkpoint.waves)?;
+        };
         if opts.json {
             print!("{}", partial.to_json());
         } else {
@@ -562,20 +597,12 @@ fn conclude(
         Ok(())
     } else {
         Err(format!(
-            "{}; still missing {:?}; partial progress checkpointed to {path} — \
+            "{error}; still missing {missing:?}; partial progress checkpointed to {path} — \
              finish with: mrw resume {path} (or pass --partial-ok to accept the \
              partial report); failures: [{}]",
-            interrupted.error,
-            interrupted.missing,
             checkpoint.failures.join("; "),
-            path = path
         ))
     }
-}
-
-/// The trial-index space of a checkpoint's spec.
-fn spec_trial_space(checkpoint: &Checkpoint) -> u64 {
-    checkpoint.spec.budget.trials_budget().cap() as u64
 }
 
 /// `mrw fanout spec.json --workers N [--shards S | --chunk C] [--retries
@@ -586,17 +613,20 @@ fn spec_trial_space(checkpoint: &Checkpoint) -> u64 {
 /// output and are retried.
 pub fn run_fanout(opts: &Options) -> Result<(), String> {
     let (spec, g) = crate::load_spec(opts)?;
-    let result = drive(&spec, &g, &[], opts)?;
-    conclude(spec, result, opts, Vec::new(), None)
+    let result = drive(Ledger::new(spec, GraphInfo::of(&g)), opts)?;
+    conclude(result, opts, None)
 }
 
+/// The schema of the checkpoints fanout wrote before they became ledgers.
+const RETIRED_CHECKPOINT_SCHEMA: &str = "mrw-checkpoint-v1";
+
 /// `mrw resume checkpoint.json`: finish an interrupted fanout from its
-/// checkpoint, dispatching only the still-missing trial ranges. The
-/// output completes byte-identically to an unfailed `mrw run` of the
-/// same spec. Execution knobs (`--workers`, `--retries`, `--threads`,
-/// `--deadline-ms`, `--chunk`, `--json`) apply; budget overrides are
-/// rejected because byte-identity requires the checkpointed spec
-/// unchanged.
+/// checkpoint ledger, answering the windows it holds without dispatching
+/// and running only the still-missing trial ranges. The output completes
+/// byte-identically to an unfailed `mrw run` of the same spec. Execution
+/// knobs (`--workers`, `--retries`, `--threads`, `--deadline-ms`,
+/// `--chunk`, `--json`) apply; budget overrides are rejected because
+/// byte-identity requires the checkpointed spec unchanged.
 pub fn run_resume(opts: &Options) -> Result<(), String> {
     let path = match opts.files.as_slice() {
         [path] => path.clone(),
@@ -622,7 +652,17 @@ pub fn run_resume(opts: &Options) -> Result<(), String> {
         );
     }
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-    let checkpoint = Checkpoint::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
+    let checkpoint = Ledger::from_json(&text).map_err(|e| {
+        let schema = json::parse(&text).map(|v| v.get("schema").cloned());
+        if schema == Ok(Some(Value::str(RETIRED_CHECKPOINT_SCHEMA))) {
+            format!(
+                "{path}: {RETIRED_CHECKPOINT_SCHEMA} checkpoints are no longer read; \
+                 re-run mrw fanout on the spec to start over"
+            )
+        } else {
+            format!("{path}: {e}")
+        }
+    })?;
     let g = checkpoint
         .spec
         .graph
@@ -633,12 +673,6 @@ pub fn run_resume(opts: &Options) -> Result<(), String> {
         .query
         .validate(&g)
         .map_err(|e| format!("{path}: {e}"))?;
-    let result = drive(&checkpoint.spec, &g, &checkpoint.waves, opts)?;
-    conclude(
-        checkpoint.spec,
-        result,
-        opts,
-        checkpoint.failures,
-        Some(path),
-    )
+    let result = drive(checkpoint, opts)?;
+    conclude(result, opts, Some(path))
 }

@@ -54,12 +54,15 @@
 //! `DIR/ledger-<fnv1a(report_key)>.json` as a canonical
 //! [`mrw-ledger-v1`](mrw_core::query::ledger) document (tmp-file +
 //! rename, so a crash mid-write leaves the previous generation intact),
-//! and boot loads every such file back before printing the ready line.
-//! The document embeds the spec template and is fingerprinted over its
-//! whole payload, so a tampered, truncated, or version-skewed file is
-//! *skipped with a warning on stderr* — never served, never a panic
-//! (rule P1). A warm-started entry answers its budget with zero new
-//! trials and the exact bytes a cold `mrw run` would print.
+//! and boot loads every such file back with [`Ledger::from_json`] — the
+//! loader `mrw resume` uses for fanout checkpoints — before printing the
+//! ready line. The document embeds the spec template and is fingerprinted
+//! over its whole payload, so a tampered, truncated, or version-skewed
+//! file is *skipped with a warning on stderr* — never served, never a
+//! panic (rule P1). So is a fanout checkpoint: it is a ledger too, but
+//! one that carries its run's precision rule, frontier and failure log,
+//! so it is no cache entry. A warm-started entry answers its budget with
+//! zero new trials and the exact bytes a cold `mrw run` would print.
 //!
 //! ## Locking
 //!
@@ -97,7 +100,7 @@ use std::time::Duration;
 
 use mrw_core::query::json::{self, Value};
 use mrw_core::query::{
-    waves, Budget, Coverage, GraphInfo, Group, Ledger, LedgerGroup, QuerySpec, Report, Session,
+    waves, Budget, Coverage, GraphInfo, Group, Ledger, QuerySpec, Report, Session,
 };
 use mrw_core::AnyGraph;
 use mrw_graph::GraphBackend;
@@ -419,7 +422,7 @@ impl Runner<'_> {
                 jitter_seed: spec.budget.seed,
                 ..d.pool.clone()
             };
-            return crate::fanout::run_on_pool(&spec, lo..n, groups.as_deref(), cfg);
+            return crate::fanout::run_on_pool(&spec, self.graph, lo..n, groups.as_deref(), cfg);
         }
         let mut session = Session::new(budget).with_range(lo..n);
         if let Some(idxs) = groups {
@@ -433,9 +436,9 @@ impl Runner<'_> {
 /// `mrw-ledger-v1` shape — the spec template whose budget holds the
 /// key's seed / mode / batch with the precision rule stripped, the graph
 /// identity reports carry, and the per-group prefix windows) plus its
-/// LRU tick. Every window insert keeps the ledger's rule that the spec's
-/// trial count is the largest window bound, so persisting an entry
-/// writes its ledger as is.
+/// LRU tick. The ledger's own window methods keep the template's trial
+/// count at the largest window bound, so persisting an entry writes its
+/// ledger as is.
 struct ReportEntry {
     ledger: Ledger,
     tick: u64,
@@ -443,23 +446,19 @@ struct ReportEntry {
 
 impl ReportEntry {
     fn new(spec: &QuerySpec, g: &AnyGraph) -> ReportEntry {
-        let ledger = Ledger {
-            spec: QuerySpec {
-                graph: spec.graph.clone(),
-                query: spec.query.clone(),
-                budget: Budget {
-                    trials: 0,
-                    precision: None,
-                    ..spec.budget.clone()
-                },
+        let template = QuerySpec {
+            graph: spec.graph.clone(),
+            query: spec.query.clone(),
+            budget: Budget {
+                trials: 0,
+                precision: None,
+                ..spec.budget.clone()
             },
-            graph: GraphInfo {
-                name: g.name().to_string(),
-                n: g.n(),
-            },
-            groups: Vec::new(),
         };
-        ReportEntry { ledger, tick: 0 }
+        ReportEntry {
+            ledger: Ledger::new(template, GraphInfo::of(g)),
+            tick: 0,
+        }
     }
 
     /// Deterministic cost estimate — a fixed header plus a per-snapshot
@@ -474,16 +473,9 @@ impl ReportEntry {
             .sum::<usize>()
     }
 
-    /// Raises the spec's trial count to a newly inserted window bound.
-    fn note_window(&mut self, hi: u64) {
-        let trials = &mut self.ledger.spec.budget.trials;
-        *trials = (*trials).max(hi as usize);
-    }
-
     /// First contact: run trials `[0, n)` unfiltered to discover the
-    /// group structure (labels can depend on the graph — `hmax` derives
-    /// its candidate pairs from it) and seed every ledger with the
-    /// boundary. Returns the trial count dispatched.
+    /// group structure and open every group's ledger with the boundary.
+    /// Returns the trial count dispatched.
     fn initialize(&mut self, runner: &Runner<'_>, n: usize) -> Result<u64, String> {
         let spec = &self.ledger.spec;
         let budget = Budget {
@@ -491,62 +483,39 @@ impl ReportEntry {
             ..spec.budget.clone()
         };
         let report = runner.run_range(spec, budget, 0, n, None)?;
-        self.ledger.groups = report
-            .groups
-            .into_iter()
-            .map(|grp| {
-                let label = grp.label.clone();
-                LedgerGroup {
-                    label,
-                    prefixes: vec![(n as u64, grp)],
-                }
-            })
-            .collect();
-        self.note_window(n as u64);
+        self.ledger.open(n as u64, report.groups);
         Ok((n * self.ledger.groups.len()) as u64)
     }
 
     /// Cumulative statistics of group `idx` over trials `[0, n)`,
     /// running only the missing tail `[b, n)` past the greatest cached
     /// boundary `b ≤ n` (zero trials when `n` is itself a boundary).
-    /// The result is inserted as a new boundary, so the ledger grows
+    /// The result is recorded as a new boundary, so the ledger grows
     /// wherever requests actually land. Returns the group and the trial
     /// count dispatched.
     fn prefix(&mut self, runner: &Runner<'_>, idx: usize, n: u64) -> Result<(Group, u64), String> {
-        let Ledger { spec, groups, .. } = &self.ledger;
-        let prefixes = &groups[idx].prefixes;
-        match prefixes.binary_search_by_key(&n, |p| p.0) {
-            Ok(pos) => Ok((prefixes[pos].1.clone(), 0)),
-            Err(pos) => {
-                let (lo, base) = if pos == 0 {
-                    (0, Group::empty(groups[idx].label.clone()))
-                } else {
-                    let (hi, cum) = &prefixes[pos - 1];
-                    (*hi, cum.clone())
-                };
-                let budget = Budget {
-                    trials: n as usize,
-                    ..spec.budget.clone()
-                };
-                let mut delta_groups = runner
-                    .run_range(spec, budget, lo as usize, n as usize, Some(vec![idx]))?
-                    .groups;
-                if idx >= delta_groups.len() {
-                    return Err(format!(
-                        "range run returned {} group(s), expected at least {}",
-                        delta_groups.len(),
-                        idx + 1
-                    ));
-                }
-                let delta = delta_groups.swap_remove(idx);
-                let cum = base.merge(&delta);
-                self.ledger.groups[idx]
-                    .prefixes
-                    .insert(pos, (n, cum.clone()));
-                self.note_window(n);
-                Ok((cum, n - lo))
-            }
+        if let Some(cum) = self.ledger.window(idx, n) {
+            return Ok((cum.clone(), 0));
         }
+        let (lo, base) = self.ledger.floor(idx, n);
+        let spec = &self.ledger.spec;
+        let budget = Budget {
+            trials: n as usize,
+            ..spec.budget.clone()
+        };
+        let mut delta_groups = runner
+            .run_range(spec, budget, lo as usize, n as usize, Some(vec![idx]))?
+            .groups;
+        if idx >= delta_groups.len() {
+            return Err(format!(
+                "range run returned {} group(s), expected at least {}",
+                delta_groups.len(),
+                idx + 1
+            ));
+        }
+        let cum = base.merge(&delta_groups.swap_remove(idx));
+        self.ledger.record(idx, n, cum.clone());
+        Ok((cum, n - lo))
     }
 }
 
@@ -960,8 +929,10 @@ fn handle_conn(conn: Conn, server: Arc<Server>) {
 
 /// Loads every `ledger-*.json` under `dir` into the report cache.
 /// Anything that fails validation — tampered payload, truncation,
-/// schema skew, unreadable file — is skipped with a warning on stderr;
-/// the daemon always boots. Files load in sorted name order with one
+/// schema skew, unreadable file — is skipped with a warning on stderr,
+/// and so is a valid ledger that is not a cache entry (a fanout
+/// checkpoint, with its precision rule, frontier or failure log); the
+/// daemon always boots. Files load in sorted name order with one
 /// tick each, so boot-time LRU state is deterministic.
 fn warm_start(server: &Server, dir: &Path) {
     let entries = match std::fs::read_dir(dir) {
@@ -983,7 +954,13 @@ fn warm_start(server: &Server, dir: &Path) {
         let path = dir.join(&name);
         let ledger = std::fs::read_to_string(&path)
             .map_err(|e| e.to_string())
-            .and_then(|text| Ledger::from_json(&text));
+            .and_then(|text| Ledger::from_json(&text))
+            .and_then(|ledger| {
+                ledger
+                    .check_cache_entry()
+                    .map(|()| ledger)
+                    .map_err(|e| format!("not a cache entry: {e}"))
+            });
         match ledger {
             Ok(ledger) => {
                 inner.tick += 1;

@@ -286,6 +286,62 @@ fn trial_selection_flags_belong_to_shard() {
 /// also validates its query and trial count the way spec files are
 /// validated.
 #[test]
+fn spec_typos_are_errors_not_other_experiments() {
+    let tmp = TempDir::new("typos");
+    const GRAPH: &str = r#""graph": {"family": "cycle", "n": 16}"#;
+    const COVER: &str = r#""query": {"type": "cover", "k": 2, "starts": [0]}"#;
+    let cases = [
+        // A misspelled budget key used to run the default 64 trials.
+        (
+            format!(r#"{{{GRAPH}, {COVER}, "budget": {{"trails": 500}}}}"#),
+            "'trails'",
+        ),
+        (
+            format!(
+                r#"{{{GRAPH}, "query": {{"type": "cover", "k": 2, "starts": [0], "strats": [3]}}}}"#
+            ),
+            "'strats'",
+        ),
+        (
+            format!(r#"{{{GRAPH}, {COVER}, "budgte": {{"trials": 500}}}}"#),
+            "'budgte'",
+        ),
+        // A repeated key used to keep its first value.
+        (
+            format!(r#"{{{GRAPH}, {COVER}, "budget": {{"trials": 10, "trials": 500}}}}"#),
+            "duplicate key 'trials'",
+        ),
+        // Both trial forms used to run the adaptive rule.
+        (
+            format!(
+                r#"{{{GRAPH}, {COVER}, "budget": {{"trials": {{"fixed": 10,
+                 "adaptive": {{"target": {{"relative": 0.1}}}}}}}}}}"#
+            ),
+            "'fixed' and 'adaptive'",
+        ),
+        // Both targets used to mean the absolute one.
+        (
+            format!(
+                r#"{{{GRAPH}, {COVER}, "budget": {{"trials": {{"adaptive":
+                 {{"target": {{"absolute": 5.0, "relative": 0.1}}}}}}}}}}"#
+            ),
+            "'absolute' and 'relative'",
+        ),
+    ];
+    for (i, (text, key)) in cases.iter().enumerate() {
+        let spec = tmp.file(&format!("spec{i}.json"), text);
+        mrw()
+            .args(["run", spec.to_str().unwrap(), "--json"])
+            .assert()
+            .failure()
+            .code(1)
+            .stdout("")
+            .stderr(contains("error:"))
+            .stderr(contains(*key));
+    }
+}
+
+#[test]
 fn degenerate_graph_sizes_are_friendly_errors() {
     let tmp = TempDir::new("degenerate");
     let expect_error = |args: &[&str], message: &str| {
@@ -754,9 +810,10 @@ fn staggered_retirement_checkpoint_resumes_byte_identically_to_run() {
     let ck = tmp.path("ck.json");
     // `start=8` retires at the end of window [81, 121); the worker owning
     // window [121, 181) then dies on every attempt. With one worker the
-    // schedule is sequential, so the checkpoint is exact: six complete
-    // windows, and window [181, 271) — already queued for `start=0` alone
-    // — reported missing with the failed one.
+    // schedule is sequential, so the checkpoint ledger is exact: six
+    // complete windows, both groups active in each, an empty frontier, and
+    // window [181, 271) — already queued for `start=0` alone — reported
+    // missing with the failed one.
     let run = |workers: &str| {
         mrw()
             .args([
@@ -777,17 +834,18 @@ fn staggered_retirement_checkpoint_resumes_byte_identically_to_run() {
     };
     run("1").stderr(contains("still missing [(121, 271)]"));
     let text = std::fs::read_to_string(&ck).unwrap();
-    let checkpoint = mrw_core::query::Checkpoint::from_json(&text).unwrap();
-    let windows: Vec<Vec<(u64, u64)>> = checkpoint
-        .waves
-        .iter()
-        .map(|w| w.coverage.ranges().to_vec())
-        .collect();
-    let expected: Vec<Vec<(u64, u64)>> = [0, 16, 24, 36, 54, 81, 121]
-        .windows(2)
-        .map(|b| vec![(b[0], b[1])])
-        .collect();
-    assert_eq!(windows, expected);
+    let checkpoint = mrw_core::query::Ledger::from_json(&text).unwrap();
+    assert_eq!(checkpoint.groups.len(), 2);
+    for group in &checkpoint.groups {
+        let windows: Vec<(u64, u64)> = group
+            .prefixes
+            .iter()
+            .map(|(hi, g)| (*hi, g.trials))
+            .collect();
+        let expected = [16, 24, 36, 54, 81, 121].map(|hi| (hi, hi));
+        assert_eq!(windows, expected, "{}", group.label);
+    }
+    assert!(checkpoint.frontier.is_empty());
     mrw()
         .args(["resume", ck.to_str().unwrap(), "--json"])
         .assert()
@@ -842,5 +900,53 @@ fn resume_rejects_budget_overrides_and_tampered_checkpoints() {
         .args(["resume", tampered.to_str().unwrap()])
         .assert()
         .failure()
-        .stderr(contains("spec_hash mismatch"));
+        .stderr(contains("hash mismatch"));
+}
+
+#[test]
+fn resume_refuses_edited_moments_and_retired_checkpoints() {
+    let tmp = TempDir::new("fanresumeintegrity");
+    let spec = tmp.file("spec.json", FIXED_SPEC);
+    let ck = tmp.path("ck.json");
+    mrw()
+        .args([
+            "fanout",
+            spec.to_str().unwrap(),
+            "--workers",
+            "2",
+            "--retries",
+            "0",
+            "--checkpoint",
+            ck.to_str().unwrap(),
+            "--json",
+        ])
+        .env("MRW_FAULT_KILL_RANGE_START", "84")
+        .assert()
+        .failure();
+    // One sum raised by 1000 still describes a possible sample, so only
+    // the whole-payload hash can tell; resuming it would print wrong bytes.
+    let text = std::fs::read_to_string(&ck).unwrap();
+    let at = text.find("\"sum\": ").expect("checkpoint has a sum") + "\"sum\": ".len();
+    let end = at + text[at..].find(',').expect("sum is followed by a comma");
+    let sum: u128 = text[at..end].parse().expect("sum is an integer");
+    let bumped = format!("{}{}{}", &text[..at], sum + 1000, &text[end..]);
+    let bumped = tmp.file("bumped.json", &bumped);
+    mrw()
+        .args(["resume", bumped.to_str().unwrap(), "--json"])
+        .assert()
+        .failure()
+        .code(1)
+        .stdout("")
+        .stderr(contains("hash mismatch"));
+    // A checkpoint in the format fanout wrote before checkpoints became
+    // ledgers is refused by name.
+    let retired = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint-v1.json");
+    mrw()
+        .args(["resume", retired.to_str().unwrap(), "--json"])
+        .assert()
+        .failure()
+        .code(1)
+        .stdout("")
+        .stderr(contains("mrw-checkpoint-v1"))
+        .stderr(contains("re-run mrw fanout"));
 }

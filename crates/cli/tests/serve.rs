@@ -425,6 +425,12 @@ fn malformed_requests_get_structured_errors_and_the_daemon_survives() {
             "query": {"type": "partial-cover", "k": 2, "start": 0, "gammas": [1.0]},
             "budget": {"trials": 4, "seed": 1}}}"#
             .to_vec(),
+        // Valid JSON, a misspelled budget key: refused, not run under the
+        // default budget.
+        br#"{"verb": "run", "spec": {"graph": {"family": "cycle", "n": 8},
+            "query": {"type": "cover", "k": 2, "starts": [0]},
+            "budget": {"trails": 4, "seed": 1}}}"#
+            .to_vec(),
         // Not UTF-8 at all.
         vec![0xC3, 0x28, 0xFF],
     ];
@@ -877,6 +883,36 @@ fn corrupt_truncated_and_tampered_ledgers_are_skipped_not_trusted() {
     let (_daemon, addr) = start_daemon(&["--persist", &persist_arg]);
     assert_eq!(ctl(&addr, &["run", spec_arg]), oracle);
     assert_eq!(counter(&stats(&addr), &["trials_executed"]), 0);
+}
+
+#[test]
+fn fanout_checkpoints_in_the_persist_dir_are_skipped_not_served() {
+    let tmp = TempDir::new("ckpersist");
+    let spec = tmp.file("spec.json", ADAPTIVE_SPEC);
+    let spec_arg = spec.to_str().unwrap();
+    let persist = tmp.path("ledgers");
+    std::fs::create_dir_all(&persist).expect("create persist dir");
+    let oracle = mrw_stdout(&["run", spec_arg, "--json"]);
+    // A fanout checkpoint is an `mrw-ledger-v1` document too — six prefix
+    // windows per group of this very spec — but it carries its run's
+    // precision rule and failure log, so it is no cache entry.
+    let ck = persist.join("ledger-checkpoint.json");
+    mrw()
+        .args(["fanout", spec_arg, "--workers", "1", "--retries", "0"])
+        .args(["--checkpoint", ck.to_str().unwrap(), "--json"])
+        .env("MRW_FAULT_KILL_RANGE_START", "121")
+        .assert()
+        .failure();
+    let checkpoint = Ledger::from_json(&std::fs::read_to_string(&ck).expect("read checkpoint"))
+        .expect("the checkpoint is a valid ledger");
+    assert!(!checkpoint.groups.is_empty() && !checkpoint.failures.is_empty());
+
+    let (_daemon, addr) = start_daemon(&["--persist", persist.to_str().unwrap()]);
+    assert_eq!(ctl(&addr, &["run", spec_arg]), oracle);
+    let s = stats(&addr);
+    assert_eq!(counter(&s, &["misses"]), 1, "the checkpoint warm-started");
+    assert_eq!(counter(&s, &["extensions"]), 0);
+    assert_eq!(counter(&s, &["hits"]), 0);
 }
 
 /// A ledger an earlier release's `mrw serve --persist` wrote for

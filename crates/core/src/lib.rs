@@ -82,8 +82,8 @@ pub use mrw_stats::precision::{Precision, Trials};
 pub use partial::fraction_target;
 pub use process::{cover_time_process, kwalk_cover_rounds_process, WalkProcess};
 pub use query::{
-    AnyGraph, BackendChoice, Budget, Checkpoint, GraphSpec, Group, Ledger, LedgerGroup, Query,
-    QuerySpec, Report, Session, Shard,
+    AnyGraph, BackendChoice, Budget, GraphSpec, Group, Ledger, LedgerGroup, Query, QuerySpec,
+    Report, Session, Shard,
 };
 pub use visits::{kwalk_multicover_rounds, kwalk_visit_counts, VisitCounts};
 pub use walk::{cover_time_single, steps_to_hit, walk_rng, WalkRng};

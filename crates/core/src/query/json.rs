@@ -18,7 +18,8 @@
 //!
 //! The parser is a recursive-descent reader of the JSON subset the query
 //! layer emits (objects, arrays, strings, numbers, booleans, null —
-//! string escapes `\" \\ \/ \n \t \r \b \f \uXXXX`).
+//! string escapes `\" \\ \/ \n \t \r \b \f \uXXXX`). It rejects an
+//! object that repeats a key.
 
 use std::fmt::Write as _;
 
@@ -290,7 +291,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
             }
             loop {
                 skip_ws(bytes, pos);
+                let at = *pos;
                 let key = parse_string(bytes, pos)?;
+                // A repeated key would make every reader pick one copy
+                // silently; canonical output never repeats one.
+                if fields.iter().any(|(k, _)| *k == key) {
+                    return Err(format!("duplicate key '{key}' at byte {at}"));
+                }
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
                 let value = parse_value(bytes, pos)?;
@@ -470,6 +477,15 @@ mod tests {
         assert!(parse("{\"a\": 1} extra").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("--5").is_err());
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected() {
+        let err = parse(r#"{"trials": 10, "trials": 500}"#).unwrap_err();
+        assert!(err.contains("duplicate key 'trials'"), "{err}");
+        assert!(parse(r#"{"a": {"b": 1, "b": 2}}"#).is_err());
+        // The same key in sibling objects is fine.
+        assert!(parse(r#"[{"b": 1}, {"b": 2}]"#).is_ok());
     }
 
     #[test]

@@ -67,13 +67,11 @@
 //! assert_eq!(merged.to_json(), whole.to_json()); // byte-identical
 //! ```
 
-pub mod checkpoint;
 pub mod json;
 pub mod ledger;
 pub mod waves;
 
-pub use checkpoint::{spec_hash, Checkpoint};
-pub use ledger::{Ledger, LedgerGroup};
+pub use ledger::{spec_hash, Ledger, LedgerGroup};
 
 use std::ops::Range;
 
@@ -911,8 +909,8 @@ impl Group {
     /// The group's exact statistics as serialized fields, in schema
     /// order: `trials`, `count`, `sum`, `sum_sq`, `min`, `max` (`null`
     /// when nothing was counted), `censored`. Report groups
-    /// (`mrw-report-v1`, and the checkpoints that embed reports) and
-    /// ledger windows (`mrw-ledger-v1`) both write exactly these.
+    /// (`mrw-report-v1`, also on a ledger's frontier) and ledger windows
+    /// (`mrw-ledger-v1`) both write exactly these.
     pub(crate) fn stat_fields(&self) -> [(&'static str, Value); 7] {
         let m = &self.moments;
         [
@@ -966,6 +964,36 @@ pub struct GraphInfo {
     pub name: String,
     /// Vertex count.
     pub n: usize,
+}
+
+impl GraphInfo {
+    /// The identity of `g`.
+    pub fn of<G: GraphBackend>(g: &G) -> GraphInfo {
+        GraphInfo {
+            name: g.name().to_string(),
+            n: g.n(),
+        }
+    }
+
+    /// The `{name, n}` object reports and ledgers carry.
+    pub(crate) fn to_value(&self) -> Value {
+        Value::obj(vec![
+            ("name", Value::str(&self.name)),
+            ("n", Value::num(self.n)),
+        ])
+    }
+
+    pub(crate) fn from_value(v: &Value) -> Result<GraphInfo, String> {
+        let name = v
+            .req("name")?
+            .as_str()
+            .ok_or("graph.name must be a string")?;
+        let n = v.req("n")?.as_usize().ok_or("graph.n must be an integer")?;
+        Ok(GraphInfo {
+            name: name.to_string(),
+            n,
+        })
+    }
 }
 
 /// The set of trial indices a report covers, as sorted, disjoint,
@@ -1030,31 +1058,11 @@ impl Coverage {
         self.0.iter().map(|&(lo, hi)| hi - lo).sum()
     }
 
-    /// The complement within `[0, total)`: which trial ranges are still
-    /// missing before this coverage is the complete run. This is the
-    /// progress accounting `mrw fanout` reports (and what a retry has to
-    /// fill after a worker dies).
-    pub fn missing(&self, total: u64) -> Vec<(u64, u64)> {
-        let mut gaps = Vec::new();
-        let mut cursor = 0u64;
-        for &(lo, hi) in &self.0 {
-            if cursor < lo {
-                gaps.push((cursor, lo));
-            }
-            cursor = cursor.max(hi);
-        }
-        if cursor < total {
-            gaps.push((cursor, total));
-        }
-        gaps
-    }
-
-    /// The complement restricted to an arbitrary `[lo, hi)` window: which
-    /// sub-ranges of the window this coverage does not contain. This is
-    /// the wave-relative form of [`missing`](Coverage::missing) — the
-    /// resumable fanout driver replans an interrupted adaptive wave by
-    /// asking a checkpointed wave report which slices of the wave's
-    /// window still have to run.
+    /// The complement within an arbitrary `[lo, hi)` window: which
+    /// sub-ranges of the window this coverage does not contain (over
+    /// `[0, total)`, what a partial run still lacks). The resumable fanout
+    /// driver replans an interrupted wave by asking the window's frontier
+    /// report which slices of the window still have to run.
     pub fn missing_within(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
         let mut gaps = Vec::new();
         let mut cursor = lo;
@@ -1238,13 +1246,7 @@ impl Report {
     pub(crate) fn to_value(&self) -> Value {
         let mut fields = vec![
             ("schema", Value::str("mrw-report-v1")),
-            (
-                "graph",
-                Value::obj(vec![
-                    ("name", Value::str(&self.graph.name)),
-                    ("n", Value::num(self.graph.n)),
-                ]),
-            ),
+            ("graph", self.graph.to_value()),
             ("query", query_to_value(&self.query)),
             ("budget", budget_to_value(&self.budget)),
             (
@@ -1298,18 +1300,7 @@ impl Report {
         if v.req("schema")?.as_str() != Some("mrw-report-v1") {
             return Err("unknown schema (expected mrw-report-v1)".into());
         }
-        let graph = v.req("graph")?;
-        let graph = GraphInfo {
-            name: graph
-                .req("name")?
-                .as_str()
-                .ok_or("graph.name must be a string")?
-                .to_string(),
-            n: graph
-                .req("n")?
-                .as_usize()
-                .ok_or("graph.n must be an integer")?,
-        };
+        let graph = GraphInfo::from_value(v.req("graph")?)?;
         let query = query_from_value(v.req("query")?)?;
         let budget = budget_from_value(v.req("budget")?)?;
         let total = budget.trials_budget().cap() as u64;
@@ -1429,13 +1420,17 @@ impl QuerySpec {
     }
 
     /// Parses a spec file. The `budget` object (and any of its fields)
-    /// may be omitted; [`Budget::default`] fills the gaps.
+    /// may be omitted; [`Budget::default`] fills the gaps. Every object
+    /// accepts only the keys it reads: a misspelled key is an error that
+    /// names it, never a silently different experiment.
     pub fn from_json(text: &str) -> Result<QuerySpec, String> {
         QuerySpec::from_value(&json::parse(text)?)
     }
 
     pub(crate) fn from_value(v: &Value) -> Result<QuerySpec, String> {
+        only_keys(v, "spec", &["graph", "query", "budget"])?;
         let graph = v.req("graph")?;
+        only_keys(graph, "graph", &["family", "n", "jumps", "backend"])?;
         let graph = GraphSpec {
             family: graph
                 .req("family")?
@@ -1546,22 +1541,19 @@ fn precision_to_value(rule: &Precision) -> Value {
 // `Precision` constructors, whose assertions would otherwise turn a
 // malformed spec/report into a panic instead of an `Err`.
 fn precision_from_value(v: &Value) -> Result<Precision, String> {
+    const KEYS: [&str; 4] = ["target", "confidence", "min_trials", "max_trials"];
+    only_keys(v, "precision", &KEYS)?;
     let target = v.req("target")?;
-    let positive_finite = |what: &str, x: f64| -> Result<f64, String> {
-        if x > 0.0 && x.is_finite() {
-            Ok(x)
-        } else {
-            Err(format!("{what} target {x} must be positive and finite"))
-        }
+    only_keys(target, "precision target", &["absolute", "relative"])?;
+    let positive_finite = |what: &str, x: &Value| match x.as_f64() {
+        Some(x) if x > 0.0 && x.is_finite() => Ok(x),
+        Some(x) => Err(format!("{what} target {x} must be positive and finite")),
+        None => Err(format!("{what} target must be a number")),
     };
-    let mut rule = if let Some(h) = target.get("absolute") {
-        let h = h.as_f64().ok_or("absolute target must be a number")?;
-        Precision::absolute(positive_finite("absolute", h)?)
-    } else if let Some(r) = target.get("relative") {
-        let r = r.as_f64().ok_or("relative target must be a number")?;
-        Precision::relative(positive_finite("relative", r)?)
-    } else {
-        return Err("precision target needs 'absolute' or 'relative'".into());
+    let mut rule = match (target.get("absolute"), target.get("relative")) {
+        (Some(h), None) => Precision::absolute(positive_finite("absolute", h)?),
+        (None, Some(r)) => Precision::relative(positive_finite("relative", r)?),
+        _ => return Err("precision target takes exactly one of 'absolute' and 'relative'".into()),
     };
     if let Some(c) = v.get("confidence") {
         let c = c.as_f64().ok_or("confidence must be a number")?;
@@ -1601,19 +1593,22 @@ fn budget_to_value(b: &Budget) -> Value {
 }
 
 fn budget_from_value(v: &Value) -> Result<Budget, String> {
+    const KEYS: [&str; 5] = ["trials", "seed", "mode", "batch", "confidence"];
+    only_keys(v, "budget", &KEYS)?;
     let mut b = Budget::default();
     if let Some(t) = v.get("trials") {
+        // Hand-written spec shorthand: "trials": 512.
         if let Some(n) = t.as_usize() {
-            // Hand-written spec shorthand: "trials": 512.
             b.trials = n;
-            b.precision = None;
-        } else if let Some(rule) = t.get("adaptive") {
-            b.precision = Some(precision_from_value(rule)?);
-        } else if let Some(n) = t.get("fixed") {
-            b.trials = n.as_usize().ok_or("fixed trials must be an integer")?;
-            b.precision = None;
         } else {
-            return Err("trials must be an integer, {\"fixed\": n}, or {\"adaptive\": …}".into());
+            only_keys(t, "trials", &["fixed", "adaptive"])?;
+            match (t.get("fixed"), t.get("adaptive")) {
+                (Some(n), None) => {
+                    b.trials = n.as_usize().ok_or("fixed trials must be an integer")?
+                }
+                (None, Some(rule)) => b.precision = Some(precision_from_value(rule)?),
+                _ => return Err("trials takes exactly one of 'fixed' and 'adaptive'".into()),
+            }
         }
     }
     if let Some(s) = v.get("seed") {
@@ -1705,6 +1700,17 @@ fn query_from_value(v: &Value) -> Result<Query, String> {
         .req("type")?
         .as_str()
         .ok_or("query.type must be a string")?;
+    let fields: &[&str] = match kind {
+        "cover" => &["type", "k", "starts"],
+        "partial-cover" => &["type", "k", "start", "gammas"],
+        "hitting" => &["type", "from", "to", "cap"],
+        "hmax" => &["type"],
+        "meeting" => &["type", "a", "b", "laziness", "cap"],
+        "pursuit" => &["type", "ks", "hunters", "prey", "strategy", "cap"],
+        "speedup-ladder" => &["type", "start", "ks"],
+        other => return Err(format!("unknown query type '{other}'")),
+    };
+    only_keys(v, &format!("{kind} query"), fields)?;
     let u32_field = |key: &str| -> Result<u32, String> {
         v.req(key)?
             .as_u32()
@@ -1774,11 +1780,27 @@ fn query_from_value(v: &Value) -> Result<Query, String> {
             )?,
             cap: u64_field("cap")?,
         }),
-        "speedup-ladder" => Ok(Query::SpeedupLadder {
+        // "speedup-ladder": the key check above refused every other type.
+        _ => Ok(Query::SpeedupLadder {
             start: u32_field("start")?,
             ks: usize_list("ks")?,
         }),
-        other => Err(format!("unknown query type '{other}'")),
+    }
+}
+
+/// Rejects an object with any key outside `accepted` — the keys its
+/// parser reads — naming the key and the accepted set: a misspelled key
+/// must be an error, never a silently different experiment.
+fn only_keys(v: &Value, what: &str, accepted: &[&str]) -> Result<(), String> {
+    let Value::Obj(fields) = v else {
+        return Err(format!("{what} must be an object"));
+    };
+    match fields.iter().find(|(k, _)| !accepted.contains(&k.as_str())) {
+        Some((k, _)) => Err(format!(
+            "unknown {what} key '{k}' (accepted: {})",
+            accepted.join(", ")
+        )),
+        None => Ok(()),
     }
 }
 
@@ -2019,10 +2041,7 @@ impl Session {
             Query::SpeedupLadder { start, ks } => self.ladder_groups(g, *start, ks),
         };
         Report {
-            graph: GraphInfo {
-                name: g.name().to_string(),
-                n: g.n(),
-            },
+            graph: GraphInfo::of(g),
             query: query.clone(),
             budget: self.budget.clone(),
             coverage: if self.range.is_none() {
@@ -2385,22 +2404,25 @@ mod tests {
     fn coverage_missing_is_the_complement() {
         let total = 20;
         let c = Coverage::from_ranges(vec![(2, 5), (9, 12)], total).unwrap();
-        assert_eq!(c.missing(total), vec![(0, 2), (5, 9), (12, 20)]);
+        assert_eq!(c.missing_within(0, total), vec![(0, 2), (5, 9), (12, 20)]);
         assert_eq!(c.covered_trials(), 6);
         assert_eq!(
-            Coverage::full(total).missing(total),
+            Coverage::full(total).missing_within(0, total),
             Vec::<(u64, u64)>::new()
         );
         let edge = Coverage::from_ranges(vec![(0, 20)], total).unwrap();
         assert!(edge.is_full(total));
-        assert!(edge.missing(total).is_empty());
+        assert!(edge.missing_within(0, total).is_empty());
     }
 
     #[test]
     fn coverage_missing_within_restricts_to_the_window() {
         let c = Coverage::from_ranges(vec![(2, 5), (9, 12), (14, 16)], 20).unwrap();
-        // Window == whole space agrees with `missing`.
-        assert_eq!(c.missing_within(0, 20), c.missing(20));
+        // Window == whole space: the complement.
+        assert_eq!(
+            c.missing_within(0, 20),
+            vec![(0, 2), (5, 9), (12, 14), (16, 20)]
+        );
         // Window cut mid-range on both sides.
         assert_eq!(c.missing_within(3, 15), vec![(5, 9), (12, 14)]);
         // Window entirely inside one covered range: nothing missing.

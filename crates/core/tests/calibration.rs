@@ -7,23 +7,27 @@
 //! value at the nominal rate, within a binomial tolerance: at least
 //! `0.95·R − 4·sqrt(0.95·0.05·R)` of the `R` intervals. The quantities,
 //! all from vertex 0 of small zoo members: cover and partial cover times
-//! (`exact_kwalk_partial_cover_time`'s DP) and a hitting time
-//! (`hitting_times_to`'s linear solve).
+//! (`exact_kwalk_partial_cover_time`'s DP), a hitting time
+//! (`hitting_times_to`'s linear solve), and the two-walk hitting time
+//! `Σ_{t≥0} P(T₁ > t)²` (substochastic evolution of one walk killed at
+//! the target).
 //!
 //! Paths: the scalar loop under both disciplines, and the four batched
 //! drivers (regular, flat, row-wise, implicit) forced on with
 //! [`BatchMode::Always`]. `Session` reaches every path but the row-wise
-//! sweep, which only non-uniform kernels take; that cell drives the
-//! [`Engine`] directly with a lazy walk, whose exact value follows from
-//! Wald's identity: each simple-walk move of the `k = 1` cover waits a
-//! geometric number of holds, so `E[lazy cover] = E[cover] / (1 − p)`.
+//! sweep, which only non-uniform kernels take, and runs hitting queries
+//! with one walk only; those cells drive the [`Engine`] directly. The
+//! row-wise cells use a lazy walk, whose exact value follows from Wald's
+//! identity: each simple-walk move of the `k = 1` walk waits a geometric
+//! number of holds, so `E[lazy time] = E[simple time] / (1 − p)` for the
+//! cover and partial cover times alike.
 
-use mrw_core::engine::{CompiledProcess, Engine, FullCover};
+use mrw_core::engine::{CompiledProcess, Engine, FullCover, Hit, PartialCover};
 use mrw_core::exact::{exact_kwalk_cover_time, exact_kwalk_partial_cover_time};
 use mrw_core::query::{Budget, Query, Session};
-use mrw_core::{fraction_target, walk_rng, BatchMode, KWalkMode, WalkProcess};
+use mrw_core::{fraction_target, walk_rng, BatchMode, KWalkMode, SimpleStep, WalkProcess, WalkRng};
 use mrw_graph::{generators, Graph, GraphBackend, ImplicitGraph};
-use mrw_spectral::hitting_times_to;
+use mrw_spectral::{hitting_times_to, TransitionOp};
 use mrw_stats::ci::normal_ci;
 use mrw_stats::Summary;
 
@@ -48,6 +52,17 @@ fn assert_calibrated(label: &str, exact: f64, mut estimate: impl FnMut(u64) -> (
         covers >= need,
         "{label}: {covers}/{R} CIs cover the exact {exact:.4} (need {need})"
     );
+}
+
+/// The mean and 95% half-width of `TRIALS` engine runs seeded from
+/// `seed`, each returning its round count.
+fn engine_ci(seed: u64, mut rounds_of: impl FnMut(&mut WalkRng) -> u64) -> (f64, f64) {
+    let mut rounds = Summary::new();
+    for t in 0..TRIALS as u64 {
+        rounds.push(rounds_of(&mut walk_rng(seed * TRIALS as u64 + t)) as f64);
+    }
+    let ci = normal_ci(&rounds, 0.95);
+    (ci.point, ci.half_width())
 }
 
 /// What a cell estimates from vertex 0.
@@ -114,6 +129,43 @@ fn session_cell<G: GraphBackend + Sync>(
         })
         .run(g, &query);
         (report.mean(), report.half_width())
+    });
+}
+
+/// `Σ_{t≥0} P(T₁ > t)²`: the expected time until the first of two
+/// independent walks from vertex 0 hits `to`, where `P(T₁ > t)` is the
+/// mass one walk from 0, killed on arrival at `to`, still holds after `t`
+/// steps.
+fn two_walk_hitting_time(g: &Graph, to: u32) -> f64 {
+    let op = TransitionOp::new(g);
+    let (mut alive, mut next) = (vec![0.0; g.n()], vec![0.0; g.n()]);
+    alive[0] = 1.0;
+    let mut total = 0.0;
+    loop {
+        let survival: f64 = alive.iter().sum();
+        if survival < 1e-15 {
+            return total;
+        }
+        total += survival * survival;
+        op.step(&alive, &mut next);
+        next[to as usize] = 0.0;
+        std::mem::swap(&mut alive, &mut next);
+    }
+}
+
+/// Two walks from `[0, 0]` hitting the last vertex, on `g`'s batched
+/// driver through [`Engine`] (`Session` hits with one walk); the exact
+/// value comes from the CSR twin `exact_on`.
+fn two_walk_hit_cell<G: GraphBackend>(g: &G, exact_on: &Graph) {
+    let to = exact_on.n() as u32 - 1;
+    let exact = two_walk_hitting_time(exact_on, to);
+    assert_calibrated(&format!("{} k=2 Hit", g.name()), exact, |seed| {
+        engine_ci(seed, |rng| {
+            Engine::new(g, SimpleStep, Hit::new(to))
+                .batch(BatchMode::Always)
+                .run(&[0, 0], rng)
+                .rounds
+        })
     });
 }
 
@@ -196,6 +248,23 @@ fn hitting_is_calibrated_on_every_session_path() {
 }
 
 #[test]
+fn two_walk_hitting_is_calibrated_on_every_batched_driver() {
+    for g in [
+        generators::cycle(8),
+        generators::torus_2d(3),
+        generators::hypercube(3),
+        generators::path(6),
+        generators::star(7),
+        generators::barbell(9),
+        generators::lollipop(8),
+    ] {
+        two_walk_hit_cell(&g, &g);
+    }
+    two_walk_hit_cell(&ImplicitGraph::cycle(8), &generators::cycle(8));
+    two_walk_hit_cell(&ImplicitGraph::torus_2d(3), &generators::torus_2d(3));
+}
+
+#[test]
 fn rowwise_sweep_is_calibrated() {
     let g = generators::lollipop(8);
     let hold = 0.5;
@@ -203,15 +272,29 @@ fn rowwise_sweep_is_calibrated() {
     let process = CompiledProcess::new(WalkProcess::Lazy(hold), &g);
     let mut cover = FullCover::new(g.n());
     assert_calibrated("lollipop(8) Lazy(0.5) k=1", exact, |seed| {
-        let mut rounds = Summary::new();
-        for t in 0..TRIALS as u64 {
+        engine_ci(seed, |rng| {
             cover.reset(g.n());
-            let out = Engine::new(&g, process.clone(), &mut cover)
+            Engine::new(&g, process.clone(), &mut cover)
                 .batch(BatchMode::Always)
-                .run(&[0], &mut walk_rng(seed * TRIALS as u64 + t));
-            rounds.push(out.rounds as f64);
-        }
-        let ci = normal_ci(&rounds, 0.95);
-        (ci.point, ci.half_width())
+                .run(&[0], rng)
+                .rounds
+        })
+    });
+}
+
+#[test]
+fn rowwise_partial_cover_is_calibrated() {
+    let g = generators::lollipop(8);
+    let hold = 0.5;
+    let target = fraction_target(g.n(), 0.5);
+    let exact = exact_kwalk_partial_cover_time(&g, 0, 1, target) / (1.0 - hold);
+    let process = CompiledProcess::new(WalkProcess::Lazy(hold), &g);
+    assert_calibrated("lollipop(8) Lazy(0.5) k=1 half cover", exact, |seed| {
+        engine_ci(seed, |rng| {
+            Engine::new(&g, process.clone(), PartialCover::new(g.n(), target))
+                .batch(BatchMode::Always)
+                .run(&[0], rng)
+                .rounds
+        })
     });
 }

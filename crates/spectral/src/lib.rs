@@ -24,9 +24,6 @@
 //! * [`eigen`] — full walk spectrum by cyclic Jacobi rotations: an
 //!   independent certificate for the power-iteration `λ`, the relaxation
 //!   time, and the reversible-chain mixing-time sandwich.
-//! * [`iterative`] — matrix-free solvers (Gauss–Seidel hitting times,
-//!   conjugate-gradient effective resistances) that extend the exact
-//!   pipeline far past the dense-LU size limit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +31,6 @@
 pub mod dense;
 pub mod eigen;
 pub mod hitting;
-pub mod iterative;
 pub mod mixing;
 pub mod power;
 pub mod resistance;
@@ -47,10 +43,6 @@ pub use eigen::{
     SymmetricEigen, WalkSpectrumSummary,
 };
 pub use hitting::{hitting_times_all, hitting_times_to, HittingTimes};
-pub use iterative::{
-    commute_time_cg, conjugate_gradient, effective_resistance_cg, hitting_times_to_gs,
-    IterativeSolve, LaplacianOp,
-};
 pub use mixing::{mixing_time, mixing_time_from, MixingConfig};
 pub use power::{second_eigenvalue_regular, spectral_profile};
 pub use resistance::{commute_time, effective_resistance, max_effective_resistance};

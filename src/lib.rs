@@ -15,9 +15,9 @@
 //!   generalized processes (lazy, Metropolis), partial/multicover
 //!   stopping rules, pursuit games, and an exact small-graph DP that
 //!   ground-truths the estimators.
-//! * [`spectral`] — exact Markov-chain computations: hitting times (dense
-//!   and Gauss–Seidel), effective resistances (CG), mixing times, the full
-//!   walk spectrum (Jacobi), stationary distributions, spectral gap.
+//! * [`spectral`] — exact Markov-chain computations: hitting times,
+//!   effective resistances, mixing times, the full walk spectrum
+//!   (Jacobi), stationary distributions, spectral gap.
 //! * [`stats`] — Monte-Carlo summaries, confidence intervals, fits, and a
 //!   two-sample Kolmogorov–Smirnov test.
 //! * [`par`] — the work-stealing pool used to run trials in parallel.
