@@ -862,9 +862,11 @@ fn main() -> ExitCode {
                 "serve-ctl" => serve::run_serve_ctl(&opts),
                 _ => run_merge(&opts),
             };
+            // The command line parsed, so a failure here is about the
+            // spec, its files or a worker, and the usage text would only
+            // bury the one line that says what went wrong.
             if let Err(e) = result {
-                eprintln!("error: {e}\n");
-                eprintln!("{}", args::USAGE);
+                eprintln!("error: {e}");
                 return ExitCode::FAILURE;
             }
             return ExitCode::SUCCESS;

@@ -341,6 +341,37 @@ fn spec_typos_are_errors_not_other_experiments() {
     }
 }
 
+/// A command line that parses but fails at run time prints one `error:`
+/// line and exits 1; the usage text is for command lines that do not
+/// parse.
+#[test]
+fn runtime_errors_print_the_error_without_the_usage_text() {
+    let tmp = TempDir::new("runtime-error");
+    let spec = tmp.file(
+        "spec.json",
+        r#"{"graph": {"family": "cycle", "n": 16},
+            "query": {"type": "cover", "k": 2, "starts": [0]},
+            "budget": {"trails": 500}}"#,
+    );
+    let assert = mrw()
+        .args(["run", spec.to_str().unwrap(), "--json"])
+        .assert()
+        .code(1)
+        .stdout("");
+    let stderr = String::from_utf8_lossy(&assert.get_output().stderr).into_owned();
+    assert!(
+        stderr.contains("error:") && stderr.contains("'trails'"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("usage: mrw"), "{stderr}");
+    // A flag that does not parse still gets the usage text.
+    mrw()
+        .args(["run", spec.to_str().unwrap(), "--no-such-flag"])
+        .assert()
+        .code(1)
+        .stderr(contains("usage: mrw"));
+}
+
 #[test]
 fn degenerate_graph_sizes_are_friendly_errors() {
     let tmp = TempDir::new("degenerate");
@@ -419,6 +450,35 @@ fn degenerate_graph_sizes_are_friendly_errors() {
 fn all_quick_prints_the_golden_tables() {
     let golden = include_str!("fixtures/all-quick.txt");
     assert_eq!(mrw_stdout(&["all", "--quick"]), golden);
+}
+
+/// `mrw run --json` prints each batched spec's checked-in report byte
+/// for byte. The specs cover every batched driver (regular, flat,
+/// row-wise, implicit) and the cover, partial-cover, hitting, meeting
+/// and pursuit observers, so a driver or observer change that moves a
+/// sample shows here even when all drivers move together. Regenerate a
+/// fixture only for a change that means to move it:
+/// `mrw run <name>.spec.json --json > <name>.report.json`.
+#[test]
+fn batched_reports_match_their_golden_fixtures() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/batched");
+    for name in [
+        "cover-torus16-regular",
+        "cover-barbell41-flat",
+        "partial-implicit-torus32",
+        "meeting-barbell41-rowwise",
+        "hitting-barbell41-flat",
+        "pursuit-torus16-regular",
+    ] {
+        let spec = dir.join(format!("{name}.spec.json"));
+        let golden = std::fs::read_to_string(dir.join(format!("{name}.report.json")))
+            .expect("golden report fixture");
+        assert_eq!(
+            mrw_stdout(&["run", spec.to_str().unwrap(), "--json"]),
+            golden,
+            "{name}"
+        );
+    }
 }
 
 /// Every experiment verb applies its flags on top of the experiment's

@@ -85,6 +85,24 @@
 //! (KS-tested below). Trial fan-outs reuse an [`EngineArena`] via
 //! [`Engine::run_with`] so a warmed-up trial performs no heap allocation.
 //!
+//! ## Round-granular observers
+//!
+//! Token placement and the four batched drivers step (or place) the
+//! whole round first and then hand every position to
+//! [`Observer::visit_round`] once, so their per-token loops do nothing
+//! but step. The hook's default calls [`Observer::visit`] for each token
+//! in order; [`FullCover`] and [`PartialCover`] override it with one
+//! branch-free marking pass ([`NodeBitSet::insert_all`]). No output
+//! changes: a round-synchronous run polls its stopping rule only at
+//! round boundaries, and `visit` never draws from the RNG, so marking at
+//! the boundary does the same work in the same order.
+//!
+//! Two loops keep a `visit` call per step. The interleaved loop polls its
+//! rule after every step, so it must see each arrival as it happens. The
+//! scalar round-synchronous loop runs small `k` (below
+//! [`BATCH_AUTO_MIN_K`] under [`BatchMode::Auto`]), and there the bulk
+//! hook measured slower (numbers in `docs/ARCHITECTURE.md`).
+//!
 //! ## Determinism contract
 //!
 //! For [`SimpleStep`] (and `CompiledProcess::Simple`) the engine consumes
@@ -352,15 +370,31 @@ impl Process for CompiledProcess {
 
 /// Accumulates statistics from token arrivals and decides when to stop.
 ///
-/// The engine calls [`visit`](Observer::visit) for every token placement
-/// (round 0) and every step, [`placed`](Observer::placed) once after all
-/// starts are down, and [`end_round`](Observer::end_round) at each round
-/// boundary. Under [`Discipline::Interleaved`] it additionally polls
+/// The engine reports every token placement (round 0) and every step.
+/// Placement and the batched drivers report a whole round at once
+/// through [`visit_round`](Observer::visit_round); the scalar loops call
+/// [`visit`](Observer::visit) after each step (see the module docs for
+/// why). It calls [`placed`](Observer::placed) once after all starts are
+/// down, and [`end_round`](Observer::end_round) at each round boundary.
+/// Under [`Discipline::Interleaved`] it additionally polls
 /// [`done`](Observer::done) after every step so sub-round stopping times
 /// are observable.
 pub trait Observer {
     /// Token `token` now occupies `v` (including initial placement).
     fn visit(&mut self, token: usize, v: u32);
+
+    /// Every token just moved (or was placed): token `i` now occupies
+    /// `positions[i]`. The default calls [`visit`](Observer::visit) for
+    /// each token in order, so an observer that keeps it sees exactly the
+    /// calls a per-step loop makes. Override it only with the same
+    /// result; [`FullCover`] and [`PartialCover`] mark the whole round in
+    /// one branch-free pass ([`NodeBitSet::insert_all`]).
+    #[inline]
+    fn visit_round(&mut self, positions: &[u32]) {
+        for (token, &v) in positions.iter().enumerate() {
+            self.visit(token, v);
+        }
+    }
 
     /// Has the stopping rule fired?
     fn done(&self) -> bool;
@@ -405,6 +439,11 @@ impl<O: Observer + ?Sized> Observer for &mut O {
     #[inline]
     fn visit(&mut self, token: usize, v: u32) {
         (**self).visit(token, v);
+    }
+
+    #[inline]
+    fn visit_round(&mut self, positions: &[u32]) {
+        (**self).visit_round(positions);
     }
 
     #[inline]
@@ -484,14 +523,15 @@ pub const BATCH_AUTO_MIN_K: usize = 64;
 ///
 /// Allocated once per worker (the estimators do this through
 /// [`mrw_par::par_map_with`]) and handed to every [`Engine::run_with`]
-/// call; after the first run at a given `k` no further heap allocation
-/// happens in the stepping loop. Each run fully re-initializes the
-/// positions, so outcomes are byte-identical to a fresh engine regardless
-/// of what previous runs left behind (property-tested in
-/// `tests/engine_arena.rs`). Observer-side state (visited bitsets, tally
-/// buffers) lives in the observers themselves; reuse those by lending
-/// `&mut observer` to the engine and calling e.g. [`FullCover::reset`]
-/// between trials.
+/// call; after the first run at a given `k` on a given graph no further
+/// heap allocation happens in the stepping loop (an irregular graph's
+/// flat pick table is built once, on the graph's first sweep). Each run
+/// fully re-initializes the positions, so outcomes are byte-identical to
+/// a fresh engine regardless of what previous runs left behind
+/// (property-tested in `tests/engine_arena.rs`). Observer-side state
+/// (visited bitsets, tally buffers) lives in the observers themselves;
+/// reuse those by lending `&mut observer` to the engine and calling e.g.
+/// [`FullCover::reset`] between trials.
 #[derive(Debug, Clone, Default)]
 pub struct EngineArena {
     /// Current token positions (`pos[token]`).
@@ -584,10 +624,11 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
     }
 
     /// Like [`run`](Self::run), reusing `arena`'s buffers: after the first
-    /// run at a given token count the stepping loop performs no heap
-    /// allocation (asserted by the counting-allocator test
-    /// `tests/zero_alloc.rs`). Final positions are left in
-    /// [`EngineArena::positions`] instead of being returned.
+    /// run at a given token count on a given graph the stepping loop
+    /// performs no heap allocation, on regular and irregular graphs alike
+    /// (asserted by the counting-allocator test `tests/zero_alloc.rs`).
+    /// Final positions are left in [`EngineArena::positions`] instead of
+    /// being returned.
     ///
     /// # Panics
     /// If `starts` is empty or any start is out of range.
@@ -621,9 +662,7 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
 
         arena.pos.clear();
         arena.pos.extend_from_slice(starts);
-        for (token, &s) in starts.iter().enumerate() {
-            self.observer.visit(token, s);
-        }
+        self.observer.visit_round(&arena.pos);
         self.observer.placed(self.g, &arena.pos);
         if self.observer.done() {
             return (0, true);
@@ -651,7 +690,9 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
     }
 
     /// The legacy scalar round-synchronous loop — bit-for-bit the seed's
-    /// RNG stream (pinned by `tests/engine_equivalence.rs`).
+    /// RNG stream (pinned by `tests/engine_equivalence.rs`). It keeps a
+    /// `visit` per step: at the small `k` it runs, the bulk round hook
+    /// measured slower (numbers in `docs/ARCHITECTURE.md`).
     fn drive_scalar_sync<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -691,6 +732,8 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
     ///
     /// Every path consumes identical draw words per token index, so the
     /// batched stream is one law regardless of which specialization runs.
+    /// Each steps the whole round, then reports it to the observer through
+    /// one [`Observer::visit_round`] call before `end_round`.
     fn drive_batched<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -746,14 +789,13 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
             }
             rounds += 1;
             let mut block = SplitMix64::seed_from_u64(rng.next_u64());
-            for (token, p) in arena.pos.iter_mut().enumerate() {
+            for p in arena.pos.iter_mut() {
                 let b0 = block.next_u64();
                 let b1 = if bpt == 2 { block.next_u64() } else { 0 };
                 let start = *p as usize * d;
-                let next = self.process.step_bits(&adj[start..start + d], *p, b0, b1);
-                *p = next;
-                self.observer.visit(token, next);
+                *p = self.process.step_bits(&adj[start..start + d], *p, b0, b1);
             }
+            self.observer.visit_round(&arena.pos);
             if self.observer.end_round(self.g, &arena.pos, rng) {
                 return (rounds, true);
             }
@@ -767,12 +809,13 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
     /// draw word `t · bpt` for token `t` of each round's block — exactly
     /// the word the row-wise sweep hands it — and this wrapper keeps the
     /// master-stream choreography identical to the other drivers: one
-    /// `rng.next_u64()` round seed drawn before each round, observer
-    /// visits in token order, `end_round` (which may draw from `rng`)
-    /// after the visits, cap checked after `end_round` just like the
+    /// `rng.next_u64()` round seed drawn before each round, one
+    /// [`Observer::visit_round`] per round, `end_round` (which may draw
+    /// from `rng`) after it, cap checked after `end_round` just like the
     /// loop-top check in [`drive_batched_rowwise`](Self::drive_batched_rowwise).
     /// Byte-identical outcomes are pinned by
-    /// `flat_sweep_matches_rowwise_stream` below.
+    /// `flat_sweep_matches_rowwise_stream` below. The pick table belongs to
+    /// the graph, so a run builds it only on the graph's first sweep.
     fn drive_batched_flat<R: Rng + ?Sized>(
         &mut self,
         sweep: &UniformSweep<'_>,
@@ -791,9 +834,7 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
         let first = rng.next_u64();
         let swept = sweep.run(&mut arena.pos, bpt, first, |pos| {
             rounds += 1;
-            for (token, &p) in pos.iter().enumerate() {
-                observer.visit(token, p);
-            }
+            observer.visit_round(pos);
             if observer.end_round(g, pos, rng) {
                 finished = true;
                 return None;
@@ -829,15 +870,14 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
             }
             rounds += 1;
             let mut block = SplitMix64::seed_from_u64(rng.next_u64());
-            for (token, p) in arena.pos.iter_mut().enumerate() {
+            for p in arena.pos.iter_mut() {
                 let b0 = block.next_u64();
                 let b1 = if bpt == 2 { block.next_u64() } else { 0 };
-                let next = self
+                *p = self
                     .process
                     .step_bits(csr.neighbors_unchecked(*p), *p, b0, b1);
-                *p = next;
-                self.observer.visit(token, next);
             }
+            self.observer.visit_round(&arena.pos);
             if self.observer.end_round(self.g, &arena.pos, rng) {
                 return (rounds, true);
             }
@@ -867,7 +907,7 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
             }
             rounds += 1;
             let mut block = SplitMix64::seed_from_u64(rng.next_u64());
-            for (token, p) in arena.pos.iter_mut().enumerate() {
+            for p in arena.pos.iter_mut() {
                 let b0 = block.next_u64();
                 let b1 = if bpt == 2 { block.next_u64() } else { 0 };
                 let d = g.degree(*p);
@@ -876,10 +916,9 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
                     "implicit degree {d} outside 1..={MAX_IMPLICIT_DEGREE}"
                 );
                 g.fill_row(*p, &mut row[..d]);
-                let next = self.process.step_bits(&row[..d], *p, b0, b1);
-                *p = next;
-                self.observer.visit(token, next);
+                *p = self.process.step_bits(&row[..d], *p, b0, b1);
             }
+            self.observer.visit_round(&arena.pos);
             if self.observer.end_round(g, &arena.pos, rng) {
                 return (rounds, true);
             }
@@ -887,7 +926,8 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
     }
 
     /// The interleaved loop (always scalar: its stopping rule is checked
-    /// after every step, which a whole-round batched sweep cannot honor).
+    /// after every step, which a whole-round batched sweep cannot honor,
+    /// so it also reports each step through `visit`, never `visit_round`).
     fn drive_interleaved<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -975,6 +1015,11 @@ impl Observer for FullCover {
     }
 
     #[inline]
+    fn visit_round(&mut self, positions: &[u32]) {
+        self.remaining -= self.visited.insert_all(positions);
+    }
+
+    #[inline]
     fn done(&self) -> bool {
         self.remaining == 0
     }
@@ -1014,6 +1059,11 @@ impl Observer for PartialCover {
         if self.visited.insert(v) {
             self.seen += 1;
         }
+    }
+
+    #[inline]
+    fn visit_round(&mut self, positions: &[u32]) {
+        self.seen += self.visited.insert_all(positions);
     }
 
     #[inline]

@@ -33,7 +33,11 @@ pub fn walk_rng(seed: u64) -> WalkRng {
 ///
 /// # Panics
 /// (debug) if `pos` is isolated — callers must ensure connectivity.
-#[inline]
+///
+/// Always inlined: as a plain `#[inline]` hint LLVM kept it out of line
+/// in the scalar engine loops, and where the linker then placed it moved
+/// their speed in builds that did not touch them.
+#[inline(always)]
 pub fn step<G: GraphBackend, R: Rng + ?Sized>(g: &G, pos: u32, rng: &mut R) -> u32 {
     let d = g.degree(pos);
     debug_assert!(d > 0, "walk stuck at isolated vertex {pos}");

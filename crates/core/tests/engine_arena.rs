@@ -4,6 +4,10 @@
 //! statistics — across every observer, both disciplines, and all three
 //! batch modes. The arena is scratch memory, never a carrier of state
 //! between runs.
+//!
+//! Also pinned here: an observer's bulk round hook
+//! ([`Observer::visit_round`]) must leave exactly what its per-token
+//! `visit` calls leave, on every driver that calls it.
 
 use mrw_core::engine::{
     BatchMode, CompiledProcess, CoverageCurve, Discipline, Engine, EngineArena, FullCover, Hit,
@@ -11,8 +15,9 @@ use mrw_core::engine::{
     VisitTally,
 };
 use mrw_core::{walk_rng, WalkProcess};
-use mrw_graph::{generators, Graph};
+use mrw_graph::{generators, Graph, GraphBackend, ImplicitGraph};
 use proptest::prelude::*;
+use rand::Rng;
 
 /// A canonical, comparable record of everything a run produced.
 #[derive(Debug, PartialEq)]
@@ -32,6 +37,79 @@ fn family(fam: usize, size: usize) -> Graph {
         2 => generators::complete_with_loops(6 + size % 12),
         3 => generators::hypercube(3 + (size % 3) as u32),
         _ => generators::barbell(9 + 2 * (size % 4)),
+    }
+}
+
+/// The implicit twin of `family(fam, size)`, for the families that have
+/// one: the same cycle or torus, so the implicit driver runs the case too.
+fn implicit_twin(fam: usize, size: usize) -> Option<ImplicitGraph> {
+    match fam % 5 {
+        0 => Some(ImplicitGraph::cycle(8 + size % 24)),
+        1 => Some(ImplicitGraph::torus_2d(3 + size % 4)),
+        _ => None,
+    }
+}
+
+/// Forwards every hook except `visit_round`, so the engine runs the
+/// trait's default round hook — one `visit` per token, in token order —
+/// on the wrapped observer.
+struct PerToken<O>(O);
+
+impl<O: Observer> Observer for PerToken<O> {
+    fn visit(&mut self, token: usize, v: u32) {
+        self.0.visit(token, v);
+    }
+
+    fn done(&self) -> bool {
+        self.0.done()
+    }
+
+    fn placed<G: GraphBackend>(&mut self, g: &G, positions: &[u32]) {
+        self.0.placed(g, positions);
+    }
+
+    fn end_round<G: GraphBackend, R: Rng + ?Sized>(
+        &mut self,
+        g: &G,
+        positions: &[u32],
+        rng: &mut R,
+    ) -> bool {
+        self.0.end_round(g, positions, rng)
+    }
+}
+
+fn cover_stats(o: FullCover) -> Vec<u64> {
+    let mut s = vec![o.remaining() as u64, o.done() as u64];
+    s.extend(o.visited().iter().map(u64::from));
+    s
+}
+
+fn partial_stats(o: PartialCover) -> Vec<u64> {
+    vec![o.seen() as u64, o.done() as u64]
+}
+
+/// A simple-walk run on a fresh engine, capped at `cap` rounds, digested.
+#[allow(clippy::too_many_arguments)]
+fn capped_run<G: GraphBackend, O: Observer>(
+    g: &G,
+    starts: &[u32],
+    seed: u64,
+    discipline: Discipline,
+    batch: BatchMode,
+    cap: u64,
+    observer: O,
+    digest: impl FnOnce(O) -> Vec<u64>,
+) -> Digest {
+    let out = Engine::new(g, SimpleStep, observer)
+        .discipline(discipline)
+        .batch(batch)
+        .cap(cap)
+        .run(starts, &mut walk_rng(seed));
+    Digest {
+        rounds: out.rounds,
+        stopped: out.stopped,
+        positions: out.positions,
+        stats: digest(out.observer),
     }
 }
 
@@ -153,6 +231,50 @@ proptest! {
             .into_iter()
             .map(u64::from)
             .collect());
+    }
+
+    #[test]
+    fn bulk_round_marking_matches_per_token_visits(
+        fam in 0usize..5,
+        size in 0usize..24,
+        k in 1usize..10,
+        wide in 0usize..4,
+        seed in any::<u64>(),
+        disc in 0usize..2,
+        batch in 0usize..3,
+        percent in 0usize..=100,
+        rounds in 0u64..60,
+    ) {
+        // A few tokens show a mis-marked one in the digest; a quarter of
+        // the cases run past BATCH_AUTO_MIN_K, where `Auto` batches too.
+        // Most runs stop at a short cap, where the digest shows the
+        // visited set mid-run; the rest run to the stopping rule.
+        let k = if wide == 0 { k + 63 } else { k };
+        let g = family(fam, size);
+        let n = g.n();
+        let starts = vec![(seed % n as u64) as u32; k];
+        let discipline = [Discipline::RoundSynchronous, Discipline::Interleaved][disc];
+        let batch = [BatchMode::Auto, BatchMode::Never, BatchMode::Always][batch];
+        let target = (percent * n).div_ceil(100);
+        let cap = if rounds < 50 { rounds } else { CAP };
+
+        macro_rules! same {
+            ($g:expr, $mk:expr, $stats:expr) => {{
+                let bulk = capped_run($g, &starts, seed, discipline, batch, cap, $mk, $stats);
+                let per_token = capped_run(
+                    $g, &starts, seed, discipline, batch, cap,
+                    PerToken($mk), |o: PerToken<_>| $stats(o.0),
+                );
+                prop_assert_eq!(&bulk, &per_token, "{} on {}", stringify!($mk), $g.name());
+            }};
+        }
+
+        same!(&g, FullCover::new(n), cover_stats);
+        same!(&g, PartialCover::new(n, target), partial_stats);
+        if let Some(twin) = implicit_twin(fam, size) {
+            same!(&twin, FullCover::new(n), cover_stats);
+            same!(&twin, PartialCover::new(n, target), partial_stats);
+        }
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! warmup run, an estimator-style trial loop — `Engine::run_with` over a
 //! reused [`EngineArena`] with a reset [`FullCover`] — performs **zero**
 //! heap allocations in the stepping loop, on both the scalar and the
-//! batched path. Also the compile-once regression: a `CompiledProcess` is
+//! batched path, on a regular torus and on an irregular barbell (whose
+//! batched runs sweep the pick table the graph builds once, on its first
+//! sweep). Also the compile-once regression: a `CompiledProcess` is
 //! built once per run, never per step, so the allocation bill of a run is
 //! independent of its length.
 //!
@@ -68,14 +70,18 @@ fn trial(
 
 #[test]
 fn stepping_loop_is_zero_alloc_after_warmup() {
-    let g = generators::torus_2d(8);
+    let torus = generators::torus_2d(8);
+    let barbell = generators::barbell(21);
 
     // --- estimator trial loop: scalar (k = 2) and batched (k = 128) ---
-    for (k, batch) in [(2usize, BatchMode::Never), (128, BatchMode::Auto)] {
+    for (g, k, batch) in [&torus, &barbell]
+        .into_iter()
+        .flat_map(|g| [(g, 2usize, BatchMode::Never), (g, 128, BatchMode::Auto)])
+    {
         let mut arena = EngineArena::new();
         let mut cover = FullCover::new(g.n());
         let mut starts = Vec::new();
-        let warmup = trial(&g, k, batch, 0, &mut arena, &mut cover, &mut starts);
+        let warmup = trial(g, k, batch, 0, &mut arena, &mut cover, &mut starts);
         assert!(warmup > 0, "warmup trial must actually cover");
 
         // Up to three measurement windows: one-time lazy initializations
@@ -87,7 +93,7 @@ fn stepping_loop_is_zero_alloc_after_warmup() {
             let mut total = 0u64;
             for seed in 1..=20u64 {
                 let s = 100 * attempt + seed;
-                total += trial(&g, k, batch, s, &mut arena, &mut cover, &mut starts);
+                total += trial(g, k, batch, s, &mut arena, &mut cover, &mut starts);
             }
             assert!(total > 0);
             leaked = allocations() - before;
@@ -96,15 +102,18 @@ fn stepping_loop_is_zero_alloc_after_warmup() {
             }
         }
         assert_eq!(
-            leaked, 0,
-            "k = {k} ({batch:?}): {leaked} allocations leaked into the trial loop \
-             in every measurement window"
+            leaked,
+            0,
+            "{} k = {k} ({batch:?}): {leaked} allocations leaked into the trial loop \
+             in every measurement window",
+            g.name()
         );
     }
 
     // --- compile-once regression: the allocation bill of a run with a
     // compiled process (Metropolis owns two O(n) tables; Lazy a cached
     // Bernoulli) must not depend on how many steps the run takes. ---
+    let g = torus;
     for process in [WalkProcess::Metropolis, WalkProcess::Lazy(0.5)] {
         for batch in [BatchMode::Never, BatchMode::Always] {
             let mut arena = EngineArena::new();

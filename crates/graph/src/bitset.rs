@@ -5,7 +5,8 @@
 //! popcount-based [`NodeBitSet::count`] lets the engine track coverage
 //! without a separate counter when convenient). The engine actually keeps
 //! an explicit remaining-counter — `insert` returns whether the bit was
-//! newly set precisely to support that.
+//! newly set, and `insert_all` how many bits a whole round newly set,
+//! precisely to support that.
 
 /// Fixed-capacity bitset over `0..len` vertex ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,6 +45,31 @@ impl NodeBitSet {
         let was_unset = self.words[w] & mask == 0;
         self.words[w] |= mask;
         was_unset
+    }
+
+    /// Inserts every vertex of `vs`; returns how many were not already
+    /// present. A vertex repeated in `vs` counts once, so the result
+    /// equals folding [`insert`](Self::insert) over `vs`.
+    ///
+    /// Branch-free: each vertex is counted as `word & mask == 0` and then
+    /// OR-ed in unconditionally. The engine marks a whole round of token
+    /// positions through this, where it measured faster than a branch on
+    /// "is the vertex new" (`docs/ARCHITECTURE.md`, "Round-granular
+    /// marking").
+    #[inline]
+    pub fn insert_all(&mut self, vs: &[u32]) -> usize {
+        let len = self.len;
+        let words = &mut self.words[..];
+        let mut added = 0usize;
+        for &v in vs {
+            let v = v as usize;
+            debug_assert!(v < len, "vertex {v} outside universe {len}");
+            let mask = 1u64 << (v % 64);
+            let w = &mut words[v / 64];
+            added += (*w & mask == 0) as usize;
+            *w |= mask;
+        }
+        added
     }
 
     /// Membership test.
@@ -145,6 +171,51 @@ mod tests {
         }
         let got: Vec<u32> = s.iter().collect();
         assert_eq!(got, vec![5, 64, 127, 128, 199]);
+    }
+
+    #[test]
+    fn insert_all_counts_a_repeated_vertex_once() {
+        let mut s = NodeBitSet::new(10);
+        assert_eq!(s.insert_all(&[3, 3, 7, 3, 7]), 2);
+        assert_eq!(s.insert_all(&[3, 7]), 0);
+        assert_eq!(s.insert_all(&[]), 0);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 7]);
+    }
+
+    #[test]
+    fn insert_all_at_word_edges() {
+        let mut s = NodeBitSet::new(129);
+        assert_eq!(s.insert_all(&[63, 64, 127, 128]), 4);
+        assert_eq!(s.count(), 4);
+        for v in [63u32, 64, 127, 128] {
+            assert!(s.contains(v), "{v}");
+        }
+        for v in [0u32, 62, 65, 126] {
+            assert!(!s.contains(v), "{v}");
+        }
+        assert_eq!(s.insert_all(&[128, 0, 63]), 1);
+    }
+
+    #[test]
+    fn insert_all_equals_folding_insert() {
+        // Deterministic pseudo-random batches over a 200-vertex universe,
+        // dense enough that later batches mostly hit present vertices.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut bulk = NodeBitSet::new(200);
+        let mut folded = NodeBitSet::new(200);
+        for len in [0usize, 1, 5, 64, 65, 200, 300] {
+            let batch: Vec<u32> = (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x % 200) as u32
+                })
+                .collect();
+            let want = batch.iter().filter(|&&v| folded.insert(v)).count();
+            assert_eq!(bulk.insert_all(&batch), want, "batch of {len}");
+            assert_eq!(bulk, folded, "batch of {len}");
+        }
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! one contiguous slice. Neighbor lists are sorted, which additionally gives
 //! `O(log δ)` edge queries by binary search.
 
+use std::fmt;
+use std::sync::OnceLock;
+
 /// An undirected graph in CSR form.
 ///
 /// * `offsets.len() == n + 1`; the neighbors of `v` occupy
@@ -23,6 +26,35 @@ pub struct Graph {
     regular: Option<usize>,
     /// Human-readable family name, e.g. `"cycle(64)"`; used in tables.
     name: String,
+    /// The flat pick table of [`UniformSweep`](crate::UniformSweep),
+    /// built from `offsets` on first use and kept for the graph's
+    /// lifetime, so a batched run on an irregular graph neither
+    /// allocates nor recomputes it. Sound to cache because no `&mut`
+    /// method touches `offsets` or `adjacency` ([`set_name`](Self::set_name)
+    /// is the only one).
+    pick_table: PickTable,
+}
+
+/// A lazily built per-vertex pick table (see [`crate::sweep`]).
+///
+/// Derived from the graph's immutable arrays, so it carries no identity
+/// of its own: every table compares equal and `Debug` shows none of its
+/// contents, which keeps `Graph ==` and `{:?}` about the graph alone.
+#[derive(Clone, Default)]
+pub(crate) struct PickTable(OnceLock<Vec<[u64; 2]>>);
+
+impl PartialEq for PickTable {
+    fn eq(&self, _other: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for PickTable {}
+
+impl fmt::Debug for PickTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("PickTable")
+    }
 }
 
 impl Graph {
@@ -73,6 +105,7 @@ impl Graph {
             adjacency,
             regular,
             name,
+            pick_table: PickTable::default(),
         };
         // Symmetry: every directed arc must have its reverse.
         for v in 0..n as u32 {
@@ -135,6 +168,14 @@ impl Graph {
     pub fn row_bounds(&self, v: u32) -> (usize, usize) {
         let v = v as usize;
         (self.offsets[v], self.offsets[v + 1])
+    }
+
+    /// The flat sweep's pick table, one entry per vertex, built on the
+    /// first call and shared by every later one (and every thread).
+    pub(crate) fn pick_table(&self) -> &[[u64; 2]] {
+        self.pick_table
+            .0
+            .get_or_init(|| crate::sweep::build_pick_table(self))
     }
 
     /// Sorted neighbor slice of `v` with a single up-front bound check.

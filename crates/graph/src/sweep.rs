@@ -1,10 +1,10 @@
 //! The flat batched-sweep kernel for plain uniform walks on irregular
 //! CSR graphs.
 //!
-//! [`UniformSweep`] compiles a graph into a per-vertex pick table and
-//! advances a whole token population one synchronous round at a time,
-//! consuming the engine's counter-expanded draw law: round seed `r`
-//! expands through SplitMix64, token `t` takes word `t·stride`. The inner
+//! [`UniformSweep`] reads a graph's per-vertex pick table and advances a
+//! whole token population one synchronous round at a time, consuming the
+//! engine's counter-expanded draw law: round seed `r` expands through
+//! SplitMix64, token `t` takes word `t·stride`. The inner
 //! loop is deliberately branch-free and bounds-check-free — see the
 //! module-level safety argument below — because on cache-resident
 //! irregular graphs the batched walk is throughput-bound on exactly the
@@ -30,6 +30,11 @@
 //! — the inactive half is identically zero. One 16-byte table load, one
 //! widening multiply, two bitwise ops; no select.
 //!
+//! The table costs `16 · n` bytes. It lives in the [`Graph`] it
+//! describes: built from the graph's arrays on the first sweep and kept
+//! for the graph's lifetime, so later runs on the same graph (every
+//! trial of an estimate) neither allocate nor recompute it.
+//!
 //! # Safety argument
 //!
 //! The loop indexes the table and the adjacency array without bounds
@@ -38,52 +43,62 @@
 //!
 //! * [`Graph::from_csr`](crate::Graph::from_csr) validates at
 //!   construction that offsets are non-decreasing, end at
-//!   `adjacency.len()`, and that every adjacency entry is `< n`; the
-//!   graph is immutable afterwards, and the table is built against the
-//!   borrowed graph (the `'g` lifetime pins it).
+//!   `adjacency.len()`, and that every adjacency entry is `< n`. The
+//!   arrays are immutable afterwards (`Graph`'s only `&mut` method is
+//!   `set_name`), the table is built from them, and [`UniformSweep`]
+//!   borrows both for `'g`, so table and arrays cannot drift apart.
 //! * [`UniformSweep::run`] asserts up front that every starting position
-//!   is `< n` with degree `≥ 1`. Each step replaces a position by an
-//!   adjacency entry, which is `< n` by construction and has degree `≥ 1`
-//!   because adjacency is symmetric (a listed vertex has at least its
-//!   reverse edge) — so the preconditions are closed under stepping.
+//!   is `< n` with degree `≥ 1`, and that the table has `n` entries.
+//!   Each step replaces a position by an adjacency entry, which is `< n`
+//!   by construction and has degree `≥ 1` because adjacency is symmetric
+//!   (a listed vertex has at least its reverse edge) — so the
+//!   preconditions are closed under stepping.
 //! * For degree `d ≥ 1` both pick laws produce `idx < d`, hence
 //!   `row_start + idx < row_end ≤ adjacency.len()`.
 
 use crate::csr::Graph;
 use rand::rngs::SplitMix64;
 
-/// A graph compiled for flat uniform batched sweeps.
+/// Per-vertex `[(row_start << 32) | m, a]` entries of `g` — see the
+/// module docs. [`Graph`] caches the result; only it calls this.
+pub(crate) fn build_pick_table(g: &Graph) -> Vec<[u64; 2]> {
+    (0..g.n() as u32)
+        .map(|v| {
+            let (s, e) = g.row_bounds(v);
+            let d = (e - s) as u64;
+            if d.is_power_of_two() {
+                [(s as u64) << 32, d - 1]
+            } else {
+                [((s as u64) << 32) | d, 0]
+            }
+        })
+        .collect()
+}
+
+/// A graph ready for flat uniform batched sweeps.
 ///
-/// Built per engine run via [`UniformSweep::new`]; the table costs
-/// `16 · n` bytes, which is why construction is gated to CSR sizes where
-/// the batched fast path applies at all.
+/// Cheap to make: [`UniformSweep::new`] borrows the pick table the graph
+/// keeps, building it only on the graph's first sweep. The table is
+/// gated to CSR sizes where the batched fast path applies at all.
 #[derive(Debug)]
 pub struct UniformSweep<'g> {
     g: &'g Graph,
     /// Per-vertex `[(row_start << 32) | m, a]` — see the module docs.
-    vtab: Vec<[u64; 2]>,
+    vtab: &'g [[u64; 2]],
 }
 
 impl<'g> UniformSweep<'g> {
-    /// Compiles `g`, or `None` when the flat kernel does not apply: an
-    /// empty graph, or an adjacency array whose row starts overflow the
-    /// packed `u32` field.
+    /// A sweep over `g`, or `None` when the flat kernel does not apply:
+    /// an empty graph, or an adjacency array whose row starts overflow
+    /// the packed `u32` field.
     pub fn new(g: &'g Graph) -> Option<Self> {
         if g.n() == 0 || g.adjacency().len() > u32::MAX as usize {
             return None;
         }
-        let vtab = (0..g.n() as u32)
-            .map(|v| {
-                let (s, e) = g.row_bounds(v);
-                let d = (e - s) as u64;
-                if d.is_power_of_two() {
-                    [(s as u64) << 32, d - 1]
-                } else {
-                    [((s as u64) << 32) | d, 0]
-                }
-            })
-            .collect();
-        Some(UniformSweep { g, vtab })
+        Some(UniformSweep {
+            g,
+            vtab: g.pick_table(),
+        })
     }
 
     /// Sweeps rounds until `after_round` declines to continue, returning
@@ -115,7 +130,8 @@ impl<'g> UniformSweep<'g> {
             "sweep position out of range or isolated"
         );
         let adj = self.g.adjacency();
-        let vtab = &self.vtab[..];
+        let vtab = self.vtab;
+        assert_eq!(vtab.len(), n, "pick table does not match the graph");
         let step_gamma = SplitMix64::GAMMA.wrapping_mul(stride as u64);
         let mut rounds = 0u64;
         let mut seed = first_seed;
@@ -242,6 +258,22 @@ mod tests {
         let sweep = UniformSweep::new(&g).unwrap();
         let mut pos = vec![2u32];
         sweep.run(&mut pos, 1, 1, |_| None);
+    }
+
+    #[test]
+    fn pick_table_is_built_once_per_graph_and_invisible() {
+        let g = generators::barbell(21);
+        let untouched = g.clone();
+        let a = UniformSweep::new(&g).unwrap();
+        let b = UniformSweep::new(&g).unwrap();
+        assert!(
+            std::ptr::eq(a.vtab, b.vtab),
+            "second sweep rebuilt the table"
+        );
+        assert_eq!(a.vtab, &build_pick_table(&g)[..]);
+        // A built table changes neither equality nor the debug form.
+        assert_eq!(g, untouched);
+        assert_eq!(format!("{g:?}"), format!("{untouched:?}"));
     }
 
     #[test]
