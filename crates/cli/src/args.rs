@@ -64,7 +64,8 @@ options:
   --batch         force the engine's batched stepping sweep at any k
   --no-batch      force the scalar stepping loop (legacy seeded streams)
                   (default: auto - batch k >= 64 round-synchronous walks;
-                  either flag reaches every trial of every query kind)
+                  either flag reaches every trial of every query kind
+                  and of every experiment verb)
   --format F      output format: ascii (default) | markdown | csv
   --json          emit the canonical JSON report schema instead of a table
                   (estimate / run; the same schema mrw shard emits)

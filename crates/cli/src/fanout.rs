@@ -499,22 +499,7 @@ fn emit_complete(merged: &Report, opts: &Options, workers: usize, retries_used: 
         retries_used,
         if retries_used == 1 { "y" } else { "ies" }
     );
-    if opts.json {
-        print!("{}", merged.to_json());
-        return;
-    }
-    crate::print_table(&crate::report_table(merged), opts.format);
-    if let Some(certified) = merged.certified() {
-        println!(
-            "precision rule {} on every group ({} trials total)",
-            if certified {
-                "satisfied"
-            } else {
-                "NOT satisfied"
-            },
-            merged.consumed_trials()
-        );
-    }
+    crate::print_report(merged, opts);
 }
 
 /// Everything a checkpoint holds as one partial report: each group's last

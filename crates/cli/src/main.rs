@@ -42,9 +42,9 @@ use std::process::ExitCode;
 use mrw_core::experiments::{
     baby_matthews, barbell, barbell_events, clique, concentration, conjectures, cycle, exact_zoo,
     expander, gap, hunting, lemma16, lemma19, matthews, mixing, projection, prop23, smallworld,
-    stationary, table1, torus, Budget,
+    stationary, table1, torus,
 };
-use mrw_core::{AnyGraph, GraphSpec, Query, QuerySpec, Report, Session};
+use mrw_core::{AnyGraph, Budget, GraphSpec, Query, QuerySpec, Report, Session};
 use mrw_graph::GraphBackend;
 
 mod args;
@@ -555,6 +555,28 @@ fn report_table(report: &Report) -> mrw_stats::Table {
     t
 }
 
+/// Prints a finished report the way `mrw run` does: the canonical JSON
+/// under `--json`, else [`report_table`] followed, for an adaptive
+/// budget, by whether the precision rule held on every group.
+fn print_report(report: &Report, opts: &Options) {
+    if opts.json {
+        print!("{}", report.to_json());
+        return;
+    }
+    print_table(&report_table(report), opts.format);
+    if let Some(certified) = report.certified() {
+        println!(
+            "precision rule {} on every group ({} trials total)",
+            if certified {
+                "satisfied"
+            } else {
+                "NOT satisfied"
+            },
+            report.consumed_trials()
+        );
+    }
+}
+
 /// Human-readable budget/stop description for a report's first group.
 fn stop_description(report: &Report) -> (String, String) {
     match report.budget.trials_budget() {
@@ -676,22 +698,7 @@ fn load_spec(opts: &Options) -> Result<(QuerySpec, AnyGraph), String> {
 fn run_spec(opts: &Options) -> Result<(), String> {
     let (spec, g) = load_spec(opts)?;
     let report = Session::new(spec.budget.clone()).run(&g, &spec.query);
-    if opts.json {
-        print!("{}", report.to_json());
-        return Ok(());
-    }
-    print_table(&report_table(&report), opts.format);
-    if let Some(certified) = report.certified() {
-        println!(
-            "precision rule {} on every group ({} trials total)",
-            if certified {
-                "satisfied"
-            } else {
-                "NOT satisfied"
-            },
-            report.consumed_trials()
-        );
-    }
+    print_report(&report, opts);
     Ok(())
 }
 

@@ -498,6 +498,24 @@ fn experiment_verbs_keep_their_own_trial_budgets() {
     }
 }
 
+/// The experiment verbs that step walks themselves build every engine
+/// from their budget, so `--batch` moves their samples like it moves
+/// every `Session` estimate. (`barbell-events` steps its walks the same
+/// way, but its `--quick` table cannot show a flag: `--batch` only moves
+/// its ⌈ln n⌉-token control arm, whose one statistic is certain, and
+/// `--no-batch` moves C^k/n below the printed two decimals. The unit test
+/// `no_batch_reaches_the_theorem_arm` checks it on the report itself.)
+#[test]
+fn experiment_verbs_honour_batch_flags() {
+    for verb in ["stationary", "lemma16", "lemma19", "projection"] {
+        assert_ne!(
+            mrw_stdout(&[verb, "--quick"]),
+            mrw_stdout(&[verb, "--quick", "--batch"]),
+            "mrw {verb} --quick ignores --batch"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The fanout driver.
 

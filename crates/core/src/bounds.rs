@@ -3,7 +3,7 @@
 //! These are the *theoretical* curves that the experiments overlay on the
 //! Monte-Carlo measurements. Each function documents the theorem it
 //! implements; asymptotic `o(1)` terms are dropped (stated in each doc),
-//! which is the right comparison at finite `n` — EXPERIMENTS.md records
+//! which is the right comparison at finite `n`. The experiments print
 //! measured-vs-bound for every family.
 
 use mrw_stats::harmonic::harmonic_fast;
@@ -14,10 +14,13 @@ pub fn matthews_upper(hmax: f64, n: u64) -> f64 {
     hmax * harmonic_fast(n)
 }
 
-/// Matthews' lower bound (Theorem 1): `C(G) ≥ h_min · H_n`.
+/// Matthews' lower bound (Theorem 1): `C(G) ≥ h_min · H_{n−1}`.
+///
+/// The paper writes `H_n`, which is false at finite `n`: on the complete
+/// graph `h_min = n − 1` and `C = (n − 1)·H_{n−1} < (n − 1)·H_n`.
 pub fn matthews_lower(hmin: f64, n: u64) -> f64 {
     assert!(hmin >= 0.0 && n >= 1);
-    hmin * harmonic_fast(n)
+    hmin * harmonic_fast(n - 1)
 }
 
 /// The Baby Matthews upper bound (Theorem 13):
@@ -153,6 +156,22 @@ mod tests {
         assert!(matthews_lower(50.0, n) <= matthews_upper(99.0, n));
         // H_100 ≈ 5.187
         assert!((matthews_upper(1.0, 100) - harmonic(100)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn matthews_lower_is_exact_on_the_complete_graph() {
+        // K_n: h(u,v) = n − 1 for every pair and C = (n − 1)·H_{n−1}
+        // (coupon collector over the other n − 1 vertices).
+        for n in [2u64, 5, 32, 128] {
+            let hmin = (n - 1) as f64;
+            let cover = (n - 1) as f64 * harmonic(n - 1);
+            let lower = matthews_lower(hmin, n);
+            assert!(
+                (lower - cover).abs() < 1e-9 * cover,
+                "K_{n}: lower {lower} vs C {cover}"
+            );
+            assert!(lower <= matthews_upper(hmin, n));
+        }
     }
 
     #[test]

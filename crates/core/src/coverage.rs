@@ -9,30 +9,14 @@
 
 use mrw_graph::{algo, Graph};
 use mrw_par::{par_map, SeedSequence};
-use rand::Rng;
 
 use crate::engine::{CoverageCurve, Engine, SimpleStep};
 use crate::walk::walk_rng;
 
-/// One trial's coverage trajectory: `fraction[t]` = fraction of vertices
-/// visited after `t` rounds (index 0 = after placing the starts).
-pub fn coverage_trajectory<R: Rng + ?Sized>(
-    g: &Graph,
-    starts: &[u32],
-    rounds: usize,
-    rng: &mut R,
-) -> Vec<f64> {
-    assert!(!starts.is_empty(), "need at least one walk");
-    debug_assert!(algo::is_connected(g), "coverage of a disconnected graph");
-    Engine::new(g, SimpleStep, CoverageCurve::new(g.n(), rounds))
-        .cap(rounds as u64)
-        .run(starts, rng)
-        .observer
-        .into_curve()
-}
-
 /// Mean coverage curve over `trials` independent k-walks from `start`
-/// (deterministic in `seed`; trials fan out over `threads`).
+/// (deterministic in `seed`; trials fan out over `threads`):
+/// `curve[t]` is the mean fraction of vertices visited after `t` rounds
+/// (index 0 = after placing the starts).
 pub fn mean_coverage_curve(
     g: &Graph,
     start: u32,
@@ -43,11 +27,16 @@ pub fn mean_coverage_curve(
     threads: usize,
 ) -> Vec<f64> {
     assert!(k >= 1 && trials >= 1);
+    debug_assert!(algo::is_connected(g), "coverage of a disconnected graph");
     let seq = SeedSequence::new(seed).child(0xC0FE);
     let starts = vec![start; k];
     let curves: Vec<Vec<f64>> = par_map(trials, threads, |t| {
         let mut rng = walk_rng(seq.seed_for(t as u64));
-        coverage_trajectory(g, &starts, rounds, &mut rng)
+        Engine::new(g, SimpleStep, CoverageCurve::new(g.n(), rounds))
+            .cap(rounds as u64)
+            .run(&starts, &mut rng)
+            .observer
+            .into_curve()
     });
     let mut mean = vec![0.0; rounds + 1];
     for curve in &curves {
@@ -77,7 +66,11 @@ mod tests {
     fn curve_is_monotone_and_bounded() {
         let g = generators::torus_2d(6);
         let mut rng = walk_rng(1);
-        let curve = coverage_trajectory(&g, &[0, 0, 0, 0], 500, &mut rng);
+        let curve = Engine::new(&g, SimpleStep, CoverageCurve::new(g.n(), 500))
+            .cap(500)
+            .run(&[0, 0, 0, 0], &mut rng)
+            .observer
+            .into_curve();
         assert_eq!(curve.len(), 501);
         for w in curve.windows(2) {
             assert!(w[1] >= w[0], "coverage decreased");

@@ -22,12 +22,12 @@
 //!   [`Hit`], [`Meeting`], [`Pursuit`], [`VisitTally`], [`CoverageCurve`],
 //!   [`Trace`], and `()` (a pure horizon run).
 //!
-//! The public wrappers in [`walk`](crate::walk), [`kwalk`](crate::kwalk),
-//! [`process`](crate::process), [`visits`](crate::visits), and
-//! [`coverage`](crate::coverage) are thin shims over this engine and keep
-//! their exact pre-refactor signatures. Monte-Carlo estimates build their
-//! engines in one place, [`Session`](crate::query::Session), which applies
-//! the budget's discipline and [`BatchMode`] to every trial.
+//! Callers run the engine directly; no wrapper stands between them and
+//! it. Everything that runs under a [`Budget`](crate::query::Budget) —
+//! every [`Session`](crate::query::Session) trial and every experiment
+//! that steps walks itself — builds its engine with
+//! [`Budget::engine`](crate::query::Budget::engine), the one place the
+//! budget's discipline and [`BatchMode`] are applied.
 //!
 //! ## Batched vs scalar stepping
 //!
@@ -261,9 +261,9 @@ impl CompiledProcess {
     /// Compiles `process` for runs on `g`.
     ///
     /// `Lazy(1.0)` is accepted — a token that never moves is well-defined
-    /// under a round cap (fixed-horizon tallies, capped meetings). Cover
-    /// routines, which would loop forever on it, reject `p = 1` at their
-    /// own boundary instead.
+    /// under a round cap (fixed-horizon tallies, capped meetings). An
+    /// uncapped cover run never ends on it, so callers without a cap must
+    /// keep `p < 1` (the query layer rejects a meeting `laziness` of 1).
     ///
     /// # Panics
     /// If `process` is `Lazy(p)` with `p ∉ [0,1]`.
@@ -1555,12 +1555,9 @@ mod tests {
             .collect();
         let reference: Vec<f64> = (0..trials)
             .map(|t| {
-                crate::process::cover_time_process(
-                    &g,
-                    0,
-                    WalkProcess::Lazy(0.5),
-                    &mut walk_rng(90_000 + t),
-                ) as f64
+                Engine::new(&g, WalkProcess::Lazy(0.5), FullCover::new(g.n()))
+                    .run(&[0], &mut walk_rng(90_000 + t))
+                    .rounds as f64
             })
             .collect();
         let ks = ks_two_sample(&cached, &reference);
@@ -1589,12 +1586,9 @@ mod tests {
             .collect();
         let reference: Vec<f64> = (0..trials)
             .map(|t| {
-                crate::process::cover_time_process(
-                    &g,
-                    0,
-                    WalkProcess::Metropolis,
-                    &mut walk_rng(40_000 + t),
-                ) as f64
+                Engine::new(&g, WalkProcess::Metropolis, FullCover::new(g.n()))
+                    .run(&[0], &mut walk_rng(40_000 + t))
+                    .rounds as f64
             })
             .collect();
         let ks = ks_two_sample(&cached, &reference);

@@ -11,8 +11,7 @@ use mrw_spectral::hitting_times_all;
 use mrw_stats::Table;
 
 use crate::bounds;
-use crate::experiments::Budget;
-use crate::query::{Query, Session};
+use crate::query::{Budget, Query, Session};
 
 /// One `(family, k)` measurement.
 #[derive(Debug, Clone)]

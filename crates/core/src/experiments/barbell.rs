@@ -15,8 +15,7 @@ use mrw_stats::regression::{power_law_fit, PowerLawFit};
 use mrw_stats::Table;
 
 use crate::bounds;
-use crate::experiments::Budget;
-use crate::query::{Query, Session};
+use crate::query::{Budget, Query, Session};
 
 /// Configuration for the barbell experiment.
 #[derive(Debug, Clone)]

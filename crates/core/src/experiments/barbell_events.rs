@@ -31,8 +31,8 @@ use mrw_graph::Graph;
 use mrw_stats::Table;
 use rand::Rng;
 
-use crate::engine::{Engine, FullCover, Observer, SimpleStep};
-use crate::experiments::Budget;
+use crate::engine::{FullCover, Observer, SimpleStep};
+use crate::query::Budget;
 use crate::walk::walk_rng;
 
 /// Configuration for the barbell proof-events experiment.
@@ -201,7 +201,13 @@ impl Observer for EventsObserver {
 
 /// One trial: runs `k` tokens from the center for `10n` rounds and
 /// reports `(e1, e2, e3, cover_rounds_if_within_horizon)`.
-fn trial(g: &Graph, n: usize, k: usize, seed: u64) -> (bool, bool, bool, Option<u64>) {
+fn trial(
+    g: &Graph,
+    n: usize,
+    k: usize,
+    seed: u64,
+    budget: &Budget,
+) -> (bool, bool, bool, Option<u64>) {
     let m = (n - 1) / 2;
     let center = barbell_center(n);
     let threshold = (4.0 * (n as f64).ln()).floor() as usize;
@@ -220,7 +226,8 @@ fn trial(g: &Graph, n: usize, k: usize, seed: u64) -> (bool, bool, bool, Option<
         distinct_returns: 0,
         cover_round: None,
     };
-    let out = Engine::new(g, SimpleStep, observer)
+    let out = budget
+        .engine(g, SimpleStep, observer)
         .cap(horizon)
         .run(&vec![center; k], &mut rng);
     let o = out.observer;
@@ -250,7 +257,7 @@ pub fn run(cfg: &Config) -> Report {
         let mut covered_trials = 0usize;
         for t in 0..trials {
             let seed = cfg.budget.seed ^ ((n as u64) << 32) ^ t as u64;
-            let (a, b, c, cover) = trial(&g, n, k, seed);
+            let (a, b, c, cover) = trial(&g, n, k, seed, &cfg.budget);
             e1 += a as usize;
             e2 += b as usize;
             e3 += c as usize;
@@ -258,7 +265,7 @@ pub fn run(cfg: &Config) -> Report {
                 cover_sum += r as f64;
                 covered_trials += 1;
             }
-            let (ac, _, _, _) = trial(&g, n, k_control, seed ^ 0xDEAD);
+            let (ac, _, _, _) = trial(&g, n, k_control, seed ^ 0xDEAD, &cfg.budget);
             e1_control += ac as usize;
         }
         rows.push(Row {
@@ -331,6 +338,21 @@ mod tests {
         let first = report.rows.first().unwrap().cover_ratio();
         let last = report.rows.last().unwrap().cover_ratio();
         assert!(last < 2.5 * first, "ratio grows: {first} → {last}");
+    }
+
+    #[test]
+    fn no_batch_reaches_the_theorem_arm() {
+        // The ⌈20 ln n⌉-token arm (k ≥ 64) batches under the default
+        // budget; `BatchMode::Never` must put it on the scalar loop, whose
+        // different stream moves the mean cover time. (The printed table
+        // rounds C^k/n to two decimals, so `--quick` output cannot show it.)
+        let auto = run(&Config::quick());
+        let mut cfg = Config::quick();
+        cfg.budget.batch = crate::engine::BatchMode::Never;
+        let never = run(&cfg);
+        for (a, b) in auto.rows.iter().zip(&never.rows) {
+            assert_ne!(a.mean_cover, b.mean_cover, "n={}: --no-batch ignored", a.n);
+        }
     }
 
     #[test]

@@ -10,8 +10,7 @@
 use mrw_stats::{ladder, Table};
 
 use crate::bounds;
-use crate::experiments::Budget;
-use crate::query::{self, Query, Session};
+use crate::query::{self, Budget, Query, Session};
 
 /// Configuration for the clique experiment.
 #[derive(Debug, Clone)]

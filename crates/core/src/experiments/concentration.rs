@@ -13,8 +13,7 @@
 
 use mrw_stats::Table;
 
-use crate::experiments::Budget;
-use crate::query::{Query, Session};
+use crate::query::{Budget, Query, Session};
 
 /// Which family to ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

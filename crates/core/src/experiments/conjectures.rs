@@ -18,8 +18,7 @@
 use mrw_graph::{generators as gen, Graph};
 use mrw_stats::Table;
 
-use crate::experiments::Budget;
-use crate::query::{Query, Session};
+use crate::query::{Budget, Query, Session};
 
 /// One `(graph, start, k)` scan point.
 #[derive(Debug, Clone)]

@@ -10,8 +10,7 @@ use mrw_stats::regression::{log_fit, LinearFit};
 use mrw_stats::{ladder, Table};
 
 use crate::bounds;
-use crate::experiments::Budget;
-use crate::query::{self, Query, Session};
+use crate::query::{self, Budget, Query, Session};
 
 /// Configuration for the cycle experiment.
 #[derive(Debug, Clone)]

@@ -14,8 +14,7 @@ use mrw_graph::Graph;
 use mrw_stats::Table;
 
 use crate::exact::exact_kwalk_cover_time;
-use crate::experiments::Budget;
-use crate::query::{Query, Session};
+use crate::query::{Budget, Query, Session};
 
 /// Configuration for the exact-validation zoo.
 #[derive(Debug, Clone)]

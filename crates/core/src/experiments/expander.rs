@@ -13,8 +13,7 @@ use mrw_spectral::power::{spectral_profile, SpectralProfile};
 use mrw_stats::Table;
 
 use crate::bounds;
-use crate::experiments::Budget;
-use crate::query::{self, Query, Session};
+use crate::query::{self, Budget, Query, Session};
 use crate::walk::walk_rng;
 
 /// Configuration for the expander experiment.

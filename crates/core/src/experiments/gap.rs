@@ -20,8 +20,8 @@ use mrw_spectral::hitting_times_all;
 use mrw_stats::Table;
 
 use crate::bounds;
-use crate::experiments::{worst_start_cover, Budget};
-use crate::query::{Query, Session};
+use crate::experiments::worst_start_cover;
+use crate::query::{Budget, Query, Session};
 
 /// One family's gap measurement.
 #[derive(Debug, Clone)]

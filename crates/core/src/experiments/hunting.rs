@@ -19,8 +19,7 @@ use mrw_graph::Graph;
 use mrw_stats::Table;
 
 use crate::engine::PreyStrategy;
-use crate::experiments::Budget;
-use crate::query::{prey_to_str, Query, Session};
+use crate::query::{prey_to_str, Budget, Query, Session};
 
 /// Configuration for the hunting experiment.
 #[derive(Debug, Clone)]

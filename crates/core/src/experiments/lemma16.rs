@@ -23,10 +23,9 @@ use mrw_graph::Graph;
 use mrw_spectral::hitting_times_all;
 use mrw_stats::Table;
 
-use crate::experiments::Budget;
-use crate::kwalk::kwalk_covers_within;
-use crate::query::{Query, Session};
-use crate::walk::{steps_to_hit, walk_rng};
+use crate::engine::{FullCover, Hit, SimpleStep};
+use crate::query::{Budget, Query, Session};
+use crate::walk::walk_rng;
 
 /// Configuration for the Lemma 16 experiment.
 #[derive(Debug, Clone)]
@@ -145,15 +144,17 @@ impl Report {
 /// Measures `Pr[walk of length T_h from u visits v]` for the *diametral*
 /// pair realizing `h_max` — the worst pair is the binding one in the
 /// lemma's `p_h`.
-fn measure_ph(g: &Graph, u: u32, v: u32, t_h: u64, trials: usize, seed: u64) -> f64 {
+fn measure_ph(g: &Graph, u: u32, v: u32, t_h: u64, budget: &Budget) -> f64 {
     let mut hits = 0usize;
-    for t in 0..trials {
-        let mut rng = walk_rng(seed ^ 0xF00D ^ (t as u64) << 17);
-        if steps_to_hit(g, u, v, t_h, &mut rng).is_some() {
-            hits += 1;
-        }
+    for t in 0..budget.trials {
+        let mut rng = walk_rng(budget.seed ^ 0xF00D ^ (t as u64) << 17);
+        let out = budget
+            .engine(g, SimpleStep, Hit::new(v))
+            .cap(t_h)
+            .run(&[u], &mut rng);
+        hits += out.stopped as usize;
     }
-    hits as f64 / trials as f64
+    hits as f64 / budget.trials as f64
 }
 
 /// Runs the Lemma 16 experiment.
@@ -189,12 +190,15 @@ pub fn run(cfg: &Config) -> Report {
     let mut covers = 0usize;
     for t in 0..trials {
         let mut rng = walk_rng(cfg.budget.seed ^ 0xC0FE ^ (t as u64) << 13);
-        if kwalk_covers_within(&g, &[0], t_c, &mut rng) {
-            covers += 1;
-        }
+        let out = cfg
+            .budget
+            .engine(&g, SimpleStep, FullCover::new(n))
+            .cap(t_c)
+            .run(&[0], &mut rng);
+        covers += out.stopped as usize;
     }
     let p_c = covers as f64 / trials as f64;
-    let p_h = measure_ph(&g, pair.0, pair.1, t_h, trials, cfg.budget.seed);
+    let p_h = measure_ph(&g, pair.0, pair.1, t_h, &cfg.budget);
 
     let mut cells = Vec::new();
     for &k in &cfg.ks {
@@ -206,9 +210,12 @@ pub fn run(cfg: &Config) -> Report {
                 let mut rng = walk_rng(
                     cfg.budget.seed ^ ((k as u64) << 40) ^ ((ell as u64) << 32) ^ t as u64,
                 );
-                if kwalk_covers_within(&g, &starts, length, &mut rng) {
-                    cover_hits += 1;
-                }
+                let out = cfg
+                    .budget
+                    .engine(&g, SimpleStep, FullCover::new(n))
+                    .cap(length)
+                    .run(&starts, &mut rng);
+                cover_hits += out.stopped as usize;
             }
             let bound = p_c * (1.0 - k as f64 * (1.0 - p_h).powi(ell as i32)).max(0.0);
             cells.push(Cell {

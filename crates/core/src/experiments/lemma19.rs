@@ -24,8 +24,9 @@ use mrw_graph::Graph;
 use mrw_spectral::power::{spectral_profile, SpectralProfile};
 use mrw_stats::Table;
 
-use crate::experiments::Budget;
-use crate::walk::{steps_to_hit, walk_rng};
+use crate::engine::{Hit, SimpleStep};
+use crate::query::Budget;
+use crate::walk::{walk_rng, WalkRng};
 
 /// Configuration for the Lemma 19 / Corollary 20 experiment.
 #[derive(Debug, Clone)]
@@ -167,16 +168,23 @@ impl Report {
     }
 }
 
+/// Does one walk of length `len` from `u` visit `v`?
+fn visits_within(g: &Graph, u: u32, v: u32, len: u64, budget: &Budget, rng: &mut WalkRng) -> bool {
+    budget
+        .engine(g, SimpleStep, Hit::new(v))
+        .cap(len)
+        .run(&[u], rng)
+        .stopped
+}
+
 /// Measures `Pr[walk of length len from u visits v]`.
-fn visit_probability(g: &Graph, u: u32, v: u32, len: u64, trials: usize, seed: u64) -> f64 {
+fn visit_probability(g: &Graph, u: u32, v: u32, len: u64, budget: &Budget) -> f64 {
     let mut hits = 0usize;
-    for t in 0..trials {
-        let mut rng = walk_rng(seed ^ ((u as u64) << 34) ^ ((v as u64) << 20) ^ t as u64);
-        if steps_to_hit(g, u, v, len, &mut rng).is_some() {
-            hits += 1;
-        }
+    for t in 0..budget.trials {
+        let mut rng = walk_rng(budget.seed ^ ((u as u64) << 34) ^ ((v as u64) << 20) ^ t as u64);
+        hits += visits_within(g, u, v, len, budget, &mut rng) as usize;
     }
-    hits as f64 / trials as f64
+    hits as f64 / budget.trials as f64
 }
 
 /// Runs the experiment.
@@ -203,7 +211,7 @@ pub fn run(cfg: &Config) -> Report {
         pairs.push(PairRow {
             u,
             v,
-            measured: visit_probability(&g, u, v, two_s, trials, cfg.budget.seed),
+            measured: visit_probability(&g, u, v, two_s, &cfg.budget),
             bound,
         });
     }
@@ -226,7 +234,7 @@ pub fn run(cfg: &Config) -> Report {
                             ^ ((walk as u64) << 28)
                             ^ trial as u64,
                     );
-                    if steps_to_hit(&g, 0, target, len, &mut wrng).is_some() {
+                    if visits_within(&g, 0, target, len, &cfg.budget, &mut wrng) {
                         all_missed = false;
                         break;
                     }

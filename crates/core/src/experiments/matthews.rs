@@ -5,15 +5,16 @@
 //! not noise. One finite-size subtlety: the paper states the lower bound
 //! as `h_min·H_n`, which at finite `n` fails marginally on the complete
 //! graph (`C(K_n) = (n−1)·H_{n−1}` but `h_min·H_n = (n−1)·H_n`). Matthews'
-//! actual lower bound uses `H_{n−1}`, which is what we check; EXPERIMENTS.md
-//! records the discrepancy.
+//! actual lower bound uses `H_{n−1}`; both sides of the sandwich come
+//! from [`bounds`].
 
 use mrw_graph::Graph;
 use mrw_spectral::hitting_times_all;
-use mrw_stats::harmonic::harmonic;
 use mrw_stats::Table;
 
-use crate::experiments::{worst_start_cover, Budget};
+use crate::bounds;
+use crate::experiments::worst_start_cover;
+use crate::query::Budget;
 
 /// One family's sandwich check.
 #[derive(Debug, Clone)]
@@ -144,8 +145,8 @@ pub fn run(cfg: &Config) -> Report {
                 hmin: ht.hmin(),
                 hmax: ht.hmax(),
                 cover,
-                lower: ht.hmin() * harmonic(n as u64 - 1),
-                upper: ht.hmax() * harmonic(n as u64),
+                lower: bounds::matthews_lower(ht.hmin(), n as u64),
+                upper: bounds::matthews_upper(ht.hmax(), n as u64),
             }
         })
         .collect();

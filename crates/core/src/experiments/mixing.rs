@@ -12,8 +12,7 @@ use mrw_graph::Graph;
 use mrw_spectral::{mixing_time, MixingConfig};
 use mrw_stats::Table;
 
-use crate::experiments::Budget;
-use crate::query::{Query, Session};
+use crate::query::{Budget, Query, Session};
 
 /// One `(family, k)` measurement.
 #[derive(Debug, Clone)]

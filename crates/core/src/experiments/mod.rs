@@ -29,9 +29,12 @@
 //! Report` function, and a `Report::table()` that renders the rows the
 //! paper reports. Estimates come from
 //! [`Session::run`](crate::query::Session::run) and are read off its
-//! [`Report`](crate::query::Report) groups. Every driver is deterministic
-//! given its `Config`: the sampling ones draw every stream from
-//! `Config::budget.seed`.
+//! [`Report`](crate::query::Report) groups; a driver that steps walks
+//! itself (`stationary`, `lemma16`, `lemma19`, `projection`,
+//! `barbell_events`) builds each engine with
+//! [`Budget::engine`], so the budget's `batch` and `mode` reach every
+//! trial. Every driver is deterministic given its `Config`: the sampling
+//! ones draw every stream from `Config::budget.seed`.
 
 pub mod baby_matthews;
 pub mod barbell;
@@ -58,7 +61,7 @@ pub mod torus;
 use mrw_graph::Graph;
 use mrw_stats::table::fmt_num;
 
-use crate::query::{Group, Query, Session};
+use crate::query::{Budget, Group, Query, Session};
 use crate::starts::worst_start_candidates;
 
 /// Formats a measured value with its CI half-width as `x ±h`.
@@ -80,7 +83,3 @@ pub(crate) fn worst_start_cover(g: &Graph, budget: &Budget) -> f64 {
         .map(Group::mean)
         .fold(f64::NEG_INFINITY, f64::max)
 }
-
-// The budget struct migrated to the query layer (it now also configures
-// `Session` runs); this re-export keeps the historical path working.
-pub use crate::query::Budget;

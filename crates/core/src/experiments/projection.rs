@@ -23,9 +23,9 @@
 use mrw_stats::{ks_two_sample, KsTest, Summary, Table};
 use rand::Rng;
 
-use crate::engine::{Engine, FullCover, Observer, SimpleStep};
-use crate::experiments::Budget;
-use crate::process::{kwalk_cover_rounds_process, WalkProcess};
+use crate::engine::{CompiledProcess, FullCover, Observer, SimpleStep};
+use crate::process::WalkProcess;
+use crate::query::Budget;
 use crate::walk::walk_rng;
 
 /// Configuration for the projection experiment.
@@ -149,13 +149,15 @@ impl Report {
 /// Couples each torus token to its axis-0 projection (`x = v mod side`,
 /// since `v = x + side·y`): the engine's one trajectory feeds two cover
 /// trackers, so domination is checked per trace, not in distribution.
+/// Covering the torus covers its projection, so the run stops on the
+/// torus alone and the engine's `rounds` is the torus cover round; the
+/// observer records the column's.
 struct ProjectionObserver {
     side: u32,
     torus: FullCover,
     column: FullCover,
     round: u64,
-    torus_round: u64,
-    column_round: u64,
+    column_round: Option<u64>,
 }
 
 impl Observer for ProjectionObserver {
@@ -165,7 +167,7 @@ impl Observer for ProjectionObserver {
     }
 
     fn done(&self) -> bool {
-        self.torus.done() && self.column.done()
+        self.torus.done()
     }
 
     fn end_round<G: mrw_graph::GraphBackend, R: Rng + ?Sized>(
@@ -175,11 +177,8 @@ impl Observer for ProjectionObserver {
         _rng: &mut R,
     ) -> bool {
         self.round += 1;
-        if self.column.done() && self.column_round == 0 {
-            self.column_round = self.round;
-        }
-        if self.torus.done() && self.torus_round == 0 {
-            self.torus_round = self.round;
+        if self.column.done() && self.column_round.is_none() {
+            self.column_round = Some(self.round);
         }
         self.done()
     }
@@ -187,7 +186,7 @@ impl Observer for ProjectionObserver {
 
 /// One trial: k torus walks from vertex 0; returns
 /// `(torus_cover_round, projected_cycle_cover_round)`.
-fn coupled_trial(side: usize, k: usize, seed: u64) -> (u64, u64) {
+fn coupled_trial(side: usize, k: usize, seed: u64, budget: &Budget) -> (u64, u64) {
     let g = mrw_graph::generators::torus_2d(side);
     let mut rng = walk_rng(seed);
     let observer = ProjectionObserver {
@@ -195,11 +194,14 @@ fn coupled_trial(side: usize, k: usize, seed: u64) -> (u64, u64) {
         torus: FullCover::new(g.n()),
         column: FullCover::new(side),
         round: 0,
-        torus_round: 0,
-        column_round: 0,
+        column_round: None,
     };
-    let out = Engine::new(&g, SimpleStep, observer).run(&vec![0u32; k], &mut rng);
-    (out.observer.torus_round, out.observer.column_round)
+    let out = budget
+        .engine(&g, SimpleStep, observer)
+        .run(&vec![0u32; k], &mut rng);
+    // An interleaved run stops mid-round, before `end_round` could record
+    // a column covered in that same last round.
+    (out.rounds, out.observer.column_round.unwrap_or(out.rounds))
 }
 
 /// Runs the experiment. The per-graph trial loops reuse one generated
@@ -207,6 +209,7 @@ fn coupled_trial(side: usize, k: usize, seed: u64) -> (u64, u64) {
 /// for seed isolation at experiment sizes this is negligible).
 pub fn run(cfg: &Config) -> Report {
     let cycle = mrw_graph::generators::cycle(cfg.side);
+    let lazy = CompiledProcess::new(WalkProcess::Lazy(0.5), &cycle);
     let trials = cfg.budget.trials;
     let mut rows = Vec::new();
     for &k in &cfg.ks {
@@ -218,7 +221,7 @@ pub fn run(cfg: &Config) -> Report {
         let mut violations = 0usize;
         for t in 0..trials {
             let seed = cfg.budget.seed ^ ((k as u64) << 36) ^ t as u64;
-            let (torus_round, column_round) = coupled_trial(cfg.side, k, seed);
+            let (torus_round, column_round) = coupled_trial(cfg.side, k, seed, &cfg.budget);
             torus_cover.push(torus_round as f64);
             projected_cover.push(column_round as f64);
             projected_samples.push(column_round as f64);
@@ -227,10 +230,13 @@ pub fn run(cfg: &Config) -> Report {
             }
             let starts = vec![0u32; k];
             let mut rng = walk_rng(seed ^ 0x1A2B);
-            let lazy = kwalk_cover_rounds_process(&cycle, &starts, WalkProcess::Lazy(0.5), &mut rng)
-                as f64;
-            lazy_cycle_cover.push(lazy);
-            lazy_samples.push(lazy);
+            let lazy_rounds = cfg
+                .budget
+                .engine(&cycle, lazy.clone(), FullCover::new(cycle.n()))
+                .run(&starts, &mut rng)
+                .rounds as f64;
+            lazy_cycle_cover.push(lazy_rounds);
+            lazy_samples.push(lazy_rounds);
         }
         rows.push(Row {
             k,
@@ -251,16 +257,26 @@ pub fn run(cfg: &Config) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Discipline;
 
     #[test]
     fn projection_never_covers_after_torus() {
-        let report = run(&Config::quick());
-        assert_eq!(
-            report.total_violations(),
-            0,
-            "per-trace domination violated:\n{}",
-            report.table().render_ascii()
-        );
+        // Under either discipline: an interleaved run stops mid-round, and
+        // both cover rounds must still be recorded (no torus cover of 0).
+        for mode in [Discipline::RoundSynchronous, Discipline::Interleaved] {
+            let mut cfg = Config::quick();
+            cfg.budget.mode = mode;
+            let report = run(&cfg);
+            assert_eq!(
+                report.total_violations(),
+                0,
+                "{mode:?}: per-trace domination violated:\n{}",
+                report.table().render_ascii()
+            );
+            for r in &report.rows {
+                assert!(r.torus_cover.min() > 0.0, "{mode:?} k={}: cover 0", r.k);
+            }
+        }
     }
 
     #[test]

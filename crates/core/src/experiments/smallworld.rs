@@ -16,8 +16,7 @@
 
 use mrw_stats::Table;
 
-use crate::experiments::Budget;
-use crate::query::{Query, Session};
+use crate::query::{Budget, Query, Session};
 
 /// Configuration for the small-world sweep.
 #[derive(Debug, Clone)]

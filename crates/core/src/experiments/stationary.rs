@@ -19,8 +19,8 @@ use mrw_graph::Graph;
 use mrw_par::{par_map, SeedSequence};
 use mrw_stats::Summary;
 
-use crate::experiments::Budget;
-use crate::kwalk::{kwalk_cover_rounds, KWalkMode};
+use crate::engine::{FullCover, SimpleStep};
+use crate::query::Budget;
 use crate::starts::sample_stationary_starts;
 use crate::walk::walk_rng;
 
@@ -128,22 +128,18 @@ impl Report {
     }
 }
 
-fn measure(
-    g: &Graph,
-    k: usize,
-    trials: usize,
-    threads: usize,
-    seq: SeedSequence,
-    stationary: bool,
-) -> f64 {
-    let samples: Vec<f64> = par_map(trials, threads, |t| {
+fn measure(g: &Graph, k: usize, budget: &Budget, seq: SeedSequence, stationary: bool) -> f64 {
+    let samples: Vec<f64> = par_map(budget.trials, budget.threads, |t| {
         let mut rng = walk_rng(seq.seed_for(t as u64));
         let starts = if stationary {
             sample_stationary_starts(g, k, &mut rng)
         } else {
             vec![0u32; k]
         };
-        kwalk_cover_rounds(g, &starts, KWalkMode::RoundSynchronous, &mut rng) as f64
+        budget
+            .engine(g, SimpleStep, FullCover::new(g.n()))
+            .run(&starts, &mut rng)
+            .rounds as f64
     });
     Summary::from_slice(&samples).mean()
 }
@@ -157,22 +153,8 @@ pub fn run(cfg: &Config) -> Report {
         for &k in &cfg.ks {
             assert!(k >= 1);
             let seq = SeedSequence::new(cfg.budget.seed).child(k as u64);
-            let same = measure(
-                g,
-                k,
-                cfg.budget.trials,
-                cfg.budget.threads,
-                seq.child(1),
-                false,
-            );
-            let stat = measure(
-                g,
-                k,
-                cfg.budget.trials,
-                cfg.budget.threads,
-                seq.child(2),
-                true,
-            );
+            let same = measure(g, k, &cfg.budget, seq.child(1), false);
+            let stat = measure(g, k, &cfg.budget, seq.child(2), true);
             rows.push(Row {
                 graph: g.name().to_string(),
                 n: g.n(),

@@ -19,8 +19,7 @@ use mrw_graph::{generators as gen, Graph};
 use mrw_spectral::{mixing_time, MixingConfig};
 use mrw_stats::Table;
 
-use crate::experiments::Budget;
-use crate::query::{Query, Session};
+use crate::query::{Budget, Query, Session};
 use crate::walk::walk_rng;
 
 /// One family's measured row.

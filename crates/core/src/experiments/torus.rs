@@ -15,8 +15,7 @@ use mrw_graph::generators::torus_2d;
 use mrw_stats::Table;
 
 use crate::bounds;
-use crate::experiments::Budget;
-use crate::query::{self, Query, Session};
+use crate::query::{self, Budget, Query, Session};
 
 /// Configuration for the torus-spectrum experiment.
 #[derive(Debug, Clone)]

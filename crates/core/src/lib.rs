@@ -14,13 +14,16 @@
 //! * **k-walk cover times.** `k` independent simple random walks start at
 //!   the same vertex and advance in parallel rounds; the k-cover time
 //!   `C^k(G)` is the expected number of rounds until every vertex has been
-//!   visited by some walk ([`walk`], [`kwalk`] — thin wrappers over the
-//!   engine that preserve the original seeded streams bit-for-bit).
+//!   visited by some walk: an [`Engine`] with a
+//!   [`FullCover`](engine::FullCover) observer. [`walk`] holds the
+//!   one-step sampler and the walk RNG.
 //! * **The query layer** ([`query`]) — one typed, serializable
 //!   [`Query`] describing any Monte-Carlo estimate (cover,
 //!   partial cover, hitting, `h_max`, meeting, pursuit, speed-up
-//!   ladders), one [`Session`] executor that builds every trial's
-//!   engine under the budget's discipline and batch mode,
+//!   ladders), one [`Session`] executor whose trials all run on engines
+//!   from [`Budget::engine`], the one builder that applies the budget's
+//!   discipline and batch mode (the experiments that step walks
+//!   themselves build theirs there too),
 //!   and one [`Report`] whose exact sufficient statistics
 //!   merge losslessly — the shard protocol behind `mrw shard`/`mrw merge`.
 //!   Every estimate comes back as a `Report`: cover times, hitting and
@@ -63,7 +66,6 @@ pub mod engine;
 pub mod exact;
 pub mod experiments;
 pub mod hitting_mc;
-pub mod kwalk;
 pub mod partial;
 pub mod process;
 pub mod query;
@@ -75,15 +77,12 @@ pub use engine::{
     BatchMode, CompiledProcess, Discipline, Engine, EngineArena, Observer, PreyStrategy, Process,
     SimpleStep, BATCH_AUTO_MIN_K,
 };
-pub use kwalk::{
-    kwalk_cover_rounds, kwalk_cover_rounds_same_start, kwalk_covers_within, KWalkMode,
-};
 pub use mrw_stats::precision::{Precision, Trials};
 pub use partial::fraction_target;
-pub use process::{cover_time_process, kwalk_cover_rounds_process, WalkProcess};
+pub use process::WalkProcess;
 pub use query::{
     AnyGraph, BackendChoice, Budget, GraphSpec, Group, Ledger, LedgerGroup, Query, QuerySpec,
     Report, Session, Shard,
 };
-pub use visits::{kwalk_multicover_rounds, kwalk_visit_counts, VisitCounts};
-pub use walk::{cover_time_single, steps_to_hit, walk_rng, WalkRng};
+pub use visits::{kwalk_visit_counts, VisitCounts};
+pub use walk::{walk_rng, WalkRng};

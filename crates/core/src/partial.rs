@@ -45,8 +45,7 @@ pub fn fraction_target(n: usize, gamma: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, PartialCover, SimpleStep};
-    use crate::kwalk::{kwalk_cover_rounds, KWalkMode};
+    use crate::engine::{Engine, FullCover, PartialCover, SimpleStep};
     use crate::query::{Budget, Group, Query, Session};
     use crate::walk::walk_rng;
     use mrw_graph::{generators, Graph};
@@ -65,7 +64,9 @@ mod tests {
         let g = generators::torus_2d(5);
         let starts = [0u32, 0, 0];
         let a = partial_rounds(&g, &starts, g.n(), 4);
-        let b = kwalk_cover_rounds(&g, &starts, KWalkMode::RoundSynchronous, &mut walk_rng(4));
+        let b = Engine::new(&g, SimpleStep, FullCover::new(g.n()))
+            .run(&starts, &mut walk_rng(4))
+            .rounds;
         assert_eq!(a, b);
     }
 

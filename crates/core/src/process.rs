@@ -20,9 +20,9 @@
 //!   algorithm side.
 //!
 //! [`WalkProcess::Simple`] reproduces [`walk::step`](crate::walk::step)
-//! exactly (same RNG consumption), so process-parameterized experiment
-//! code can replace direct engine calls without changing any seeded
-//! result.
+//! exactly (same RNG consumption), so a process-parameterized engine run
+//! of `Simple` draws the same seeded result as one of
+//! [`SimpleStep`](crate::engine::SimpleStep).
 //!
 //! [`WalkProcess::step`] is the *uncached reference* kernel. The engine
 //! runs [`crate::engine::CompiledProcess`] instead,
@@ -44,19 +44,20 @@
 use mrw_graph::{Graph, GraphBackend};
 use rand::Rng;
 
-use crate::engine::{CompiledProcess, Engine, FullCover};
 use crate::walk::step;
 
-/// A single-token walk process on a graph.
+/// A single-token walk process on a graph. The engine runs it compiled:
 ///
 /// ```
-/// use mrw_core::process::{cover_time_process, WalkProcess};
+/// use mrw_core::engine::{CompiledProcess, Engine, FullCover};
+/// use mrw_core::process::WalkProcess;
 /// use mrw_core::walk_rng;
 /// use mrw_graph::generators;
 ///
 /// let g = generators::cycle(16);
-/// let steps = cover_time_process(&g, 0, WalkProcess::Lazy(0.5), &mut walk_rng(7));
-/// assert!(steps > 0);
+/// let lazy = CompiledProcess::new(WalkProcess::Lazy(0.5), &g);
+/// let out = Engine::new(&g, lazy, FullCover::new(g.n())).run(&[0], &mut walk_rng(7));
+/// assert!(out.stopped && out.rounds > 0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WalkProcess {
@@ -73,13 +74,14 @@ impl WalkProcess {
     ///
     /// # Panics
     /// (debug) if `pos` is isolated; `Lazy(p)` asserts `p ∈ [0,1)` —
-    /// `p = 1` never moves and would loop forever in cover routines.
+    /// `p = 1` never moves, so a cover run without a round cap would
+    /// never end.
     #[inline]
     pub fn step<G: GraphBackend, R: Rng + ?Sized>(&self, g: &G, pos: u32, rng: &mut R) -> u32 {
         match *self {
             WalkProcess::Simple => step(g, pos, rng),
             WalkProcess::Lazy(p) => {
-                debug_assert!((0.0..1.0).contains(&p), "hold probability {p} not in [0,1)");
+                assert!((0.0..1.0).contains(&p), "hold probability {p} not in [0,1)");
                 if rng.gen::<f64>() < p {
                     pos
                 } else {
@@ -130,67 +132,27 @@ impl WalkProcess {
     }
 }
 
-/// Steps for a single token of `process` to cover `g` from `start` — the
-/// process-generalized [`cover_time_single`](crate::walk::cover_time_single).
-///
-/// # Panics
-/// If the graph is empty/disconnected or `start` is out of range.
-pub fn cover_time_process<G: GraphBackend, R: Rng + ?Sized>(
-    g: &G,
-    start: u32,
-    process: WalkProcess,
-    rng: &mut R,
-) -> u64 {
-    assert!(g.n() > 0, "cover time of the empty graph");
-    assert!((start as usize) < g.n(), "start {start} out of range");
-    debug_assert!(g.is_connected(), "cover time infinite: disconnected graph");
-    if let WalkProcess::Lazy(p) = process {
-        // p = 1 never moves: the cover time is infinite.
-        assert!((0.0..1.0).contains(&p), "hold probability {p} not in [0,1)");
-    }
-    Engine::new(g, CompiledProcess::new(process, g), FullCover::new(g.n()))
-        .run(&[start], rng)
-        .rounds
-}
-
-/// Parallel rounds for `k` tokens of `process` (round-synchronous, one
-/// start per token) to cover `g` — the process-generalized
-/// [`kwalk_cover_rounds`](crate::kwalk::kwalk_cover_rounds).
-///
-/// # Panics
-/// As [`cover_time_process`], plus if `starts` is empty.
-pub fn kwalk_cover_rounds_process<G: GraphBackend, R: Rng + ?Sized>(
-    g: &G,
-    starts: &[u32],
-    process: WalkProcess,
-    rng: &mut R,
-) -> u64 {
-    assert!(!starts.is_empty(), "need at least one walk");
-    assert!(g.n() > 0, "cover time of the empty graph");
-    for &s in starts {
-        assert!((s as usize) < g.n(), "start {s} out of range");
-    }
-    debug_assert!(g.is_connected(), "cover time infinite: disconnected graph");
-    if let WalkProcess::Lazy(p) = process {
-        // p = 1 never moves: the cover time is infinite.
-        assert!((0.0..1.0).contains(&p), "hold probability {p} not in [0,1)");
-    }
-    Engine::new(g, CompiledProcess::new(process, g), FullCover::new(g.n()))
-        .run(starts, rng)
-        .rounds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::walk::{cover_time_single, walk_rng};
+    use crate::engine::{CompiledProcess, Engine, FullCover, SimpleStep};
+    use crate::walk::{walk_rng, WalkRng};
     use mrw_graph::generators;
+
+    /// Rounds for tokens of `process` from `starts` to cover `g`.
+    fn cover_rounds(g: &Graph, starts: &[u32], process: WalkProcess, rng: &mut WalkRng) -> u64 {
+        Engine::new(g, CompiledProcess::new(process, g), FullCover::new(g.n()))
+            .run(starts, rng)
+            .rounds
+    }
 
     #[test]
     fn simple_process_is_bitwise_the_simple_walk() {
         let g = generators::torus_2d(5);
-        let a = cover_time_process(&g, 0, WalkProcess::Simple, &mut walk_rng(8));
-        let b = cover_time_single(&g, 0, &mut walk_rng(8));
+        let a = cover_rounds(&g, &[0], WalkProcess::Simple, &mut walk_rng(8));
+        let b = Engine::new(&g, SimpleStep, FullCover::new(g.n()))
+            .run(&[0], &mut walk_rng(8))
+            .rounds;
         assert_eq!(a, b);
     }
 
@@ -203,7 +165,7 @@ mod tests {
         let mean = |process: WalkProcess, base: u64| -> f64 {
             let mut total = 0u64;
             for t in 0..trials {
-                total += cover_time_process(&g, 0, process, &mut walk_rng(base + t));
+                total += cover_rounds(&g, &[0], process, &mut walk_rng(base + t));
             }
             total as f64 / trials as f64
         };
@@ -223,8 +185,8 @@ mod tests {
         let mut s = 0u64;
         let mut l = 0u64;
         for t in 0..trials {
-            s += cover_time_process(&g, 0, WalkProcess::Simple, &mut walk_rng(t));
-            l += cover_time_process(&g, 0, WalkProcess::Lazy(0.0), &mut walk_rng(5000 + t));
+            s += cover_rounds(&g, &[0], WalkProcess::Simple, &mut walk_rng(t));
+            l += cover_rounds(&g, &[0], WalkProcess::Lazy(0.0), &mut walk_rng(5000 + t));
         }
         let rel = (s as f64 - l as f64).abs() / s as f64;
         assert!(rel < 0.1, "simple {s} vs lazy(0) {l}");
@@ -238,8 +200,8 @@ mod tests {
         let mut s = 0u64;
         let mut m = 0u64;
         for t in 0..trials {
-            s += cover_time_process(&g, 0, WalkProcess::Simple, &mut walk_rng(t));
-            m += cover_time_process(&g, 0, WalkProcess::Metropolis, &mut walk_rng(7000 + t));
+            s += cover_rounds(&g, &[0], WalkProcess::Simple, &mut walk_rng(t));
+            m += cover_rounds(&g, &[0], WalkProcess::Metropolis, &mut walk_rng(7000 + t));
         }
         let rel = (s as f64 - m as f64).abs() / s as f64;
         assert!(rel < 0.1, "simple {s} vs metropolis {m}");
@@ -312,18 +274,10 @@ mod tests {
         let mut a = 0u64;
         let mut b = 0u64;
         for t in 0..trials {
-            a += kwalk_cover_rounds_process(
-                &g,
-                &[0, 0, 0, 0],
-                WalkProcess::Simple,
-                &mut walk_rng(t),
-            );
-            b += crate::kwalk::kwalk_cover_rounds(
-                &g,
-                &[0, 0, 0, 0],
-                crate::kwalk::KWalkMode::RoundSynchronous,
-                &mut walk_rng(40_000 + t),
-            );
+            a += cover_rounds(&g, &[0, 0, 0, 0], WalkProcess::Simple, &mut walk_rng(t));
+            b += Engine::new(&g, SimpleStep, FullCover::new(g.n()))
+                .run(&[0, 0, 0, 0], &mut walk_rng(40_000 + t))
+                .rounds;
         }
         let rel = (a as f64 - b as f64).abs() / b as f64;
         assert!(rel < 0.1, "process engine {a} vs kwalk engine {b}");
@@ -338,7 +292,7 @@ mod tests {
         let trials = 400u64;
         let mut total = 0u64;
         for t in 0..trials {
-            total += cover_time_process(&g, 0, WalkProcess::Lazy(0.5), &mut walk_rng(t));
+            total += cover_rounds(&g, &[0], WalkProcess::Lazy(0.5), &mut walk_rng(t));
         }
         let mean = total as f64 / trials as f64;
         let expect = (n * (n - 1)) as f64; // 2 · n(n−1)/2
@@ -352,7 +306,7 @@ mod tests {
     #[should_panic(expected = "not in [0,1)")]
     fn lazy_one_rejected() {
         let g = generators::cycle(5);
-        cover_time_process(&g, 0, WalkProcess::Lazy(1.0), &mut walk_rng(0));
+        WalkProcess::Lazy(1.0).step(&g, 0, &mut walk_rng(0));
     }
 
     #[test]
@@ -363,12 +317,7 @@ mod tests {
             let starts = vec![0u32; k];
             let mut total = 0u64;
             for t in 0..trials {
-                total += kwalk_cover_rounds_process(
-                    &g,
-                    &starts,
-                    WalkProcess::Metropolis,
-                    &mut walk_rng(300 + t),
-                );
+                total += cover_rounds(&g, &starts, WalkProcess::Metropolis, &mut walk_rng(300 + t));
             }
             total as f64 / trials as f64
         };

@@ -13,8 +13,8 @@
 //! * [`Session`] — the one executor: [`Session::run`] drives the
 //!   [`Engine`] through `mrw_par`'s deterministic fan-out for any query,
 //!   optionally restricted to a range of trial indices (such as a
-//!   [`Shard`]'s slice). Every trial's engine comes from one builder that
-//!   applies the [`Budget`]'s `mode` and `batch`.
+//!   [`Shard`]'s slice). Every trial's engine comes from
+//!   [`Budget::engine`], which applies the budget's `mode` and `batch`.
 //! * [`Report`] — the one result: per-group **exact sufficient
 //!   statistics** ([`IntMoments`]) rather than floating summaries, so
 //!   [`Report::merge`] is lossless, associative, and commutative.
@@ -82,11 +82,10 @@ use mrw_stats::precision::PrecisionTarget;
 use mrw_stats::{IntMoments, Precision, Summary, Trials};
 
 use crate::engine::{
-    BatchMode, CompiledProcess, Engine, EngineArena, FullCover, Hit, Meeting, Observer,
+    BatchMode, CompiledProcess, Discipline, Engine, EngineArena, FullCover, Hit, Meeting, Observer,
     PartialCover, PreyStrategy, Process, Pursuit, SimpleStep,
 };
 use crate::hitting_mc::{hmax_candidates, hmax_mc_cap, HmaxEstimate};
-use crate::kwalk::KWalkMode;
 use crate::partial::fraction_target;
 use crate::process::WalkProcess;
 use crate::walk::walk_rng;
@@ -95,8 +94,8 @@ use json::Value;
 
 /// Common resource knobs shared by every estimate: trial budget, master
 /// seed, worker threads, engine-path selection, and the optional adaptive
-/// stopping rule. (Re-exported as `experiments::Budget`, its historical
-/// home.)
+/// stopping rule. [`Budget::engine`] is the one place an engine gets the
+/// budget's `mode` and `batch`.
 ///
 /// `==` compares *experiments*: the trial budget, seed, batch, mode, and
 /// effective confidence. The thread count only affects wall-clock, so two
@@ -112,7 +111,8 @@ pub struct Budget {
     /// Worker threads. Never serialized and never part of `==`: results
     /// are bit-identical across thread counts.
     pub threads: usize,
-    /// Engine path selection for every trial of every query (`--batch` /
+    /// Engine path selection for every engine [`Budget::engine`] builds
+    /// — every query's trials and the experiments' own (`--batch` /
     /// `--no-batch`; default: batch round-synchronous runs of `k ≥ 64`
     /// walks).
     pub batch: BatchMode,
@@ -120,8 +120,8 @@ pub struct Budget {
     /// sample adaptively until this sequential rule fires instead of
     /// running the fixed `trials` count.
     pub precision: Option<Precision>,
-    /// Stepping discipline for every trial of every query.
-    pub mode: KWalkMode,
+    /// Stepping discipline for every engine [`Budget::engine`] builds.
+    pub mode: Discipline,
     /// Confidence level for reported intervals when the budget is fixed;
     /// an adaptive budget reports at its rule's own confidence (see
     /// [`effective_confidence`](Budget::effective_confidence)).
@@ -136,7 +136,7 @@ impl Default for Budget {
             threads: mrw_par::available_threads(),
             batch: BatchMode::Auto,
             precision: None,
-            mode: KWalkMode::RoundSynchronous,
+            mode: Discipline::RoundSynchronous,
             confidence: 0.95,
         }
     }
@@ -166,6 +166,21 @@ impl Budget {
     /// [`confidence`](Budget::confidence) otherwise.
     pub fn effective_confidence(&self) -> f64 {
         self.precision.map_or(self.confidence, |r| r.confidence)
+    }
+
+    /// The engine a trial runs on: `process` and `observer` on `g`,
+    /// stepped under this budget's `mode` and `batch`. [`Session`] builds
+    /// every query's trials here, and so does every experiment that steps
+    /// walks itself, so `--batch`/`--no-batch` reach them all.
+    pub fn engine<'g, G: GraphBackend, P: Process, O: Observer>(
+        &self,
+        g: &'g G,
+        process: P,
+        observer: O,
+    ) -> Engine<'g, G, P, O> {
+        Engine::new(g, process, observer)
+            .discipline(self.mode)
+            .batch(self.batch)
     }
 }
 
@@ -1471,17 +1486,17 @@ impl QuerySpec {
 // ---------------------------------------------------------------------------
 // Serialization of the sub-structures.
 
-fn mode_to_str(mode: KWalkMode) -> &'static str {
+fn mode_to_str(mode: Discipline) -> &'static str {
     match mode {
-        KWalkMode::RoundSynchronous => "round-synchronous",
-        KWalkMode::Interleaved => "interleaved",
+        Discipline::RoundSynchronous => "round-synchronous",
+        Discipline::Interleaved => "interleaved",
     }
 }
 
-fn mode_from_str(s: &str) -> Result<KWalkMode, String> {
+fn mode_from_str(s: &str) -> Result<Discipline, String> {
     match s {
-        "round-synchronous" => Ok(KWalkMode::RoundSynchronous),
-        "interleaved" => Ok(KWalkMode::Interleaved),
+        "round-synchronous" => Ok(Discipline::RoundSynchronous),
+        "interleaved" => Ok(Discipline::Interleaved),
         other => Err(format!("unknown mode '{other}'")),
     }
 }
@@ -1967,19 +1982,6 @@ impl Session {
         &self.budget
     }
 
-    /// The engine every trial of every query runs on: `process` and
-    /// `observer` on `g`, stepped under the budget's `mode` and `batch`.
-    fn engine<'g, G: GraphBackend, P: Process, O: Observer>(
-        &self,
-        g: &'g G,
-        process: P,
-        observer: O,
-    ) -> Engine<'g, G, P, O> {
-        Engine::new(g, process, observer)
-            .discipline(self.budget.mode)
-            .batch(self.budget.batch)
-    }
-
     /// Executes `query` on `g`.
     ///
     /// Trial `i` of every group draws an RNG stream that is a pure
@@ -2121,7 +2123,7 @@ impl Session {
                         ws.starts.clear();
                         ws.starts.resize(k, start);
                         ws.cover.reset(g.n());
-                        let out = self.engine(g, SimpleStep, &mut ws.cover).run_with(
+                        let out = self.budget.engine(g, SimpleStep, &mut ws.cover).run_with(
                             &ws.starts,
                             &mut rng,
                             &mut ws.arena,
@@ -2160,7 +2162,10 @@ impl Session {
                                 ^ (t as u64) << 20,
                         );
                         let observer = PartialCover::new(g.n(), target);
-                        let out = self.engine(g, SimpleStep, observer).run(&starts, &mut rng);
+                        let out = self
+                            .budget
+                            .engine(g, SimpleStep, observer)
+                            .run(&starts, &mut rng);
                         Outcome::Value(out.rounds)
                     },
                 )
@@ -2186,6 +2191,7 @@ impl Session {
             |(), t| {
                 let mut rng = walk_rng(seq.seed_for(t as u64));
                 let out = self
+                    .budget
                     .engine(g, SimpleStep, Hit::new(to))
                     .cap(cap)
                     .run(&[from], &mut rng);
@@ -2228,6 +2234,7 @@ impl Session {
             |(), t| {
                 let mut rng = walk_rng(seq.seed_for(t as u64));
                 let out = self
+                    .budget
                     .engine(g, process.clone(), Meeting::new())
                     .cap(cap)
                     .run(&[a, b], &mut rng);
@@ -2262,6 +2269,7 @@ impl Session {
                 // The historical mean_catch_time stream: seed ⊕ k ⊕ t.
                 let mut rng = walk_rng(seed ^ ((k as u64) << 40) ^ t as u64);
                 let out = self
+                    .budget
                     .engine(g, SimpleStep, Pursuit::new(prey, strategy))
                     .cap(cap)
                     .run(&hunters, &mut rng);

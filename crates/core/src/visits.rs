@@ -18,7 +18,7 @@
 use mrw_graph::Graph;
 use rand::Rng;
 
-use crate::engine::{CompiledProcess, Engine, Multicover, SimpleStep, VisitTally};
+use crate::engine::{CompiledProcess, Engine, VisitTally};
 use crate::process::WalkProcess;
 
 /// Per-vertex visit counts from a fixed-horizon k-walk run.
@@ -134,40 +134,20 @@ pub fn kwalk_visit_counts<R: Rng + ?Sized>(
     }
 }
 
-/// Rounds until every vertex has been visited at least `b` times by one
-/// of the `k` walks — a Monte-Carlo handle on the *blanket-time*
-/// generalization of cover time (Winkler–Zuckerman). `b = 1` is the cover
-/// time.
-///
-/// # Panics
-/// If `starts` is empty, `b == 0`, any start is out of range, or (debug)
-/// the graph is disconnected.
-pub fn kwalk_multicover_rounds<R: Rng + ?Sized>(
-    g: &Graph,
-    starts: &[u32],
-    b: u64,
-    rng: &mut R,
-) -> u64 {
-    assert!(!starts.is_empty(), "need at least one walk");
-    assert!(b >= 1, "need b ≥ 1 visits");
-    for &s in starts {
-        assert!((s as usize) < g.n(), "start {s} out of range");
-    }
-    debug_assert!(
-        mrw_graph::algo::is_connected(g),
-        "multicover unreachable: disconnected graph"
-    );
-    Engine::new(g, SimpleStep, Multicover::new(g.n(), b))
-        .run(starts, rng)
-        .rounds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kwalk::{kwalk_cover_rounds, KWalkMode};
-    use crate::walk::walk_rng;
+    use crate::engine::{FullCover, Multicover, SimpleStep};
+    use crate::walk::{walk_rng, WalkRng};
     use mrw_graph::generators;
+
+    /// Rounds until every vertex has had `b` visits from walks at `starts`
+    /// (the blanket-time generalization of cover time; `b = 1` is cover).
+    fn multicover_rounds(g: &Graph, starts: &[u32], b: u64, rng: &mut WalkRng) -> u64 {
+        Engine::new(g, SimpleStep, Multicover::new(g.n(), b))
+            .run(starts, rng)
+            .rounds
+    }
 
     #[test]
     fn totals_add_up() {
@@ -247,8 +227,10 @@ mod tests {
     #[test]
     fn multicover_b1_is_cover_time_same_seed() {
         let g = generators::torus_2d(4);
-        let a = kwalk_multicover_rounds(&g, &[0, 0], 1, &mut walk_rng(11));
-        let b = kwalk_cover_rounds(&g, &[0, 0], KWalkMode::RoundSynchronous, &mut walk_rng(11));
+        let a = multicover_rounds(&g, &[0, 0], 1, &mut walk_rng(11));
+        let b = Engine::new(&g, SimpleStep, FullCover::new(g.n()))
+            .run(&[0, 0], &mut walk_rng(11))
+            .rounds;
         assert_eq!(a, b);
     }
 
@@ -257,7 +239,7 @@ mod tests {
         let g = generators::cycle(12);
         let mut last = 0u64;
         for b in 1..=5u64 {
-            let r = kwalk_multicover_rounds(&g, &[0], b, &mut walk_rng(77));
+            let r = multicover_rounds(&g, &[0], b, &mut walk_rng(77));
             assert!(r >= last, "b={b}: {r} < {last}");
             last = r;
         }
@@ -271,8 +253,8 @@ mod tests {
         let trials = 300u64;
         let (mut c1, mut c2) = (0u64, 0u64);
         for t in 0..trials {
-            c1 += kwalk_multicover_rounds(&g, &[0], 1, &mut walk_rng(t));
-            c2 += kwalk_multicover_rounds(&g, &[0], 2, &mut walk_rng(30_000 + t));
+            c1 += multicover_rounds(&g, &[0], 1, &mut walk_rng(t));
+            c2 += multicover_rounds(&g, &[0], 2, &mut walk_rng(30_000 + t));
         }
         let ratio = c2 as f64 / c1 as f64;
         assert!(ratio > 1.0 && ratio < 2.0, "blanket ratio {ratio}");
@@ -282,6 +264,6 @@ mod tests {
     #[should_panic(expected = "b ≥ 1")]
     fn multicover_b0_rejected() {
         let g = generators::cycle(5);
-        kwalk_multicover_rounds(&g, &[0], 0, &mut walk_rng(0));
+        multicover_rounds(&g, &[0], 0, &mut walk_rng(0));
     }
 }

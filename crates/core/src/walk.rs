@@ -1,19 +1,17 @@
-//! Single-walk primitives: the one-step sampler and convenience wrappers
-//! over the unified [`engine`](crate::engine).
+//! Single-walk primitives: the one-step sampler and the walk RNG.
 //!
 //! A walk step picks a uniformly random neighbor of the current vertex —
 //! `Pr(v → u) = 1/δ(v)` for `(v,u) ∈ E` (§2 of the paper). [`step`] is
 //! that sampler (no allocation, one `gen_range` — or a mask on
-//! power-of-two degrees). Everything else here ([`cover_time_single`],
-//! [`steps_to_hit`], [`walk_trace`]) is the k = 1 specialization of the
-//! engine and consumes the RNG stream identically to the pre-engine
-//! hand-rolled loops.
+//! power-of-two degrees); the engine's scalar loops take every simple
+//! step through it. A whole walk — its cover time, hitting time or trace
+//! — is an [`Engine`](crate::engine::Engine) run with one token and a
+//! [`FullCover`](crate::engine::FullCover), [`Hit`](crate::engine::Hit)
+//! or [`Trace`](crate::engine::Trace) observer.
 
 use mrw_graph::GraphBackend;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-use crate::engine::{Engine, FullCover, Hit, SimpleStep, Trace};
 
 /// The RNG used by all walk engines (`SmallRng`: xoshiro256++ — fast,
 /// seedable, good enough statistical quality for Monte-Carlo physics, and
@@ -49,68 +47,41 @@ pub fn step<G: GraphBackend, R: Rng + ?Sized>(g: &G, pos: u32, rng: &mut R) -> u
     }
 }
 
-/// Number of steps for a single walk from `start` to visit every vertex
-/// (the random variable `τ_i` of §2 whose expectation is `C_i`).
-///
-/// # Panics
-/// If the graph is disconnected (`τ = ∞`) or empty.
-pub fn cover_time_single<G: GraphBackend, R: Rng + ?Sized>(g: &G, start: u32, rng: &mut R) -> u64 {
-    assert!(g.n() > 0, "cover time of the empty graph");
-    assert!((start as usize) < g.n(), "start {start} out of range");
-    debug_assert!(g.is_connected(), "cover time infinite: disconnected graph");
-    Engine::new(g, SimpleStep, FullCover::new(g.n()))
-        .run(&[start], rng)
-        .rounds
-}
-
-/// Number of steps for a walk from `from` to first reach `to`
-/// (the random variable behind `h(u,v)`); `0` when `from == to`.
-///
-/// `cap` bounds the simulation; returns `None` if `to` was not reached
-/// within `cap` steps (used to keep Monte-Carlo hitting estimates bounded
-/// on slow-mixing graphs).
-pub fn steps_to_hit<G: GraphBackend, R: Rng + ?Sized>(
-    g: &G,
-    from: u32,
-    to: u32,
-    cap: u64,
-    rng: &mut R,
-) -> Option<u64> {
-    assert!(
-        (from as usize) < g.n() && (to as usize) < g.n(),
-        "vertex out of range"
-    );
-    let out = Engine::new(g, SimpleStep, Hit::new(to))
-        .cap(cap)
-        .run(&[from], rng);
-    out.stopped.then_some(out.rounds)
-}
-
-/// Records the first `len` positions of a walk (including the start) —
-/// used by tests to validate that walks respect the edge set.
-pub fn walk_trace<G: GraphBackend, R: Rng + ?Sized>(
-    g: &G,
-    start: u32,
-    len: usize,
-    rng: &mut R,
-) -> Vec<u32> {
-    Engine::new(g, SimpleStep, Trace::new(len))
-        .cap(len as u64)
-        .run(&[start], rng)
-        .observer
-        .into_positions()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, FullCover, Hit, SimpleStep, Trace};
     use mrw_graph::generators;
+
+    /// Steps for one walk from `start` to visit every vertex.
+    fn cover<G: GraphBackend>(g: &G, start: u32, rng: &mut WalkRng) -> u64 {
+        Engine::new(g, SimpleStep, FullCover::new(g.n()))
+            .run(&[start], rng)
+            .rounds
+    }
+
+    /// Steps for one walk from `from` to reach `to`, `None` past `cap`.
+    fn hit<G: GraphBackend>(g: &G, from: u32, to: u32, cap: u64, rng: &mut WalkRng) -> Option<u64> {
+        let out = Engine::new(g, SimpleStep, Hit::new(to))
+            .cap(cap)
+            .run(&[from], rng);
+        out.stopped.then_some(out.rounds)
+    }
+
+    /// The first `len` positions of one walk, start included.
+    fn trace_of<G: GraphBackend>(g: &G, start: u32, len: usize, rng: &mut WalkRng) -> Vec<u32> {
+        Engine::new(g, SimpleStep, Trace::new(len))
+            .cap(len as u64)
+            .run(&[start], rng)
+            .observer
+            .into_positions()
+    }
 
     #[test]
     fn trace_respects_edges() {
         let g = generators::barbell(13);
         let mut rng = walk_rng(1);
-        let trace = walk_trace(&g, 0, 500, &mut rng);
+        let trace = trace_of(&g, 0, 500, &mut rng);
         assert_eq!(trace.len(), 501);
         for w in trace.windows(2) {
             assert!(g.has_edge(w[0], w[1]), "illegal move {} -> {}", w[0], w[1]);
@@ -121,8 +92,8 @@ mod tests {
     fn cover_visits_everything() {
         // Re-run the walk with the same seed, tracking visits manually.
         let g = generators::cycle(32);
-        let steps = cover_time_single(&g, 0, &mut walk_rng(7));
-        let trace = walk_trace(&g, 0, steps as usize, &mut walk_rng(7));
+        let steps = cover(&g, 0, &mut walk_rng(7));
+        let trace = trace_of(&g, 0, steps as usize, &mut walk_rng(7));
         let mut seen = std::collections::BTreeSet::new();
         seen.extend(trace.iter().copied());
         assert_eq!(seen.len(), 32, "cover time returned before covering");
@@ -136,27 +107,27 @@ mod tests {
     fn two_vertex_graph_covers_in_one_step() {
         let g = generators::path(2);
         for seed in 0..10 {
-            assert_eq!(cover_time_single(&g, 0, &mut walk_rng(seed)), 1);
+            assert_eq!(cover(&g, 0, &mut walk_rng(seed)), 1);
         }
     }
 
     #[test]
     fn singleton_covers_instantly() {
         let g = generators::path(1);
-        assert_eq!(cover_time_single(&g, 0, &mut walk_rng(0)), 0);
+        assert_eq!(cover(&g, 0, &mut walk_rng(0)), 0);
     }
 
     #[test]
     fn hit_self_is_zero() {
         let g = generators::cycle(5);
-        assert_eq!(steps_to_hit(&g, 3, 3, 100, &mut walk_rng(0)), Some(0));
+        assert_eq!(hit(&g, 3, 3, 100, &mut walk_rng(0)), Some(0));
     }
 
     #[test]
     fn hit_cap_respected() {
         let g = generators::cycle(64);
         // 1 step cannot reach the antipode.
-        assert_eq!(steps_to_hit(&g, 0, 32, 1, &mut walk_rng(0)), None);
+        assert_eq!(hit(&g, 0, 32, 1, &mut walk_rng(0)), None);
     }
 
     #[test]
@@ -169,7 +140,7 @@ mod tests {
         let trials = 4000;
         let mut total = 0u64;
         for _ in 0..trials {
-            total += steps_to_hit(&g, 0, 1, 1_000_000, &mut rng).unwrap();
+            total += hit(&g, 0, 1, 1_000_000, &mut rng).unwrap();
         }
         let mean = total as f64 / trials as f64;
         let expect = (n - 1) as f64;
@@ -182,10 +153,10 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let g = generators::torus_2d(6);
-        let a = cover_time_single(&g, 0, &mut walk_rng(99));
-        let b = cover_time_single(&g, 0, &mut walk_rng(99));
+        let a = cover(&g, 0, &mut walk_rng(99));
+        let b = cover(&g, 0, &mut walk_rng(99));
         assert_eq!(a, b);
-        let c = cover_time_single(&g, 0, &mut walk_rng(100));
+        let c = cover(&g, 0, &mut walk_rng(100));
         assert_ne!(a, c); // overwhelmingly likely
     }
 
@@ -219,7 +190,7 @@ mod tests {
         let trials = 600;
         let mut total = 0u64;
         for _ in 0..trials {
-            total += cover_time_single(&g, 0, &mut rng);
+            total += cover(&g, 0, &mut rng);
         }
         let mean = total as f64 / trials as f64;
         let expect = (n * (n - 1)) as f64 / 2.0; // 276

@@ -15,8 +15,7 @@
 //! resolve-layer tests at the bottom pin the switch (and its friendly
 //! refusal) itself.
 
-use mrw_core::engine::BatchMode;
-use mrw_core::kwalk::KWalkMode;
+use mrw_core::engine::{BatchMode, Discipline};
 use mrw_core::query::{
     AnyGraph, BackendChoice, Budget, GraphSpec, Query, Session, AUTO_IMPLICIT_BYTES, MAX_CSR_BYTES,
 };
@@ -51,7 +50,7 @@ fn reports_byte_identical_across_backends_disciplines_batches_threads() {
             },
         ];
         for query in &queries {
-            for mode in [KWalkMode::RoundSynchronous, KWalkMode::Interleaved] {
+            for mode in [Discipline::RoundSynchronous, Discipline::Interleaved] {
                 for batch in [BatchMode::Never, BatchMode::Always] {
                     let budget = |threads| Budget {
                         trials: 5,

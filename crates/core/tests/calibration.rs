@@ -25,7 +25,9 @@
 use mrw_core::engine::{CompiledProcess, Engine, FullCover, Hit, PartialCover};
 use mrw_core::exact::{exact_kwalk_cover_time, exact_kwalk_partial_cover_time};
 use mrw_core::query::{Budget, Query, Session};
-use mrw_core::{fraction_target, walk_rng, BatchMode, KWalkMode, SimpleStep, WalkProcess, WalkRng};
+use mrw_core::{
+    fraction_target, walk_rng, BatchMode, Discipline, SimpleStep, WalkProcess, WalkRng,
+};
 use mrw_graph::{generators, Graph, GraphBackend, ImplicitGraph};
 use mrw_spectral::{hitting_times_to, TransitionOp};
 use mrw_stats::ci::normal_ci;
@@ -35,7 +37,7 @@ use mrw_stats::Summary;
 const R: u64 = 200;
 /// Trials per estimate.
 const TRIALS: usize = 256;
-const SYNC: KWalkMode = KWalkMode::RoundSynchronous;
+const SYNC: Discipline = Discipline::RoundSynchronous;
 
 /// Asserts that at least `0.95·R − 4σ` of the `R` intervals
 /// `estimate(r) = (mean, half_width)` cover `exact`.
@@ -114,7 +116,7 @@ fn session_cell<G: GraphBackend + Sync>(
     exact_on: &Graph,
     cell: Cell,
     batch: BatchMode,
-    mode: KWalkMode,
+    mode: Discipline,
 ) {
     let (query, exact) = cell.query(exact_on);
     let label = format!("{} {cell:?} {batch:?} {mode:?}", g.name());
@@ -172,7 +174,7 @@ fn two_walk_hit_cell<G: GraphBackend>(g: &G, exact_on: &Graph) {
 /// The scalar loop under both disciplines.
 fn scalar_cells(cell: Cell) {
     let g = generators::barbell(9);
-    for mode in [SYNC, KWalkMode::Interleaved] {
+    for mode in [SYNC, Discipline::Interleaved] {
         session_cell(&g, &g, cell, BatchMode::Never, mode);
     }
 }

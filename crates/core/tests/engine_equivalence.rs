@@ -10,17 +10,14 @@
 //! checked at the wrong boundary — these tests fail on the exact seed
 //! that exposes it.
 
-use mrw_core::engine::PartialCover;
+use mrw_core::engine::{FullCover, Multicover, PartialCover};
 use mrw_core::starts::worst_start_candidates;
-use mrw_core::{
-    kwalk_cover_rounds, kwalk_covers_within, kwalk_multicover_rounds, walk_rng, Budget, Engine,
-    KWalkMode, Query, Session, SimpleStep,
-};
+use mrw_core::{walk_rng, Budget, Discipline, Engine, Query, Session, SimpleStep};
 use mrw_graph::{generators, Graph};
 use mrw_stats::ks_two_sample;
 
 /// Frozen pre-refactor loops (verbatim from the seed, minus doc
-/// comments) — including the one-step sampler itself, so a future change
+/// comments, with the function names shortened) — including the one-step sampler itself, so a future change
 /// to `mrw_core::walk::step` (e.g. the ROADMAP's batched/SIMD sampling)
 /// breaks these tests instead of silently shifting both sides.
 mod legacy {
@@ -37,7 +34,7 @@ mod legacy {
         }
     }
 
-    pub fn cover_time_single<R: Rng + ?Sized>(g: &Graph, start: u32, rng: &mut R) -> u64 {
+    pub fn single_cover<R: Rng + ?Sized>(g: &Graph, start: u32, rng: &mut R) -> u64 {
         let mut visited = NodeBitSet::new(g.n());
         visited.insert(start);
         let mut remaining = g.n() - 1;
@@ -59,12 +56,7 @@ mod legacy {
         Interleaved,
     }
 
-    pub fn kwalk_cover_rounds<R: Rng + ?Sized>(
-        g: &Graph,
-        starts: &[u32],
-        mode: Mode,
-        rng: &mut R,
-    ) -> u64 {
+    pub fn kwalk_cover<R: Rng + ?Sized>(g: &Graph, starts: &[u32], mode: Mode, rng: &mut R) -> u64 {
         let n = g.n();
         let mut visited = NodeBitSet::new(n);
         let mut remaining = n;
@@ -148,7 +140,7 @@ mod legacy {
         }
     }
 
-    pub fn kwalk_multicover_rounds<R: Rng + ?Sized>(
+    pub fn kwalk_multicover<R: Rng + ?Sized>(
         g: &Graph,
         starts: &[u32],
         b: u64,
@@ -220,6 +212,14 @@ mod legacy {
     }
 }
 
+/// One cover trial from `starts` on an engine under `discipline`.
+fn cover_rounds(g: &Graph, starts: &[u32], discipline: Discipline, seed: u64) -> u64 {
+    Engine::new(g, SimpleStep, FullCover::new(g.n()))
+        .discipline(discipline)
+        .run(starts, &mut walk_rng(seed))
+        .rounds
+}
+
 /// The four families the acceptance criterion names.
 fn families() -> Vec<Graph> {
     vec![
@@ -236,13 +236,8 @@ fn round_synchronous_cover_is_bit_for_bit_legacy() {
         for k in [1usize, 2, 4, 8] {
             for seed in 0..24u64 {
                 let starts = vec![0u32; k];
-                let new = kwalk_cover_rounds(
-                    &g,
-                    &starts,
-                    KWalkMode::RoundSynchronous,
-                    &mut walk_rng(seed),
-                );
-                let old = legacy::kwalk_cover_rounds(
+                let new = cover_rounds(&g, &starts, Discipline::RoundSynchronous, seed);
+                let old = legacy::kwalk_cover(
                     &g,
                     &starts,
                     legacy::Mode::RoundSynchronous,
@@ -260,9 +255,8 @@ fn interleaved_cover_is_bit_for_bit_legacy() {
         for k in [1usize, 3, 8] {
             for seed in 0..24u64 {
                 let starts = vec![0u32; k];
-                let new =
-                    kwalk_cover_rounds(&g, &starts, KWalkMode::Interleaved, &mut walk_rng(seed));
-                let old = legacy::kwalk_cover_rounds(
+                let new = cover_rounds(&g, &starts, Discipline::Interleaved, seed);
+                let old = legacy::kwalk_cover(
                     &g,
                     &starts,
                     legacy::Mode::Interleaved,
@@ -279,13 +273,8 @@ fn distinct_starts_also_bit_for_bit() {
     let g = generators::barbell(13);
     for seed in 0..32u64 {
         let starts = [1u32, 7, 6];
-        let new = kwalk_cover_rounds(
-            &g,
-            &starts,
-            KWalkMode::RoundSynchronous,
-            &mut walk_rng(seed),
-        );
-        let old = legacy::kwalk_cover_rounds(
+        let new = cover_rounds(&g, &starts, Discipline::RoundSynchronous, seed);
+        let old = legacy::kwalk_cover(
             &g,
             &starts,
             legacy::Mode::RoundSynchronous,
@@ -299,8 +288,8 @@ fn distinct_starts_also_bit_for_bit() {
 fn single_cover_is_bit_for_bit_legacy() {
     for g in families() {
         for seed in 0..32u64 {
-            let new = mrw_core::cover_time_single(&g, 0, &mut walk_rng(seed));
-            let old = legacy::cover_time_single(&g, 0, &mut walk_rng(seed));
+            let new = cover_rounds(&g, &[0], Discipline::RoundSynchronous, seed);
+            let old = legacy::single_cover(&g, 0, &mut walk_rng(seed));
             assert_eq!(new, old, "{} seed={seed}", g.name());
         }
     }
@@ -330,8 +319,10 @@ fn multicover_is_bit_for_bit_legacy() {
         for b in [1u64, 2, 3] {
             for seed in 0..12u64 {
                 let starts = [0u32, 0];
-                let new = kwalk_multicover_rounds(&g, &starts, b, &mut walk_rng(seed));
-                let old = legacy::kwalk_multicover_rounds(&g, &starts, b, &mut walk_rng(seed));
+                let new = Engine::new(&g, SimpleStep, Multicover::new(g.n(), b))
+                    .run(&starts, &mut walk_rng(seed))
+                    .rounds;
+                let old = legacy::kwalk_multicover(&g, &starts, b, &mut walk_rng(seed));
                 assert_eq!(new, old, "{} b={b} seed={seed}", g.name());
             }
         }
@@ -344,7 +335,10 @@ fn fixed_horizon_probe_is_bit_for_bit_legacy() {
     for rounds in [0u64, 1, 10, 200] {
         for seed in 0..16u64 {
             let starts = [0u32, 0, 0];
-            let new = kwalk_covers_within(&g, &starts, rounds, &mut walk_rng(seed));
+            let new = Engine::new(&g, SimpleStep, FullCover::new(g.n()))
+                .cap(rounds)
+                .run(&starts, &mut walk_rng(seed))
+                .stopped;
             let old = legacy::kwalk_covers_within(&g, &starts, rounds, &mut walk_rng(seed));
             assert_eq!(new, old, "rounds={rounds} seed={seed}");
         }
@@ -358,7 +352,7 @@ fn engine_scalar_path_is_bit_for_bit_legacy() {
     // (degree-class buckets, then the flat pick-table sweep); this pins
     // that neither rebuild leaked into the scalar path — including on the
     // irregular families whose *batched* routing changed.
-    use mrw_core::engine::{BatchMode, Engine, FullCover, SimpleStep};
+    use mrw_core::engine::BatchMode;
     let graphs = vec![
         generators::cycle(48),
         generators::torus_2d(6),
@@ -374,7 +368,7 @@ fn engine_scalar_path_is_bit_for_bit_legacy() {
                     .batch(BatchMode::Never)
                     .run(&starts, &mut walk_rng(seed))
                     .rounds;
-                let old = legacy::kwalk_cover_rounds(
+                let old = legacy::kwalk_cover(
                     g,
                     &starts,
                     legacy::Mode::RoundSynchronous,
@@ -393,24 +387,10 @@ fn disciplines_agree_in_distribution_ks() {
     let g = generators::torus_2d(6);
     let trials = 400u64;
     let sync: Vec<f64> = (0..trials)
-        .map(|t| {
-            kwalk_cover_rounds(
-                &g,
-                &[0, 0, 0, 0],
-                KWalkMode::RoundSynchronous,
-                &mut walk_rng(t),
-            ) as f64
-        })
+        .map(|t| cover_rounds(&g, &[0, 0, 0, 0], Discipline::RoundSynchronous, t) as f64)
         .collect();
     let inter: Vec<f64> = (0..trials)
-        .map(|t| {
-            kwalk_cover_rounds(
-                &g,
-                &[0, 0, 0, 0],
-                KWalkMode::Interleaved,
-                &mut walk_rng(100_000 + t),
-            ) as f64
-        })
+        .map(|t| cover_rounds(&g, &[0, 0, 0, 0], Discipline::Interleaved, 100_000 + t) as f64)
         .collect();
     let ks = ks_two_sample(&sync, &inter);
     assert!(

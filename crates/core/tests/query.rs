@@ -15,7 +15,7 @@
 
 use mrw_core::query::{Budget, Query, Report, Session, Shard};
 use mrw_core::starts::worst_start_candidates;
-use mrw_core::{BatchMode, KWalkMode, Precision, PreyStrategy};
+use mrw_core::{BatchMode, Discipline, Precision, PreyStrategy};
 use mrw_graph::{generators, Graph};
 use mrw_stats::harmonic::harmonic;
 use proptest::prelude::*;
@@ -523,7 +523,7 @@ fn batch_mode_selects_engine_path() {
             };
             Session::new(budget).run(&g, query).groups
         };
-        let sync = KWalkMode::RoundSynchronous;
+        let sync = Discipline::RoundSynchronous;
         // Always takes the batched stream, Never the scalar one. Same
         // law, different draws — the samples differ with overwhelming
         // probability, while each mode stays internally deterministic.
@@ -536,7 +536,7 @@ fn batch_mode_selects_engine_path() {
             // Auto batches at k = 64; the interleaved loop is always
             // scalar and stops in the round the scalar loop does.
             assert_eq!(run(BatchMode::Auto, sync), always, "{kind}");
-            let interleaved = run(BatchMode::Auto, KWalkMode::Interleaved);
+            let interleaved = run(BatchMode::Auto, Discipline::Interleaved);
             assert_eq!(interleaved, never, "{kind}: mode never reached the engine");
         }
     }

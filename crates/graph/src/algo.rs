@@ -1,4 +1,4 @@
-//! Classic graph algorithms: BFS, connectivity, components, diameter.
+//! Classic graph algorithms: BFS, connectivity, diameter.
 //!
 //! Cover-time experiments require connected graphs (otherwise the cover
 //! time is infinite); every estimator asserts [`is_connected`] up front.
@@ -43,31 +43,6 @@ pub fn is_connected<G: GraphBackend>(g: &G) -> bool {
         return true;
     }
     bfs_distances(g, 0).iter().all(|&d| d != UNREACHABLE)
-}
-
-/// Connected components as a vector of component ids (`0..c`), numbered in
-/// order of their smallest vertex.
-pub fn connected_components(g: &Graph) -> Vec<u32> {
-    let mut comp = vec![UNREACHABLE; g.n()];
-    let mut next = 0u32;
-    let mut queue = VecDeque::new();
-    for start in 0..g.n() as u32 {
-        if comp[start as usize] != UNREACHABLE {
-            continue;
-        }
-        comp[start as usize] = next;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            for &u in g.neighbors(v) {
-                if comp[u as usize] == UNREACHABLE {
-                    comp[u as usize] = next;
-                    queue.push_back(u);
-                }
-            }
-        }
-        next += 1;
-    }
-    comp
 }
 
 /// Eccentricity of `src`: the greatest BFS distance to any vertex, or
@@ -135,10 +110,8 @@ mod tests {
         b.add_edge(2, 3);
         let g = b.build("two-pairs");
         assert!(!is_connected(&g));
-        let comp = connected_components(&g);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[2], comp[3]);
-        assert_ne!(comp[0], comp[2]);
+        assert_eq!(bfs_distances(&g, 0), vec![0, 1, UNREACHABLE, UNREACHABLE]);
+        assert_eq!(bfs_distances(&g, 3), vec![UNREACHABLE, UNREACHABLE, 1, 0]);
         assert_eq!(diameter(&g), None);
         assert_eq!(eccentricity(&g, 0), None);
     }

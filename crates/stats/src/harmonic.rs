@@ -1,8 +1,10 @@
 //! Harmonic numbers and related elementary asymptotics.
 //!
 //! Matthews' theorem (Theorem 1 of the paper) bounds the cover time by
-//! `hmin·Hn ≤ C(G) ≤ hmax·Hn` where `Hn` is the n-th harmonic number, and
-//! the Baby Matthews theorem (Theorem 13) divides the upper bound by `k`.
+//! `hmin·H(n−1) ≤ C(G) ≤ hmax·Hn` where `Hn` is the n-th harmonic number
+//! (the paper prints `Hn` on the left too, which the complete graph
+//! refutes), and the Baby Matthews theorem (Theorem 13) divides the upper
+//! bound by `k`.
 //! These small closed forms are used all over the bounds module.
 
 /// Euler–Mascheroni constant γ.

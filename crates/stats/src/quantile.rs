@@ -43,34 +43,6 @@ pub fn median(sample: &[f64]) -> f64 {
     quantile(sample, 0.5)
 }
 
-/// Five-number summary: min, q25, median, q75, max.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FiveNum {
-    /// Minimum.
-    pub min: f64,
-    /// First quartile.
-    pub q25: f64,
-    /// Median.
-    pub median: f64,
-    /// Third quartile.
-    pub q75: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-/// Computes the five-number summary of a sample.
-pub fn five_num(sample: &[f64]) -> FiveNum {
-    let mut xs = sample.to_vec();
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
-    FiveNum {
-        min: xs[0],
-        q25: quantile_sorted(&xs, 0.25),
-        median: quantile_sorted(&xs, 0.5),
-        q75: quantile_sorted(&xs, 0.75),
-        max: xs[xs.len() - 1],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,10 +63,9 @@ mod tests {
     #[test]
     fn singleton() {
         assert_eq!(quantile(&[7.0], 0.3), 7.0);
-        let f = five_num(&[7.0]);
-        assert_eq!(f.min, 7.0);
-        assert_eq!(f.max, 7.0);
-        assert_eq!(f.median, 7.0);
+        assert_eq!(quantile(&[7.0], 0.0), 7.0);
+        assert_eq!(quantile(&[7.0], 1.0), 7.0);
+        assert_eq!(median(&[7.0]), 7.0);
     }
 
     #[test]
@@ -103,13 +74,6 @@ mod tests {
         assert!((quantile(&[1.0, 2.0, 3.0, 4.0], 0.25) - 1.75).abs() < 1e-12);
         // numpy.percentile([1,2,3,4], 75) == 3.25
         assert!((quantile(&[1.0, 2.0, 3.0, 4.0], 0.75) - 3.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn five_num_ordering_invariant() {
-        let xs: Vec<f64> = (0..50).map(|i| ((i * 37) % 50) as f64).collect();
-        let f = five_num(&xs);
-        assert!(f.min <= f.q25 && f.q25 <= f.median && f.median <= f.q75 && f.q75 <= f.max);
     }
 
     #[test]

@@ -15,9 +15,8 @@
 
 use many_walks::graph::generators::{barbell, barbell_center};
 use many_walks::stats::Summary;
-use many_walks::walks::{
-    kwalk::kwalk_positions_after, kwalk_cover_rounds_same_start, walk_rng, KWalkMode,
-};
+use many_walks::walks::engine::{Engine, FullCover, SimpleStep};
+use many_walks::walks::walk_rng;
 
 fn main() {
     let n = 257; // bells of size 128
@@ -35,7 +34,10 @@ fn main() {
         let (mut in_a, mut in_b) = (0usize, 0usize);
         for t in 0..trials as u64 {
             let mut rng = walk_rng(900 + t);
-            let pos = kwalk_positions_after(&g, &vec![vc; k], 1, &mut rng);
+            let pos = Engine::new(&g, SimpleStep, ())
+                .cap(1)
+                .run(&vec![vc; k], &mut rng)
+                .positions;
             in_a += pos.iter().filter(|&&p| (p as usize) < m).count();
             in_b += pos
                 .iter()
@@ -62,10 +64,9 @@ fn main() {
         let mut s = Summary::new();
         for t in 0..trials as u64 {
             let mut rng = walk_rng(7000 + 101 * k as u64 + t);
-            s.push(
-                kwalk_cover_rounds_same_start(&g, vc, k, KWalkMode::RoundSynchronous, &mut rng)
-                    as f64,
-            );
+            let out =
+                Engine::new(&g, SimpleStep, FullCover::new(g.n())).run(&vec![vc; k], &mut rng);
+            s.push(out.rounds as f64);
         }
         if k == 1 {
             baseline = s.mean();

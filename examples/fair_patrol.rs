@@ -18,7 +18,8 @@
 //! Run with: `cargo run --release --example fair_patrol`
 
 use many_walks::graph::generators;
-use many_walks::walks::{kwalk_multicover_rounds, kwalk_visit_counts, walk_rng, WalkProcess};
+use many_walks::walks::engine::{Engine, Multicover, SimpleStep};
+use many_walks::walks::{kwalk_visit_counts, walk_rng, WalkProcess};
 
 fn main() {
     let k = 8;
@@ -47,7 +48,9 @@ fn main() {
             // process via repeated visit counting on the cover loop.
             let multicover = if process == WalkProcess::Simple {
                 let mut mrng = walk_rng(7);
-                Some(kwalk_multicover_rounds(g, &starts, 3, &mut mrng))
+                let out =
+                    Engine::new(g, SimpleStep, Multicover::new(g.n(), 3)).run(&starts, &mut mrng);
+                Some(out.rounds)
             } else {
                 None
             };

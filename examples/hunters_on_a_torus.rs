@@ -17,8 +17,9 @@
 
 use many_walks::graph::generators::torus_2d;
 use many_walks::stats::Summary;
+use many_walks::walks::engine::{Engine, FullCover, SimpleStep};
 use many_walks::walks::walk::step;
-use many_walks::walks::{kwalk_cover_rounds_same_start, walk_rng, KWalkMode};
+use many_walks::walks::walk_rng;
 use rand::Rng;
 
 fn main() {
@@ -63,13 +64,9 @@ fn main() {
 
             // Sweep: cover the whole arena.
             let mut rng2 = walk_rng(77_000 + 31 * k as u64 + t);
-            sweep.push(kwalk_cover_rounds_same_start(
-                &g,
-                origin,
-                k,
-                KWalkMode::RoundSynchronous,
-                &mut rng2,
-            ) as f64);
+            let out =
+                Engine::new(&g, SimpleStep, FullCover::new(g.n())).run(&vec![origin; k], &mut rng2);
+            sweep.push(out.rounds as f64);
         }
         if k == 1 {
             catch_base = catch.mean();

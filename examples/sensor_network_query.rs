@@ -19,7 +19,8 @@
 
 use many_walks::graph::{algo, generators, Graph};
 use many_walks::stats::Summary;
-use many_walks::walks::{kwalk_cover_rounds_same_start, walk_rng, KWalkMode};
+use many_walks::walks::engine::{Engine, FullCover, SimpleStep};
+use many_walks::walks::walk_rng;
 use rand::Rng;
 
 /// Rounds until one of k walkers from `start` first reaches `target`.
@@ -82,13 +83,9 @@ fn main() {
         let mut search = Summary::new();
         for t in 0..trials {
             let mut r1 = walk_rng(1000 + t);
-            sweep.push(kwalk_cover_rounds_same_start(
-                &g,
-                sink,
-                k,
-                KWalkMode::RoundSynchronous,
-                &mut r1,
-            ) as f64);
+            let out =
+                Engine::new(&g, SimpleStep, FullCover::new(g.n())).run(&vec![sink; k], &mut r1);
+            sweep.push(out.rounds as f64);
             // The "needle": a uniformly random sensor holds the answer.
             let mut r2 = walk_rng(5000 + t);
             let target = r2.gen_range(0..g.n()) as u32;

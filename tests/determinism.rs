@@ -84,7 +84,8 @@ fn random_graphs_reproducible_from_seed() {
 
 #[test]
 fn experiment_reports_reproducible() {
-    use many_walks::walks::experiments::{clique, Budget};
+    use many_walks::walks::experiments::clique;
+    use many_walks::walks::Budget;
     let mk = || {
         let mut cfg = clique::Config::quick();
         cfg.budget = Budget {

@@ -6,7 +6,17 @@
 
 use many_walks::graph::generators;
 use many_walks::spectral::{hitting_times_all, mixing_time, MixingConfig, TransitionOp};
-use many_walks::walks::{walk::walk_trace, walk_rng, Budget, Query, Session};
+use many_walks::walks::engine::{Engine, SimpleStep, Trace};
+use many_walks::walks::{walk_rng, Budget, Query, Session, WalkRng};
+
+/// The first `len` positions of one walk from vertex 0, start included.
+fn trace_from_zero(g: &many_walks::graph::Graph, len: usize, rng: &mut WalkRng) -> Vec<u32> {
+    Engine::new(g, SimpleStep, Trace::new(len))
+        .cap(len as u64)
+        .run(&[0], rng)
+        .observer
+        .into_positions()
+}
 
 #[test]
 fn hitting_time_mc_matches_fundamental_matrix() {
@@ -57,7 +67,7 @@ fn empirical_occupancy_matches_stationary_distribution() {
     let pi = many_walks::spectral::stationary_distribution(&g);
     let mut rng = walk_rng(9);
     let steps = 400_000;
-    let trace = walk_trace(&g, 0, steps, &mut rng);
+    let trace = trace_from_zero(&g, steps, &mut rng);
     let mut counts = vec![0usize; g.n()];
     // Skip a burn-in prefix.
     for &v in &trace[10_000..] {
@@ -86,7 +96,7 @@ fn exact_distribution_evolution_matches_sampled_walks() {
     let walks = 60_000;
     for w in 0..walks as u64 {
         let mut rng = walk_rng(1_000_000 + w);
-        let trace = walk_trace(&g, 0, t, &mut rng);
+        let trace = trace_from_zero(&g, t, &mut rng);
         counts[*trace.last().unwrap() as usize] += 1;
     }
     for v in 0..g.n() {

@@ -8,11 +8,18 @@ use many_walks::spectral::{
     hitting_times_all, lazy_spectrum, max_effective_resistance, mixing_time, mixing_time_sandwich,
     stationary_distribution, summarize_spectrum, walk_spectrum, MixingConfig,
 };
-use many_walks::walks::engine::PartialCover;
+use many_walks::walks::engine::{CompiledProcess, FullCover, Multicover, PartialCover};
 use many_walks::walks::{
-    cover_time_process, fraction_target, kwalk_multicover_rounds, kwalk_visit_counts, walk_rng,
-    Budget, Engine, Query, Session, SimpleStep, WalkProcess,
+    fraction_target, kwalk_visit_counts, walk_rng, Budget, Engine, Query, Session, SimpleStep,
+    WalkProcess, WalkRng,
 };
+
+/// Rounds for tokens of `process` from `starts` to cover `g`.
+fn process_cover_rounds(g: &Graph, starts: &[u32], process: WalkProcess, rng: &mut WalkRng) -> u64 {
+    Engine::new(g, CompiledProcess::new(process, g), FullCover::new(g.n()))
+        .run(starts, rng)
+        .rounds
+}
 
 /// Mean `k`-walk cover time from vertex 0 under `budget`.
 fn cover_mean(g: &Graph, k: usize, budget: &Budget) -> f64 {
@@ -108,8 +115,9 @@ fn metropolis_cover_time_finite_and_bounded_on_irregular_zoo() {
         let mut simple = 0u64;
         let mut metro = 0u64;
         for t in 0..trials {
-            simple += cover_time_process(&g, 0, WalkProcess::Simple, &mut walk_rng(t));
-            metro += cover_time_process(&g, 0, WalkProcess::Metropolis, &mut walk_rng(900 + t));
+            simple += process_cover_rounds(&g, &[0], WalkProcess::Simple, &mut walk_rng(t));
+            metro +=
+                process_cover_rounds(&g, &[0], WalkProcess::Metropolis, &mut walk_rng(900 + t));
         }
         let ratio = metro as f64 / simple as f64;
         assert!(
@@ -154,7 +162,9 @@ fn multicover_scales_subadditively_in_b() {
     let mean_b = |b: u64, base: u64| -> f64 {
         let mut total = 0u64;
         for t in 0..trials {
-            total += kwalk_multicover_rounds(&g, &[0, 0], b, &mut walk_rng(base + t));
+            total += Engine::new(&g, SimpleStep, Multicover::new(g.n(), b))
+                .run(&[0, 0], &mut walk_rng(base + t))
+                .rounds;
         }
         total as f64 / trials as f64
     };
@@ -234,12 +244,7 @@ fn lazy_walk_speedup_structure_is_preserved() {
         let starts = vec![0u32; k];
         let mut total = 0u64;
         for t in 0..trials {
-            total += many_walks::walks::kwalk_cover_rounds_process(
-                &g,
-                &starts,
-                process,
-                &mut walk_rng(base + t),
-            );
+            total += process_cover_rounds(&g, &starts, process, &mut walk_rng(base + t));
         }
         total as f64 / trials as f64
     };

@@ -3,7 +3,8 @@
 //! of them.
 
 use many_walks::graph::{algo, generators, Graph, GraphBuilder};
-use many_walks::walks::{kwalk_cover_rounds, walk::walk_trace, walk_rng, KWalkMode};
+use many_walks::walks::engine::{Engine, FullCover, SimpleStep, Trace};
+use many_walks::walks::walk_rng;
 use proptest::prelude::*;
 
 /// Structural invariants every graph in this workspace must satisfy.
@@ -93,7 +94,11 @@ proptest! {
     fn walk_traces_stay_on_edges(seed in 0u64..10_000, n in 3usize..40) {
         let g = generators::cycle(n);
         let mut rng = walk_rng(seed);
-        let trace = walk_trace(&g, 0, 200, &mut rng);
+        let trace = Engine::new(&g, SimpleStep, Trace::new(200))
+            .cap(200)
+            .run(&[0], &mut rng)
+            .observer
+            .into_positions();
         for w in trace.windows(2) {
             prop_assert!(g.has_edge(w[0], w[1]));
         }
@@ -108,7 +113,9 @@ proptest! {
         // generous multiple of the coupon-collector time.
         let g = generators::complete_with_loops(12);
         let mut rng = walk_rng(seed);
-        let rounds = kwalk_cover_rounds(&g, &vec![0; k], KWalkMode::RoundSynchronous, &mut rng);
+        let rounds = Engine::new(&g, SimpleStep, FullCover::new(g.n()))
+            .run(&vec![0; k], &mut rng)
+            .rounds;
         prop_assert!(rounds >= 1);
         prop_assert!(rounds < 5000, "rounds = {rounds} absurd for K_12");
     }

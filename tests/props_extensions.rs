@@ -9,10 +9,8 @@ use many_walks::spectral::{
     effective_resistance, hitting_times_all, hitting_times_to, jacobi_eigen, walk_spectrum,
     DenseMatrix,
 };
-use many_walks::walks::engine::PartialCover;
-use many_walks::walks::{
-    fraction_target, kwalk_multicover_rounds, walk_rng, Engine, SimpleStep, WalkProcess,
-};
+use many_walks::walks::engine::{Multicover, PartialCover};
+use many_walks::walks::{fraction_target, walk_rng, Engine, SimpleStep, WalkProcess};
 use proptest::prelude::*;
 
 proptest! {
@@ -190,8 +188,13 @@ proptest! {
         seed in 0u64..200,
     ) {
         let g = generators::complete(n);
-        let c1 = kwalk_multicover_rounds(&g, &[0], 1, &mut walk_rng(seed));
-        let c2 = kwalk_multicover_rounds(&g, &[0], 2, &mut walk_rng(seed));
+        let multicover = |b| {
+            Engine::new(&g, SimpleStep, Multicover::new(g.n(), b))
+                .run(&[0], &mut walk_rng(seed))
+                .rounds
+        };
+        let c1 = multicover(1);
+        let c2 = multicover(2);
         prop_assert!(c2 >= c1);
     }
 

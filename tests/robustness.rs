@@ -9,9 +9,10 @@
 
 use many_walks::graph::{generators, GraphBuilder};
 use many_walks::spectral;
-use many_walks::walks::engine::{PartialCover, Pursuit};
+use many_walks::walks::engine::{FullCover, Hit, Multicover, PartialCover, Pursuit};
 use many_walks::walks::{
-    self, walk_rng, Budget, Engine, PreyStrategy, Query, Session, SimpleStep, WalkProcess,
+    self, walk_rng, Budget, Discipline, Engine, PreyStrategy, Query, Session, SimpleStep,
+    WalkProcess,
 };
 
 fn disconnected() -> many_walks::graph::Graph {
@@ -25,19 +26,14 @@ fn disconnected() -> many_walks::graph::Graph {
 #[should_panic(expected = "out of range")]
 fn cover_start_out_of_range() {
     let g = generators::cycle(5);
-    walks::cover_time_single(&g, 5, &mut walk_rng(0));
+    Engine::new(&g, SimpleStep, FullCover::new(g.n())).run(&[5], &mut walk_rng(0));
 }
 
 #[test]
 #[should_panic(expected = "at least one walk")]
 fn kwalk_empty_starts() {
     let g = generators::cycle(5);
-    walks::kwalk_cover_rounds(
-        &g,
-        &[],
-        walks::KWalkMode::RoundSynchronous,
-        &mut walk_rng(0),
-    );
+    Engine::new(&g, SimpleStep, FullCover::new(g.n())).run(&[], &mut walk_rng(0));
 }
 
 #[test]
@@ -63,14 +59,14 @@ fn fraction_target_rejects_zero() {
 #[should_panic(expected = "not in [0,1)")]
 fn lazy_process_rejects_p_one() {
     let g = generators::cycle(5);
-    walks::cover_time_process(&g, 0, WalkProcess::Lazy(1.0), &mut walk_rng(0));
+    WalkProcess::Lazy(1.0).step(&g, 0, &mut walk_rng(0));
 }
 
 #[test]
 #[should_panic(expected = "b ≥ 1")]
 fn multicover_rejects_zero_visits() {
     let g = generators::cycle(5);
-    walks::kwalk_multicover_rounds(&g, &[0], 0, &mut walk_rng(0));
+    Engine::new(&g, SimpleStep, Multicover::new(g.n(), 0)).run(&[0], &mut walk_rng(0));
 }
 
 /// One fixed-budget trial of a pursuit query on `g`.
@@ -154,7 +150,10 @@ fn wheel_too_small_rejected() {
 #[test]
 fn hit_cap_returns_none_not_hang() {
     let g = generators::cycle(1024);
-    assert_eq!(walks::steps_to_hit(&g, 0, 512, 10, &mut walk_rng(0)), None);
+    let out = Engine::new(&g, SimpleStep, Hit::new(512))
+        .cap(10)
+        .run(&[0], &mut walk_rng(0));
+    assert!(!out.stopped);
 }
 
 #[test]
@@ -187,9 +186,12 @@ fn estimator_single_trial_has_degenerate_but_finite_ci() {
 #[test]
 fn singleton_graph_is_covered_at_birth() {
     let g = generators::path(1);
-    assert_eq!(walks::cover_time_single(&g, 0, &mut walk_rng(0)), 0);
-    assert_eq!(
-        walks::kwalk_cover_rounds(&g, &[0, 0], walks::KWalkMode::Interleaved, &mut walk_rng(0)),
-        0
-    );
+    let cover = |starts: &[u32], discipline| {
+        Engine::new(&g, SimpleStep, FullCover::new(g.n()))
+            .discipline(discipline)
+            .run(starts, &mut walk_rng(0))
+            .rounds
+    };
+    assert_eq!(cover(&[0], Discipline::RoundSynchronous), 0);
+    assert_eq!(cover(&[0, 0], Discipline::Interleaved), 0);
 }
