@@ -1,7 +1,8 @@
 //! Bench: batched vs scalar engine stepping, written to
 //! `BENCH_engine.json` at the workspace root so CI archives the perf
-//! trajectory and gates the regular-family speed-up (see
-//! `.github/workflows/ci.yml`, bench-smoke step).
+//! trajectory, gates the regular-family speed-up and caps the implicit
+//! backend's cost over CSR (see `.github/workflows/ci.yml`, perf-gate
+//! step).
 //!
 //! A plain `fn main` (`harness = false`): `cargo bench --bench engine`
 //! runs it, and the `-- --test` flag the CI smoke step passes is ignored.
@@ -49,7 +50,7 @@ struct MatrixCase {
     /// irregular rows are tracked but gated only against the JSON diff.
     regular: bool,
     /// Implicit twin where one exists: measured batched at the same `k`
-    /// and reported as an implicit-vs-CSR column.
+    /// and reported as an implicit-vs-CSR column (CI caps it at 5×).
     implicit: Option<ImplicitGraph>,
 }
 

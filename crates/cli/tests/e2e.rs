@@ -454,30 +454,29 @@ fn all_quick_prints_the_golden_tables() {
 
 /// `mrw run --json` prints each batched spec's checked-in report byte
 /// for byte. The specs cover every batched driver (regular, flat,
-/// row-wise, implicit) and the cover, partial-cover, hitting, meeting
-/// and pursuit observers, so a driver or observer change that moves a
-/// sample shows here even when all drivers move together. Regenerate a
-/// fixture only for a change that means to move it:
+/// row-wise, and each implicit row arm: cycle, torus, and the general
+/// row builder through the hypercube) and the cover, partial-cover,
+/// hitting, meeting and pursuit observers, so a driver or observer
+/// change that moves a sample shows here even when all drivers move
+/// together. Every `<name>.spec.json` in the directory is checked, the
+/// same set CI's experiment smoke loops over. Regenerate a fixture only
+/// for a change that means to move it:
 /// `mrw run <name>.spec.json --json > <name>.report.json`.
 #[test]
 fn batched_reports_match_their_golden_fixtures() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/batched");
-    for name in [
-        "cover-torus16-regular",
-        "cover-barbell41-flat",
-        "partial-implicit-torus32",
-        "meeting-barbell41-rowwise",
-        "hitting-barbell41-flat",
-        "pursuit-torus16-regular",
-    ] {
-        let spec = dir.join(format!("{name}.spec.json"));
-        let golden = std::fs::read_to_string(dir.join(format!("{name}.report.json")))
-            .expect("golden report fixture");
-        assert_eq!(
-            mrw_stdout(&["run", spec.to_str().unwrap(), "--json"]),
-            golden,
-            "{name}"
-        );
+    let mut specs: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("batched fixture directory")
+        .map(|entry| entry.expect("fixture entry").path())
+        .filter(|path| path.to_string_lossy().ends_with(".spec.json"))
+        .collect();
+    specs.sort();
+    assert!(specs.len() >= 9, "batched fixtures missing: {specs:?}");
+    for spec in &specs {
+        let spec = spec.to_str().unwrap();
+        let report = format!("{}.report.json", spec.strip_suffix(".spec.json").unwrap());
+        let golden = std::fs::read_to_string(&report).expect("golden report fixture");
+        assert_eq!(mrw_stdout(&["run", spec, "--json"]), golden, "{spec}");
     }
 }
 

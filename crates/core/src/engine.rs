@@ -49,7 +49,10 @@
 //!   uniform pick step through the flat pick table of [`UniformSweep`];
 //!   every other CSR case goes through [`Graph::neighbors_unchecked`],
 //!   which still elides the redundant bound checks of `neighbors()`; and
-//!   implicit backends compute each row into a stack buffer.
+//!   implicit backends step each round through one
+//!   [`GraphBackend::sweep_rows`] call, which resolves the family once and
+//!   builds every token's row arithmetically (in registers on the cycle
+//!   and torus).
 //!
 //! An earlier sorted-bucket design (re-sort tokens by vertex each round,
 //! one row fetch and RNG block per co-located bucket) was measured and
@@ -118,7 +121,7 @@
 //! benchmarked trade (about 35% faster on torus(64); measured by the
 //! since-removed `bench_unified_engine_ablation` of `benches/engine.rs`).
 
-use mrw_graph::{Graph, GraphBackend, NodeBitSet, UniformSweep, MAX_IMPLICIT_DEGREE};
+use mrw_graph::{Graph, GraphBackend, NodeBitSet, UniformSweep};
 use rand::distributions::{Bernoulli, Distribution};
 use rand::Rng;
 
@@ -727,7 +730,8 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
     /// * every other CSR case (a two-word kernel, or an adjacency array too
     ///   large for the flat table's `u32` row starts) — the row-wise pass
     ///   ([`drive_batched_rowwise`](Self::drive_batched_rowwise));
-    /// * implicit backend — arithmetic rows filled into a stack buffer
+    /// * implicit backend — one [`GraphBackend::sweep_rows`] call per
+    ///   round, arithmetic rows
     ///   ([`drive_batched_implicit`](Self::drive_batched_implicit)).
     ///
     /// Every path consumes identical draw words per token index, so the
@@ -884,11 +888,12 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
         }
     }
 
-    /// Implicit-backend batched sweep: neighbor rows are computed
-    /// arithmetically into a stack buffer per step — no adjacency array
-    /// exists. Draw consumption is per-token-in-order, identical to the
-    /// CSR sweeps, so implicit and CSR runs of the same seed agree
-    /// byte-for-byte.
+    /// Implicit-backend batched sweep: no adjacency array exists, so each
+    /// round is one [`GraphBackend::sweep_rows`] call, which resolves the
+    /// family once and computes every token's row arithmetically. The
+    /// step closure hands out the round's draw words as it is called, in
+    /// token order, identical to the CSR sweeps, so implicit and CSR runs
+    /// of the same seed agree byte-for-byte.
     fn drive_batched_implicit<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -899,7 +904,6 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
         use rand::{RngCore, SeedableRng};
 
         let g = self.g;
-        let mut row = [0u32; MAX_IMPLICIT_DEGREE];
         let mut rounds = 0u64;
         loop {
             if Some(rounds) == self.cap {
@@ -907,17 +911,12 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
             }
             rounds += 1;
             let mut block = SplitMix64::seed_from_u64(rng.next_u64());
-            for p in arena.pos.iter_mut() {
+            let process = &mut self.process;
+            g.sweep_rows(&mut arena.pos, |p, row| {
                 let b0 = block.next_u64();
                 let b1 = if bpt == 2 { block.next_u64() } else { 0 };
-                let d = g.degree(*p);
-                debug_assert!(
-                    d > 0 && d <= MAX_IMPLICIT_DEGREE,
-                    "implicit degree {d} outside 1..={MAX_IMPLICIT_DEGREE}"
-                );
-                g.fill_row(*p, &mut row[..d]);
-                *p = self.process.step_bits(&row[..d], *p, b0, b1);
-            }
+                process.step_bits(row, p, b0, b1)
+            });
             self.observer.visit_round(&arena.pos);
             if self.observer.end_round(g, &arena.pos, rng) {
                 return (rounds, true);

@@ -371,8 +371,8 @@ impl GraphBackend for AnyGraph {
     }
 
     #[inline]
-    fn fill_row(&self, v: u32, row: &mut [u32]) {
-        any_graph_delegate!(self, g => g.fill_row(v, row))
+    fn sweep_rows(&self, positions: &mut [u32], step: impl FnMut(u32, &[u32]) -> u32) {
+        any_graph_delegate!(self, g => g.sweep_rows(positions, step))
     }
 
     #[inline]

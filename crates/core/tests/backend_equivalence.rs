@@ -7,7 +7,7 @@
 //! * backend — CSR arrays vs closed-form neighborhoods;
 //! * stepping discipline — round-synchronous and interleaved;
 //! * engine path — scalar (`BatchMode::Never`) and batched counter
-//!   expansion (`BatchMode::Always`);
+//!   expansion (`BatchMode::Always`), with one- and two-word kernels;
 //! * worker threads — 1, 2 and 4.
 //!
 //! That is the contract that lets the CLI auto-switch oversized specs to
@@ -21,11 +21,17 @@ use mrw_core::query::{
 };
 use mrw_graph::{generators, GraphBackend, ImplicitGraph};
 
-/// Every implicit family at sizes where CSR comfortably materializes.
+/// Every implicit family at sizes where CSR comfortably materializes,
+/// plus the smallest instances of each wrap-heavy row arm: the 2 × 2
+/// torus (degree 2), the 3 × 3 torus (8 of 9 vertices on a wrap edge) and
+/// the 3-cycle.
 fn twin_pairs() -> Vec<(mrw_graph::Graph, ImplicitGraph)> {
     vec![
         (generators::cycle(48), ImplicitGraph::cycle(48)),
+        (generators::cycle(3), ImplicitGraph::cycle(3)),
         (generators::torus_2d(7), ImplicitGraph::torus_2d(7)),
+        (generators::torus_2d(2), ImplicitGraph::torus_2d(2)),
+        (generators::torus_2d(3), ImplicitGraph::torus_2d(3)),
         (generators::hypercube(5), ImplicitGraph::hypercube(5)),
         (
             generators::circulant(40, &[1, 7]),
@@ -47,6 +53,13 @@ fn reports_byte_identical_across_backends_disciplines_batches_threads() {
                 k: 3,
                 start: 1,
                 gammas: vec![0.5, 0.9],
+            },
+            // A lazy walk draws two words per step (`bpt = 2`).
+            Query::Meeting {
+                a: 0,
+                b: (csr.n() / 2) as u32,
+                laziness: Some(0.5),
+                cap: 100_000,
             },
         ];
         for query in &queries {

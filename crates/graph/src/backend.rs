@@ -33,13 +33,24 @@
 //! The CSR [`Graph`] implements the trait by delegation, and
 //! `csr(&self) -> Option<&Graph>` lets the engine keep its direct-row
 //! batched fast path when a materialized adjacency exists.
+//!
+//! ## Whole-round row access
+//!
+//! The batched engine asks for rows a round at a time through
+//! [`GraphBackend::sweep_rows`]: one call replaces every token position
+//! with the result of a step closure that sees the position's sorted
+//! row. [`ImplicitGraph`] matches its family once per call, not once per
+//! step, and builds cycle and torus rows in registers in sorted order
+//! (one division per torus vertex, compare-wraps instead of `%`); the
+//! hypercube and circulant loop over their general row builder with the
+//! degree hoisted.
 
 use crate::algo;
 use crate::csr::Graph;
 use crate::generators;
 
-/// Greatest degree an implicit family may have: rows are filled into
-/// fixed-size stack buffers on the batched engine path.
+/// Greatest degree an implicit family may have: hypercube and circulant
+/// rows are built into fixed-size stack buffers.
 pub const MAX_IMPLICIT_DEGREE: usize = 64;
 
 /// Uniform access to a graph for walk engines: vertex count, degrees,
@@ -66,9 +77,15 @@ pub trait GraphBackend: Sync {
     /// `Some(d)` when every vertex has degree `d`, in `O(1)`.
     fn regular_degree(&self) -> Option<usize>;
 
-    /// Writes `v`'s sorted neighbor row into `row` (`row.len()` must be
-    /// exactly `degree(v)`).
-    fn fill_row(&self, v: u32, row: &mut [u32]);
+    /// Replaces each entry of `positions`, in index order, with
+    /// `step(p, row)`, where `p` is the entry and `row` is `p`'s sorted
+    /// neighbor row — the batched engine's whole-round row access. A
+    /// backend resolves its shape once per call, so the per-position work
+    /// is the row itself; `step` may carry state (draw words) from one
+    /// position to the next.
+    fn sweep_rows(&self, positions: &mut [u32], step: impl FnMut(u32, &[u32]) -> u32)
+    where
+        Self: Sized;
 
     /// Calls `f` on each neighbor of `v` in sorted-row order — the
     /// traversal primitive generic BFS uses (the CSR impl iterates its
@@ -135,8 +152,10 @@ impl GraphBackend for Graph {
     }
 
     #[inline]
-    fn fill_row(&self, v: u32, row: &mut [u32]) {
-        row.copy_from_slice(self.neighbors(v));
+    fn sweep_rows(&self, positions: &mut [u32], mut step: impl FnMut(u32, &[u32]) -> u32) {
+        for p in positions {
+            *p = step(*p, self.neighbors(*p));
+        }
     }
 
     #[inline]
@@ -306,41 +325,23 @@ impl ImplicitGraph {
     }
 
     /// Writes `v`'s sorted neighbor row into `row` and returns the degree
-    /// (`row` must hold at least [`MAX_IMPLICIT_DEGREE`] entries... in
-    /// practice `degree_const()`).
+    /// (`row` must hold at least `degree_const()` entries).
     #[inline]
     fn row_into(&self, v: u32, row: &mut [u32]) -> usize {
         let vu = v as usize;
         debug_assert!(vu < self.n, "vertex {v} out of range");
         match &self.family {
             Family::Cycle { n } => {
-                let a = ((vu + 1) % n) as u32;
-                let b = ((vu + n - 1) % n) as u32;
-                row[0] = a.min(b);
-                row[1] = a.max(b);
+                row[..2].copy_from_slice(&cycle_row(v, *n as u32));
+                2
+            }
+            Family::Torus2d { side: 2 } => {
+                row[..2].copy_from_slice(&torus2_row(v));
                 2
             }
             Family::Torus2d { side } => {
-                let s = *side;
-                let (x, y) = (vu % s, vu / s);
-                if s >= 3 {
-                    let mut buf = [
-                        ((x + 1) % s + s * y) as u32,
-                        ((x + s - 1) % s + s * y) as u32,
-                        (x + s * ((y + 1) % s)) as u32,
-                        (x + s * ((y + s - 1) % s)) as u32,
-                    ];
-                    buf.sort_unstable();
-                    row[..4].copy_from_slice(&buf);
-                    4
-                } else {
-                    // side 2: each axis contributes the single edge x↔x^1.
-                    let a = ((x ^ 1) + s * y) as u32;
-                    let b = (x + s * (y ^ 1)) as u32;
-                    row[0] = a.min(b);
-                    row[1] = a.max(b);
-                    2
-                }
+                row[..4].copy_from_slice(&torus_row(v, *side as u32));
+                4
             }
             Family::Hypercube { d } => {
                 // Sorted row in closed form: flipping a *set* bit lowers
@@ -380,6 +381,55 @@ impl ImplicitGraph {
     }
 }
 
+/// The sorted row of `v` on the cycle of `n` vertices.
+#[inline]
+fn cycle_row(v: u32, n: u32) -> [u32; 2] {
+    let next = if v + 1 == n { 0 } else { v + 1 };
+    let prev = if v == 0 { n - 1 } else { v - 1 };
+    [next.min(prev), next.max(prev)]
+}
+
+/// The sorted row of `v` on the 2 × 2 torus: each axis contributes the
+/// single edge `x ↔ x ^ 1`, so the neighbors flip bit 0 (x) and bit 1 (y).
+#[inline]
+fn torus2_row(v: u32) -> [u32; 2] {
+    let (a, b) = (v ^ 1, v ^ 2);
+    [a.min(b), a.max(b)]
+}
+
+/// The sorted row of `v = x + s·y` on the `s × s` torus, `s ≥ 3`. The row
+/// is ordered by grid row: a wrap moves a y-neighbor to the other end,
+/// and the two x-neighbors share row `y`.
+#[inline]
+fn torus_row(v: u32, s: u32) -> [u32; 4] {
+    let y = v / s;
+    let x = v - y * s;
+    let left = if x == 0 { v + (s - 1) } else { v - 1 };
+    let right = if x + 1 == s { v - (s - 1) } else { v + 1 };
+    let (a, b) = (left.min(right), left.max(right));
+    let up = if y == 0 { v + s * (s - 1) } else { v - s };
+    let down = if y + 1 == s { x } else { v + s };
+    if y == 0 {
+        [a, b, down, up]
+    } else if y + 1 == s {
+        [down, up, a, b]
+    } else {
+        [up, a, b, down]
+    }
+}
+
+/// Steps every position through a fixed-size row builder.
+#[inline]
+fn sweep_fixed<const D: usize>(
+    positions: &mut [u32],
+    row: impl Fn(u32) -> [u32; D],
+    mut step: impl FnMut(u32, &[u32]) -> u32,
+) {
+    for p in positions {
+        *p = step(*p, &row(*p));
+    }
+}
+
 impl GraphBackend for ImplicitGraph {
     #[inline]
     fn n(&self) -> usize {
@@ -415,11 +465,26 @@ impl GraphBackend for ImplicitGraph {
     }
 
     #[inline]
-    fn fill_row(&self, v: u32, row: &mut [u32]) {
-        debug_assert_eq!(row.len(), self.degree_const());
-        let mut buf = [0u32; MAX_IMPLICIT_DEGREE];
-        let d = self.row_into(v, &mut buf);
-        row.copy_from_slice(&buf[..d]);
+    fn sweep_rows(&self, positions: &mut [u32], mut step: impl FnMut(u32, &[u32]) -> u32) {
+        match &self.family {
+            Family::Cycle { n } => {
+                let n = *n as u32;
+                sweep_fixed(positions, |v| cycle_row(v, n), step);
+            }
+            Family::Torus2d { side: 2 } => sweep_fixed(positions, torus2_row, step),
+            Family::Torus2d { side } => {
+                let s = *side as u32;
+                sweep_fixed(positions, |v| torus_row(v, s), step);
+            }
+            Family::Hypercube { .. } | Family::Circulant { .. } => {
+                let d = self.degree_const();
+                let mut row = [0u32; MAX_IMPLICIT_DEGREE];
+                for p in positions {
+                    self.row_into(*p, &mut row);
+                    *p = step(*p, &row[..d]);
+                }
+            }
+        }
     }
 
     #[inline]
@@ -485,7 +550,6 @@ mod tests {
         assert_eq!(GraphBackend::m(implicit), Graph::m(&csr));
         assert_eq!(implicit.regular_degree(), csr.regular_degree());
         assert_eq!(implicit.is_connected(), algo::is_connected(&csr));
-        let mut row = vec![0u32; implicit.degree_const()];
         for v in 0..Graph::n(&csr) as u32 {
             assert_eq!(
                 GraphBackend::degree(implicit, v),
@@ -493,20 +557,27 @@ mod tests {
                 "degree({v}) on {}",
                 implicit.name()
             );
-            implicit.fill_row(v, &mut row);
-            assert_eq!(
-                row.as_slice(),
-                csr.neighbors(v),
-                "row {v} on {}",
-                implicit.name()
-            );
-            for i in 0..row.len() {
+            for i in 0..csr.neighbors(v).len() {
                 assert_eq!(implicit.neighbor(v, i), csr.neighbor(v, i));
             }
             let mut seen = Vec::new();
             implicit.for_each_neighbor(v, |u| seen.push(u));
             assert_eq!(seen.as_slice(), csr.neighbors(v));
         }
+        // `sweep_rows` visits positions in index order (repeats and a
+        // descending run included), hands each its CSR row, and writes the
+        // closure's result back in place.
+        let n = Graph::n(&csr) as u32;
+        let mut positions: Vec<u32> = (0..n).rev().chain(0..n).collect();
+        let order = positions.clone();
+        let mut visited = Vec::new();
+        implicit.sweep_rows(&mut positions, |p, row| {
+            assert_eq!(row, csr.neighbors(p), "row {p} on {}", implicit.name());
+            visited.push(p);
+            visited.len() as u32
+        });
+        assert_eq!(visited, order, "sweep order on {}", implicit.name());
+        assert_eq!(positions, (1..=2 * n).collect::<Vec<_>>());
     }
 
     #[test]
@@ -552,6 +623,16 @@ mod tests {
         assert!(ImplicitGraph::circulant(9, &[3, 4]).is_connected());
     }
 
+    /// The rows `sweep_rows` hands out for `vertices`, in order.
+    fn swept_rows<G: GraphBackend>(g: &G, vertices: &[u32]) -> Vec<Vec<u32>> {
+        let mut rows = Vec::new();
+        g.sweep_rows(&mut vertices.to_vec(), |p, row| {
+            rows.push(row.to_vec());
+            p
+        });
+        rows
+    }
+
     #[test]
     fn huge_torus_neighbors_computed_without_allocation() {
         // 40_000² = 1.6·10⁹ vertices — far beyond any CSR, trivial here.
@@ -561,9 +642,25 @@ mod tests {
         assert!(g.is_connected());
         // An interior vertex: neighbors are ±1 in x and ±side in y.
         let v = 40_000u32 * 17 + 5;
-        let mut row = [0u32; 4];
-        g.fill_row(v, &mut row);
-        assert_eq!(row, [v - 40_000, v - 1, v + 1, v + 40_000]);
+        assert_eq!(
+            swept_rows(&g, &[v]),
+            [[v - 40_000, v - 1, v + 1, v + 40_000]]
+        );
+
+        // Side 65535 is the largest with s² ≤ u32::MAX; every corner
+        // wraps on both axes, at the top of the id range.
+        let s = 65_535u32;
+        let g = ImplicitGraph::torus_2d(s as usize);
+        let last = s * s - 1;
+        assert_eq!(GraphBackend::n(&g), last as usize + 1);
+        let corners = [0, s - 1, s * (s - 1), last];
+        let expected = [
+            [1, s - 1, s, s * (s - 1)],
+            [0, s - 2, 2 * s - 1, last],
+            [0, s * (s - 2), s * (s - 1) + 1, last],
+            [s - 1, s * (s - 1) - 1, s * (s - 1), last - 1],
+        ];
+        assert_eq!(swept_rows(&g, &corners), expected);
     }
 
     #[test]
@@ -572,9 +669,7 @@ mod tests {
         assert!(GraphBackend::csr(&csr).is_some());
         assert_eq!(GraphBackend::n(&csr), Graph::n(&csr));
         assert!(GraphBackend::is_connected(&csr));
-        let mut row = vec![0u32; Graph::degree(&csr, 0)];
-        GraphBackend::fill_row(&csr, 0, &mut row);
-        assert_eq!(row.as_slice(), csr.neighbors(0));
+        assert_eq!(swept_rows(&csr, &[0]), [csr.neighbors(0)]);
     }
 
     #[test]
