@@ -192,12 +192,17 @@ pub trait Process {
 /// bias).
 #[inline]
 fn pick(row: &[u32], bits: u64) -> u32 {
-    let d = row.len();
-    debug_assert!(d > 0, "walk stuck at isolated vertex");
+    debug_assert!(!row.is_empty(), "walk stuck at isolated vertex");
+    row[pick_index(row.len(), bits)]
+}
+
+/// The index [`pick`] reads from a row of `d ≥ 1` entries.
+#[inline]
+fn pick_index(d: usize, bits: u64) -> usize {
     if d.is_power_of_two() {
-        row[(bits & (d as u64 - 1)) as usize]
+        (bits & (d as u64 - 1)) as usize
     } else {
-        row[((bits as u128 * d as u128) >> 64) as usize]
+        ((bits as u128 * d as u128) >> 64) as usize
     }
 }
 
@@ -770,6 +775,12 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
     /// Regular-CSR batched sweep: the row of `v` is
     /// `adjacency[v·d..(v+1)·d]` — no offset loads, degree hoisted.
     ///
+    /// A plain kernel ([`Process::is_uniform_pick`], one word per token)
+    /// steps as `adjacency[v·d + pick_index(d, b0)]`, which is exactly
+    /// `pick(row, b0)` with one bounds check instead of three (the row's
+    /// end overflow and length checks and the pick's index check). Every
+    /// other kernel gets the row slice through `step_bits`.
+    ///
     /// Kept out of line so the loop compiles the same way whatever calls
     /// the engine: inlined into `Session`'s per-trial closure, `mrw run`
     /// on torus(128) at `k = 256` measured ~15% slower.
@@ -786,6 +797,7 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
         use rand::{RngCore, SeedableRng};
 
         let adj = csr.adjacency();
+        let plain = bpt == 1 && self.process.is_uniform_pick();
         let mut rounds = 0u64;
         loop {
             if Some(rounds) == self.cap {
@@ -793,11 +805,17 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
             }
             rounds += 1;
             let mut block = SplitMix64::seed_from_u64(rng.next_u64());
-            for p in arena.pos.iter_mut() {
-                let b0 = block.next_u64();
-                let b1 = if bpt == 2 { block.next_u64() } else { 0 };
-                let start = *p as usize * d;
-                *p = self.process.step_bits(&adj[start..start + d], *p, b0, b1);
+            if plain {
+                for p in arena.pos.iter_mut() {
+                    *p = adj[*p as usize * d + pick_index(d, block.next_u64())];
+                }
+            } else {
+                for p in arena.pos.iter_mut() {
+                    let b0 = block.next_u64();
+                    let b1 = if bpt == 2 { block.next_u64() } else { 0 };
+                    let start = *p as usize * d;
+                    *p = self.process.step_bits(&adj[start..start + d], *p, b0, b1);
+                }
             }
             self.observer.visit_round(&arena.pos);
             if self.observer.end_round(self.g, &arena.pos, rng) {

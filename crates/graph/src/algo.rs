@@ -37,7 +37,8 @@ pub fn bfs_distances<G: GraphBackend>(g: &G, src: u32) -> Vec<u32> {
 /// Whether the graph is connected (vacuously true for `n ≤ 1`).
 ///
 /// Prefer [`GraphBackend::is_connected`] when the backend is abstract —
-/// implicit families answer arithmetically without the `O(n)` BFS.
+/// implicit families answer arithmetically without the `O(n)` BFS, and a
+/// CSR graph runs this BFS once and keeps the answer.
 pub fn is_connected<G: GraphBackend>(g: &G) -> bool {
     if g.n() <= 1 {
         return true;

@@ -45,7 +45,6 @@
 //! hypercube and circulant loop over their general row builder with the
 //! degree hoisted.
 
-use crate::algo;
 use crate::csr::Graph;
 use crate::generators;
 
@@ -114,7 +113,7 @@ pub trait GraphBackend: Sync {
     fn to_csr(&self) -> Graph;
 
     /// Whether the graph is connected — arithmetic for implicit families,
-    /// BFS for CSR.
+    /// one BFS per CSR graph (the graph caches the answer).
     fn is_connected(&self) -> bool;
 
     /// Approximate heap footprint in bytes.
@@ -175,7 +174,7 @@ impl GraphBackend for Graph {
     }
 
     fn is_connected(&self) -> bool {
-        algo::is_connected(self)
+        self.connected()
     }
 
     fn memory_bytes(&self) -> usize {
@@ -540,6 +539,7 @@ fn gcd(a: usize, b: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo;
 
     /// Exhaustive cross-backend check: every accessor of the implicit
     /// graph must agree with the materialized generator output.

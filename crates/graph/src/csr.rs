@@ -29,31 +29,38 @@ pub struct Graph {
     /// The flat pick table of [`UniformSweep`](crate::UniformSweep),
     /// built from `offsets` on first use and kept for the graph's
     /// lifetime, so a batched run on an irregular graph neither
-    /// allocates nor recomputes it. Sound to cache because no `&mut`
-    /// method touches `offsets` or `adjacency` ([`set_name`](Self::set_name)
-    /// is the only one).
-    pick_table: PickTable,
+    /// allocates nor recomputes it.
+    pick_table: Cached<Vec<[u64; 2]>>,
+    /// Whether the graph is connected: one BFS on the first
+    /// [`GraphBackend::is_connected`](crate::GraphBackend::is_connected)
+    /// call, read back by every later one (spec validation runs twice per
+    /// `mrw run`, and `mrw serve` validates each request against its
+    /// cached graph).
+    connected: Cached<bool>,
 }
 
-/// A lazily built per-vertex pick table (see [`crate::sweep`]).
+/// A value computed lazily from the graph's arrays and kept for its
+/// lifetime (see [`crate::sweep`] for the pick table). Sound because no
+/// `&mut` method touches `offsets` or `adjacency`
+/// ([`Graph::set_name`] is the only one).
 ///
-/// Derived from the graph's immutable arrays, so it carries no identity
-/// of its own: every table compares equal and `Debug` shows none of its
-/// contents, which keeps `Graph ==` and `{:?}` about the graph alone.
+/// Derived from the arrays, so it carries no identity of its own: every
+/// cache compares equal and `Debug` shows none of its contents, which
+/// keeps `Graph ==` and `{:?}` about the graph alone.
 #[derive(Clone, Default)]
-pub(crate) struct PickTable(OnceLock<Vec<[u64; 2]>>);
+struct Cached<T>(OnceLock<T>);
 
-impl PartialEq for PickTable {
+impl<T> PartialEq for Cached<T> {
     fn eq(&self, _other: &Self) -> bool {
         true
     }
 }
 
-impl Eq for PickTable {}
+impl<T> Eq for Cached<T> {}
 
-impl fmt::Debug for PickTable {
+impl<T> fmt::Debug for Cached<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("PickTable")
+        f.write_str("Cached")
     }
 }
 
@@ -61,6 +68,16 @@ impl Graph {
     /// Builds a graph directly from CSR arrays. Prefer
     /// [`crate::GraphBuilder`]; this constructor validates its input and is
     /// meant for generators that produce CSR natively.
+    ///
+    /// Validation is `O(n + m)`. One pass checks the offsets and that
+    /// every row is strictly sorted, so only a row's last entry needs a
+    /// range check. One cursor pass checks symmetry: visiting sources in
+    /// increasing order consumes each sorted row front to back, so the
+    /// graph is symmetric exactly when every arc `v → u` finds `v` at
+    /// `u`'s cursor before the end of `u`'s row. The pass keeps one `u32`
+    /// per vertex, freed before this returns. Only a rejected graph pays
+    /// a binary search per arc, to name the first arc (in row order)
+    /// whose reverse is missing.
     ///
     /// # Panics
     /// If the arrays are inconsistent, a neighbor index is out of range, a
@@ -84,12 +101,16 @@ impl Graph {
             for w in list.windows(2) {
                 assert!(w[0] < w[1], "neighbors of {v} unsorted or duplicated");
             }
-            for &u in list {
-                assert!((u as usize) < n, "neighbor {u} of {v} out of range");
-                if u as usize == v {
-                    loops += 1;
-                }
+            // A sorted row is in range when its last entry is; the message
+            // names the row's first entry that is not.
+            if list.last().is_some_and(|&u| u as usize >= n) {
+                let u = list
+                    .iter()
+                    .find(|&&u| u as usize >= n)
+                    .expect("the last entry is out of range");
+                panic!("neighbor {u} of {v} out of range");
             }
+            loops += list.binary_search(&(v as u32)).is_ok() as usize;
         }
         let regular = if n == 0 {
             None
@@ -105,18 +126,46 @@ impl Graph {
             adjacency,
             regular,
             name,
-            pick_table: PickTable::default(),
+            pick_table: Cached::default(),
+            connected: Cached::default(),
         };
         // Symmetry: every directed arc must have its reverse.
-        for v in 0..n as u32 {
-            for &u in g.neighbors(v) {
-                assert!(
-                    g.has_edge(u, v),
-                    "asymmetric adjacency: {v}->{u} present but {u}->{v} missing"
-                );
+        if !g.symmetric() {
+            for v in g.vertices() {
+                for &u in g.neighbors(v) {
+                    assert!(
+                        g.has_edge(u, v),
+                        "asymmetric adjacency: {v}->{u} present but {u}->{v} missing"
+                    );
+                }
             }
+            unreachable!("the cursor pass rejects only asymmetric rows");
         }
         g
+    }
+
+    /// The cursor pass of [`from_csr`](Self::from_csr): whether every arc
+    /// has its reverse, on rows already known to be sorted, duplicate-free
+    /// and in range. Each arc `v → u` must find `v` at `u`'s cursor before
+    /// the end of `u`'s row. Every arc then uses up one row entry and no
+    /// cursor passes its row's end, so when all arcs match, every cursor
+    /// has reached its row's end: no separate end check is needed.
+    fn symmetric(&self) -> bool {
+        // `used[u]` counts the entries of row `u` consumed so far (`u`'s
+        // cursor less its row start); a row has at most `n` entries, so
+        // the count fits a `u32`.
+        let mut used = vec![0u32; self.n()];
+        for v in self.vertices() {
+            for &u in self.neighbors(v) {
+                let (start, end) = self.row_bounds(u);
+                let c = start + used[u as usize] as usize;
+                if c == end || self.adjacency[c] != v {
+                    return false;
+                }
+                used[u as usize] += 1;
+            }
+        }
+        true
     }
 
     /// Number of vertices.
@@ -176,6 +225,15 @@ impl Graph {
         self.pick_table
             .0
             .get_or_init(|| crate::sweep::build_pick_table(self))
+    }
+
+    /// Whether the graph is connected, by BFS on the first call and from
+    /// the cache on every later one (and every thread).
+    pub(crate) fn connected(&self) -> bool {
+        *self
+            .connected
+            .0
+            .get_or_init(|| crate::algo::is_connected(self))
     }
 
     /// Sorted neighbor slice of `v` with a single up-front bound check.
@@ -366,10 +424,47 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "asymmetric")]
+    #[should_panic(expected = "asymmetric adjacency: 0->1 present but 1->0 missing")]
     fn from_csr_rejects_asymmetry() {
         // 0 -> 1 without 1 -> 0.
         Graph::from_csr(vec![0, 1, 1], vec![1], "bad".into());
+    }
+
+    #[test]
+    #[should_panic(expected = "asymmetric adjacency: 2->3 present but 3->2 missing")]
+    fn from_csr_rejects_extra_arc_at_row_end() {
+        // A triangle plus 2 -> 3 at the end of row 2: the arc finds
+        // vertex 3's cursor already at the end of its (empty) row.
+        Graph::from_csr(vec![0, 2, 4, 7, 7], vec![1, 2, 0, 2, 0, 1, 3], "bad".into());
+    }
+
+    #[test]
+    #[should_panic(expected = "asymmetric adjacency: 1->2 present but 2->1 missing")]
+    fn from_csr_names_reverse_arc_missing_mid_row() {
+        // K4 whose row 2 lacks its middle entry 1.
+        Graph::from_csr(
+            vec![0, 3, 6, 8, 11],
+            vec![1, 2, 3, 0, 2, 3, 0, 3, 0, 1, 2],
+            "bad".into(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "asymmetric adjacency: 3->1 present but 1->3 missing")]
+    fn from_csr_names_a_missing_arc_not_the_misaligned_one() {
+        // Row 3 is [0, 1, 2] but row 1 is empty. The cursor pass first
+        // fails at 2 -> 3 (vertex 3's cursor sits on the stray 1), whose
+        // reverse exists; the message names the arc without a reverse.
+        Graph::from_csr(vec![0, 1, 1, 2, 5], vec![3, 3, 0, 1, 2], "bad".into());
+    }
+
+    #[test]
+    fn from_csr_accepts_self_loops() {
+        // Loops at 0 (start of its row) and 1 (middle of its row).
+        let g = Graph::from_csr(vec![0, 2, 5, 6], vec![0, 1, 0, 1, 2, 1], "loops".into());
+        assert_eq!(g.self_loops(), 2);
+        assert_eq!(g.m(), 4);
+        assert_eq!(g.neighbors(1), &[0, 1, 2]);
     }
 
     #[test]
@@ -382,6 +477,12 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn from_csr_rejects_out_of_range() {
         Graph::from_csr(vec![0, 1], vec![5], "bad".into());
+    }
+
+    #[test]
+    #[should_panic(expected = "neighbor 7 of 0 out of range")]
+    fn from_csr_names_the_first_out_of_range_neighbor() {
+        Graph::from_csr(vec![0, 3, 3], vec![1, 7, 9], "bad".into());
     }
 
     #[test]

@@ -176,6 +176,7 @@ impl<'g> UniformSweep<'g> {
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::GraphBackend;
     use rand::{RngCore, SeedableRng};
 
     /// Reference implementation: per-token `SplitMix64` block draws and
@@ -262,18 +263,26 @@ mod tests {
 
     #[test]
     fn pick_table_is_built_once_per_graph_and_invisible() {
-        let g = generators::barbell(21);
-        let untouched = g.clone();
-        let a = UniformSweep::new(&g).unwrap();
-        let b = UniformSweep::new(&g).unwrap();
-        assert!(
-            std::ptr::eq(a.vtab, b.vtab),
-            "second sweep rebuilt the table"
-        );
-        assert_eq!(a.vtab, &build_pick_table(&g)[..]);
-        // A built table changes neither equality nor the debug form.
-        assert_eq!(g, untouched);
-        assert_eq!(format!("{g:?}"), format!("{untouched:?}"));
+        // Vertex 2 of the second graph is isolated.
+        let disconnected = Graph::from_csr(vec![0, 1, 2, 2], vec![1, 0], "iso".into());
+        for (g, connected) in [(generators::barbell(21), true), (disconnected, false)] {
+            let untouched = g.clone();
+            let a = UniformSweep::new(&g).unwrap();
+            let b = UniformSweep::new(&g).unwrap();
+            assert!(
+                std::ptr::eq(a.vtab, b.vtab),
+                "second sweep rebuilt the table"
+            );
+            assert_eq!(a.vtab, &build_pick_table(&g)[..]);
+            // The cached connectivity answers the same on every call.
+            for _ in 0..2 {
+                assert_eq!(GraphBackend::is_connected(&g), connected);
+            }
+            // A built table and a cached connectivity change neither
+            // equality nor the debug form.
+            assert_eq!(g, untouched);
+            assert_eq!(format!("{g:?}"), format!("{untouched:?}"));
+        }
     }
 
     #[test]
