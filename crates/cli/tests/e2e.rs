@@ -327,6 +327,14 @@ fn spec_typos_are_errors_not_other_experiments() {
             ),
             "'absolute' and 'relative'",
         ),
+        // A walk count past the position cap used to abort the process
+        // when the trial allocated its positions.
+        (
+            format!(
+                r#"{{{GRAPH}, "query": {{"type": "cover", "k": 100000000000, "starts": [0]}}}}"#
+            ),
+            "cap of 402653184",
+        ),
     ];
     for (i, (text, key)) in cases.iter().enumerate() {
         let spec = tmp.file(&format!("spec{i}.json"), text);
@@ -453,12 +461,13 @@ fn all_quick_prints_the_golden_tables() {
 }
 
 /// `mrw run --json` prints each batched spec's checked-in report byte
-/// for byte. The specs cover every batched driver (regular, flat,
-/// row-wise, and each implicit row arm: cycle, torus, and the general
-/// row builder through the hypercube) and the cover, partial-cover,
-/// hitting, meeting and pursuit observers, so a driver or observer
-/// change that moves a sample shows here even when all drivers move
-/// together. Every `<name>.spec.json` in the directory is checked, the
+/// for byte. The specs cover every batched driver (regular, flat, and
+/// rows: on CSR, irregular and regular, and on each implicit row arm:
+/// cycle, torus, and the general row builder through the hypercube) and
+/// the cover, partial-cover, hitting, meeting and pursuit observers, so
+/// a driver or observer change that moves a sample shows here even when
+/// all drivers move together. The lazy torus(9) meeting is pinned on
+/// both backends. Every `<name>.spec.json` in the directory is checked, the
 /// same set CI's experiment smoke loops over. Regenerate a fixture only
 /// for a change that means to move it:
 /// `mrw run <name>.spec.json --json > <name>.report.json`.
@@ -471,7 +480,7 @@ fn batched_reports_match_their_golden_fixtures() {
         .filter(|path| path.to_string_lossy().ends_with(".spec.json"))
         .collect();
     specs.sort();
-    assert!(specs.len() >= 9, "batched fixtures missing: {specs:?}");
+    assert!(specs.len() >= 10, "batched fixtures missing: {specs:?}");
     for spec in &specs {
         let spec = spec.to_str().unwrap();
         let report = format!("{}.report.json", spec.strip_suffix(".spec.json").unwrap());

@@ -433,6 +433,15 @@ fn malformed_requests_get_structured_errors_and_the_daemon_survives() {
             .to_vec(),
         // Not UTF-8 at all.
         vec![0xC3, 0x28, 0xFF],
+        // Nesting far past the parser's depth cap: refused, not a stack
+        // overflow that takes the daemon down.
+        vec![b'['; 30_000],
+        // A walk count whose positions would not fit in memory: refused,
+        // not an allocation failure that aborts the daemon.
+        br#"{"verb": "run", "spec": {"graph": {"family": "cycle", "n": 8},
+            "query": {"type": "cover", "k": 100000000000, "starts": [0]},
+            "budget": {"trials": 4, "seed": 1}}}"#
+            .to_vec(),
     ];
     for (from, to) in [
         ("verb", "vrb"),

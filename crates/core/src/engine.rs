@@ -41,18 +41,19 @@
 //!   counter-mode `SplitMix64` (no loop-carried multiply chain, so the
 //!   core overlaps many tokens' draws where xoshiro serializes them), and
 //!   the tokens are swept in one tight pass with the per-step kernel
-//!   consuming pre-drawn words through [`Process::step_bits`]. Row access
-//!   is specialized per run: on a regular graph (cycle, torus, hypercube,
-//!   clique — every Table 1 family) the CSR row of `v` is addressed
+//!   consuming pre-drawn words through [`Process::step_bits`]. Three
+//!   drivers step a round, one per shape a run can take. A plain walk
+//!   (one word per token) on a regular CSR graph (cycle, torus,
+//!   hypercube, clique — every Table 1 family) addresses the row of `v`
 //!   directly as `adjacency[v·d..(v+1)·d]` with **zero** offset loads and
-//!   the degree hoisted out of the loop; irregular graphs under a plain
-//!   uniform pick step through the flat pick table of [`UniformSweep`];
-//!   every other CSR case goes through [`Graph::neighbors_unchecked`],
-//!   which still elides the redundant bound checks of `neighbors()`; and
-//!   implicit backends step each round through one
-//!   [`GraphBackend::sweep_rows`] call, which resolves the family once and
-//!   builds every token's row arithmetically (in registers on the cycle
-//!   and torus).
+//!   the degree hoisted out of the loop; a plain walk on an irregular CSR
+//!   graph steps through the flat pick table of [`UniformSweep`]; every
+//!   other run (a two-word kernel on any backend, a plain walk on an
+//!   implicit graph) steps each round through one
+//!   [`GraphBackend::sweep_rows`] call, which resolves the backend once
+//!   and hands the kernel every token's row (a one-check window into the
+//!   CSR arrays, or built arithmetically, in registers on the implicit
+//!   cycle and torus).
 //!
 //! An earlier sorted-bucket design (re-sort tokens by vertex each round,
 //! one row fetch and RNG block per co-located bucket) was measured and
@@ -90,7 +91,7 @@
 //!
 //! ## Round-granular observers
 //!
-//! Token placement and the four batched drivers step (or place) the
+//! Token placement and the three batched drivers step (or place) the
 //! whole round first and then hand every position to
 //! [`Observer::visit_round`] once, so their per-token loops do nothing
 //! but step. The hook's default calls [`Observer::visit`] for each token
@@ -155,17 +156,25 @@ pub trait Process {
     /// [`step_bits`](Self::step_bits), or `None` when the process has only a scalar
     /// kernel (the engine then keeps the scalar loop even when batching is
     /// requested). Currently `Some(1)` or `Some(2)`.
+    ///
+    /// `Some(1)` is a contract: [`step_bits`](Self::step_bits) must be
+    /// exactly `pick(row, b0)`, a plain uniform neighbor pick with no hold
+    /// or acceptance logic. The batched engine then steps CSR graphs
+    /// without calling `step_bits` at all — direct regular-row addressing,
+    /// or the flat pick table ([`UniformSweep`]) — and the result must be
+    /// bit-identical to it. [`SimpleStep`] and `CompiledProcess::Simple`
+    /// are the two kernels that advertise it; a one-word kernel of any
+    /// other kind would be stepped as a simple walk.
     fn bits_per_step(&self) -> Option<usize> {
         None
     }
 
     /// Advances one token using pre-drawn uniform words instead of the
-    /// RNG — the batched-sweep kernel. `row` is the CSR neighbor row of
-    /// `pos`, fetched by the engine with the per-shape fast path (direct
-    /// regular-row addressing or `neighbors_unchecked`); `b0`/`b1` are
-    /// the token's words from the round's counter-expanded draw block
-    /// (`b1` is garbage when [`bits_per_step`](Self::bits_per_step) is
-    /// `Some(1)`).
+    /// RNG — the batched-sweep kernel. `row` is the sorted neighbor row
+    /// of `pos`, which the engine fetches a round at a time through
+    /// [`GraphBackend::sweep_rows`]; `b0`/`b1` are the token's words from
+    /// the round's counter-expanded draw block (`b1` is garbage when
+    /// [`bits_per_step`](Self::bits_per_step) is `Some(1)`).
     ///
     /// Only called when `bits_per_step` returns `Some`; the default
     /// panics so a scalar-only process that is accidentally routed here
@@ -173,16 +182,6 @@ pub trait Process {
     fn step_bits(&mut self, row: &[u32], pos: u32, b0: u64, b1: u64) -> u32 {
         let _ = (row, pos, b0, b1);
         unreachable!("process advertises no batched kernel (bits_per_step() == None)")
-    }
-
-    /// `true` when [`step_bits`](Self::step_bits) is exactly
-    /// `pick(row, b0)` — a plain uniform neighbor pick with no hold or
-    /// acceptance logic. The batched engine then steps irregular CSR
-    /// graphs through the flat pick table ([`UniformSweep`]) instead of
-    /// calling `step_bits`; the result must stay bit-identical to
-    /// `step_bits`, so only advertise it for genuinely plain kernels.
-    fn is_uniform_pick(&self) -> bool {
-        false
     }
 }
 
@@ -232,11 +231,6 @@ impl Process for SimpleStep {
     #[inline]
     fn step_bits(&mut self, row: &[u32], _pos: u32, b0: u64, _b1: u64) -> u32 {
         pick(row, b0)
-    }
-
-    #[inline]
-    fn is_uniform_pick(&self) -> bool {
-        true
     }
 }
 
@@ -368,11 +362,6 @@ impl Process for CompiledProcess {
                 }
             }
         }
-    }
-
-    #[inline]
-    fn is_uniform_pick(&self) -> bool {
-        matches!(self, CompiledProcess::Simple)
     }
 }
 
@@ -725,61 +714,55 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
     /// The batched counter-expansion sweep: per round, draw **one** word
     /// of the master stream and expand it into per-token draws through a
     /// counter-mode `SplitMix64` block RNG, then step every token with
-    /// the row access specialized for the backend's shape:
+    /// the row access specialized for the run's shape. A plain kernel
+    /// (`bpt == 1`, see [`Process::bits_per_step`]) on CSR takes
     ///
-    /// * regular CSR — direct row addressing, zero offset loads
+    /// * a regular graph with degree `d > 0` — direct row addressing,
+    ///   zero offset loads
     ///   ([`drive_batched_regular`](Self::drive_batched_regular));
-    /// * irregular CSR with a plain uniform pick — the flat table sweep
-    ///   ([`drive_batched_flat`](Self::drive_batched_flat) over
-    ///   [`UniformSweep`]);
-    /// * every other CSR case (a two-word kernel, or an adjacency array too
-    ///   large for the flat table's `u32` row starts) — the row-wise pass
-    ///   ([`drive_batched_rowwise`](Self::drive_batched_rowwise));
-    /// * implicit backend — one [`GraphBackend::sweep_rows`] call per
-    ///   round, arithmetic rows
-    ///   ([`drive_batched_implicit`](Self::drive_batched_implicit)).
+    /// * otherwise, where the flat table applies — the flat pick-table
+    ///   sweep ([`drive_batched_flat`](Self::drive_batched_flat) over
+    ///   [`UniformSweep`]).
     ///
-    /// Every path consumes identical draw words per token index, so the
-    /// batched stream is one law regardless of which specialization runs.
-    /// Each steps the whole round, then reports it to the observer through
-    /// one [`Observer::visit_round`] call before `end_round`.
+    /// Every other run — a two-word kernel (lazy, Metropolis) on any
+    /// backend, a plain kernel on an implicit graph, or on an adjacency
+    /// array too long for the flat table's `u32` row starts — takes one
+    /// [`GraphBackend::sweep_rows`] call per round
+    /// ([`drive_batched_rows`](Self::drive_batched_rows)).
+    ///
+    /// Every driver consumes identical draw words per token index, so the
+    /// batched stream is one law regardless of which one runs, and every
+    /// driver runs the same round loop: check the cap, draw the round
+    /// seed, step the whole round, report it through one
+    /// [`Observer::visit_round`] call, then `end_round`. Each driver is
+    /// kept out of line, so its step loop compiles the same way whatever
+    /// calls the engine (numbers at each driver).
     fn drive_batched<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         arena: &mut EngineArena,
         bpt: usize,
     ) -> (u64, bool) {
-        let g = self.g;
-        match g.csr() {
-            Some(csr) => {
-                // Regular graphs with non-empty rows take the direct-row
-                // path; `d = 0` (edgeless) would only arise alongside an
-                // isolated-vertex walk, which the scalar path also rejects
-                // (debug) — route it to the general accessors so the panic
-                // surfaces there.
-                if let Some(d) = csr.regular_degree().filter(|&d| d > 0) {
-                    self.drive_batched_regular(csr, d, rng, arena, bpt)
-                } else if self.process.is_uniform_pick() {
-                    match UniformSweep::new(csr) {
-                        Some(sweep) => self.drive_batched_flat(&sweep, rng, arena, bpt),
-                        None => self.drive_batched_rowwise(csr, rng, arena, bpt),
-                    }
-                } else {
-                    self.drive_batched_rowwise(csr, rng, arena, bpt)
-                }
+        if let (1, Some(csr)) = (bpt, self.g.csr()) {
+            // `d = 0` (edgeless) would only arise alongside an
+            // isolated-vertex walk, which the scalar path also rejects
+            // (debug): it leaves the regular driver, so the panic
+            // surfaces in the flat sweep's entry check.
+            if let Some(d) = csr.regular_degree().filter(|&d| d > 0) {
+                return self.drive_batched_regular(csr, d, rng, arena);
             }
-            None => self.drive_batched_implicit(rng, arena, bpt),
+            if let Some(sweep) = UniformSweep::new(csr, &mut arena.pos) {
+                return self.drive_batched_flat(sweep, rng);
+            }
         }
+        self.drive_batched_rows(rng, arena, bpt)
     }
 
-    /// Regular-CSR batched sweep: the row of `v` is
-    /// `adjacency[v·d..(v+1)·d]` — no offset loads, degree hoisted.
-    ///
-    /// A plain kernel ([`Process::is_uniform_pick`], one word per token)
-    /// steps as `adjacency[v·d + pick_index(d, b0)]`, which is exactly
+    /// Regular-CSR batched sweep of a plain kernel: the row of `v` is
+    /// `adjacency[v·d..(v+1)·d]` — no offset loads, degree hoisted — and
+    /// a step is `adjacency[v·d + pick_index(d, b0)]`, which is exactly
     /// `pick(row, b0)` with one bounds check instead of three (the row's
-    /// end overflow and length checks and the pick's index check). Every
-    /// other kernel gets the row slice through `step_bits`.
+    /// end overflow and length checks and the pick's index check).
     ///
     /// Kept out of line so the loop compiles the same way whatever calls
     /// the engine: inlined into `Session`'s per-trial closure, `mrw run`
@@ -791,100 +774,11 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
         d: usize,
         rng: &mut R,
         arena: &mut EngineArena,
-        bpt: usize,
     ) -> (u64, bool) {
         use rand::rngs::SplitMix64;
         use rand::{RngCore, SeedableRng};
 
         let adj = csr.adjacency();
-        let plain = bpt == 1 && self.process.is_uniform_pick();
-        let mut rounds = 0u64;
-        loop {
-            if Some(rounds) == self.cap {
-                return (rounds, false);
-            }
-            rounds += 1;
-            let mut block = SplitMix64::seed_from_u64(rng.next_u64());
-            if plain {
-                for p in arena.pos.iter_mut() {
-                    *p = adj[*p as usize * d + pick_index(d, block.next_u64())];
-                }
-            } else {
-                for p in arena.pos.iter_mut() {
-                    let b0 = block.next_u64();
-                    let b1 = if bpt == 2 { block.next_u64() } else { 0 };
-                    let start = *p as usize * d;
-                    *p = self.process.step_bits(&adj[start..start + d], *p, b0, b1);
-                }
-            }
-            self.observer.visit_round(&arena.pos);
-            if self.observer.end_round(self.g, &arena.pos, rng) {
-                return (rounds, true);
-            }
-        }
-    }
-
-    /// Irregular-CSR batched sweep through the flat pick-table kernel
-    /// ([`UniformSweep`]) — the fast path for plain uniform processes
-    /// ([`Process::is_uniform_pick`]), where the whole step is one table
-    /// load and a branch-free mask-or-Lemire pick. The kernel consumes
-    /// draw word `t · bpt` for token `t` of each round's block — exactly
-    /// the word the row-wise sweep hands it — and this wrapper keeps the
-    /// master-stream choreography identical to the other drivers: one
-    /// `rng.next_u64()` round seed drawn before each round, one
-    /// [`Observer::visit_round`] per round, `end_round` (which may draw
-    /// from `rng`) after it, cap checked after `end_round` just like the
-    /// loop-top check in [`drive_batched_rowwise`](Self::drive_batched_rowwise).
-    /// Byte-identical outcomes are pinned by
-    /// `flat_sweep_matches_rowwise_stream` below. The pick table belongs to
-    /// the graph, so a run builds it only on the graph's first sweep.
-    fn drive_batched_flat<R: Rng + ?Sized>(
-        &mut self,
-        sweep: &UniformSweep<'_>,
-        rng: &mut R,
-        arena: &mut EngineArena,
-        bpt: usize,
-    ) -> (u64, bool) {
-        if self.cap == Some(0) {
-            return (0, false);
-        }
-        let cap = self.cap;
-        let g = self.g;
-        let observer = &mut self.observer;
-        let mut finished = false;
-        let mut rounds = 0u64;
-        let first = rng.next_u64();
-        let swept = sweep.run(&mut arena.pos, bpt, first, |pos| {
-            rounds += 1;
-            observer.visit_round(pos);
-            if observer.end_round(g, pos, rng) {
-                finished = true;
-                return None;
-            }
-            if Some(rounds) == cap {
-                return None;
-            }
-            Some(rng.next_u64())
-        });
-        debug_assert_eq!(swept, rounds);
-        (rounds, finished)
-    }
-
-    /// Row-wise irregular-CSR batched sweep: the row of each token's
-    /// vertex through [`Graph::neighbors_unchecked`], then the kernel.
-    /// It serves two-word kernels (lazy, Metropolis), whose `step_bits`
-    /// does per-row work a pick table cannot inline, and plain kernels on
-    /// adjacency arrays beyond the flat table's `u32` row starts.
-    fn drive_batched_rowwise<R: Rng + ?Sized>(
-        &mut self,
-        csr: &Graph,
-        rng: &mut R,
-        arena: &mut EngineArena,
-        bpt: usize,
-    ) -> (u64, bool) {
-        use rand::rngs::SplitMix64;
-        use rand::{RngCore, SeedableRng};
-
         let mut rounds = 0u64;
         loop {
             if Some(rounds) == self.cap {
@@ -893,11 +787,7 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
             rounds += 1;
             let mut block = SplitMix64::seed_from_u64(rng.next_u64());
             for p in arena.pos.iter_mut() {
-                let b0 = block.next_u64();
-                let b1 = if bpt == 2 { block.next_u64() } else { 0 };
-                *p = self
-                    .process
-                    .step_bits(csr.neighbors_unchecked(*p), *p, b0, b1);
+                *p = adj[*p as usize * d + pick_index(d, block.next_u64())];
             }
             self.observer.visit_round(&arena.pos);
             if self.observer.end_round(self.g, &arena.pos, rng) {
@@ -906,13 +796,53 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
         }
     }
 
-    /// Implicit-backend batched sweep: no adjacency array exists, so each
-    /// round is one [`GraphBackend::sweep_rows`] call, which resolves the
-    /// family once and computes every token's row arithmetically. The
-    /// step closure hands out the round's draw words as it is called, in
-    /// token order, identical to the CSR sweeps, so implicit and CSR runs
-    /// of the same seed agree byte-for-byte.
-    fn drive_batched_implicit<R: Rng + ?Sized>(
+    /// Irregular-CSR batched sweep of a plain kernel through the flat
+    /// pick table ([`UniformSweep`]), where the whole step is one table
+    /// load and a branch-free mask-or-Lemire pick. Token `t` consumes
+    /// draw word `t` of each round's block — exactly the word the rows
+    /// driver hands it — so outcomes are byte-identical, pinned by
+    /// `flat_sweep_matches_rowwise_stream` below. The pick table belongs
+    /// to the graph, so a run builds it only on the graph's first sweep.
+    ///
+    /// Kept out of line: inlined into `Session`'s per-trial closure, the
+    /// step loop spent two more instructions per token-step (a register
+    /// copy and a re-materialized constant).
+    #[inline(never)]
+    fn drive_batched_flat<R: Rng + ?Sized>(
+        &mut self,
+        mut sweep: UniformSweep<'_>,
+        rng: &mut R,
+    ) -> (u64, bool) {
+        let mut rounds = 0u64;
+        loop {
+            if Some(rounds) == self.cap {
+                return (rounds, false);
+            }
+            rounds += 1;
+            sweep.round(rng.next_u64());
+            self.observer.visit_round(sweep.positions());
+            if self.observer.end_round(self.g, sweep.positions(), rng) {
+                return (rounds, true);
+            }
+        }
+    }
+
+    /// Row-wise batched sweep for every run the two drivers above do not
+    /// take: each round is one [`GraphBackend::sweep_rows`] call, which
+    /// resolves the backend once and hands the kernel every token's row
+    /// (a one-check window into CSR arrays, or computed arithmetically on
+    /// an implicit graph). The step closure hands out the round's draw
+    /// words as it is called, in token order, identical to the other
+    /// drivers, so implicit and CSR runs of the same seed agree
+    /// byte-for-byte.
+    ///
+    /// `sweep_rows` calls the closure from one site per row shape, and
+    /// with a two-word kernel LLVM left it out of line, one call per
+    /// token-step (lazy meetings on barbell(401) ran about 5% slower), so
+    /// it is forced inline; the driver is kept out of line like the
+    /// other two.
+    #[inline(never)]
+    fn drive_batched_rows<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         arena: &mut EngineArena,
@@ -930,11 +860,15 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
             rounds += 1;
             let mut block = SplitMix64::seed_from_u64(rng.next_u64());
             let process = &mut self.process;
-            g.sweep_rows(&mut arena.pos, |p, row| {
-                let b0 = block.next_u64();
-                let b1 = if bpt == 2 { block.next_u64() } else { 0 };
-                process.step_bits(row, p, b0, b1)
-            });
+            g.sweep_rows(
+                &mut arena.pos,
+                #[inline(always)]
+                |p, row| {
+                    let b0 = block.next_u64();
+                    let b1 = if bpt == 2 { block.next_u64() } else { 0 };
+                    process.step_bits(row, p, b0, b1)
+                },
+            );
             self.observer.visit_round(&arena.pos);
             if self.observer.end_round(g, &arena.pos, rng) {
                 return (rounds, true);
@@ -1920,27 +1854,37 @@ mod tests {
 
     #[test]
     fn rowwise_sweep_matches_reference_stream() {
-        // bpt = 2 kernels (lazy, metropolis) on an irregular graph take
-        // the row-wise sweep; the draw-pair assignment per token must
-        // match the in-order reference.
+        // bpt = 2 kernels (lazy, metropolis) on CSR graphs, regular and
+        // irregular, take the rows driver; the draw-pair assignment per
+        // token must match the in-order reference.
+        for g in [generators::barbell(13), generators::torus_2d(6)] {
+            let starts: Vec<u32> = (0..9).map(|t| t % g.n() as u32).collect();
+            for process in [WalkProcess::Lazy(0.3), WalkProcess::Metropolis] {
+                let compiled = CompiledProcess::new(process, &g);
+                let mut arena = EngineArena::new();
+                let _ = Engine::new(&g, compiled.clone(), ())
+                    .batch(BatchMode::Always)
+                    .cap(400)
+                    .run_with(&starts, &mut walk_rng(7), &mut arena);
+                let expect = rowwise_reference(&g, compiled, &starts, 7, 400);
+                assert_eq!(
+                    arena.positions(),
+                    expect,
+                    "{} {}",
+                    g.name(),
+                    process.label()
+                );
+            }
+        }
+        // Plain kernels reach the rows driver on CSR only when the
+        // adjacency array is too large for the flat table, so drive it
+        // directly.
         let g = generators::barbell(13);
         let starts: Vec<u32> = (0..9).map(|t| t % g.n() as u32).collect();
-        for process in [WalkProcess::Lazy(0.3), WalkProcess::Metropolis] {
-            let compiled = CompiledProcess::new(process, &g);
-            let mut arena = EngineArena::new();
-            let _ = Engine::new(&g, compiled.clone(), ())
-                .batch(BatchMode::Always)
-                .cap(400)
-                .run_with(&starts, &mut walk_rng(7), &mut arena);
-            let expect = rowwise_reference(&g, compiled, &starts, 7, 400);
-            assert_eq!(arena.positions(), expect, "{}", process.label());
-        }
-        // Plain kernels reach the row-wise sweep only when the adjacency
-        // array is too large for the flat table, so drive it directly.
         let mut engine = Engine::new(&g, SimpleStep, ()).cap(500);
         let mut arena = EngineArena::new();
         arena.pos.extend_from_slice(&starts);
-        let swept = engine.drive_batched_rowwise(&g, &mut walk_rng(42), &mut arena, 1);
+        let swept = engine.drive_batched_rows(&mut walk_rng(42), &mut arena, 1);
         assert_eq!(swept, (500, false));
         let expect = rowwise_reference(&g, SimpleStep, &starts, 42, 500);
         assert_eq!(arena.positions(), expect, "plain kernel");

@@ -249,7 +249,7 @@ fn write_escaped(out: &mut String, s: &str) {
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -277,8 +277,22 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let one hostile
+/// document (a frame of `[`s) overflow the stack; every document this
+/// crate writes nests at most a handful of levels.
+const MAX_DEPTH: usize = 64;
+
+/// Parses the value at `pos`, which sits inside `depth` open arrays and
+/// objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'{' | b'[')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -300,7 +314,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 }
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -322,7 +336,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -477,6 +491,24 @@ mod tests {
         assert!(parse("{\"a\": 1} extra").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("--5").is_err());
+        // Nesting is capped, so a deep document is an error naming the
+        // byte of the first bracket past the cap, not a stack overflow.
+        let deep = |open: &str, close: &str, levels: usize| {
+            format!("{}1{}", open.repeat(levels), close.repeat(levels))
+        };
+        assert!(parse(&deep("[", "]", MAX_DEPTH)).is_ok());
+        let err = parse(&deep("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than 64 levels at byte {MAX_DEPTH}")
+        );
+        assert!(parse(&deep("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        let err = parse(&deep("{\"a\":", "}", 100_000)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than 64 levels at byte {}", 5 * MAX_DEPTH)
+        );
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]

@@ -310,6 +310,12 @@ pub fn backend_from_str(s: &str) -> Result<BackendChoice, String> {
 /// `--backend implicit` instead of an allocation failure.
 pub const MAX_CSR_BYTES: u128 = 3 << 29; // 1.5 GiB
 
+/// Most walks one trial may run: every trial keeps one `u32` position per
+/// walk, and [`Query::validate`] refuses a position vector larger than
+/// [`MAX_CSR_BYTES`], the cap on the graph arrays themselves, rather than
+/// let the allocation abort the process.
+const MAX_WALKS: usize = (MAX_CSR_BYTES / 4) as usize;
+
 /// Estimated CSR footprint above which [`BackendChoice::Auto`] switches a
 /// structured family to the implicit backend (64 MiB): big enough that
 /// every historical CLI invocation keeps its CSR backend (and the exact
@@ -774,11 +780,20 @@ impl Query {
                 Err(error.to_string())
             }
         };
+        let within_cap = |ks: &[usize]| match ks.iter().find(|&&k| k > MAX_WALKS) {
+            Some(k) => Err(format!(
+                "k = {k} walks exceed the cap of {MAX_WALKS} \
+                 (one u32 position each, limit {} MiB)",
+                MAX_CSR_BYTES >> 20
+            )),
+            None => Ok(()),
+        };
         match self {
             Query::Cover { k, starts } => {
                 if *k < 1 {
                     return Err("need at least one walk".into());
                 }
+                within_cap(&[*k])?;
                 if starts.is_empty() {
                     return Err("need at least one start".into());
                 }
@@ -791,6 +806,7 @@ impl Query {
                 if *k < 1 {
                     return Err("need at least one walk".into());
                 }
+                within_cap(&[*k])?;
                 if gammas.is_empty() {
                     return Err("need at least one fraction".into());
                 }
@@ -829,6 +845,7 @@ impl Query {
                 if ks.iter().any(|&k| k < 1) {
                     return Err("need at least one hunter per rung".into());
                 }
+                within_cap(ks)?;
                 vertex("hunter start", *hunters)?;
                 vertex("prey", *prey)
             }
@@ -839,6 +856,7 @@ impl Query {
                 if ks.iter().any(|&k| k < 1) {
                     return Err("k must be ≥ 1".into());
                 }
+                within_cap(ks)?;
                 vertex("start", *start)?;
                 connected("cover time is infinite on a disconnected graph")
             }
@@ -2770,5 +2788,39 @@ mod tests {
         })
         .run(&g, &q);
         assert_eq!(fixed.certified(), None);
+    }
+
+    #[test]
+    fn walk_counts_past_the_position_cap_are_rejected() {
+        let g = generators::cycle(8);
+        let queries = |k: usize| {
+            [
+                Query::Cover { k, starts: vec![0] },
+                Query::PartialCover {
+                    k,
+                    start: 0,
+                    gammas: vec![0.5],
+                },
+                Query::Pursuit {
+                    ks: vec![2, k],
+                    hunters: 0,
+                    prey: 4,
+                    strategy: PreyStrategy::Hide,
+                    cap: 10,
+                },
+                Query::SpeedupLadder {
+                    start: 0,
+                    ks: vec![k, 2],
+                },
+            ]
+        };
+        assert_eq!(MAX_WALKS, 402_653_184);
+        for q in queries(MAX_WALKS) {
+            assert_eq!(q.validate(&g), Ok(()), "{}", q.kind());
+        }
+        for q in queries(MAX_WALKS + 1) {
+            let err = q.validate(&g).unwrap_err();
+            assert!(err.contains("cap of 402653184"), "{}: {err}", q.kind());
+        }
     }
 }

@@ -12,15 +12,16 @@
 //! `Σ_{t≥0} P(T₁ > t)²` (substochastic evolution of one walk killed at
 //! the target).
 //!
-//! Paths: the scalar loop under both disciplines, and the four batched
-//! drivers (regular, flat, row-wise, implicit) forced on with
-//! [`BatchMode::Always`]. `Session` reaches every path but the row-wise
-//! sweep, which only non-uniform kernels take, and runs hitting queries
-//! with one walk only; those cells drive the [`Engine`] directly. The
-//! row-wise cells use a lazy walk, whose exact value follows from Wald's
-//! identity: each simple-walk move of the `k = 1` walk waits a geometric
-//! number of holds, so `E[lazy time] = E[simple time] / (1 − p)` for the
-//! cover and partial cover times alike.
+//! Paths: the scalar loop under both disciplines, and the three batched
+//! drivers (regular, flat, rows) forced on with [`BatchMode::Always`].
+//! `Session` reaches the rows driver through implicit graphs; on CSR
+//! graphs only two-word kernels take it, and `Session` runs hitting
+//! queries with one walk only, so those cells drive the [`Engine`]
+//! directly. The CSR rows cells use a lazy walk, on an irregular and on
+//! a regular graph, whose exact value follows from Wald's identity: each
+//! simple-walk move of the `k = 1` walk waits a geometric number of
+//! holds, so `E[lazy time] = E[simple time] / (1 − p)` for the cover and
+//! partial cover times alike.
 
 use mrw_core::engine::{CompiledProcess, Engine, FullCover, Hit, PartialCover};
 use mrw_core::exact::{exact_kwalk_cover_time, exact_kwalk_partial_cover_time};
@@ -202,7 +203,7 @@ fn flat_cells(cell: Cell) {
     }
 }
 
-/// The implicit-backend sweep.
+/// The rows driver on the implicit backend.
 fn implicit_cells(cell: Cell) {
     let pairs = [
         (ImplicitGraph::cycle(8), generators::cycle(8)),
@@ -268,20 +269,21 @@ fn two_walk_hitting_is_calibrated_on_every_batched_driver() {
 
 #[test]
 fn rowwise_sweep_is_calibrated() {
-    let g = generators::lollipop(8);
     let hold = 0.5;
-    let exact = exact_kwalk_cover_time(&g, 0, 1) / (1.0 - hold);
-    let process = CompiledProcess::new(WalkProcess::Lazy(hold), &g);
-    let mut cover = FullCover::new(g.n());
-    assert_calibrated("lollipop(8) Lazy(0.5) k=1", exact, |seed| {
-        engine_ci(seed, |rng| {
-            cover.reset(g.n());
-            Engine::new(&g, process.clone(), &mut cover)
-                .batch(BatchMode::Always)
-                .run(&[0], rng)
-                .rounds
-        })
-    });
+    for g in [generators::lollipop(8), generators::torus_2d(3)] {
+        let exact = exact_kwalk_cover_time(&g, 0, 1) / (1.0 - hold);
+        let process = CompiledProcess::new(WalkProcess::Lazy(hold), &g);
+        let mut cover = FullCover::new(g.n());
+        assert_calibrated(&format!("{} Lazy(0.5) k=1", g.name()), exact, |seed| {
+            engine_ci(seed, |rng| {
+                cover.reset(g.n());
+                Engine::new(&g, process.clone(), &mut cover)
+                    .batch(BatchMode::Always)
+                    .run(&[0], rng)
+                    .rounds
+            })
+        });
+    }
 }
 
 #[test]

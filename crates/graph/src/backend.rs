@@ -31,15 +31,19 @@
 //!   BFS would say without touching all `n` vertices.
 //!
 //! The CSR [`Graph`] implements the trait by delegation, and
-//! `csr(&self) -> Option<&Graph>` lets the engine keep its direct-row
-//! batched fast path when a materialized adjacency exists.
+//! `csr(&self) -> Option<&Graph>` lets the engine keep its regular-row
+//! and flat pick-table batched drivers for plain walks when a
+//! materialized adjacency exists.
 //!
 //! ## Whole-round row access
 //!
-//! The batched engine asks for rows a round at a time through
-//! [`GraphBackend::sweep_rows`]: one call replaces every token position
-//! with the result of a step closure that sees the position's sorted
-//! row. [`ImplicitGraph`] matches its family once per call, not once per
+//! The batched engine's rows driver, which steps every two-word kernel
+//! (lazy, Metropolis) on any backend and plain walks on implicit graphs,
+//! asks for rows a round at a time through [`GraphBackend::sweep_rows`]:
+//! one call replaces every token position with the result of a step
+//! closure that sees the position's sorted row. The CSR [`Graph`] fetches
+//! each row through its row window with one bounds check per step.
+//! [`ImplicitGraph`] matches its family once per call, not once per
 //! step, and builds cycle and torus rows in registers in sorted order
 //! (one division per torus vertex, compare-wraps instead of `%`); the
 //! hypercube and circulant loop over their general row builder with the
@@ -153,7 +157,7 @@ impl GraphBackend for Graph {
     #[inline]
     fn sweep_rows(&self, positions: &mut [u32], mut step: impl FnMut(u32, &[u32]) -> u32) {
         for p in positions {
-            *p = step(*p, self.neighbors(*p));
+            *p = step(*p, self.neighbors_unchecked(*p));
         }
     }
 

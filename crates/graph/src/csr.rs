@@ -243,13 +243,13 @@ impl Graph {
     /// checks `v` once and then relies on the CSR invariants — validated
     /// exhaustively at construction ([`from_csr`](Self::from_csr)):
     /// `offsets.len() == n + 1`, offsets non-decreasing, and
-    /// `offsets[n] == adjacency.len()` — to elide the rest. The batched
-    /// engine sweep fetches every irregular-graph row through this (its
-    /// regular-graph path skips offsets entirely via
-    /// [`adjacency`](Self::adjacency)). A debug assert additionally
-    /// re-states the offsets invariant on the fetched window.
+    /// `offsets[n] == adjacency.len()` — to elide the rest.
+    /// [`GraphBackend::sweep_rows`](crate::GraphBackend::sweep_rows), the
+    /// batched engine's row access, fetches every row through this. A
+    /// debug assert additionally re-states the offsets invariant on the
+    /// fetched window.
     #[inline]
-    pub fn neighbors_unchecked(&self, v: u32) -> &[u32] {
+    pub(crate) fn neighbors_unchecked(&self, v: u32) -> &[u32] {
         let v = v as usize;
         assert!(v < self.n(), "vertex {v} out of range");
         // SAFETY: `v < n` was just checked, so `v + 1 <= n < offsets.len()`

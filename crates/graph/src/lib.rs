@@ -20,11 +20,12 @@
 //! (the convention under which a clique-with-loops walk is exactly the
 //! coupon-collector process of the paper's Lemma 12).
 
-// `deny`, not `forbid`: the scoped exceptions are the CSR row-window
-// accessor (`Graph::neighbors_unchecked`) and the flat batched-sweep
+// `deny`, not `forbid`: the scoped exceptions are the crate-private CSR
+// row-window accessor (`Graph::neighbors_unchecked`, which
+// `Graph::sweep_rows` fetches rows through) and the flat batched-sweep
 // kernel ([`sweep::UniformSweep`]), whose safety rests on the
-// construction-time CSR invariants plus a once-per-run position check —
-// see the comments at their definitions.
+// construction-time CSR invariants plus a position check when a sweep is
+// created — see the comments at their definitions.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -2,13 +2,13 @@
 //! CSR graphs.
 //!
 //! [`UniformSweep`] reads a graph's per-vertex pick table and advances a
-//! whole token population one synchronous round at a time, consuming the
-//! engine's counter-expanded draw law: round seed `r` expands through
-//! SplitMix64, token `t` takes word `t·stride`. The inner
-//! loop is deliberately branch-free and bounds-check-free — see the
-//! module-level safety argument below — because on cache-resident
-//! irregular graphs the batched walk is throughput-bound on exactly the
-//! few instructions in that loop.
+//! whole token population one synchronous round per
+//! [`round`](UniformSweep::round) call, consuming the engine's
+//! counter-expanded draw law: round seed `r` expands through SplitMix64,
+//! token `t` takes word `t`. The inner loop is deliberately branch-free
+//! and bounds-check-free — see the module-level safety argument below —
+//! because on cache-resident irregular graphs the batched walk is
+//! throughput-bound on exactly the few instructions in that loop.
 //!
 //! # The pick table
 //!
@@ -46,13 +46,16 @@
 //!   `adjacency.len()`, and that every adjacency entry is `< n`. The
 //!   arrays are immutable afterwards (`Graph`'s only `&mut` method is
 //!   `set_name`), the table is built from them, and [`UniformSweep`]
-//!   borrows both for `'g`, so table and arrays cannot drift apart.
-//! * [`UniformSweep::run`] asserts up front that every starting position
-//!   is `< n` with degree `≥ 1`, and that the table has `n` entries.
-//!   Each step replaces a position by an adjacency entry, which is `< n`
-//!   by construction and has degree `≥ 1` because adjacency is symmetric
-//!   (a listed vertex has at least its reverse edge) — so the
-//!   preconditions are closed under stepping.
+//!   borrows both, so table and arrays cannot drift apart.
+//! * [`UniformSweep::new`] asserts that every entry position is `< n`
+//!   with degree `≥ 1`, and that the table has `n` entries. The sweep
+//!   then holds the positions `&mut` and lends them out only shared
+//!   ([`positions`](UniformSweep::positions)), so only
+//!   [`round`](UniformSweep::round) changes them. Each step replaces a
+//!   position by an adjacency entry, which is `< n` by construction and
+//!   has degree `≥ 1` because adjacency is symmetric (a listed vertex has
+//!   at least its reverse edge) — so the preconditions are closed under
+//!   stepping.
 //! * For degree `d ≥ 1` both pick laws produce `idx < d`, hence
 //!   `row_start + idx < row_end ≤ adjacency.len()`.
 
@@ -75,98 +78,85 @@ pub(crate) fn build_pick_table(g: &Graph) -> Vec<[u64; 2]> {
         .collect()
 }
 
-/// A graph ready for flat uniform batched sweeps.
+/// A token population ready for flat uniform batched sweeps of a graph.
 ///
 /// Cheap to make: [`UniformSweep::new`] borrows the pick table the graph
 /// keeps, building it only on the graph's first sweep. The table is
 /// gated to CSR sizes where the batched fast path applies at all.
 #[derive(Debug)]
-pub struct UniformSweep<'g> {
-    g: &'g Graph,
+pub struct UniformSweep<'a> {
+    adj: &'a [u32],
     /// Per-vertex `[(row_start << 32) | m, a]` — see the module docs.
-    vtab: &'g [[u64; 2]],
+    vtab: &'a [[u64; 2]],
+    /// Token `t`'s vertex; checked at creation, changed only by `round`.
+    pos: &'a mut [u32],
 }
 
-impl<'g> UniformSweep<'g> {
-    /// A sweep over `g`, or `None` when the flat kernel does not apply:
-    /// an empty graph, or an adjacency array whose row starts overflow
-    /// the packed `u32` field.
-    pub fn new(g: &'g Graph) -> Option<Self> {
-        if g.n() == 0 || g.adjacency().len() > u32::MAX as usize {
+impl<'a> UniformSweep<'a> {
+    /// A sweep of the tokens at `pos` over `g`, or `None` when the flat
+    /// kernel does not apply: an empty graph, or an adjacency array whose
+    /// row starts overflow the packed `u32` field.
+    ///
+    /// # Panics
+    /// If any position is out of range or isolated (see the module-level
+    /// safety argument; the walk cannot *reach* an isolated vertex, so
+    /// only the entry positions need the check).
+    pub fn new(g: &'a Graph, pos: &'a mut [u32]) -> Option<Self> {
+        let n = g.n();
+        if n == 0 || g.adjacency().len() > u32::MAX as usize {
             return None;
         }
+        assert!(
+            pos.iter().all(|&p| (p as usize) < n && g.degree(p) > 0),
+            "sweep position out of range or isolated"
+        );
+        let vtab = g.pick_table();
+        assert_eq!(vtab.len(), n, "pick table does not match the graph");
         Some(UniformSweep {
-            g,
-            vtab: g.pick_table(),
+            adj: g.adjacency(),
+            vtab,
+            pos,
         })
     }
 
-    /// Sweeps rounds until `after_round` declines to continue, returning
-    /// the number of rounds swept.
-    ///
-    /// Round 1 expands `first_seed`; after each round `after_round` sees
-    /// the updated positions and returns the next round's seed, or `None`
-    /// to stop. Token `t` consumes draw word `t · stride` of its round's
-    /// block — exactly the word an in-token-order sweep hands it, so the
-    /// engine's batched law is preserved no matter which path steps the
-    /// tokens (`stride` is the process's words-per-step; the plain pick
-    /// reads only the first).
-    ///
-    /// # Panics
-    /// If any starting position is out of range or isolated (see the
-    /// module-level safety argument; the walk cannot *reach* an isolated
-    /// vertex, so only the entry positions need the check).
-    pub fn run<F: FnMut(&[u32]) -> Option<u64>>(
-        &self,
-        pos: &mut [u32],
-        stride: usize,
-        first_seed: u64,
-        mut after_round: F,
-    ) -> u64 {
-        let n = self.g.n();
-        assert!(
-            pos.iter()
-                .all(|&p| (p as usize) < n && self.g.degree(p) > 0),
-            "sweep position out of range or isolated"
-        );
-        let adj = self.g.adjacency();
-        let vtab = self.vtab;
-        assert_eq!(vtab.len(), n, "pick table does not match the graph");
-        let step_gamma = SplitMix64::GAMMA.wrapping_mul(stride as u64);
-        let mut rounds = 0u64;
-        let mut seed = first_seed;
-        loop {
-            rounds += 1;
-            // Token t's word index is t·stride, i.e. Weyl state
-            // `seed + (t·stride + 1)·GAMMA`: start one GAMMA past the
-            // seed and advance by stride·GAMMA per token.
-            let mut state = seed.wrapping_add(SplitMix64::GAMMA);
-            for p in pos.iter_mut() {
-                let w = SplitMix64::finalize(state);
-                state = state.wrapping_add(step_gamma);
-                // SAFETY: `*p < n == vtab.len()` — asserted above for the
-                // starting positions and closed under stepping because
-                // every adjacency entry is `< n` (`from_csr`).
-                #[allow(unsafe_code)]
-                let t = unsafe { *vtab.get_unchecked(*p as usize) };
-                let s = (t[0] >> 32) as usize;
-                let m = t[0] & 0xFFFF_FFFF;
-                let idx = ((w as u128 * m as u128) >> 64) as usize | (w & t[1]) as usize;
-                // SAFETY: the position has degree `d ≥ 1` (asserted /
-                // closed under stepping as above), both pick laws give
-                // `idx < d`, and `from_csr` guarantees
-                // `s + d ≤ adjacency.len()`.
-                #[allow(unsafe_code)]
-                {
-                    // SAFETY: as argued above — both pick laws give
-                    // `idx < d` and `from_csr` guarantees
-                    // `s + d ≤ adj.len()`.
-                    *p = unsafe { *adj.get_unchecked(s + idx) };
-                }
-            }
-            match after_round(pos) {
-                Some(next) => seed = next,
-                None => return rounds,
+    /// The tokens' current vertices (token `t` at index `t`).
+    #[inline]
+    pub fn positions(&self) -> &[u32] {
+        self.pos
+    }
+
+    /// Steps every token once, expanding `seed`: token `t` consumes draw
+    /// word `t` of the round's block — exactly the word an in-token-order
+    /// sweep hands it, so the engine's batched law is preserved no matter
+    /// which path steps the tokens.
+    #[inline]
+    pub fn round(&mut self, seed: u64) {
+        let (adj, vtab) = (self.adj, self.vtab);
+        // Token t's word index is t, i.e. Weyl state `seed + (t + 1)·GAMMA`:
+        // start one GAMMA past the seed and advance by GAMMA per token.
+        let mut state = seed.wrapping_add(SplitMix64::GAMMA);
+        for p in self.pos.iter_mut() {
+            let w = SplitMix64::finalize(state);
+            state = state.wrapping_add(SplitMix64::GAMMA);
+            // SAFETY: `*p < n == vtab.len()` — asserted in `new` for the
+            // entry positions and closed under stepping because every
+            // adjacency entry is `< n` (`from_csr`); only this loop writes
+            // the positions.
+            #[allow(unsafe_code)]
+            let t = unsafe { *vtab.get_unchecked(*p as usize) };
+            let s = (t[0] >> 32) as usize;
+            let m = t[0] & 0xFFFF_FFFF;
+            let idx = ((w as u128 * m as u128) >> 64) as usize | (w & t[1]) as usize;
+            // SAFETY: the position has degree `d ≥ 1` (asserted in `new`
+            // / closed under stepping as above), both pick laws give
+            // `idx < d`, and `from_csr` guarantees
+            // `s + d ≤ adjacency.len()`.
+            #[allow(unsafe_code)]
+            {
+                // SAFETY: as argued above — both pick laws give
+                // `idx < d` and `from_csr` guarantees
+                // `s + d ≤ adj.len()`.
+                *p = unsafe { *adj.get_unchecked(s + idx) };
             }
         }
     }
@@ -181,16 +171,12 @@ mod tests {
 
     /// Reference implementation: per-token `SplitMix64` block draws and
     /// the engine's safe pick law.
-    fn reference_round(g: &Graph, pos: &mut [u32], seed: u64, stride: usize) {
+    fn reference_round(g: &Graph, pos: &mut [u32], seed: u64) {
         let mut block = SplitMix64::seed_from_u64(seed);
-        let mut words = Vec::new();
-        for _ in 0..pos.len() * stride {
-            words.push(block.next_u64());
-        }
-        for (t, p) in pos.iter_mut().enumerate() {
+        for p in pos.iter_mut() {
             let row = g.neighbors(*p);
             let d = row.len();
-            let w = words[t * stride];
+            let w = block.next_u64();
             let idx = if d.is_power_of_two() {
                 (w & (d as u64 - 1)) as usize
             } else {
@@ -210,45 +196,24 @@ mod tests {
             generators::complete(5),
         ];
         for g in &graphs {
-            for stride in [1usize, 2] {
-                let sweep = UniformSweep::new(g).expect("kernel applies");
-                let mut pos: Vec<u32> = (0..8).map(|t| (t * 2) % g.n() as u32).collect();
-                let mut want = pos.clone();
-                let mut rng = SplitMix64::seed_from_u64(42);
-                let seeds: Vec<u64> = (0..20).map(|_| rng.next_u64()).collect();
-                for &s in &seeds {
-                    reference_round(g, &mut want, s, stride);
-                }
-                let mut next = seeds[1..].iter().copied();
-                let rounds = sweep.run(&mut pos, stride, seeds[0], |_| next.next());
-                assert_eq!(rounds, 20, "{}", g.name());
-                assert_eq!(pos, want, "{} stride {stride}", g.name());
+            let mut pos: Vec<u32> = (0..8).map(|t| (t * 2) % g.n() as u32).collect();
+            let mut want = pos.clone();
+            let mut sweep = UniformSweep::new(g, &mut pos).expect("kernel applies");
+            let mut rng = SplitMix64::seed_from_u64(42);
+            for _ in 0..20 {
+                let seed = rng.next_u64();
+                reference_round(g, &mut want, seed);
+                sweep.round(seed);
+                assert_eq!(sweep.positions(), want, "{}", g.name());
             }
         }
-    }
-
-    #[test]
-    fn after_round_sees_each_round_and_controls_stopping() {
-        let g = generators::barbell(15);
-        let sweep = UniformSweep::new(&g).unwrap();
-        let mut pos = vec![0u32; 4];
-        let mut seen = 0u64;
-        let rounds = sweep.run(&mut pos, 1, 7, |ps| {
-            seen += 1;
-            assert_eq!(ps.len(), 4);
-            (seen < 5).then_some(seen)
-        });
-        assert_eq!(rounds, 5);
-        assert_eq!(seen, 5);
     }
 
     #[test]
     #[should_panic(expected = "out of range or isolated")]
     fn rejects_out_of_range_start() {
         let g = generators::cycle(8);
-        let sweep = UniformSweep::new(&g).unwrap();
-        let mut pos = vec![8u32];
-        sweep.run(&mut pos, 1, 1, |_| None);
+        UniformSweep::new(&g, &mut [8]);
     }
 
     #[test]
@@ -256,9 +221,7 @@ mod tests {
     fn rejects_isolated_start() {
         // Vertex 2 is isolated: edges only between 0 and 1.
         let g = Graph::from_csr(vec![0, 1, 2, 2], vec![1, 0], "iso".into());
-        let sweep = UniformSweep::new(&g).unwrap();
-        let mut pos = vec![2u32];
-        sweep.run(&mut pos, 1, 1, |_| None);
+        UniformSweep::new(&g, &mut [2]);
     }
 
     #[test]
@@ -267,8 +230,9 @@ mod tests {
         let disconnected = Graph::from_csr(vec![0, 1, 2, 2], vec![1, 0], "iso".into());
         for (g, connected) in [(generators::barbell(21), true), (disconnected, false)] {
             let untouched = g.clone();
-            let a = UniformSweep::new(&g).unwrap();
-            let b = UniformSweep::new(&g).unwrap();
+            let (mut pa, mut pb) = ([0u32], [1u32]);
+            let a = UniformSweep::new(&g, &mut pa).unwrap();
+            let b = UniformSweep::new(&g, &mut pb).unwrap();
             assert!(
                 std::ptr::eq(a.vtab, b.vtab),
                 "second sweep rebuilt the table"
@@ -288,6 +252,6 @@ mod tests {
     #[test]
     fn declines_empty_graph() {
         let g = Graph::from_csr(vec![0], vec![], "empty".into());
-        assert!(UniformSweep::new(&g).is_none());
+        assert!(UniformSweep::new(&g, &mut []).is_none());
     }
 }
