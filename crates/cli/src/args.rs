@@ -148,9 +148,10 @@ estimate options:
                   byte-identical either way";
 
 /// Output format for tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Format {
     /// Plain ASCII columns.
+    #[default]
     Ascii,
     /// GitHub-flavoured Markdown.
     Markdown,
@@ -159,7 +160,7 @@ pub enum Format {
 }
 
 /// Parsed command-line options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Options {
     /// The experiment name (first positional argument).
     pub command: String,
@@ -253,43 +254,7 @@ impl Options {
         let command = it.next().ok_or("missing experiment name")?;
         let mut opts = Options {
             command,
-            quick: false,
-            trials: None,
-            seed: None,
-            threads: None,
-            batch: None,
-            precision: None,
-            rel_precision: None,
-            confidence: None,
-            min_trials: None,
-            max_trials: None,
-            family: None,
-            n: None,
-            k: None,
-            start: None,
-            jumps: None,
-            backend: None,
-            format: Format::Ascii,
-            json: false,
-            shard: None,
-            range: None,
-            groups: None,
-            workers: None,
-            fanout_shards: None,
-            retries: None,
-            chunk: None,
-            deadline_ms: None,
-            partial_ok: false,
-            checkpoint: None,
-            listen: None,
-            connect: None,
-            cache_bytes: None,
-            graph_cache_bytes: None,
-            persist: None,
-            delegate_trials: None,
-            prey: None,
-            k_ladder: None,
-            files: Vec::new(),
+            ..Options::default()
         };
         while let Some(arg) = it.next() {
             match arg.as_str() {

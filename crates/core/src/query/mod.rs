@@ -75,7 +75,7 @@ pub use ledger::{spec_hash, Ledger, LedgerGroup};
 
 use std::ops::Range;
 
-use mrw_graph::{Graph, GraphBackend, ImplicitGraph};
+use mrw_graph::{ClosedForm, Graph, GraphBackend, ImplicitGraph};
 use mrw_par::{par_map_with, SeedSequence};
 use mrw_stats::ci::{normal_ci, ConfidenceInterval};
 use mrw_stats::precision::PrecisionTarget;
@@ -434,35 +434,21 @@ impl GraphSpec {
         }
     }
 
-    /// Checks circulant jump lists the way the generator would, but as an
-    /// `Err` instead of a panic (spec files are untrusted input).
-    fn validate_jumps(&self) -> Result<(), String> {
-        if self.family != "circulant" {
-            return if self.jumps.is_empty() {
-                Ok(())
-            } else {
-                Err(format!("family '{}' takes no jumps", self.family))
-            };
+    /// The closed-form family the spec names, its parameters checked, or
+    /// `None` for a family without closed-form rows. The jump list is the
+    /// circulant's parameter; every other family refuses one.
+    fn closed_form(&self) -> Result<Option<ClosedForm>, String> {
+        if self.family != "circulant" && !self.jumps.is_empty() {
+            return Err(format!("family '{}' takes no jumps", self.family));
         }
         let n = self.n;
-        if n < 3 {
-            return Err(format!("circulant needs n ≥ 3, got {n}"));
+        match self.family.as_str() {
+            "cycle" => ClosedForm::cycle(n).map(Some),
+            "torus" => ClosedForm::torus_2d(n).map(Some),
+            "hypercube" => ClosedForm::hypercube(n).map(Some),
+            "circulant" => ClosedForm::circulant(n, &self.jumps).map(Some),
+            _ => Ok(None),
         }
-        if self.jumps.is_empty() {
-            return Err("circulant needs at least one jump".into());
-        }
-        let mut seen = std::collections::BTreeSet::new();
-        for &s in &self.jumps {
-            if s == 0 || s >= n {
-                return Err(format!("jump {s} out of range 1..{n}"));
-            }
-            if !seen.insert(s.min(n - s)) {
-                return Err(format!(
-                    "jump {s} duplicates another jump modulo ±-symmetry"
-                ));
-            }
-        }
-        Ok(())
     }
 
     /// Builds the described graph as materialized CSR arrays (the
@@ -471,107 +457,30 @@ impl GraphSpec {
     /// assert on is an `Err` here instead: spec files are untrusted input.
     pub fn build(&self) -> Result<Graph, String> {
         use mrw_graph::generators;
-        self.validate_jumps()?;
+        if let Some(family) = self.closed_form()? {
+            return Ok(family.to_csr());
+        }
         let n = self.n;
         let min = match self.family.as_str() {
-            "path" | "torus" | "clique-loops" => 1,
+            "path" | "clique-loops" => 1,
             "clique" => 2,
-            "cycle" => 3,
             "barbell" => 7,
             _ => 0,
         };
         let barbell = self.family == "barbell";
         if n < min || (barbell && n.is_multiple_of(2)) {
-            let size = if self.family == "torus" { "side" } else { "n" };
             let parity = if barbell { "odd " } else { "" };
-            return Err(format!(
-                "{} needs {parity}{size} ≥ {min}, got {n}",
-                self.family
-            ));
+            return Err(format!("{} needs {parity}n ≥ {min}, got {n}", self.family));
         }
         Ok(match self.family.as_str() {
-            "cycle" => generators::cycle(n),
             "path" => generators::path(n),
-            "torus" => generators::torus_2d(n),
-            "hypercube" => {
-                if n == 0 || n >= 31 {
-                    return Err(format!(
-                        "n = {n} is the hypercube *dimension* and must be in 1..=30"
-                    ));
-                }
-                generators::hypercube(n as u32)
-            }
             "clique" => generators::complete(n),
             "clique-loops" => generators::complete_with_loops(n),
             "barbell" => generators::barbell(n),
-            "circulant" => generators::circulant(n, &self.jumps),
             other => {
                 return Err(format!(
                     "unknown family '{other}' (cycle | path | torus | hypercube | clique | \
                      clique-loops | barbell | circulant)"
-                ))
-            }
-        })
-    }
-
-    /// Whether the family has a closed-form implicit twin.
-    fn has_implicit(&self) -> bool {
-        matches!(
-            self.family.as_str(),
-            "cycle" | "torus" | "hypercube" | "circulant"
-        )
-    }
-
-    /// Builds the implicit backend, validating every constructor
-    /// precondition as an `Err` first (the constructors assert).
-    fn build_implicit(&self) -> Result<ImplicitGraph, String> {
-        let n = self.n;
-        let u32_max = u32::MAX as usize;
-        Ok(match self.family.as_str() {
-            "cycle" => {
-                if n < 3 || n > u32_max {
-                    return Err(format!("implicit cycle needs 3 ≤ n ≤ {u32_max}, got {n}"));
-                }
-                ImplicitGraph::cycle(n)
-            }
-            "torus" => {
-                if !(2..=65_535).contains(&n) {
-                    return Err(format!(
-                        "implicit torus needs side in 2..=65535 (n = side² ≤ u32::MAX), got {n}"
-                    ));
-                }
-                ImplicitGraph::torus_2d(n)
-            }
-            "hypercube" => {
-                if n == 0 || n >= 31 {
-                    return Err(format!(
-                        "n = {n} is the hypercube *dimension* and must be in 1..=30"
-                    ));
-                }
-                ImplicitGraph::hypercube(n as u32)
-            }
-            "circulant" => {
-                self.validate_jumps()?;
-                if n > u32_max {
-                    return Err(format!("implicit circulant needs n ≤ {u32_max}, got {n}"));
-                }
-                let degree: usize = self
-                    .jumps
-                    .iter()
-                    .map(|&s| if 2 * s == n { 1 } else { 2 })
-                    .sum();
-                if degree > mrw_graph::MAX_IMPLICIT_DEGREE {
-                    return Err(format!(
-                        "implicit circulant degree {degree} exceeds the backend limit {}",
-                        mrw_graph::MAX_IMPLICIT_DEGREE
-                    ));
-                }
-                ImplicitGraph::circulant(n, &self.jumps)
-            }
-            other => {
-                return Err(format!(
-                    "family '{other}' has no implicit backend (cycle | torus | hypercube | \
-                     circulant)"
                 ))
             }
         })
@@ -612,37 +521,37 @@ impl GraphSpec {
     /// * `auto` — implicit for structured families whose CSR estimate
     ///   passes [`AUTO_IMPLICIT_BYTES`], CSR (with the same hard guard)
     ///   otherwise.
+    ///
+    /// A closed-form family's parameters are checked first, so a bad
+    /// size gets the same error on every backend.
     pub fn resolve(&self) -> Result<AnyGraph, String> {
-        let estimate = self.csr_bytes_estimate();
-        let csr_guard = |spec: &GraphSpec| -> Result<AnyGraph, String> {
-            if estimate > MAX_CSR_BYTES {
-                let hint = if spec.has_implicit() {
-                    "re-run with --backend implicit (O(1) state at any size)"
-                } else {
-                    "this family has no implicit backend — reduce n"
-                };
-                return Err(format!(
-                    "family '{}' at n = {} needs ≈{} MiB of CSR arrays \
-                     (limit {} MiB); {hint}",
-                    spec.family,
-                    spec.n,
-                    estimate >> 20,
-                    MAX_CSR_BYTES >> 20,
-                ));
-            }
-            spec.build().map(AnyGraph::Csr)
-        };
-        match self.backend {
-            BackendChoice::Csr => csr_guard(self),
-            BackendChoice::Implicit => self.build_implicit().map(AnyGraph::Implicit),
-            BackendChoice::Auto => {
-                if self.has_implicit() && estimate > AUTO_IMPLICIT_BYTES {
-                    self.build_implicit().map(AnyGraph::Implicit)
-                } else {
-                    csr_guard(self)
-                }
-            }
+        let family = self.closed_form()?;
+        if self.resolved_backend() == BackendChoice::Implicit {
+            let family = family.ok_or_else(|| {
+                format!(
+                    "family '{}' has no implicit backend (cycle | torus | hypercube | circulant)",
+                    self.family
+                )
+            })?;
+            return ImplicitGraph::new(family).map(AnyGraph::Implicit);
         }
+        let estimate = self.csr_bytes_estimate();
+        if estimate > MAX_CSR_BYTES {
+            let hint = if family.is_some() {
+                "re-run with --backend implicit (O(1) state at any size)"
+            } else {
+                "this family has no implicit backend — reduce n"
+            };
+            return Err(format!(
+                "family '{}' at n = {} needs ≈{} MiB of CSR arrays \
+                 (limit {} MiB); {hint}",
+                self.family,
+                self.n,
+                estimate >> 20,
+                MAX_CSR_BYTES >> 20,
+            ));
+        }
+        self.build().map(AnyGraph::Csr)
     }
 
     /// The backend [`resolve`](GraphSpec::resolve) would materialize,
@@ -654,7 +563,8 @@ impl GraphSpec {
     pub fn resolved_backend(&self) -> BackendChoice {
         match self.backend {
             BackendChoice::Auto => {
-                if self.has_implicit() && self.csr_bytes_estimate() > AUTO_IMPLICIT_BYTES {
+                let twin = matches!(self.closed_form(), Ok(Some(_)));
+                if twin && self.csr_bytes_estimate() > AUTO_IMPLICIT_BYTES {
                     BackendChoice::Implicit
                 } else {
                     BackendChoice::Csr

@@ -255,3 +255,95 @@ fn explicit_implicit_for_unsupported_family_errors() {
     .expect_err("barbell has no closed-form rows");
     assert!(err.contains("no implicit backend"), "{err}");
 }
+
+/// A closed-form family's parameter error is an `Err` on every backend
+/// that checks it, never a panic: the family's own rules on all three,
+/// and the implicit backend's limits (the one-vertex torus, degree above
+/// its row buffers) on `implicit` only.
+#[test]
+fn closed_form_parameter_errors_are_structured_on_every_backend() {
+    use BackendChoice::{Auto, Csr, Implicit};
+    let circulant = |n: usize, jumps: &[usize]| GraphSpec {
+        jumps: jumps.to_vec(),
+        ..GraphSpec::new("circulant", n)
+    };
+    let wide: Vec<usize> = (1..=33).collect();
+    let every: &[BackendChoice] = &[Csr, Implicit, Auto];
+    let cases = [
+        (
+            GraphSpec::new("cycle", 2),
+            every,
+            "cycle needs n ≥ 3, got 2",
+        ),
+        (
+            GraphSpec::new("torus", 0),
+            every,
+            "torus needs side ≥ 1, got 0",
+        ),
+        (
+            GraphSpec::new("torus", 1),
+            &[Implicit],
+            "implicit torus needs side ≥ 2, got 1",
+        ),
+        (
+            GraphSpec::new("torus", 65_536),
+            every,
+            "torus needs side ≤ 65535 (n = side² ≤ u32::MAX), got 65536",
+        ),
+        (
+            GraphSpec::new("hypercube", 0),
+            every,
+            "hypercube needs dimension in 1..=30, got 0",
+        ),
+        (
+            GraphSpec::new("hypercube", 31),
+            every,
+            "hypercube needs dimension in 1..=30, got 31",
+        ),
+        (
+            circulant(10, &[]),
+            every,
+            "circulant needs at least one jump",
+        ),
+        (circulant(10, &[0]), every, "jump 0 out of range 1..10"),
+        (circulant(10, &[10]), every, "jump 10 out of range 1..10"),
+        (
+            circulant(10, &[3, 7]),
+            every,
+            "jump 7 duplicates another jump modulo ±-symmetry",
+        ),
+        (
+            circulant(200, &wide),
+            &[Implicit],
+            "has degree 66, above the backend limit 64",
+        ),
+    ];
+    for (spec, backends, message) in cases {
+        for &backend in backends {
+            let spec = GraphSpec {
+                backend,
+                ..spec.clone()
+            };
+            match spec.resolve() {
+                Err(e) => assert!(e.contains(message), "{spec:?}: {e}"),
+                Ok(g) => panic!("{spec:?} resolved to {}", g.name()),
+            }
+        }
+    }
+    // What only the implicit backend refuses stays a CSR graph elsewhere.
+    for backend in [Csr, Auto] {
+        let one = GraphSpec {
+            backend,
+            ..GraphSpec::new("torus", 1)
+        };
+        assert_eq!(one.resolve().expect("one-vertex torus").n(), 1);
+        let g = GraphSpec {
+            backend,
+            ..circulant(200, &wide)
+        }
+        .resolve()
+        .expect("degree-66 circulant");
+        assert!(matches!(g, AnyGraph::Csr(_)));
+        assert_eq!(g.regular_degree(), Some(66));
+    }
+}

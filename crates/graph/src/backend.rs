@@ -16,19 +16,33 @@
 //! ## The determinism contract
 //!
 //! An implicit family must be **indistinguishable** from its CSR twin to
-//! every consumer:
+//! every consumer. Both come from one [`ClosedForm`] value, so this holds
+//! by construction: [`ClosedForm::to_csr`] writes each row with the same
+//! row code [`ImplicitGraph`] steps along, and the name, vertex count and
+//! connectivity are the family's own.
 //!
 //! * `neighbor(v, i)` returns the `i`-th entry of the *sorted* neighbor
 //!   row — exactly the entry `generators::<family>(..).neighbor(v, i)`
 //!   returns. Walk streams consume RNG draws identically on both
-//!   backends, so every report is byte-identical at sizes where both run
-//!   (the cross-backend equivalence suite diffs the rendered JSON).
+//!   backends, so every report is byte-identical at sizes where both run.
 //! * `name()` and `n()` match the generator's, so
 //!   [`GraphInfo`](../../mrw_core/query/struct.GraphInfo.html)-keyed
 //!   report merges accept shards from either backend.
 //! * `is_connected()` is computed arithmetically (a cycle is always
 //!   connected; a circulant iff `gcd(n, s₁, …, s_j) = 1`), matching what
-//!   BFS would say without touching all `n` vertices.
+//!   BFS would say without touching all `n` vertices. A materialized
+//!   family carries the same answer, so its first `is_connected` runs no
+//!   BFS either.
+//!
+//! The tests that still pin the contract: this module's twin tests check
+//! every materialized family against builders that share no row code
+//! with it (the d-dimensional lattice `generators::torus` for the cycle,
+//! the 2-d torus and the hypercube, and a `GraphBuilder` loop for the
+//! circulant) and the implicit accessors, `sweep_rows` included, against
+//! the materialized arrays, with connectivity checked by BFS; the golden
+//! digests of `mrw-core`'s `graph_digests` test pin the arrays
+//! themselves; and `mrw-core`'s `backend_equivalence` suite diffs the
+//! rendered reports of both backends.
 //!
 //! The CSR [`Graph`] implements the trait by delegation, and
 //! `csr(&self) -> Option<&Graph>` lets the engine keep its regular-row
@@ -49,8 +63,8 @@
 //! hypercube and circulant loop over their general row builder with the
 //! degree hoisted.
 
+use crate::closed::{cycle_row, torus2_row, torus_row, valid, ClosedForm, Shape};
 use crate::csr::Graph;
-use crate::generators;
 
 /// Greatest degree an implicit family may have: hypercube and circulant
 /// rows are built into fixed-size stack buffers.
@@ -186,28 +200,10 @@ impl GraphBackend for Graph {
     }
 }
 
-/// Which implicit family an [`ImplicitGraph`] computes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Family {
-    /// The cycle `L_n` (`n ≥ 3`).
-    Cycle { n: usize },
-    /// The square torus `side × side` (`side ≥ 2`).
-    Torus2d { side: usize },
-    /// The hypercube `Q_d` (`1 ≤ d ≤ 30`).
-    Hypercube { d: u32 },
-    /// The circulant `C_n(jumps)` (same parameter rules as
-    /// [`generators::circulant`]).
-    Circulant {
-        n: usize,
-        jumps: Vec<usize>,
-        degree: usize,
-    },
-}
-
 /// An O(1)-state graph whose neighborhoods are computed arithmetically —
-/// the implicit backend for the structured families of the paper's
-/// Table 1. See the module docs for the determinism contract it obeys
-/// with respect to the CSR generators.
+/// the implicit backend of a [`ClosedForm`] family (the structured
+/// families of the paper's Table 1). Its rows are the family's own, the
+/// ones [`ClosedForm::to_csr`] materializes; see the module docs.
 ///
 /// ```
 /// use mrw_graph::backend::{GraphBackend, ImplicitGraph};
@@ -223,201 +219,59 @@ enum Family {
 /// }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ImplicitGraph {
-    family: Family,
-    n: usize,
-    name: String,
-}
+pub struct ImplicitGraph(ClosedForm);
 
 impl ImplicitGraph {
+    /// The implicit backend of `family`. It refuses the one-vertex torus
+    /// (side 1, no rows to step along) and degrees above
+    /// [`MAX_IMPLICIT_DEGREE`]; both stay valid CSR graphs.
+    ///
+    /// # Errors
+    /// On either refusal.
+    pub fn new(family: ClosedForm) -> Result<ImplicitGraph, String> {
+        if family.shape == (Shape::Torus2d { side: 1 }) {
+            return Err("implicit torus needs side ≥ 2, got 1".into());
+        }
+        if family.degree() > MAX_IMPLICIT_DEGREE {
+            return Err(format!(
+                "implicit {} has degree {}, above the backend limit {MAX_IMPLICIT_DEGREE}",
+                family.name(),
+                family.degree()
+            ));
+        }
+        Ok(ImplicitGraph(family))
+    }
+
     /// The implicit cycle `L_n`.
     ///
     /// # Panics
-    /// If `n < 3` (matching [`generators::cycle`]).
+    /// On the errors of [`ClosedForm::cycle`] and [`ImplicitGraph::new`].
     pub fn cycle(n: usize) -> ImplicitGraph {
-        assert!(n >= 3, "cycle needs at least 3 vertices, got {n}");
-        assert!(n <= u32::MAX as usize, "too many vertices for u32 ids");
-        ImplicitGraph {
-            family: Family::Cycle { n },
-            n,
-            name: format!("cycle({n})"),
-        }
+        valid(ClosedForm::cycle(n).and_then(Self::new))
     }
 
     /// The implicit square torus `side × side`.
     ///
     /// # Panics
-    /// If `side < 2` (side 1 is a degenerate single vertex) or the vertex
-    /// count overflows `u32` ids.
+    /// On the errors of [`ClosedForm::torus_2d`] and [`ImplicitGraph::new`].
     pub fn torus_2d(side: usize) -> ImplicitGraph {
-        assert!(side >= 2, "implicit torus needs side ≥ 2, got {side}");
-        let n = side.checked_mul(side).expect("torus size overflows usize");
-        assert!(n <= u32::MAX as usize, "torus too large for u32 vertex ids");
-        ImplicitGraph {
-            family: Family::Torus2d { side },
-            n,
-            name: format!("torus2d({side}x{side})"),
-        }
+        valid(ClosedForm::torus_2d(side).and_then(Self::new))
     }
 
     /// The implicit hypercube `Q_d`.
     ///
     /// # Panics
-    /// If `d` is outside `1..=30` (matching [`generators::hypercube`]).
+    /// On the errors of [`ClosedForm::hypercube`].
     pub fn hypercube(d: u32) -> ImplicitGraph {
-        assert!(d >= 1, "hypercube needs dimension ≥ 1");
-        assert!(d < 31, "hypercube dimension {d} too large for u32 ids");
-        ImplicitGraph {
-            family: Family::Hypercube { d },
-            n: 1usize << d,
-            name: format!("hypercube({d})"),
-        }
+        valid(ClosedForm::hypercube(d as usize).and_then(Self::new))
     }
 
     /// The implicit circulant `C_n(jumps)`.
     ///
     /// # Panics
-    /// On the same parameter violations as [`generators::circulant`], or
-    /// if the degree would exceed [`MAX_IMPLICIT_DEGREE`].
+    /// On the errors of [`ClosedForm::circulant`] and [`ImplicitGraph::new`].
     pub fn circulant(n: usize, jumps: &[usize]) -> ImplicitGraph {
-        assert!(n >= 3, "circulant needs n ≥ 3, got {n}");
-        assert!(n <= u32::MAX as usize, "too many vertices for u32 ids");
-        assert!(!jumps.is_empty(), "circulant needs at least one jump");
-        let mut seen = std::collections::BTreeSet::new();
-        let mut degree = 0usize;
-        for &s in jumps {
-            assert!(s >= 1 && s < n, "jump {s} out of range 1..{n}");
-            let canon = s.min(n - s);
-            assert!(
-                seen.insert(canon),
-                "jump {s} duplicates another jump modulo ±-symmetry"
-            );
-            // The half jump s = n/2 pairs each vertex with one antipode.
-            degree += if 2 * s == n { 1 } else { 2 };
-        }
-        assert!(
-            degree <= MAX_IMPLICIT_DEGREE,
-            "circulant degree {degree} exceeds the implicit-backend cap {MAX_IMPLICIT_DEGREE}"
-        );
-        ImplicitGraph {
-            family: Family::Circulant {
-                n,
-                jumps: jumps.to_vec(),
-                degree,
-            },
-            n,
-            name: format!("circulant(n={n},jumps={jumps:?})"),
-        }
-    }
-
-    /// The constant vertex degree (every implicit family is regular).
-    #[inline]
-    pub fn degree_const(&self) -> usize {
-        match &self.family {
-            Family::Cycle { .. } => 2,
-            Family::Torus2d { side } => {
-                if *side >= 3 {
-                    4
-                } else {
-                    2 // side 2: the wrap edge coincides with the +1 edge
-                }
-            }
-            Family::Hypercube { d } => *d as usize,
-            Family::Circulant { degree, .. } => *degree,
-        }
-    }
-
-    /// Writes `v`'s sorted neighbor row into `row` and returns the degree
-    /// (`row` must hold at least `degree_const()` entries).
-    #[inline]
-    fn row_into(&self, v: u32, row: &mut [u32]) -> usize {
-        let vu = v as usize;
-        debug_assert!(vu < self.n, "vertex {v} out of range");
-        match &self.family {
-            Family::Cycle { n } => {
-                row[..2].copy_from_slice(&cycle_row(v, *n as u32));
-                2
-            }
-            Family::Torus2d { side: 2 } => {
-                row[..2].copy_from_slice(&torus2_row(v));
-                2
-            }
-            Family::Torus2d { side } => {
-                row[..4].copy_from_slice(&torus_row(v, *side as u32));
-                4
-            }
-            Family::Hypercube { d } => {
-                // Sorted row in closed form: flipping a *set* bit lowers
-                // the value (highest set bit → smallest neighbor), flipping
-                // an *unset* bit raises it (lowest unset bit first).
-                let mut i = 0;
-                for b in (0..*d).rev() {
-                    if v & (1 << b) != 0 {
-                        row[i] = v ^ (1 << b);
-                        i += 1;
-                    }
-                }
-                for b in 0..*d {
-                    if v & (1 << b) == 0 {
-                        row[i] = v ^ (1 << b);
-                        i += 1;
-                    }
-                }
-                i
-            }
-            Family::Circulant { n, jumps, degree } => {
-                let mut i = 0;
-                for &s in jumps {
-                    row[i] = ((vu + s) % n) as u32;
-                    i += 1;
-                    if 2 * s != *n {
-                        row[i] = ((vu + n - s) % n) as u32;
-                        i += 1;
-                    }
-                }
-                let filled = &mut row[..i];
-                filled.sort_unstable();
-                debug_assert_eq!(i, *degree);
-                i
-            }
-        }
-    }
-}
-
-/// The sorted row of `v` on the cycle of `n` vertices.
-#[inline]
-fn cycle_row(v: u32, n: u32) -> [u32; 2] {
-    let next = if v + 1 == n { 0 } else { v + 1 };
-    let prev = if v == 0 { n - 1 } else { v - 1 };
-    [next.min(prev), next.max(prev)]
-}
-
-/// The sorted row of `v` on the 2 × 2 torus: each axis contributes the
-/// single edge `x ↔ x ^ 1`, so the neighbors flip bit 0 (x) and bit 1 (y).
-#[inline]
-fn torus2_row(v: u32) -> [u32; 2] {
-    let (a, b) = (v ^ 1, v ^ 2);
-    [a.min(b), a.max(b)]
-}
-
-/// The sorted row of `v = x + s·y` on the `s × s` torus, `s ≥ 3`. The row
-/// is ordered by grid row: a wrap moves a y-neighbor to the other end,
-/// and the two x-neighbors share row `y`.
-#[inline]
-fn torus_row(v: u32, s: u32) -> [u32; 4] {
-    let y = v / s;
-    let x = v - y * s;
-    let left = if x == 0 { v + (s - 1) } else { v - 1 };
-    let right = if x + 1 == s { v - (s - 1) } else { v + 1 };
-    let (a, b) = (left.min(right), left.max(right));
-    let up = if y == 0 { v + s * (s - 1) } else { v - s };
-    let down = if y + 1 == s { x } else { v + s };
-    if y == 0 {
-        [a, b, down, up]
-    } else if y + 1 == s {
-        [down, up, a, b]
-    } else {
-        [up, a, b, down]
+        valid(ClosedForm::circulant(n, jumps).and_then(Self::new))
     }
 }
 
@@ -436,54 +290,52 @@ fn sweep_fixed<const D: usize>(
 impl GraphBackend for ImplicitGraph {
     #[inline]
     fn n(&self) -> usize {
-        self.n
+        self.0.n()
     }
 
     fn m(&self) -> usize {
         // Regular of degree d with no self-loops: m = n·d/2 (the half
         // jump's odd degree is always paired with an even n).
-        self.n * self.degree_const() / 2
+        self.0.n() * self.0.degree() / 2
     }
 
     fn name(&self) -> &str {
-        &self.name
+        self.0.name()
     }
 
     #[inline]
     fn degree(&self, _v: u32) -> usize {
-        self.degree_const()
+        self.0.degree()
     }
 
     #[inline]
     fn neighbor(&self, v: u32, i: usize) -> u32 {
-        let mut row = [0u32; MAX_IMPLICIT_DEGREE];
-        let d = self.row_into(v, &mut row);
+        let d = self.0.degree();
         assert!(i < d, "neighbor index {i} out of range (degree {d})");
+        let mut row = [0u32; MAX_IMPLICIT_DEGREE];
+        self.0.row_into(v, &mut row);
         row[i]
     }
 
     #[inline]
     fn regular_degree(&self) -> Option<usize> {
-        Some(self.degree_const())
+        Some(self.0.degree())
     }
 
     #[inline]
     fn sweep_rows(&self, positions: &mut [u32], mut step: impl FnMut(u32, &[u32]) -> u32) {
-        match &self.family {
-            Family::Cycle { n } => {
-                let n = *n as u32;
+        match self.0.shape {
+            Shape::Cycle => {
+                let n = self.0.n() as u32;
                 sweep_fixed(positions, |v| cycle_row(v, n), step);
             }
-            Family::Torus2d { side: 2 } => sweep_fixed(positions, torus2_row, step),
-            Family::Torus2d { side } => {
-                let s = *side as u32;
-                sweep_fixed(positions, |v| torus_row(v, s), step);
-            }
-            Family::Hypercube { .. } | Family::Circulant { .. } => {
-                let d = self.degree_const();
+            Shape::Torus2d { side: 2 } => sweep_fixed(positions, torus2_row, step),
+            Shape::Torus2d { side } => sweep_fixed(positions, |v| torus_row(v, side), step),
+            Shape::Hypercube { .. } | Shape::Circulant { .. } => {
+                let d = self.0.degree();
                 let mut row = [0u32; MAX_IMPLICIT_DEGREE];
                 for p in positions {
-                    self.row_into(*p, &mut row);
+                    self.0.row_into(*p, &mut row);
                     *p = step(*p, &row[..d]);
                 }
             }
@@ -493,62 +345,78 @@ impl GraphBackend for ImplicitGraph {
     #[inline]
     fn for_each_neighbor(&self, v: u32, mut f: impl FnMut(u32)) {
         let mut row = [0u32; MAX_IMPLICIT_DEGREE];
-        let d = self.row_into(v, &mut row);
-        for &u in &row[..d] {
+        self.0.row_into(v, &mut row);
+        for &u in &row[..self.0.degree()] {
             f(u);
         }
     }
 
     fn to_csr(&self) -> Graph {
-        match &self.family {
-            Family::Cycle { n } => generators::cycle(*n),
-            Family::Torus2d { side } => generators::torus_2d(*side),
-            Family::Hypercube { d } => generators::hypercube(*d),
-            Family::Circulant { n, jumps, .. } => generators::circulant(*n, jumps),
-        }
+        self.0.to_csr()
     }
 
     fn is_connected(&self) -> bool {
-        match &self.family {
-            Family::Cycle { .. } | Family::Torus2d { .. } | Family::Hypercube { .. } => true,
-            // The jumps generate the subgroup gcd(n, s₁, …, s_j)·ℤ_n.
-            Family::Circulant { n, jumps, .. } => {
-                let mut g = *n;
-                for &s in jumps {
-                    g = gcd(g, s);
-                }
-                g == 1
-            }
-        }
+        self.0.is_connected()
     }
 
     fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.name.len()
-            + match &self.family {
-                Family::Circulant { jumps, .. } => jumps.len() * std::mem::size_of::<usize>(),
+            + self.0.name().len()
+            + match &self.0.shape {
+                Shape::Circulant { jumps } => jumps.len() * std::mem::size_of::<usize>(),
                 _ => 0,
             }
-    }
-}
-
-fn gcd(a: usize, b: usize) -> usize {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo;
+    use crate::{algo, generators, GraphBuilder};
 
-    /// Exhaustive cross-backend check: every accessor of the implicit
-    /// graph must agree with the materialized generator output.
+    /// `family` built by code that shares no row code with it: the
+    /// d-dimensional lattice builder for the cycle (a 1-d torus), the 2-d
+    /// torus and the hypercube (side 2 in every dimension), and for the
+    /// circulant the `GraphBuilder` loop its generator used to run.
+    fn reference(family: &ClosedForm) -> Graph {
+        let n = family.n();
+        let mut g = match &family.shape {
+            Shape::Cycle => generators::torus(&[n]),
+            Shape::Torus2d { side } => generators::torus(&[*side as usize; 2]),
+            Shape::Hypercube { d } => generators::torus(&vec![2; *d as usize]),
+            Shape::Circulant { jumps } => {
+                let mut b = GraphBuilder::with_capacity(n, n * jumps.len());
+                for v in 0..n {
+                    for &s in jumps {
+                        b.add_edge(v as u32, ((v + s) % n) as u32);
+                    }
+                }
+                b.build("")
+            }
+        };
+        g.set_name(family.name());
+        g
+    }
+
+    /// The family's materialized arrays equal the reference's, and the
+    /// connectivity the graph is born with is what BFS says.
+    fn assert_materializes(family: &ClosedForm) -> Graph {
+        let csr = family.to_csr();
+        assert_eq!(csr, reference(family), "arrays of {}", family.name());
+        assert_eq!(
+            GraphBackend::is_connected(&csr),
+            algo::is_connected(&csr),
+            "connectivity of {}",
+            family.name()
+        );
+        csr
+    }
+
+    /// Exhaustive cross-backend check: the materialized family matches its
+    /// reference, and every accessor of the implicit graph agrees with the
+    /// materialized arrays.
     fn assert_twin(implicit: &ImplicitGraph) {
-        let csr = implicit.to_csr();
+        let csr = assert_materializes(&implicit.0);
         assert_eq!(implicit.name(), GraphBackend::name(&csr));
         assert_eq!(GraphBackend::n(implicit), Graph::n(&csr));
         assert_eq!(GraphBackend::m(implicit), Graph::m(&csr));
@@ -586,21 +454,29 @@ mod tests {
 
     #[test]
     fn cycle_matches_generator() {
-        for n in [3, 4, 5, 8, 33, 100] {
+        for n in (3..=40).chain([64, 100, 257]) {
             assert_twin(&ImplicitGraph::cycle(n));
         }
     }
 
     #[test]
     fn torus_matches_generator() {
-        for side in [2, 3, 4, 5, 9, 16] {
+        for side in (2..=17).chain([32, 64]) {
             assert_twin(&ImplicitGraph::torus_2d(side));
         }
+        // The one-vertex torus is a valid CSR graph with no rows, and no
+        // implicit graph.
+        let one = ClosedForm::torus_2d(1).expect("side 1");
+        assert_eq!(assert_materializes(&one).n(), 1);
+        assert_eq!(
+            ImplicitGraph::new(one),
+            Err("implicit torus needs side ≥ 2, got 1".into())
+        );
     }
 
     #[test]
     fn hypercube_matches_generator() {
-        for d in 1..=8u32 {
+        for d in 1..=10u32 {
             assert_twin(&ImplicitGraph::hypercube(d));
         }
     }
@@ -614,9 +490,16 @@ mod tests {
             (12, vec![2, 3, 6]),
             (9, vec![3]), // disconnected (gcd 3)
             (64, vec![1, 8]),
+            (64, vec![1, 5, 32]),
+            (40, vec![37, 4, 7]), // jumps above n/2, out of order
         ] {
             assert_twin(&ImplicitGraph::circulant(n, &jumps));
         }
+        // Degree 66 is above the implicit row buffers but a valid CSR
+        // graph.
+        let wide = ClosedForm::circulant(200, &(1..=33).collect::<Vec<_>>()).expect("valid");
+        assert_eq!(assert_materializes(&wide).regular_degree(), Some(66));
+        assert!(ImplicitGraph::new(wide).is_err());
     }
 
     #[test]

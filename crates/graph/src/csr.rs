@@ -35,7 +35,8 @@ pub struct Graph {
     /// [`GraphBackend::is_connected`](crate::GraphBackend::is_connected)
     /// call, read back by every later one (spec validation runs twice per
     /// `mrw run`, and `mrw serve` validates each request against its
-    /// cached graph).
+    /// cached graph). A [closed-form](crate::ClosedForm) graph is born
+    /// with its arithmetic answer and never runs the BFS.
     connected: Cached<bool>,
 }
 
@@ -234,6 +235,13 @@ impl Graph {
             .connected
             .0
             .get_or_init(|| crate::algo::is_connected(self))
+    }
+
+    /// The graph with its connectivity already known, so
+    /// [`connected`](Self::connected) never runs the BFS.
+    pub(crate) fn with_connected(mut self, connected: bool) -> Graph {
+        self.connected = Cached(OnceLock::from(connected));
+        self
     }
 
     /// Sorted neighbor slice of `v` with a single up-front bound check.

@@ -1,6 +1,7 @@
 //! Elementary deterministic families: path, cycle, complete, star.
 
 use crate::builder::GraphBuilder;
+use crate::closed::{valid, ClosedForm};
 use crate::csr::Graph;
 
 /// The path `P_n` on vertices `0 — 1 — … — n−1`.
@@ -19,14 +20,13 @@ pub fn path(n: usize) -> Graph {
 /// The cycle `L_n` (ring): vertex `i` adjacent to `i±1 mod n`.
 ///
 /// Cover time `Θ(n²)`; the paper's Theorem 6 shows `S^k = Θ(log k)` — the
-/// family where many walks help *least*.
+/// family where many walks help *least*. Materialized from
+/// [`ClosedForm::cycle`].
+///
+/// # Panics
+/// On that constructor's errors (`n < 3`, or `n` beyond `u32` ids).
 pub fn cycle(n: usize) -> Graph {
-    assert!(n >= 3, "cycle needs at least 3 vertices, got {n}");
-    let mut b = GraphBuilder::with_capacity(n, n);
-    for v in 0..n as u32 {
-        b.add_edge(v, ((v as usize + 1) % n) as u32);
-    }
-    b.build(format!("cycle({n})"))
+    valid(ClosedForm::cycle(n)).to_csr()
 }
 
 /// The complete graph `K_n` without self-loops.
@@ -187,7 +187,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least 3")]
+    #[should_panic(expected = "cycle needs n ≥ 3, got 2")]
     fn tiny_cycle_rejected() {
         cycle(2);
     }

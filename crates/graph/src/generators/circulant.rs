@@ -9,34 +9,18 @@
 //! the lazy-mixing code paths.
 
 use crate::builder::GraphBuilder;
+use crate::closed::{valid, ClosedForm};
 use crate::csr::Graph;
 
 /// The circulant graph `C_n(jumps)`: vertex `i` adjacent to
-/// `i ± s (mod n)` for every `s` in `jumps`.
+/// `i ± s (mod n)` for every `s` in `jumps`. Materialized from
+/// [`ClosedForm::circulant`].
 ///
 /// # Panics
 /// If `n < 3`, `jumps` is empty, any jump is 0 or ≥ n, or jumps repeat
 /// modulo the `±`-symmetry (`s` and `n − s` denote the same chord set).
 pub fn circulant(n: usize, jumps: &[usize]) -> Graph {
-    assert!(n >= 3, "circulant needs n ≥ 3, got {n}");
-    assert!(!jumps.is_empty(), "circulant needs at least one jump");
-    let mut seen = std::collections::BTreeSet::new();
-    for &s in jumps {
-        assert!(s >= 1 && s < n, "jump {s} out of range 1..{n}");
-        let canon = s.min(n - s);
-        assert!(
-            seen.insert(canon),
-            "jump {s} duplicates another jump modulo ±-symmetry"
-        );
-    }
-    let mut b = GraphBuilder::with_capacity(n, n * jumps.len());
-    for v in 0..n {
-        for &s in jumps {
-            let u = (v + s) % n;
-            b.add_edge(v as u32, u as u32);
-        }
-    }
-    b.build(format!("circulant(n={n},jumps={jumps:?})"))
+    valid(ClosedForm::circulant(n, jumps)).to_csr()
 }
 
 /// The complete bipartite graph `K_{a,b}`: parts `0..a` and `a..a+b`,

@@ -6,6 +6,7 @@
 //! grid does not.
 
 use crate::builder::GraphBuilder;
+use crate::closed::{valid, ClosedForm};
 use crate::csr::Graph;
 
 fn check_dims(dims: &[usize]) -> usize {
@@ -84,11 +85,14 @@ pub fn grid_2d(side: usize) -> Graph {
 }
 
 /// Square torus `side × side` — the `√n × √n` grid-on-the-torus of
-/// Theorem 8.
+/// Theorem 8. Materialized from [`ClosedForm::torus_2d`], with no arc
+/// list: the arrays [`torus`]`(&[side, side])` builds, named
+/// `torus2d(SxS)`.
+///
+/// # Panics
+/// If `side` is 0 or `side²` exceeds `u32::MAX`.
 pub fn torus_2d(side: usize) -> Graph {
-    let mut g = torus(&[side, side]);
-    g.set_name(format!("torus2d({side}x{side})"));
-    g
+    valid(ClosedForm::torus_2d(side)).to_csr()
 }
 
 #[cfg(test)]

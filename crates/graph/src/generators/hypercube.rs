@@ -1,6 +1,6 @@
 //! The d-dimensional hypercube (Table 1 row 4).
 
-use crate::builder::GraphBuilder;
+use crate::closed::{valid, ClosedForm};
 use crate::csr::Graph;
 
 /// The hypercube `Q_d` on `n = 2^d` vertices: `u ~ v` iff their binary
@@ -8,21 +8,13 @@ use crate::csr::Graph;
 ///
 /// `d`-regular, diameter `d`, cover time `Θ(n log n)`, hitting time `Θ(n)`,
 /// mixing time `Θ(log n · log log n)` — a Matthews-tight family where
-/// Theorem 4 predicts linear speed-up for `k ≤ log n`.
+/// Theorem 4 predicts linear speed-up for `k ≤ log n`. Materialized from
+/// [`ClosedForm::hypercube`].
+///
+/// # Panics
+/// If `d` is outside `1..=30`.
 pub fn hypercube(d: u32) -> Graph {
-    assert!(d >= 1, "hypercube needs dimension ≥ 1");
-    assert!(d < 31, "hypercube dimension {d} too large for u32 ids");
-    let n = 1usize << d;
-    let mut b = GraphBuilder::with_capacity(n, n * d as usize / 2);
-    for v in 0..n as u32 {
-        for bit in 0..d {
-            let u = v ^ (1 << bit);
-            if u > v {
-                b.add_edge(v, u);
-            }
-        }
-    }
-    b.build(format!("hypercube({d})"))
+    valid(ClosedForm::hypercube(d as usize)).to_csr()
 }
 
 #[cfg(test)]

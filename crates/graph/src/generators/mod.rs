@@ -22,7 +22,13 @@
 //! | Barabási–Albert | heavy-tailed degree zoo member | [`barabasi_albert`] |
 //!
 //! Random generators take an explicit `&mut impl Rng`; deterministic
-//! generators are pure functions of their parameters.
+//! generators are pure functions of their parameters. The cycle, the 2-d
+//! torus, the hypercube and the circulant are defined once, as
+//! [`ClosedForm`](crate::ClosedForm) families: their generators write the
+//! family's sorted rows straight into the CSR arrays, the rows the
+//! implicit backend computes on demand. Every other family, the
+//! d-dimensional [`torus`] and [`grid`] included, is assembled by
+//! [`GraphBuilder`](crate::GraphBuilder) from an edge list.
 
 mod basic;
 mod circulant;

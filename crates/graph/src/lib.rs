@@ -3,7 +3,10 @@
 //! Everything here is implemented from scratch (no `petgraph`): a compact
 //! immutable [CSR](csr::Graph) adjacency store tuned for random-walk
 //! stepping, a mutable [builder](builder::GraphBuilder), the paper's graph
-//! families as [generators], classic traversal [algorithms](algo), a
+//! families as [generators] (the cycle, torus, hypercube and circulant
+//! defined once, as [closed-form](closed::ClosedForm) rows that both the
+//! CSR store and the [implicit backend](backend::ImplicitGraph) are built
+//! from), classic traversal [algorithms](algo), a
 //! [bitset](bitset::NodeBitSet) used for visited-sets, and [DOT](dot)
 //! export for figures.
 //!
@@ -33,6 +36,7 @@ pub mod algo;
 pub mod backend;
 pub mod bitset;
 pub mod builder;
+pub mod closed;
 pub mod csr;
 pub mod dot;
 pub mod generators;
@@ -41,5 +45,6 @@ pub mod sweep;
 pub use backend::{GraphBackend, ImplicitGraph, MAX_IMPLICIT_DEGREE};
 pub use bitset::NodeBitSet;
 pub use builder::GraphBuilder;
+pub use closed::ClosedForm;
 pub use csr::Graph;
 pub use sweep::UniformSweep;
