@@ -1,6 +1,8 @@
 //! Hand-rolled argument parsing for the `mrw` binary — small enough that a
 //! dependency would be heavier than the code.
 
+use std::str::FromStr;
+
 /// Usage text printed on `help` or a parse error.
 pub const USAGE: &str = "usage: mrw <experiment> [options]
 
@@ -247,24 +249,85 @@ pub struct Options {
     pub files: Vec<String>,
 }
 
+/// The argument stream behind [`Options::parse`]: every argument is read
+/// here, and the value shapes flags share (a number, a count ≥ 1, a comma
+/// list, a precision target) are parsed and checked once, so each of
+/// their error strings is written once.
+struct Args<I>(I);
+
+impl<I: Iterator<Item = String>> Args<I> {
+    /// The next argument: the command, a flag or a positional file.
+    fn arg(&mut self) -> Option<String> {
+        self.0.next()
+    }
+
+    /// The value after `flag`, or "`flag` needs `noun`".
+    fn value(&mut self, flag: &str, noun: &str) -> Result<String, String> {
+        self.arg().ok_or_else(|| format!("{flag} needs {noun}"))
+    }
+
+    /// A number after `flag`.
+    fn number<T: FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        let v = self.value(flag, "a value")?;
+        v.parse().map_err(|_| format!("bad {flag} '{v}'"))
+    }
+
+    /// A count ≥ 1 after `flag`.
+    fn count<T: FromStr + PartialOrd + From<u8>>(&mut self, flag: &str) -> Result<T, String> {
+        let c: T = self.number(flag)?;
+        if c < T::from(1) {
+            return Err(format!("{flag} must be >= 1"));
+        }
+        Ok(c)
+    }
+
+    /// A comma list of integers ≥ `min` after `flag`.
+    fn list(&mut self, flag: &str, noun: &str, min: usize) -> Result<Vec<usize>, String> {
+        let v = self.value(flag, noun)?;
+        v.split(',')
+            .map(|s| {
+                s.trim()
+                    .parse::<usize>()
+                    .ok()
+                    .filter(|&x| x >= min)
+                    .ok_or_else(|| format!("bad {flag} entry '{s}'"))
+            })
+            .collect()
+    }
+
+    /// A positive, finite precision target after `flag`.
+    fn target(&mut self, flag: &str) -> Result<f64, String> {
+        let x: f64 = self.number(flag)?;
+        if !(x > 0.0 && x.is_finite()) {
+            return Err(format!("{flag} must be a positive number"));
+        }
+        Ok(x)
+    }
+}
+
 impl Options {
     /// Parses an argument iterator (without the program name).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String> {
-        let mut it = args.into_iter();
-        let command = it.next().ok_or("missing experiment name")?;
+        let mut args = Args(args.into_iter());
+        let command = args.arg().ok_or("missing experiment name")?;
         let mut opts = Options {
             command,
             ..Options::default()
         };
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
+        while let Some(arg) = args.arg() {
+            let f = arg.as_str();
+            match f {
                 "--json" => opts.json = true,
+                "--quick" => opts.quick = true,
+                "--batch" => opts.batch = Some(true),
+                "--no-batch" => opts.batch = Some(false),
+                "--partial-ok" => opts.partial_ok = true,
                 "--shard" => {
-                    let v = it.next().ok_or("--shard needs a value (e.g. 0/2)")?;
+                    let v = args.value(f, "a value (e.g. 0/2)")?;
                     opts.shard = Some(mrw_core::Shard::parse(&v)?);
                 }
                 "--range" => {
-                    let v = it.next().ok_or("--range needs a value (e.g. 0..256)")?;
+                    let v = args.value(f, "a value (e.g. 0..256)")?;
                     let (a, b) = v
                         .split_once("..")
                         .ok_or_else(|| format!("bad range '{v}' (expected A..B)"))?;
@@ -275,223 +338,49 @@ impl Options {
                     }
                     opts.range = Some(lo..hi);
                 }
-                "--groups" => {
-                    let v = it.next().ok_or("--groups needs a value (e.g. 0,2)")?;
-                    let groups = v
-                        .split(',')
-                        .map(|s| {
-                            s.trim()
-                                .parse::<usize>()
-                                .map_err(|_| format!("bad --groups entry '{s}'"))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    if groups.is_empty() {
-                        return Err("--groups needs at least one index".into());
-                    }
-                    opts.groups = Some(groups);
-                }
-                "--workers" => {
-                    let v = it.next().ok_or("--workers needs a value")?;
-                    let w: usize = v.parse().map_err(|_| format!("bad --workers '{v}'"))?;
-                    if w == 0 {
-                        return Err("--workers must be >= 1".into());
-                    }
-                    opts.workers = Some(w);
-                }
-                "--shards" => {
-                    let v = it.next().ok_or("--shards needs a value")?;
-                    let s: usize = v.parse().map_err(|_| format!("bad --shards '{v}'"))?;
-                    if s == 0 {
-                        return Err("--shards must be >= 1".into());
-                    }
-                    opts.fanout_shards = Some(s);
-                }
-                "--retries" => {
-                    let v = it.next().ok_or("--retries needs a value")?;
-                    opts.retries = Some(v.parse().map_err(|_| format!("bad --retries '{v}'"))?);
-                }
-                "--chunk" => {
-                    let v = it.next().ok_or("--chunk needs a value")?;
-                    let c: usize = v.parse().map_err(|_| format!("bad --chunk '{v}'"))?;
-                    if c == 0 {
-                        return Err("--chunk must be >= 1".into());
-                    }
-                    opts.chunk = Some(c);
-                }
-                "--deadline-ms" => {
-                    let v = it.next().ok_or("--deadline-ms needs a value")?;
-                    let d: u64 = v.parse().map_err(|_| format!("bad --deadline-ms '{v}'"))?;
-                    if d == 0 {
-                        return Err("--deadline-ms must be >= 1".into());
-                    }
-                    opts.deadline_ms = Some(d);
-                }
-                "--partial-ok" => opts.partial_ok = true,
-                "--checkpoint" => {
-                    let v = it.next().ok_or("--checkpoint needs a path")?;
-                    opts.checkpoint = Some(v);
-                }
-                "--listen" => {
-                    let v = it.next().ok_or("--listen needs an address")?;
-                    opts.listen = Some(v);
-                }
-                "--connect" => {
-                    let v = it.next().ok_or("--connect needs an address")?;
-                    opts.connect = Some(v);
-                }
-                "--cache-bytes" => {
-                    let v = it.next().ok_or("--cache-bytes needs a value")?;
-                    opts.cache_bytes =
-                        Some(v.parse().map_err(|_| format!("bad --cache-bytes '{v}'"))?);
-                }
-                "--graph-cache-bytes" => {
-                    let v = it.next().ok_or("--graph-cache-bytes needs a value")?;
-                    opts.graph_cache_bytes = Some(
-                        v.parse()
-                            .map_err(|_| format!("bad --graph-cache-bytes '{v}'"))?,
-                    );
-                }
-                "--persist" => {
-                    let v = it.next().ok_or("--persist needs a directory")?;
-                    opts.persist = Some(v);
-                }
-                "--delegate-trials" => {
-                    let v = it.next().ok_or("--delegate-trials needs a value")?;
-                    let t: u64 = v
-                        .parse()
-                        .map_err(|_| format!("bad --delegate-trials '{v}'"))?;
-                    if t == 0 {
-                        return Err("--delegate-trials must be >= 1".into());
-                    }
-                    opts.delegate_trials = Some(t);
-                }
+                "--groups" => opts.groups = Some(args.list(f, "a value (e.g. 0,2)", 0)?),
+                "--workers" => opts.workers = Some(args.count(f)?),
+                "--shards" => opts.fanout_shards = Some(args.count(f)?),
+                "--retries" => opts.retries = Some(args.number(f)?),
+                "--chunk" => opts.chunk = Some(args.count(f)?),
+                "--deadline-ms" => opts.deadline_ms = Some(args.count(f)?),
+                "--checkpoint" => opts.checkpoint = Some(args.value(f, "a path")?),
+                "--listen" => opts.listen = Some(args.value(f, "an address")?),
+                "--connect" => opts.connect = Some(args.value(f, "an address")?),
+                "--cache-bytes" => opts.cache_bytes = Some(args.number(f)?),
+                "--graph-cache-bytes" => opts.graph_cache_bytes = Some(args.number(f)?),
+                "--persist" => opts.persist = Some(args.value(f, "a directory")?),
+                "--delegate-trials" => opts.delegate_trials = Some(args.count(f)?),
                 "--prey" => {
-                    let v = it.next().ok_or("--prey needs a value")?;
+                    let v = args.value(f, "a value")?;
                     opts.prey = Some(mrw_core::query::prey_from_str(&v)?);
                 }
-                "--k-ladder" => {
-                    let v = it.next().ok_or("--k-ladder needs a value")?;
-                    let ks = v
-                        .split(',')
-                        .map(|s| {
-                            s.trim()
-                                .parse::<usize>()
-                                .ok()
-                                .filter(|&k| k >= 1)
-                                .ok_or_else(|| format!("bad --k-ladder entry '{s}'"))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    if ks.is_empty() {
-                        return Err("--k-ladder needs at least one k".into());
-                    }
-                    opts.k_ladder = Some(ks);
-                }
-                "--quick" => opts.quick = true,
-                "--batch" => opts.batch = Some(true),
-                "--no-batch" => opts.batch = Some(false),
-                "--trials" => {
-                    let v = it.next().ok_or("--trials needs a value")?;
-                    let t: usize = v.parse().map_err(|_| format!("bad --trials '{v}'"))?;
-                    if t == 0 {
-                        return Err("--trials must be >= 1".into());
-                    }
-                    opts.trials = Some(t);
-                }
-                "--seed" => {
-                    let v = it.next().ok_or("--seed needs a value")?;
-                    opts.seed = Some(v.parse().map_err(|_| format!("bad --seed '{v}'"))?);
-                }
-                "--threads" => {
-                    let v = it.next().ok_or("--threads needs a value")?;
-                    let t: usize = v.parse().map_err(|_| format!("bad --threads '{v}'"))?;
-                    if t == 0 {
-                        return Err("--threads must be >= 1".into());
-                    }
-                    opts.threads = Some(t);
-                }
-                "--precision" => {
-                    let v = it.next().ok_or("--precision needs a value")?;
-                    let h: f64 = v.parse().map_err(|_| format!("bad --precision '{v}'"))?;
-                    if !(h > 0.0 && h.is_finite()) {
-                        return Err("--precision must be a positive number".into());
-                    }
-                    opts.precision = Some(h);
-                }
-                "--rel-precision" => {
-                    let v = it.next().ok_or("--rel-precision needs a value")?;
-                    let r: f64 = v
-                        .parse()
-                        .map_err(|_| format!("bad --rel-precision '{v}'"))?;
-                    if !(r > 0.0 && r.is_finite()) {
-                        return Err("--rel-precision must be a positive number".into());
-                    }
-                    opts.rel_precision = Some(r);
-                }
+                "--k-ladder" => opts.k_ladder = Some(args.list(f, "a value", 1)?),
+                "--trials" => opts.trials = Some(args.count(f)?),
+                "--seed" => opts.seed = Some(args.number(f)?),
+                "--threads" => opts.threads = Some(args.count(f)?),
+                "--precision" => opts.precision = Some(args.target(f)?),
+                "--rel-precision" => opts.rel_precision = Some(args.target(f)?),
                 "--confidence" => {
-                    let v = it.next().ok_or("--confidence needs a value")?;
-                    let l: f64 = v.parse().map_err(|_| format!("bad --confidence '{v}'"))?;
+                    let l: f64 = args.number(f)?;
                     if !(l > 0.0 && l < 1.0) {
                         return Err("--confidence must be in (0, 1)".into());
                     }
                     opts.confidence = Some(l);
                 }
-                "--min-trials" => {
-                    let v = it.next().ok_or("--min-trials needs a value")?;
-                    opts.min_trials =
-                        Some(v.parse().map_err(|_| format!("bad --min-trials '{v}'"))?);
-                }
-                "--max-trials" => {
-                    let v = it.next().ok_or("--max-trials needs a value")?;
-                    let m: usize = v.parse().map_err(|_| format!("bad --max-trials '{v}'"))?;
-                    if m == 0 {
-                        return Err("--max-trials must be >= 1".into());
-                    }
-                    opts.max_trials = Some(m);
-                }
-                "--family" => {
-                    let v = it.next().ok_or("--family needs a value")?;
-                    opts.family = Some(v);
-                }
-                "--n" => {
-                    let v = it.next().ok_or("--n needs a value")?;
-                    opts.n = Some(v.parse().map_err(|_| format!("bad --n '{v}'"))?);
-                }
-                "--k" => {
-                    let v = it.next().ok_or("--k needs a value")?;
-                    let k: usize = v.parse().map_err(|_| format!("bad --k '{v}'"))?;
-                    if k == 0 {
-                        return Err("--k must be >= 1".into());
-                    }
-                    opts.k = Some(k);
-                }
-                "--start" => {
-                    let v = it.next().ok_or("--start needs a value")?;
-                    opts.start = Some(v.parse().map_err(|_| format!("bad --start '{v}'"))?);
-                }
-                "--jumps" => {
-                    let v = it.next().ok_or("--jumps needs a value (e.g. 1,5)")?;
-                    let jumps = v
-                        .split(',')
-                        .map(|s| {
-                            s.trim()
-                                .parse::<usize>()
-                                .ok()
-                                .filter(|&j| j >= 1)
-                                .ok_or_else(|| format!("bad --jumps entry '{s}'"))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    if jumps.is_empty() {
-                        return Err("--jumps needs at least one jump".into());
-                    }
-                    opts.jumps = Some(jumps);
-                }
+                "--min-trials" => opts.min_trials = Some(args.number(f)?),
+                "--max-trials" => opts.max_trials = Some(args.count(f)?),
+                "--family" => opts.family = Some(args.value(f, "a value")?),
+                "--n" => opts.n = Some(args.number(f)?),
+                "--k" => opts.k = Some(args.count(f)?),
+                "--start" => opts.start = Some(args.number(f)?),
+                "--jumps" => opts.jumps = Some(args.list(f, "a value (e.g. 1,5)", 1)?),
                 "--backend" => {
-                    let v = it.next().ok_or("--backend needs a value")?;
+                    let v = args.value(f, "a value")?;
                     opts.backend = Some(mrw_core::query::backend_from_str(&v)?);
                 }
                 "--format" => {
-                    let v = it.next().ok_or("--format needs a value")?;
-                    opts.format = match v.as_str() {
+                    opts.format = match args.value(f, "a value")?.as_str() {
                         "ascii" => Format::Ascii,
                         "markdown" | "md" => Format::Markdown,
                         "csv" => Format::Csv,

@@ -433,9 +433,6 @@ fn drive(ledger: Ledger, opts: &Options) -> Result<DriveResult, String> {
     let workers = opts.workers.unwrap_or_else(mrw_par::available_threads);
     let spec = ledger.spec.clone();
     let trials = spec.budget.trials_budget();
-    if trials.cap() < 1 {
-        return Err("budget needs at least one trial".into());
-    }
     let scratch = Scratch::new()?;
     let cfg = DispatchConfig {
         workers,
@@ -613,16 +610,7 @@ const RETIRED_CHECKPOINT_SCHEMA: &str = "mrw-checkpoint-v1";
 /// `--chunk`, `--json`) apply; budget overrides are rejected because
 /// byte-identity requires the checkpointed spec unchanged.
 pub fn run_resume(opts: &Options) -> Result<(), String> {
-    let path = match opts.files.as_slice() {
-        [path] => path.clone(),
-        [] => return Err("mrw resume needs a checkpoint file".into()),
-        more => {
-            return Err(format!(
-                "mrw resume takes exactly one checkpoint file (got {})",
-                more.len()
-            ))
-        }
-    };
+    let path = crate::one_file(opts, "checkpoint")?;
     if opts.trials.is_some()
         || opts.seed.is_some()
         || opts.batch.is_some()
@@ -636,7 +624,7 @@ pub fn run_resume(opts: &Options) -> Result<(), String> {
                 .into(),
         );
     }
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let checkpoint = Ledger::from_json(&text).map_err(|e| {
         let schema = json::parse(&text).map(|v| v.get("schema").cloned());
         if schema == Ok(Some(Value::str(RETIRED_CHECKPOINT_SCHEMA))) {
@@ -648,16 +636,10 @@ pub fn run_resume(opts: &Options) -> Result<(), String> {
             format!("{path}: {e}")
         }
     })?;
-    let g = checkpoint
-        .spec
-        .graph
-        .resolve()
-        .map_err(|e| format!("{path}: {e}"))?;
     checkpoint
         .spec
-        .query
-        .validate(&g)
+        .resolve()
         .map_err(|e| format!("{path}: {e}"))?;
     let result = drive(checkpoint, opts)?;
-    conclude(result, opts, Some(path))
+    conclude(result, opts, Some(path.to_string()))
 }

@@ -68,7 +68,7 @@ fn print_table(t: &mrw_stats::Table, fmt: Format) {
 /// more than `Budget::default()`'s 64 trials to resolve small
 /// probabilities or a spread. Every experiment verb goes through here.
 fn apply_overrides(b: &mut Budget, opts: &Options) {
-    // Flag combinations are validated up front in main().
+    // Flag combinations are validated up front in check_flags.
     let rule = opts.precision_rule().expect("validated in main");
     if let Some(t) = opts.trials {
         b.trials = t;
@@ -94,6 +94,17 @@ fn apply_overrides(b: &mut Budget, opts: &Options) {
     if let Some(rule) = rule {
         b.precision = Some(rule);
     }
+}
+
+/// Checks what the parser cannot judge one flag at a time: the adaptive
+/// rule the precision flags combine into, and [`Budget::check`] on the
+/// budget overrides, which the experiment verbs run with no spec for
+/// [`QuerySpec::resolve`] to gate.
+fn check_flags(opts: &Options) -> Result<(), String> {
+    opts.precision_rule()?;
+    let mut budget = Budget::default();
+    apply_overrides(&mut budget, opts);
+    budget.check()
 }
 
 /// The `mrw estimate` budget: `Budget::quick()` under `--quick`, else
@@ -612,18 +623,13 @@ fn stop_description(report: &Report) -> (String, String) {
 /// `--json` emits the canonical report schema instead.
 fn run_estimate(opts: &Options) -> Result<(), String> {
     let spec = estimate_spec(opts);
-    let g = spec.graph.resolve()?;
-    let start = opts.start.unwrap_or(0);
-    if start as usize >= g.n() {
-        return Err(format!("--start {start} out of range (n = {})", g.n()));
-    }
-    spec.query.validate(&g)?;
+    let g = spec.resolve()?;
     let report = Session::new(spec.budget.clone()).run(&g, &spec.query);
     if opts.json {
         print!("{}", report.to_json());
         return Ok(());
     }
-    let Query::Cover { k, .. } = spec.query else {
+    let Query::Cover { k, starts } = spec.query else {
         unreachable!("estimate_spec builds a cover query")
     };
     let ci = report.groups[0].ci(report.confidence());
@@ -645,7 +651,7 @@ fn run_estimate(opts: &Options) -> Result<(), String> {
     t.push_row(vec![
         g.name().to_string(),
         k.to_string(),
-        start.to_string(),
+        starts[0].to_string(),
         budget_desc,
         report.consumed_trials().to_string(),
         format!("{:.2}", report.mean()),
@@ -658,37 +664,41 @@ fn run_estimate(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads and parses a spec file, applying the CLI's budget and backend
-/// overrides and validating everything `Session::run` would otherwise
-/// panic on, so bad specs get the same friendly `error: …` path as bad
-/// flags. The graph comes back through [`GraphSpec::resolve`], so a spec
-/// (or `--backend implicit`) can pick arithmetic neighborhoods instead of
-/// CSR arrays — the report is byte-identical either way.
-fn load_spec(opts: &Options) -> Result<(QuerySpec, AnyGraph), String> {
-    let path = match opts.files.as_slice() {
-        [path] => path,
-        [] => return Err(format!("mrw {} needs a spec file", opts.command)),
-        more => {
-            return Err(format!(
-                "mrw {} takes exactly one spec file (got {})",
-                opts.command,
-                more.len()
-            ))
-        }
-    };
+/// The one positional file `mrw <verb>` takes — a `what` file: the spec
+/// of `run`/`shard`/`fanout`, the checkpoint of `resume`.
+fn one_file<'a>(opts: &'a Options, what: &str) -> Result<&'a str, String> {
+    match opts.files.as_slice() {
+        [path] => Ok(path),
+        [] => Err(format!("mrw {} needs a {what} file", opts.command)),
+        more => Err(format!(
+            "mrw {} takes exactly one {what} file (got {})",
+            opts.command,
+            more.len()
+        )),
+    }
+}
+
+/// Reads and parses the spec file at `path` and applies the CLI's budget
+/// and backend overrides — the spec `mrw run` and `serve-ctl run` send on.
+fn read_spec(path: &str, opts: &Options) -> Result<QuerySpec, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut spec = QuerySpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
     apply_overrides(&mut spec.budget, opts);
     if let Some(backend) = opts.backend {
         spec.graph.backend = backend;
     }
-    if spec.budget.trials_budget().cap() < 1 {
-        return Err(format!("{path}: budget needs at least one trial"));
-    }
-    let g = spec.graph.resolve().map_err(|e| format!("{path}: {e}"))?;
-    spec.query
-        .validate(&g)
-        .map_err(|e| format!("{path}: {e}"))?;
+    Ok(spec)
+}
+
+/// The verb's spec file, read with the CLI's overrides and passed through
+/// [`QuerySpec::resolve`], so everything `Session` would panic on is the
+/// same friendly `error: …` as a bad flag. The graph comes back on the
+/// spec's backend (or `--backend`'s) — the report is byte-identical
+/// either way.
+fn load_spec(opts: &Options) -> Result<(QuerySpec, AnyGraph), String> {
+    let path = one_file(opts, "spec")?;
+    let spec = read_spec(path, opts)?;
+    let g = spec.resolve().map_err(|e| format!("{path}: {e}"))?;
     Ok((spec, g))
 }
 
@@ -822,7 +832,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Err(e) = opts.precision_rule() {
+    if let Err(e) = check_flags(&opts) {
         eprintln!("error: {e}\n");
         eprintln!("{}", args::USAGE);
         return ExitCode::FAILURE;

@@ -557,50 +557,46 @@ impl Inner {
                 tick,
             },
         );
-        self.evict_graphs(bound, Some(key));
+        self.stats.graph_evictions +=
+            evict_lru(&mut self.graphs, bound, Some(key), |e| e.tick, |e| e.bytes);
         Ok(g)
     }
 
-    /// LRU pass over the graph cache. `pin` names the entry being served
-    /// right now — it is never the victim, so a bound sized for one graph
-    /// actually holds that graph instead of evicting what it just built.
-    fn evict_graphs(&mut self, bound: u64, pin: Option<&str>) {
-        while self.graphs.values().map(|e| e.bytes as u64).sum::<u64>() > bound {
-            // min_by_key is None when every remaining entry is pinned (or
-            // the map is empty); break rather than panic the daemon
-            // (rule P1).
-            let Some(victim) = self
-                .graphs
-                .iter()
-                .filter(|(k, _)| pin != Some(k.as_str()))
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            self.graphs.remove(&victim);
-            self.stats.graph_evictions += 1;
-        }
-    }
-
-    /// LRU pass over the report cache, with the same pinning rule as
-    /// [`Inner::evict_graphs`]: the just-inserted/just-updated key
-    /// survives its own eviction pass.
+    /// [`evict_lru`] over the report cache, counted in its stats.
     fn evict_reports(&mut self, bound: u64, pin: Option<&str>) {
-        while self.reports.values().map(|e| e.bytes() as u64).sum::<u64>() > bound {
-            let Some(victim) = self
-                .reports
-                .iter()
-                .filter(|(k, _)| pin != Some(k.as_str()))
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            self.reports.remove(&victim);
-            self.stats.report_evictions += 1;
-        }
+        self.stats.report_evictions +=
+            evict_lru(&mut self.reports, bound, pin, |e| e.tick, |e| e.bytes());
     }
+}
+
+/// The LRU pass both caches share: while the entries' summed `cost`
+/// exceeds `bound`, removes the entry with the oldest `tick` (its last
+/// use) and counts it. `pin` names the entry being served right now — it is never the
+/// victim, so a bound sized for one entry actually holds that entry
+/// instead of evicting what was just built. Returns the eviction count.
+fn evict_lru<E>(
+    map: &mut HashMap<String, E>,
+    bound: u64,
+    pin: Option<&str>,
+    tick: impl Fn(&E) -> u64,
+    cost: impl Fn(&E) -> usize,
+) -> u64 {
+    let mut evicted = 0;
+    while map.values().map(|e| cost(e) as u64).sum::<u64>() > bound {
+        // min_by_key is None when every remaining entry is pinned (or the
+        // map is empty); break rather than panic the daemon (rule P1).
+        let Some(victim) = map
+            .iter()
+            .filter(|(k, _)| pin != Some(k.as_str()))
+            .min_by_key(|(_, e)| tick(e))
+            .map(|(k, _)| k.clone())
+        else {
+            break;
+        };
+        map.remove(&victim);
+        evicted += 1;
+    }
+    evicted
 }
 
 struct Server {
@@ -690,16 +686,17 @@ fn compute_run(
     Ok((report, exec.ran))
 }
 
-/// Serves one `run` request. Locking discipline (see the module docs):
-/// the global lock covers only map bookkeeping; the computation runs
-/// under this key's in-flight gate, so identical concurrent queries
+/// Serves one `run` request. It checks the spec as
+/// [`QuerySpec::resolve`] does, in an order that keeps the graph cache:
+/// the budget before any bookkeeping, then the graph from the cache, then
+/// the query against that graph. Locking discipline (see the module
+/// docs): the global lock covers only map bookkeeping; the computation
+/// runs under this key's in-flight gate, so identical concurrent queries
 /// serialize into one miss plus hits while distinct keys compute
 /// concurrently.
 fn serve_run(server: &Server, spec: &QuerySpec) -> Result<Report, String> {
+    spec.budget.check()?;
     let cap = spec.budget.trials_budget().cap();
-    if cap < 1 {
-        return Err("budget needs at least one trial".into());
-    }
     let graph_key = spec.graph.cache_key();
     let report_key = spec.report_key();
     // Bookkeeping pass: stamp the tick, resolve (and cache) the graph,
@@ -1067,19 +1064,13 @@ pub fn run_serve_ctl(opts: &Options) -> Result<(), String> {
         .ok_or("mrw serve-ctl needs a verb: run SPEC.json | stats | ping | shutdown")?;
     let request = match verb.as_str() {
         "run" => {
-            let path = match rest {
-                [path] => path,
-                _ => return Err("mrw serve-ctl run takes exactly one spec file".into()),
+            let [path] = rest else {
+                return Err("mrw serve-ctl run takes exactly one spec file".into());
             };
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let mut spec = QuerySpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-            // The same budget/backend overrides `mrw run` applies, so
-            // `serve-ctl run spec.json --trials N` asks the daemon for
+            // The spec `mrw run spec.json` would run, overrides included,
+            // so `serve-ctl run spec.json --trials N` asks the daemon for
             // exactly what `mrw run spec.json --trials N` computes.
-            crate::apply_overrides(&mut spec.budget, opts);
-            if let Some(backend) = opts.backend {
-                spec.graph.backend = backend;
-            }
+            let spec = crate::read_spec(path, opts)?;
             let spec = json::parse(&spec.to_json())
                 .map_err(|e| format!("internal: canonical spec failed to re-parse: {e}"))?;
             Value::obj(vec![("verb", Value::str("run")), ("spec", spec)])

@@ -447,6 +447,52 @@ fn degenerate_graph_sizes_are_friendly_errors() {
     );
 }
 
+/// A trial budget past `MAX_TRIALS` (2²⁴, the range over which the
+/// moments stay exact) is an `error:` naming the limit, exit 1, within
+/// seconds — from `mrw run`, from `mrw fanout` before it spawns a worker,
+/// for an adaptive cap, and from an experiment verb's `--trials` — never
+/// a panic or a run that holds a CPU for years.
+#[test]
+fn oversized_trial_budgets_are_refused_up_front() {
+    let tmp = TempDir::new("oversized");
+    let spec = tmp.file(
+        "spec.json",
+        r#"{"graph": {"family": "cycle", "n": 16},
+            "query": {"type": "cover", "k": 2, "starts": [0]},
+            "budget": {"trials": 1000000000000000}}"#,
+    );
+    let spec = spec.to_str().unwrap();
+    let cases: [&[&str]; 4] = [
+        &["run", spec],
+        &["fanout", spec, "--workers", "1"],
+        &["cycle", "--quick", "--trials", "16777217"],
+        &[
+            "run",
+            spec,
+            "--rel-precision",
+            "0.1",
+            "--max-trials",
+            "16777217",
+        ],
+    ];
+    for args in cases {
+        // Bounded first, so a run that does not stop fails the test
+        // instead of hanging it.
+        let mut child = mrw().args(args).spawn_daemon().expect("spawn mrw");
+        let status = child
+            .wait_with_timeout(std::time::Duration::from_secs(5))
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(status.code(), Some(1), "mrw {args:?}");
+        let assert = mrw().args(args).assert().code(1).stdout("");
+        let stderr = String::from_utf8_lossy(&assert.get_output().stderr).into_owned();
+        assert!(
+            stderr.contains("error: ") && stderr.contains("exceeds the limit of 16777216"),
+            "mrw {args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "mrw {args:?}: {stderr}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Experiment verbs.
 

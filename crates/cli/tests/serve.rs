@@ -442,6 +442,12 @@ fn malformed_requests_get_structured_errors_and_the_daemon_survives() {
             "query": {"type": "cover", "k": 100000000000, "starts": [0]},
             "budget": {"trials": 4, "seed": 1}}}"#
             .to_vec(),
+        // A trial count past the exact-moments range: refused, not a run
+        // that holds a worker thread and a CPU for years.
+        br#"{"verb": "run", "spec": {"graph": {"family": "cycle", "n": 16},
+            "query": {"type": "cover", "k": 2, "starts": [0]},
+            "budget": {"trials": 1000000000000000}}}"#
+            .to_vec(),
     ];
     for (from, to) in [
         ("verb", "vrb"),

@@ -168,6 +168,26 @@ impl Budget {
         self.precision.map_or(self.confidence, |r| r.confidence)
     }
 
+    /// Checks that the budget can run: at least one trial and at most
+    /// [`MAX_TRIALS`], counting an adaptive rule's cap, and at least one
+    /// thread. [`Session::new`] panics on exactly these conditions;
+    /// [`QuerySpec::resolve`] returns them as errors.
+    pub fn check(&self) -> Result<(), String> {
+        let cap = self.trials_budget().cap();
+        if cap < 1 {
+            return Err("budget needs at least one trial".into());
+        }
+        if cap > MAX_TRIALS {
+            return Err(format!(
+                "budget of {cap} trials exceeds the limit of {MAX_TRIALS}"
+            ));
+        }
+        if self.threads < 1 {
+            return Err("need at least one thread".into());
+        }
+        Ok(())
+    }
+
     /// The engine a trial runs on: `process` and `observer` on `g`,
     /// stepped under this budget's `mode` and `batch`. [`Session`] builds
     /// every query's trials here, and so does every experiment that steps
@@ -274,7 +294,8 @@ pub fn split_range(range: Range<usize>, parts: usize) -> Vec<Range<usize>> {
 pub enum BackendChoice {
     /// CSR when the arrays are small, implicit once the estimated CSR
     /// footprint passes [`AUTO_IMPLICIT_BYTES`] (structured families
-    /// only; families without an implicit twin always build CSR).
+    /// only; families without an implicit twin, or beyond the implicit
+    /// backend's limits, always build CSR).
     #[default]
     Auto,
     /// Always materialize the CSR arrays ([`GraphSpec::resolve`] errors
@@ -315,6 +336,11 @@ pub const MAX_CSR_BYTES: u128 = 3 << 29; // 1.5 GiB
 /// [`MAX_CSR_BYTES`], the cap on the graph arrays themselves, rather than
 /// let the allocation abort the process.
 const MAX_WALKS: usize = (MAX_CSR_BYTES / 4) as usize;
+
+/// Most trials one budget may run (2²⁴), fixed or as an adaptive rule's
+/// cap: the sample counts over which [`IntMoments`] stays exact (its
+/// "Range" section). [`Budget::check`] refuses more.
+pub const MAX_TRIALS: usize = 1 << 24;
 
 /// Estimated CSR footprint above which [`BackendChoice::Auto`] switches a
 /// structured family to the implicit backend (64 MiB): big enough that
@@ -488,27 +514,52 @@ impl GraphSpec {
 
     /// Estimated CSR footprint in bytes (`(n+1)·8 + Σδ·4`), computed from
     /// the family's closed-form degree sum *without* building anything —
-    /// the number the memory guard and the auto-switch compare.
+    /// the number the memory guard and the auto-switch compare. A
+    /// closed-form family's vertex count and degree are its
+    /// [`ClosedForm`]'s own.
     pub fn csr_bytes_estimate(&self) -> u128 {
         let n = self.n as u128;
-        let (verts, degree_sum): (u128, u128) = match self.family.as_str() {
-            "cycle" => (n, 2 * n),
-            "path" => (n, 2 * n.saturating_sub(1)),
-            "torus" => (n * n, if n == 2 { 8 } else { 4 * n * n }),
-            "hypercube" => {
-                let v = 1u128 << self.n.min(63);
-                (v, n * v)
+        let (verts, degree_sum): (u128, u128) = match self.closed_form() {
+            Ok(Some(family)) => {
+                let verts = family.n() as u128;
+                (verts, verts * family.degree() as u128)
             }
-            "clique" => (n, n * n.saturating_sub(1)),
-            "clique-loops" => (n, n * n),
-            "barbell" => {
-                let m = n.saturating_sub(1) / 2;
-                (n, 2 * m * m.saturating_sub(1) + 4)
-            }
-            "circulant" => (n, 2 * n * self.jumps.len() as u128),
-            _ => (n, 2 * n),
+            _ => match self.family.as_str() {
+                "path" => (n, 2 * n.saturating_sub(1)),
+                "clique" => (n, n * n.saturating_sub(1)),
+                "clique-loops" => (n, n * n),
+                "barbell" => {
+                    let m = n.saturating_sub(1) / 2;
+                    (n, 2 * m * m.saturating_sub(1) + 4)
+                }
+                _ => (n, 2 * n),
+            },
         };
         (verts + 1) * 8 + degree_sum * 4
+    }
+
+    /// The one backend decision behind [`resolve`](GraphSpec::resolve)
+    /// and [`resolved_backend`](GraphSpec::resolved_backend): the
+    /// arithmetic graph when the spec runs implicit, `None` when it builds
+    /// CSR arrays. `implicit` refuses what the backend refuses; `auto`
+    /// goes implicit only for a closed-form family whose CSR estimate
+    /// passes [`AUTO_IMPLICIT_BYTES`] *and* that the implicit backend
+    /// accepts, and falls back to CSR otherwise.
+    fn implicit(&self) -> Result<Option<ImplicitGraph>, String> {
+        let family = self.closed_form()?;
+        match (self.backend, family) {
+            (BackendChoice::Implicit, None) => Err(format!(
+                "family '{}' has no implicit backend (cycle | torus | hypercube | circulant)",
+                self.family
+            )),
+            (BackendChoice::Implicit, Some(family)) => ImplicitGraph::new(family).map(Some),
+            (BackendChoice::Auto, Some(family))
+                if self.csr_bytes_estimate() > AUTO_IMPLICIT_BYTES =>
+            {
+                Ok(ImplicitGraph::new(family).ok())
+            }
+            _ => Ok(None),
+        }
     }
 
     /// Materializes the graph under the spec's [`BackendChoice`]:
@@ -517,27 +568,20 @@ impl GraphSpec {
     ///   `--backend implicit` where one exists) once the estimated
     ///   footprint passes [`MAX_CSR_BYTES`];
     /// * `implicit` — the arithmetic backend, or an error for families
-    ///   without closed-form neighborhoods;
+    ///   without closed-form neighborhoods or beyond the backend's limits;
     /// * `auto` — implicit for structured families whose CSR estimate
-    ///   passes [`AUTO_IMPLICIT_BYTES`], CSR (with the same hard guard)
-    ///   otherwise.
+    ///   passes [`AUTO_IMPLICIT_BYTES`] and that the implicit backend
+    ///   accepts, CSR (with the same hard guard) otherwise.
     ///
     /// A closed-form family's parameters are checked first, so a bad
     /// size gets the same error on every backend.
     pub fn resolve(&self) -> Result<AnyGraph, String> {
-        let family = self.closed_form()?;
-        if self.resolved_backend() == BackendChoice::Implicit {
-            let family = family.ok_or_else(|| {
-                format!(
-                    "family '{}' has no implicit backend (cycle | torus | hypercube | circulant)",
-                    self.family
-                )
-            })?;
-            return ImplicitGraph::new(family).map(AnyGraph::Implicit);
+        if let Some(g) = self.implicit()? {
+            return Ok(AnyGraph::Implicit(g));
         }
         let estimate = self.csr_bytes_estimate();
         if estimate > MAX_CSR_BYTES {
-            let hint = if family.is_some() {
+            let hint = if self.closed_form()?.is_some() {
                 "re-run with --backend implicit (O(1) state at any size)"
             } else {
                 "this family has no implicit backend — reduce n"
@@ -555,22 +599,16 @@ impl GraphSpec {
     }
 
     /// The backend [`resolve`](GraphSpec::resolve) would materialize,
-    /// predicted from the closed-form size estimate without building
-    /// anything — `Auto` collapses to the concrete choice. This is the
-    /// graph-cache identity `mrw serve` keys on: two specs with equal
-    /// family/size parameters and equal resolved backends share one
+    /// decided without building anything — `Auto` collapses to the
+    /// concrete choice; a spec that does not resolve keeps its own. This
+    /// is the graph-cache identity `mrw serve` keys on: two specs with
+    /// equal family/size parameters and equal resolved backends share one
     /// resident graph.
     pub fn resolved_backend(&self) -> BackendChoice {
-        match self.backend {
-            BackendChoice::Auto => {
-                let twin = matches!(self.closed_form(), Ok(Some(_)));
-                if twin && self.csr_bytes_estimate() > AUTO_IMPLICIT_BYTES {
-                    BackendChoice::Implicit
-                } else {
-                    BackendChoice::Csr
-                }
-            }
-            concrete => concrete,
+        match self.implicit() {
+            Ok(Some(_)) => BackendChoice::Implicit,
+            Ok(None) => BackendChoice::Csr,
+            Err(_) => self.backend,
         }
     }
 
@@ -671,9 +709,9 @@ impl Query {
     /// counts, fractions, and connectivity (for quantities whose
     /// expectation is infinite on a disconnected graph, and for partial
     /// cover, whose target may lie outside the start's component).
-    /// [`Session::run`] panics on exactly these conditions; callers with
-    /// untrusted input (spec files) should validate first and surface the
-    /// error.
+    /// [`Session::run`] panics on exactly these conditions;
+    /// [`QuerySpec::resolve`] runs this check after resolving the graph,
+    /// so untrusted input (spec files) gets the error instead.
     pub fn validate<G: GraphBackend>(&self, g: &G) -> Result<(), String> {
         let n = g.n();
         let vertex = |label: &str, v: u32| {
@@ -1304,6 +1342,18 @@ pub struct QuerySpec {
 }
 
 impl QuerySpec {
+    /// The gate in front of [`Session`]: checks the budget
+    /// ([`Budget::check`]), resolves the graph ([`GraphSpec::resolve`]) and
+    /// validates the query against it ([`Query::validate`]). Every
+    /// condition on the spec that [`Session::new`] or [`Session::run`]
+    /// panics on is an `Err` here, so a spec that resolves runs.
+    pub fn resolve(&self) -> Result<AnyGraph, String> {
+        self.budget.check()?;
+        let g = self.graph.resolve()?;
+        self.query.validate(&g)?;
+        Ok(g)
+    }
+
     /// Serializes to the canonical spec-file JSON. `jumps` and `backend`
     /// appear only when non-default, so every pre-backend spec file keeps
     /// its exact historical bytes.
@@ -1836,9 +1886,13 @@ pub struct Session {
 impl Session {
     /// A session executing under `budget` (no shard: the whole trial
     /// range).
+    ///
+    /// # Panics
+    /// If [`Budget::check`] refuses the budget.
     pub fn new(budget: Budget) -> Session {
-        assert!(budget.trials_budget().cap() >= 1, "need at least one trial");
-        assert!(budget.threads >= 1, "need at least one thread");
+        if let Err(e) = budget.check() {
+            panic!("{e}");
+        }
         Session {
             budget,
             range: None,
@@ -1936,8 +1990,8 @@ impl Session {
     /// On invalid queries — anything [`Query::validate`] rejects:
     /// out-of-range vertices, `k = 0`, empty ladders, fractions outside
     /// `(0, 1]`, or a disconnected graph for queries whose expectation
-    /// would be infinite. Callers with untrusted input (the CLI spec
-    /// path) should call `validate` first and surface the error.
+    /// would be infinite. A graph that [`QuerySpec::resolve`] returned
+    /// has passed that check for its spec's query.
     pub fn run<G: GraphBackend>(&self, g: &G, query: &Query) -> Report {
         if let Err(e) = query.validate(g) {
             panic!("{e}");

@@ -347,3 +347,74 @@ fn closed_form_parameter_errors_are_structured_on_every_backend() {
         assert_eq!(g.regular_degree(), Some(66));
     }
 }
+
+/// `auto` goes implicit only for a family the implicit backend accepts:
+/// a degree-66 circulant whose CSR estimate (68.0 MiB) passes
+/// `AUTO_IMPLICIT_BYTES` is beyond the implicit rows' degree limit, so it
+/// falls back to CSR — the graph-cache identity says so too — and
+/// reports exactly what `--backend csr` reports.
+#[test]
+fn auto_falls_back_to_csr_when_the_implicit_backend_refuses_the_family() {
+    let wide = GraphSpec {
+        jumps: (1..=33).collect(),
+        ..GraphSpec::new("circulant", 1 << 18)
+    };
+    let estimate = wide.csr_bytes_estimate();
+    assert_eq!(estimate, (((1 << 18) + 1) * 8 + (1 << 18) * 66 * 4) as u128);
+    assert!(estimate > AUTO_IMPLICIT_BYTES && estimate <= MAX_CSR_BYTES);
+    assert_eq!(wide.resolved_backend(), BackendChoice::Csr);
+    assert!(wide.cache_key().ends_with(":csr"), "{}", wide.cache_key());
+    let q = Query::PartialCover {
+        k: 4,
+        start: 0,
+        gammas: vec![1e-4],
+    };
+    let budget = Budget {
+        trials: 2,
+        seed: 11,
+        ..Budget::default()
+    };
+    let report = |spec: &GraphSpec| {
+        let g = spec.resolve().expect("degree-66 circulant resolves");
+        assert!(matches!(g, AnyGraph::Csr(_)), "{spec:?}");
+        Session::new(budget.clone()).run(&g, &q).to_json()
+    };
+    let auto = report(&wide);
+    let csr = report(&GraphSpec {
+        backend: BackendChoice::Csr,
+        ..wide.clone()
+    });
+    assert_eq!(auto, csr);
+}
+
+/// A closed-form family's CSR estimate is its `ClosedForm`'s own vertex
+/// count and degree: a half jump adds one neighbor, not two, and the
+/// side-2 torus has degree 2.
+#[test]
+fn closed_form_estimates_count_each_family_degree_once() {
+    let bytes = |n: u128, degree: u128| (n + 1) * 8 + n * degree * 4;
+    let half = GraphSpec {
+        jumps: vec![1, 8],
+        ..GraphSpec::new("circulant", 16)
+    };
+    assert_eq!(half.csr_bytes_estimate(), bytes(16, 3));
+    assert_eq!(GraphSpec::new("torus", 2).csr_bytes_estimate(), bytes(4, 2));
+    assert_eq!(GraphSpec::new("torus", 1).csr_bytes_estimate(), bytes(1, 0));
+    assert_eq!(
+        GraphSpec::new("hypercube", 5).csr_bytes_estimate(),
+        bytes(32, 5)
+    );
+    assert_eq!(GraphSpec::new("cycle", 9).csr_bytes_estimate(), bytes(9, 2));
+    for spec in [
+        half,
+        GraphSpec::new("torus", 2),
+        GraphSpec::new("hypercube", 5),
+    ] {
+        let g = spec.build().expect("small closed form builds");
+        assert_eq!(
+            spec.csr_bytes_estimate(),
+            bytes(g.n() as u128, (2 * g.m() / g.n()) as u128),
+            "{spec:?}"
+        );
+    }
+}

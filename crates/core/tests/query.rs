@@ -13,10 +13,12 @@
 //!   and extend fixed runs, starts draw distinct streams, and the CI
 //!   shrinks with the trial count.
 
-use mrw_core::query::{Budget, Query, Report, Session, Shard};
+use mrw_core::query::{
+    BackendChoice, Budget, GraphSpec, Query, QuerySpec, Report, Session, Shard, MAX_TRIALS,
+};
 use mrw_core::starts::worst_start_candidates;
 use mrw_core::{BatchMode, Discipline, Precision, PreyStrategy};
-use mrw_graph::{generators, Graph};
+use mrw_graph::{generators, Graph, GraphBackend};
 use mrw_stats::harmonic::harmonic;
 use proptest::prelude::*;
 
@@ -724,4 +726,125 @@ fn disconnected_cover_is_rejected() {
     b.add_edge(2, 3);
     let g = b.build("frag");
     cover(&g, 1, vec![0], fixed(4, 0));
+}
+
+/// `QuerySpec::resolve` is the gate in front of `Session`: every spec
+/// `Session::new` or `Session::run` would panic on is an `Err` there (a
+/// panic inside the gate fails the test), and one valid spec per query
+/// kind resolves and runs.
+#[test]
+fn the_spec_gate_refuses_every_session_precondition() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let spec = |graph: GraphSpec, query: Query, budget: Budget| QuerySpec {
+        graph,
+        query,
+        budget,
+    };
+    let cycle = || GraphSpec::new("cycle", 16);
+    // gcd(8, 2) = 2: two components.
+    let split = || GraphSpec {
+        jumps: vec![2],
+        ..GraphSpec::new("circulant", 8)
+    };
+    let on_cycle = |query: Query| spec(cycle(), query, fixed(4, 1));
+    let cover = |k, starts| Query::Cover { k, starts };
+    let partial = |k, start, gammas| Query::PartialCover { k, start, gammas };
+    let hitting = |from, to| Query::Hitting { from, to, cap: 64 };
+    let meeting = |a, b, laziness| Query::Meeting {
+        a,
+        b,
+        laziness,
+        cap: 64,
+    };
+    let pursuit = |ks, hunters, prey| Query::Pursuit {
+        ks,
+        hunters,
+        prey,
+        strategy: PreyStrategy::RandomWalk,
+        cap: 64,
+    };
+    let ladder = |start, ks| Query::SpeedupLadder { start, ks };
+    let walk_cap = 402_653_185;
+    let adaptive = |max| Budget {
+        precision: Some(Precision::relative(0.1).with_max_trials(max)),
+        ..fixed(4, 1)
+    };
+
+    let refused = [
+        spec(cycle(), cover(2, vec![0]), fixed(0, 1)),
+        spec(cycle(), cover(2, vec![0]), fixed(MAX_TRIALS + 1, 1)),
+        spec(cycle(), cover(2, vec![0]), adaptive(MAX_TRIALS + 1)),
+        on_cycle(cover(2, vec![16])),
+        on_cycle(partial(2, 16, vec![0.5])),
+        on_cycle(hitting(16, 0)),
+        on_cycle(hitting(0, 16)),
+        on_cycle(meeting(16, 0, None)),
+        on_cycle(meeting(0, 16, None)),
+        on_cycle(pursuit(vec![2], 16, 0)),
+        on_cycle(pursuit(vec![2], 0, 16)),
+        on_cycle(ladder(16, vec![2])),
+        on_cycle(cover(0, vec![0])),
+        on_cycle(partial(0, 0, vec![0.5])),
+        on_cycle(cover(2, vec![])),
+        on_cycle(partial(2, 0, vec![])),
+        on_cycle(partial(2, 0, vec![0.0])),
+        on_cycle(partial(2, 0, vec![1.5])),
+        on_cycle(ladder(0, vec![])),
+        on_cycle(pursuit(vec![], 0, 8)),
+        on_cycle(ladder(0, vec![2, 0])),
+        on_cycle(pursuit(vec![2, 0], 0, 8)),
+        on_cycle(cover(walk_cap, vec![0])),
+        on_cycle(partial(walk_cap, 0, vec![0.5])),
+        on_cycle(ladder(0, vec![walk_cap])),
+        on_cycle(pursuit(vec![walk_cap], 0, 8)),
+        on_cycle(meeting(0, 8, Some(1.0))),
+        spec(split(), cover(2, vec![0]), fixed(4, 1)),
+        spec(split(), partial(2, 0, vec![1.0]), fixed(4, 1)),
+        spec(split(), hitting(0, 1), fixed(4, 1)),
+        spec(split(), Query::HMax, fixed(4, 1)),
+        spec(split(), ladder(0, vec![2]), fixed(4, 1)),
+        spec(GraphSpec::new("cycle", 2), cover(2, vec![0]), fixed(4, 1)),
+        spec(
+            GraphSpec {
+                backend: BackendChoice::Csr,
+                ..GraphSpec::new("cycle", 2)
+            },
+            cover(2, vec![0]),
+            fixed(4, 1),
+        ),
+        spec(
+            GraphSpec {
+                backend: BackendChoice::Implicit,
+                ..GraphSpec::new("cycle", 2)
+            },
+            cover(2, vec![0]),
+            fixed(4, 1),
+        ),
+    ];
+    for spec in &refused {
+        match catch_unwind(AssertUnwindSafe(|| spec.resolve())) {
+            Ok(Err(_)) => {}
+            Ok(Ok(g)) => panic!("{spec:?} resolved to {}", g.name()),
+            Err(_) => panic!("{spec:?} panicked in the gate"),
+        }
+    }
+
+    let valid = [
+        on_cycle(cover(2, vec![0, 15])),
+        on_cycle(partial(2, 15, vec![0.5, 1.0])),
+        on_cycle(hitting(0, 15)),
+        on_cycle(Query::HMax),
+        on_cycle(meeting(0, 15, Some(0.5))),
+        on_cycle(pursuit(vec![1, 2], 0, 15)),
+        on_cycle(ladder(15, vec![1, 2])),
+        spec(cycle(), cover(2, vec![0]), adaptive(MAX_TRIALS)),
+    ];
+    for spec in &valid[..7] {
+        let g = spec.resolve().unwrap_or_else(|e| panic!("{spec:?}: {e}"));
+        let report = Session::new(spec.budget.clone()).run(&g, &spec.query);
+        assert!(report.is_complete(), "{spec:?}");
+    }
+    valid[7]
+        .resolve()
+        .expect("an adaptive cap of exactly 2^24 resolves");
 }
