@@ -62,7 +62,7 @@ options:
   --quick         CI-scale sizes and trial counts (default: paper scale)
   --trials N      override Monte-Carlo trials per estimate
   --seed S        override the master seed
-  --threads T     override worker-thread count
+  --threads T     override worker-thread count (1..=1024)
   --batch         force the engine's batched stepping sweep at any k
   --no-batch      force the scalar stepping loop (legacy seeded streams)
                   (default: auto - batch k >= 64 round-synchronous walks;
@@ -81,12 +81,7 @@ sharding (mrw shard only; every other verb rejects these):
                   report with zero trials (fanout's adaptive waves)
 
 fanout / resume (multi-process scale-out):
-  --workers N     concurrent worker processes (default: available threads)
-  --shards S      work ranges to plan for a fixed budget
-                  (default: 4*workers so idle workers can steal;
-                  adaptive budgets split per wave)
-  --chunk C       dispatch chunks of at most C trials instead of the
-                  planned ranges (stealing granularity)
+  --workers N     worker processes, 1..=1024 (default: available threads)
   --retries R     per-range retry budget for failed/hung/corrupt
                   workers, with exponential backoff (default 2)
   --deadline-ms D minimum hang deadline; a chunk running past
@@ -213,13 +208,8 @@ pub struct Options {
     pub groups: Option<Vec<usize>>,
     /// `--workers N` (the `fanout` verb's concurrent process count).
     pub workers: Option<usize>,
-    /// `--shards S` (the `fanout` verb's planned range count for fixed
-    /// budgets).
-    pub fanout_shards: Option<usize>,
     /// `--retries R` (the `fanout` verb's per-range retry budget).
     pub retries: Option<usize>,
-    /// `--chunk C`: maximum trials per dispatched fanout chunk.
-    pub chunk: Option<usize>,
     /// `--deadline-ms D`: the fanout hang-deadline floor.
     pub deadline_ms: Option<u64>,
     /// `--partial-ok`: accept a merged partial report on retry
@@ -249,6 +239,10 @@ pub struct Options {
     pub files: Vec<String>,
 }
 
+/// The most worker processes (`--workers`) or threads (`--threads`) a
+/// command line may ask for: each one is an OS process or thread.
+const MAX_PARALLELISM: usize = 1024;
+
 /// The argument stream behind [`Options::parse`]: every argument is read
 /// here, and the value shapes flags share (a number, a count ≥ 1, a comma
 /// list, a precision target) are parsed and checked once, so each of
@@ -277,6 +271,15 @@ impl<I: Iterator<Item = String>> Args<I> {
         let c: T = self.number(flag)?;
         if c < T::from(1) {
             return Err(format!("{flag} must be >= 1"));
+        }
+        Ok(c)
+    }
+
+    /// A process or thread count in `1..=MAX_PARALLELISM` after `flag`.
+    fn parallelism(&mut self, flag: &str) -> Result<usize, String> {
+        let c = self.count(flag)?;
+        if c > MAX_PARALLELISM {
+            return Err(format!("{flag} must be <= {MAX_PARALLELISM}"));
         }
         Ok(c)
     }
@@ -339,10 +342,8 @@ impl Options {
                     opts.range = Some(lo..hi);
                 }
                 "--groups" => opts.groups = Some(args.list(f, "a value (e.g. 0,2)", 0)?),
-                "--workers" => opts.workers = Some(args.count(f)?),
-                "--shards" => opts.fanout_shards = Some(args.count(f)?),
+                "--workers" => opts.workers = Some(args.parallelism(f)?),
                 "--retries" => opts.retries = Some(args.number(f)?),
-                "--chunk" => opts.chunk = Some(args.count(f)?),
                 "--deadline-ms" => opts.deadline_ms = Some(args.count(f)?),
                 "--checkpoint" => opts.checkpoint = Some(args.value(f, "a path")?),
                 "--listen" => opts.listen = Some(args.value(f, "an address")?),
@@ -358,7 +359,7 @@ impl Options {
                 "--k-ladder" => opts.k_ladder = Some(args.list(f, "a value", 1)?),
                 "--trials" => opts.trials = Some(args.count(f)?),
                 "--seed" => opts.seed = Some(args.number(f)?),
-                "--threads" => opts.threads = Some(args.count(f)?),
+                "--threads" => opts.threads = Some(args.parallelism(f)?),
                 "--precision" => opts.precision = Some(args.target(f)?),
                 "--rel-precision" => opts.rel_precision = Some(args.target(f)?),
                 "--confidence" => {
@@ -604,23 +605,28 @@ mod tests {
 
     #[test]
     fn fanout_flags() {
-        let o = parse(&[
-            "fanout",
-            "s.json",
-            "--workers",
-            "4",
-            "--shards",
-            "8",
-            "--retries",
-            "0",
-        ])
-        .unwrap();
+        let o = parse(&["fanout", "s.json", "--workers", "4", "--retries", "0"]).unwrap();
         assert_eq!(o.workers, Some(4));
-        assert_eq!(o.fanout_shards, Some(8));
         assert_eq!(o.retries, Some(0));
         assert!(parse(&["fanout", "s.json", "--workers", "0"]).is_err());
-        assert!(parse(&["fanout", "s.json", "--shards", "0"]).is_err());
         assert!(parse(&["fanout", "s.json", "--retries", "x"]).is_err());
+    }
+
+    /// Every worker is an OS process and every thread an OS thread, so
+    /// both counts stop at `MAX_PARALLELISM`, and no worker count can
+    /// overflow the fanout chunk arithmetic.
+    #[test]
+    fn workers_and_threads_stop_at_the_parallelism_ceiling() {
+        for flag in ["--workers", "--threads"] {
+            let o = parse(&["fanout", "s.json", flag, "1024"]).unwrap();
+            assert_eq!(o.workers.or(o.threads), Some(1024));
+            for too_many in ["1025", "4611686018427387904"] {
+                assert_eq!(
+                    parse(&["fanout", "s.json", flag, too_many]).unwrap_err(),
+                    format!("{flag} must be <= 1024")
+                );
+            }
+        }
     }
 
     #[test]
@@ -628,8 +634,6 @@ mod tests {
         let o = parse(&[
             "fanout",
             "s.json",
-            "--chunk",
-            "16",
             "--deadline-ms",
             "250",
             "--partial-ok",
@@ -637,17 +641,14 @@ mod tests {
             "/tmp/ck.json",
         ])
         .unwrap();
-        assert_eq!(o.chunk, Some(16));
         assert_eq!(o.deadline_ms, Some(250));
         assert!(o.partial_ok);
         assert_eq!(o.checkpoint.as_deref(), Some("/tmp/ck.json"));
         // Defaults stay off.
         let o = parse(&["fanout", "s.json"]).unwrap();
         assert!(!o.partial_ok);
-        assert_eq!(o.chunk, None);
         assert_eq!(o.deadline_ms, None);
         assert_eq!(o.checkpoint, None);
-        assert!(parse(&["fanout", "s.json", "--chunk", "0"]).is_err());
         assert!(parse(&["fanout", "s.json", "--deadline-ms", "0"]).is_err());
         assert!(parse(&["fanout", "s.json", "--checkpoint"]).is_err());
     }

@@ -1,16 +1,15 @@
 //! The work-stealing, deadline-aware chunk scheduler behind `mrw fanout`.
 //!
-//! PR 5's driver assigned each worker one statically planned range, so a
-//! single slow or hung worker idled the whole pool. This module replaces
-//! that with pull-based dispatch: the trial space is cut into *chunks*
-//! (more chunks than workers), every idle worker slot pulls the next
+//! Dispatch is pull-based: `mrw fanout` cuts each wave window into
+//! *chunks* by its one chunk rule, every idle worker slot pulls the next
 //! ready chunk, and a straggler only delays its own chunk while the rest
-//! of the pool keeps stealing work. Determinism needs no cooperation from
-//! the schedule — a trial is a pure function of `(graph, seed, index)`
-//! and [`Report::merge`] is exact over disjoint coverage, so *any* chunk
-//! partition in *any* completion order folds to the same bytes (pinned by
-//! a property test over randomized chunk schedules in
-//! `crates/core/tests/query.rs`).
+//! of the pool keeps stealing work. The pool settings come from the
+//! command line once, through [`DispatchConfig::from_options`].
+//! Determinism needs no cooperation from the schedule — a trial is a pure
+//! function of `(graph, seed, index)` and [`Report::merge`] is exact over
+//! disjoint coverage, so *any* chunk partition in *any* completion order
+//! folds to the same bytes (pinned by a property test over randomized
+//! chunk schedules in `crates/core/tests/query.rs`).
 //!
 //! ## Failure classes and policy
 //!
@@ -43,6 +42,8 @@ use std::time::{Duration, Instant};
 use mrw_core::Report;
 use rand::rngs::SplitMix64;
 
+use crate::args::Options;
+
 /// How often the dispatcher polls its running children.
 const POLL_INTERVAL: Duration = Duration::from_millis(2);
 
@@ -62,6 +63,14 @@ const BACKOFF_BASE: Duration = Duration::from_millis(10);
 
 /// Hard ceiling on a single backoff delay.
 const BACKOFF_CAP: Duration = Duration::from_secs(1);
+
+/// Default per-chunk retry budget for failed, hung, or corrupt workers
+/// (`--retries`).
+const DEFAULT_RETRIES: usize = 2;
+
+/// Default deadline floor (`--deadline-ms`): no in-flight chunk is killed
+/// as hung before running at least this long, however fast its peers are.
+const DEFAULT_DEADLINE_MS: u64 = 1000;
 
 /// Scratch directory for the resolved spec and per-worker report files.
 /// Removed recursively on drop, so no exit path — success, abort, or
@@ -98,7 +107,8 @@ impl Drop for Scratch {
     }
 }
 
-/// Pool knobs, resolved from the CLI flags by the fanout driver.
+/// Pool knobs, resolved from the command line by
+/// [`DispatchConfig::from_options`].
 #[derive(Clone)]
 pub struct DispatchConfig {
     /// Concurrent worker processes.
@@ -113,6 +123,22 @@ pub struct DispatchConfig {
     /// Seed for the deterministic backoff jitter (the spec's master
     /// seed, so reruns of the same spec back off identically).
     pub jitter_seed: u64,
+}
+
+impl DispatchConfig {
+    /// The pool settings `mrw fanout`, `mrw resume` and `mrw serve
+    /// --delegate-trials` read from their command line: `--workers`
+    /// (default: the available threads), `--retries`, `--threads` and
+    /// `--deadline-ms`, with backoff jitter keyed by `jitter_seed`.
+    pub fn from_options(opts: &Options, jitter_seed: u64) -> DispatchConfig {
+        DispatchConfig {
+            workers: opts.workers.unwrap_or_else(mrw_par::available_threads),
+            retries: opts.retries.unwrap_or(DEFAULT_RETRIES),
+            threads: opts.threads,
+            deadline_floor: Duration::from_millis(opts.deadline_ms.unwrap_or(DEFAULT_DEADLINE_MS)),
+            jitter_seed,
+        }
+    }
 }
 
 /// One schedulable unit: a trial range, the group restriction it should
@@ -173,8 +199,6 @@ pub struct Dispatcher<'a> {
     pub failures: Vec<String>,
     /// Attempts beyond the first that eventually produced a report.
     pub retries_used: usize,
-    /// Hung workers SIGKILLed by the deadline policy.
-    pub deadline_kills: usize,
 }
 
 impl<'a> Dispatcher<'a> {
@@ -198,7 +222,6 @@ impl<'a> Dispatcher<'a> {
             next_file: 0,
             failures: Vec::new(),
             retries_used: 0,
-            deadline_kills: 0,
         })
     }
 
@@ -368,9 +391,6 @@ impl<'a> Dispatcher<'a> {
                     self.completed.push((worker.chunk.wave, report));
                 }
                 Err(e) => {
-                    if worker.deadline_killed {
-                        self.deadline_kills += 1;
-                    }
                     let _ = std::fs::remove_file(&worker.out_path);
                     self.chunk_failed(worker.chunk, e)?;
                 }

@@ -16,10 +16,10 @@
 //! ([`waves::drive`]) with the pool as its executor ([`PoolExecutor`]); a
 //! fixed budget is the one-window case `[0, N)`. The driver owns the
 //! windows, the rule check, and group retirement; the pool cuts each
-//! window into chunks — `--shards` pieces for a fixed budget (default
-//! `4 × workers`, so the pool can steal around stragglers), one per
-//! worker for an adaptive window, or `--chunk`-sized — and dispatches
-//! them with `mrw shard --range --groups` restricted to the groups still
+//! window into chunks by one rule ([`chunks`]: one balanced piece per
+//! worker, and [`STEAL_PIECES`] per worker for the schedule's last window
+//! once there is a second worker to steal them) and dispatches them with
+//! `mrw shard --range --groups` restricted to the groups still
 //! active. The next window is queued before the current one is awaited,
 //! under the current active set: a superset of the groups that will need
 //! it. Each finished window is recorded in a [`Ledger`] as a prefix
@@ -57,13 +57,6 @@ use mrw_core::{AnyGraph, Group, QuerySpec, Report};
 
 use crate::args::Options;
 use crate::dispatch::{merge_all, Chunk, DispatchConfig, Dispatcher, Scratch};
-
-/// Default per-chunk retry budget for failed, hung, or corrupt workers.
-pub const DEFAULT_RETRIES: usize = 2;
-
-/// Default deadline floor (`--deadline-ms`): no in-flight chunk is killed
-/// as hung before running at least this long, however fast its peers are.
-pub const DEFAULT_DEADLINE_MS: u64 = 1000;
 
 /// What the worker-side fault hook tells `mrw shard` to do after the
 /// side effects (killing, hanging, sleeping) have been applied.
@@ -159,11 +152,35 @@ struct DriveResult {
     outcome: Result<Report, Interrupted>,
     failures: Vec<String>,
     retries_used: usize,
+    /// Chunk reports merged into the windows [`waves::drive`] asked for.
+    chunks_merged: usize,
 }
 
-/// Cuts a contiguous gap into chunks of at most `chunk_len` trials.
-fn split_chunks(gap: Range<usize>, chunk_len: usize) -> Vec<Range<usize>> {
-    split_range(gap.clone(), gap.len().div_ceil(chunk_len.max(1)))
+/// Pieces per worker of the schedule's last window when there are at
+/// least two workers: nothing is queued behind that window, so finer
+/// pieces are what an idle worker can steal around a straggler.
+const STEAL_PIECES: usize = 4;
+
+/// The chunk rule: how the pool cuts `gap`, a still-missing part of window
+/// `w` of `windows`, into chunks for `workers` worker processes. A window
+/// splits into one balanced piece per worker, the last into
+/// [`STEAL_PIECES`] per worker when `workers >= 2`; a gap takes its
+/// rounded-up share of its window's pieces. The chunks partition the gap,
+/// none empty.
+fn chunks(
+    windows: &[Range<usize>],
+    w: usize,
+    gap: Range<usize>,
+    workers: usize,
+) -> Vec<Range<usize>> {
+    let per_worker = if w + 1 == windows.len() && workers >= 2 {
+        STEAL_PIECES
+    } else {
+        1
+    };
+    let pieces = workers.saturating_mul(per_worker);
+    let share = pieces.saturating_mul(gap.len()).div_ceil(windows[w].len());
+    split_range(gap, share)
 }
 
 /// The still-missing chunk ranges of one wave window, given whatever a
@@ -180,47 +197,6 @@ fn window_gaps(window: &Range<usize>, saved: Option<&Report>) -> Vec<Range<usize
     }
 }
 
-/// How a drive cuts its windows into chunks.
-struct ChunkPlan {
-    /// `--chunk`: one explicit chunk length for every window.
-    chunk: Option<usize>,
-    /// Balanced pieces a window with no checkpointed progress splits into.
-    fresh: usize,
-    /// Pieces whose length sizes the chunks of a partly checkpointed
-    /// window.
-    parts: usize,
-}
-
-impl ChunkPlan {
-    /// Fixed budgets split into `--shards` pieces (default four per
-    /// worker, so idle workers have something to steal); adaptive windows
-    /// split like the in-process wave fan-out, one piece per worker.
-    fn new(chunk: Option<usize>, shards: Option<usize>, workers: usize, fixed: bool) -> ChunkPlan {
-        let parts = if fixed { workers * 4 } else { workers };
-        ChunkPlan {
-            chunk,
-            fresh: if fixed {
-                shards.unwrap_or(parts)
-            } else {
-                parts
-            },
-            parts,
-        }
-    }
-
-    /// The chunks covering `gap`, a still-missing part of `window`.
-    fn chunks(&self, window: &Range<usize>, gap: Range<usize>) -> Vec<Range<usize>> {
-        match self.chunk {
-            None if gap == *window => split_range(gap, self.fresh),
-            chunk => {
-                let len = window.len();
-                let chunk_len = chunk.unwrap_or_else(|| len.div_ceil(self.parts.min(len).max(1)));
-                split_chunks(gap, chunk_len)
-            }
-        }
-    }
-}
-
 /// The worker pool as a [`waves::WaveExecutor`] over a [`Ledger`]: every
 /// finished window becomes a prefix window of each group the driver asked
 /// about, and a window the ledger already holds (a resumed checkpoint's) is
@@ -233,7 +209,7 @@ impl ChunkPlan {
 /// optimistic extra trials never reach the report.
 struct PoolExecutor<'s> {
     pool: Dispatcher<'s>,
-    plan: ChunkPlan,
+    workers: usize,
     windows: Vec<Range<usize>>,
     /// The finished windows, per group.
     ledger: Ledger,
@@ -249,6 +225,8 @@ struct PoolExecutor<'s> {
     /// Whether a chunk exhausted its retries: the drive stopped, but its
     /// finished work can be checkpointed.
     exhausted: bool,
+    /// Chunk reports merged into finished windows.
+    chunks_merged: usize,
 }
 
 impl<'s> PoolExecutor<'s> {
@@ -261,7 +239,6 @@ impl<'s> PoolExecutor<'s> {
         mut ledger: Ledger,
         scratch: &'s Scratch,
         cfg: DispatchConfig,
-        plan: ChunkPlan,
         windows: Vec<Range<usize>>,
     ) -> Result<PoolExecutor<'s>, String> {
         let mut slots: Vec<Option<Report>> = vec![None; windows.len()];
@@ -299,14 +276,15 @@ impl<'s> PoolExecutor<'s> {
         std::fs::write(&spec_path, ledger.spec.to_json())
             .map_err(|e| format!("{}: {e}", spec_path.display()))?;
         Ok(PoolExecutor {
+            workers: cfg.workers,
             pool: Dispatcher::new(spec_path, scratch, cfg)?,
-            plan,
             windows,
             ledger,
             saved: slots,
             queued: 0,
             finished: 0,
             exhausted: false,
+            chunks_merged: 0,
         })
     }
 
@@ -317,7 +295,7 @@ impl<'s> PoolExecutor<'s> {
             let w = self.queued;
             let window = self.windows[w].clone();
             for gap in window_gaps(&window, self.saved[w].as_ref()) {
-                for range in self.plan.chunks(&window, gap) {
+                for range in chunks(&self.windows, w, gap, self.workers) {
                     self.pool
                         .enqueue(Chunk::new(w, range, groups.map(<[usize]>::to_vec)));
                 }
@@ -335,6 +313,7 @@ impl<'s> PoolExecutor<'s> {
             return Err(e);
         }
         let mut parts = self.pool.take_completed(w);
+        self.chunks_merged += parts.len();
         parts.extend(self.saved[w].take());
         let report = merge_all(&parts)?;
         if report.coverage.ranges() != [(window.start as u64, window.end as u64)] {
@@ -430,20 +409,11 @@ impl waves::WaveExecutor for PoolExecutor<'_> {
 /// or resumed from a checkpoint, through the one wave driver: a fixed
 /// budget is its one-window case.
 fn drive(ledger: Ledger, opts: &Options) -> Result<DriveResult, String> {
-    let workers = opts.workers.unwrap_or_else(mrw_par::available_threads);
     let spec = ledger.spec.clone();
     let trials = spec.budget.trials_budget();
     let scratch = Scratch::new()?;
-    let cfg = DispatchConfig {
-        workers,
-        retries: opts.retries.unwrap_or(DEFAULT_RETRIES),
-        threads: opts.threads,
-        deadline_floor: Duration::from_millis(opts.deadline_ms.unwrap_or(DEFAULT_DEADLINE_MS)),
-        jitter_seed: spec.budget.seed,
-    };
-    let fixed = spec.budget.precision.is_none();
-    let plan = ChunkPlan::new(opts.chunk, opts.fanout_shards, workers, fixed);
-    let mut exec = PoolExecutor::new(ledger, &scratch, cfg, plan, waves::windows(trials))?;
+    let cfg = DispatchConfig::from_options(opts, spec.budget.seed);
+    let mut exec = PoolExecutor::new(ledger, &scratch, cfg, waves::windows(trials))?;
     let outcome = match waves::drive(trials, &mut exec) {
         Ok(groups) => {
             // Cancel whatever the pipeline ran ahead on: the rule retired
@@ -464,13 +434,15 @@ fn drive(ledger: Ledger, opts: &Options) -> Result<DriveResult, String> {
         outcome,
         failures: std::mem::take(&mut exec.pool.failures),
         retries_used: exec.pool.retries_used,
+        chunks_merged: exec.chunks_merged,
     })
 }
 
 /// Runs trials `range` of a fixed-budget `spec` on a fresh worker pool,
 /// restricted to `groups`, and returns the merged report — checked to
 /// cover exactly `range`. This is `mrw serve --delegate-trials`: the same
-/// chunk plan, dispatch, merge, and coverage check as a fanout window.
+/// chunk rule (on a one-window schedule), dispatch, merge, and coverage
+/// check as a fanout window.
 pub(crate) fn run_on_pool(
     spec: &QuerySpec,
     g: &AnyGraph,
@@ -479,24 +451,10 @@ pub(crate) fn run_on_pool(
     cfg: DispatchConfig,
 ) -> Result<Report, String> {
     let scratch = Scratch::new()?;
-    let plan = ChunkPlan::new(None, None, cfg.workers, true);
     let ledger = Ledger::new(spec.clone(), GraphInfo::of(g));
-    let mut exec = PoolExecutor::new(ledger, &scratch, cfg, plan, vec![range])?;
+    let mut exec = PoolExecutor::new(ledger, &scratch, cfg, vec![range])?;
     exec.queue(0, groups);
     exec.finish(0)
-}
-
-/// Prints a completed merged report exactly like `mrw run` would, plus
-/// the fanout summary line on stderr.
-fn emit_complete(merged: &Report, opts: &Options, workers: usize, retries_used: usize) {
-    eprintln!(
-        "mrw fanout: {} trials across {} worker(s), {} retr{} used",
-        merged.consumed_trials(),
-        workers,
-        retries_used,
-        if retries_used == 1 { "y" } else { "ies" }
-    );
-    crate::print_report(merged, opts);
 }
 
 /// Everything a checkpoint holds as one partial report: each group's last
@@ -522,22 +480,30 @@ fn partial_report(checkpoint: &Ledger) -> Result<Option<Report>, String> {
     merge_all(&parts).map(Some)
 }
 
-/// Shared tail of `mrw fanout` and `mrw resume`: emit the completed
-/// report, or checkpoint the partial progress and either abort with the
+/// Shared tail of `mrw fanout` and `mrw resume`: print the completed
+/// report exactly like `mrw run` would, plus the fanout summary line on
+/// stderr, or checkpoint the partial progress and either abort with the
 /// resume instructions or (`--partial-ok`) emit the merged partial.
 fn conclude(
     result: DriveResult,
     opts: &Options,
     reuse_checkpoint: Option<String>,
 ) -> Result<(), String> {
-    let workers = opts.workers.unwrap_or_else(mrw_par::available_threads);
     let Interrupted {
         error,
         mut checkpoint,
         missing,
     } = match result.outcome {
         Ok(merged) => {
-            emit_complete(&merged, opts, workers, result.retries_used);
+            let retries = result.retries_used;
+            eprintln!(
+                "mrw fanout: {} trials in {} chunk(s) across {} worker(s), {retries} retr{} used",
+                merged.consumed_trials(),
+                result.chunks_merged,
+                DispatchConfig::from_options(opts, 0).workers,
+                if retries == 1 { "y" } else { "ies" }
+            );
+            crate::print_report(&merged, opts);
             return Ok(());
         }
         Err(interrupted) => interrupted,
@@ -587,12 +553,11 @@ fn conclude(
     }
 }
 
-/// `mrw fanout spec.json --workers N [--shards S | --chunk C] [--retries
-/// R] [--deadline-ms D] [--partial-ok] [--checkpoint PATH]`: run a spec
-/// across local worker processes and print the merged report —
-/// byte-identical to `mrw run spec.json` for fixed *and* adaptive
-/// budgets, even when workers die, hang, straggle, or corrupt their
-/// output and are retried.
+/// `mrw fanout spec.json --workers N [--retries R] [--deadline-ms D]
+/// [--partial-ok] [--checkpoint PATH]`: run a spec across local worker
+/// processes and print the merged report — byte-identical to `mrw run
+/// spec.json` for fixed *and* adaptive budgets, even when workers die,
+/// hang, straggle, or corrupt their output and are retried.
 pub fn run_fanout(opts: &Options) -> Result<(), String> {
     let (spec, g) = crate::load_spec(opts)?;
     let result = drive(Ledger::new(spec, GraphInfo::of(&g)), opts)?;
@@ -607,8 +572,8 @@ const RETIRED_CHECKPOINT_SCHEMA: &str = "mrw-checkpoint-v1";
 /// and running only the still-missing trial ranges. The output completes
 /// byte-identically to an unfailed `mrw run` of the same spec. Execution
 /// knobs (`--workers`, `--retries`, `--threads`, `--deadline-ms`,
-/// `--chunk`, `--json`) apply; budget overrides are rejected because
-/// byte-identity requires the checkpointed spec unchanged.
+/// `--json`) apply; budget overrides are rejected because byte-identity
+/// requires the checkpointed spec unchanged.
 pub fn run_resume(opts: &Options) -> Result<(), String> {
     let path = crate::one_file(opts, "checkpoint")?;
     if opts.trials.is_some()
@@ -620,7 +585,7 @@ pub fn run_resume(opts: &Options) -> Result<(), String> {
         return Err(
             "mrw resume cannot override the checkpointed spec (budget/backend flags \
              would change what byte-identical completion means); only execution \
-             knobs like --workers/--retries/--threads/--deadline-ms/--chunk apply"
+             knobs like --workers/--retries/--threads/--deadline-ms apply"
                 .into(),
         );
     }
@@ -642,4 +607,75 @@ pub fn run_resume(opts: &Options) -> Result<(), String> {
         .map_err(|e| format!("{path}: {e}"))?;
     let result = drive(checkpoint, opts)?;
     conclude(result, opts, Some(path.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fixed budget: the one-window schedule.
+    const FIXED: Range<usize> = 0..96;
+
+    /// A three-window schedule: first, middle and last window.
+    const THREE: [Range<usize>; 3] = [0..16, 16..48, 48..96];
+
+    #[test]
+    fn each_window_splits_per_worker_and_the_last_four_ways_once_two_can_steal() {
+        let one = std::slice::from_ref(&FIXED);
+        for (workers, last) in [(1, 1), (2, 8), (4, 16)] {
+            assert_eq!(chunks(one, 0, FIXED, workers).len(), last);
+            assert_eq!(chunks(&THREE, 0, 0..16, workers).len(), workers);
+            assert_eq!(chunks(&THREE, 1, 16..48, workers).len(), workers);
+            assert_eq!(chunks(&THREE, 2, 48..96, workers).len(), last);
+        }
+        assert_eq!(chunks(one, 0, FIXED, 1), one);
+        assert_eq!(chunks(&THREE, 1, 16..48, 2), [16..32, 32..48]);
+    }
+
+    #[test]
+    fn a_resumed_gap_takes_its_share_of_the_window_pieces() {
+        // 16 pieces of the 96-trial window at 4 workers, 6 trials each.
+        let pieces = |gap| chunks(std::slice::from_ref(&FIXED), 0, gap, 4).len();
+        assert_eq!(pieces(24..48), 4);
+        assert_eq!(pieces(90..96), 1);
+        assert_eq!(pieces(95..96), 1);
+        assert_eq!(pieces(1..96), 16);
+        // 4 pieces of the 32-trial middle window: half of it takes 2.
+        assert_eq!(chunks(&THREE, 1, 16..32, 4), [16..24, 24..32]);
+        assert_eq!(chunks(&THREE, 1, 40..41, 4).len(), 1);
+    }
+
+    #[test]
+    fn chunks_partition_every_gap_without_an_empty_chunk() {
+        for len in 1..=200_usize {
+            let windows = [0..len, len..2 * len];
+            for (w, window) in windows.iter().enumerate() {
+                let lo = window.start;
+                let gaps = [
+                    (0, len),
+                    (0, len.div_ceil(2)),
+                    (len / 2, len),
+                    (len / 3, len - len / 3),
+                    (len - 1, len),
+                ];
+                for (a, b) in gaps.into_iter().filter(|(a, b)| a < b) {
+                    let gap = lo + a..lo + b;
+                    for workers in 1..=8 {
+                        let pieces = chunks(&windows, w, gap.clone(), workers);
+                        assert!(pieces.iter().all(|c| !c.is_empty()), "{pieces:?}");
+                        let tiled: Vec<usize> = pieces.into_iter().flatten().collect();
+                        assert_eq!(tiled, gap.clone().collect::<Vec<_>>());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_unbounded_worker_count_cuts_one_trial_per_chunk() {
+        for (w, window) in THREE.iter().enumerate() {
+            let pieces = chunks(&THREE, w, window.clone(), usize::MAX);
+            assert_eq!(pieces.len(), window.len());
+        }
+    }
 }

@@ -107,7 +107,6 @@ use mrw_graph::GraphBackend;
 
 use crate::args::Options;
 use crate::dispatch::DispatchConfig;
-use crate::fanout::{DEFAULT_DEADLINE_MS, DEFAULT_RETRIES};
 
 /// Hard cap on one request frame — hostile input must not buffer
 /// unboundedly. Oversize frames get one error response, then the
@@ -993,13 +992,7 @@ pub fn run_serve(opts: &Options) -> Result<(), String> {
     }
     let delegation = opts.delegate_trials.map(|threshold| Delegation {
         threshold,
-        pool: DispatchConfig {
-            workers: opts.workers.unwrap_or_else(mrw_par::available_threads),
-            retries: opts.retries.unwrap_or(DEFAULT_RETRIES),
-            threads: opts.threads,
-            deadline_floor: Duration::from_millis(opts.deadline_ms.unwrap_or(DEFAULT_DEADLINE_MS)),
-            jitter_seed: 0,
-        },
+        pool: DispatchConfig::from_options(opts, 0),
     });
     let server = Arc::new(Server {
         inner: Mutex::new(Inner::default()),

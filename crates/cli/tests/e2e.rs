@@ -493,6 +493,28 @@ fn oversized_trial_budgets_are_refused_up_front() {
     }
 }
 
+/// A worker count past the 1024 ceiling is an error naming it, exit 1,
+/// before any worker starts — never a panic from a chunk count that
+/// wrapped to zero.
+#[test]
+fn fanout_refuses_worker_counts_past_the_ceiling() {
+    let tmp = TempDir::new("manyworkers");
+    let spec = tmp.file("spec.json", FIXED_SPEC);
+    let assert = mrw()
+        .args([
+            "fanout",
+            spec.to_str().unwrap(),
+            "--workers",
+            "4611686018427387904",
+        ])
+        .assert()
+        .code(1)
+        .stdout("")
+        .stderr(contains("--workers must be <= 1024"));
+    let stderr = String::from_utf8_lossy(&assert.get_output().stderr).into_owned();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 // ---------------------------------------------------------------------------
 // Experiment verbs.
 
@@ -578,22 +600,16 @@ fn fanout_fixed_budget_is_byte_identical_to_run() {
     let tmp = TempDir::new("fanfixed");
     let spec = tmp.file("spec.json", FIXED_SPEC);
     let reference = oracle(&spec);
+    // Four chunks per worker once a second worker can steal them; one
+    // chunk for a one-worker pool.
     mrw()
         .args(["fanout", spec.to_str().unwrap(), "--workers", "4", "--json"])
         .assert()
         .success()
-        .stdout(reference.clone());
-    // More shards than workers, and a one-worker degenerate pool.
+        .stdout(reference.clone())
+        .stderr(contains("in 16 chunk(s) across 4 worker(s)"));
     mrw()
-        .args([
-            "fanout",
-            spec.to_str().unwrap(),
-            "--workers",
-            "2",
-            "--shards",
-            "7",
-            "--json",
-        ])
+        .args(["fanout", spec.to_str().unwrap(), "--workers", "2", "--json"])
         .assert()
         .success()
         .stdout(reference.clone());
@@ -601,7 +617,8 @@ fn fanout_fixed_budget_is_byte_identical_to_run() {
         .args(["fanout", spec.to_str().unwrap(), "--workers", "1", "--json"])
         .assert()
         .success()
-        .stdout(reference);
+        .stdout(reference)
+        .stderr(contains("in 1 chunk(s) across 1 worker(s)"));
 }
 
 #[test]

@@ -255,8 +255,9 @@ impl Shard {
 }
 
 /// Splits a non-empty trial range into at most `parts` non-empty,
-/// balanced pieces in index order — how `mrw fanout` cuts a fixed budget,
-/// or an adaptive wave `[c, c + w)`, into the work ranges its worker
+/// balanced pieces in index order — how `mrw fanout`'s chunk rule cuts a
+/// wave window `[c, c + w)` (a fixed budget is the one window `[0, n)`),
+/// or a still-missing gap of one, into the work ranges its worker
 /// processes pull.
 ///
 /// `parts` is clamped to the range length, so **no piece is empty** and
@@ -565,8 +566,9 @@ impl GraphSpec {
     /// Materializes the graph under the spec's [`BackendChoice`]:
     ///
     /// * `csr` — build the arrays, but refuse (with a pointer to
-    ///   `--backend implicit` where one exists) once the estimated
-    ///   footprint passes [`MAX_CSR_BYTES`];
+    ///   `--backend implicit` where the implicit backend accepts the
+    ///   family, its refusal otherwise) once the estimated footprint
+    ///   passes [`MAX_CSR_BYTES`];
     /// * `implicit` — the arithmetic backend, or an error for families
     ///   without closed-form neighborhoods or beyond the backend's limits;
     /// * `auto` — implicit for structured families whose CSR estimate
@@ -581,10 +583,10 @@ impl GraphSpec {
         }
         let estimate = self.csr_bytes_estimate();
         if estimate > MAX_CSR_BYTES {
-            let hint = if self.closed_form()?.is_some() {
-                "re-run with --backend implicit (O(1) state at any size)"
-            } else {
-                "this family has no implicit backend — reduce n"
+            let hint = match self.closed_form()?.map(ImplicitGraph::new) {
+                Some(Ok(_)) => "re-run with --backend implicit (O(1) state at any size)".into(),
+                Some(Err(refusal)) => format!("{refusal} — reduce n"),
+                None => "this family has no implicit backend — reduce n".into(),
             };
             return Err(format!(
                 "family '{}' at n = {} needs ≈{} MiB of CSR arrays \

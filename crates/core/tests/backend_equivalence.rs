@@ -169,6 +169,37 @@ fn oversized_csr_refusal_without_a_twin_says_so() {
     );
 }
 
+/// The refusal points at `--backend implicit` only where the implicit
+/// backend accepts the family: a degree-66 circulant past the guard gets
+/// that backend's own refusal on `auto` and `csr`, while an oversized
+/// torus keeps the hint. Both are refused from the estimate alone, before
+/// any array is built.
+#[test]
+fn oversized_csr_refusal_hints_only_what_the_implicit_backend_accepts() {
+    let wide = GraphSpec {
+        jumps: (1..=33).collect(),
+        ..GraphSpec::new("circulant", 1 << 23)
+    };
+    assert!(wide.csr_bytes_estimate() > MAX_CSR_BYTES);
+    for backend in [BackendChoice::Auto, BackendChoice::Csr] {
+        let err = GraphSpec {
+            backend,
+            ..wide.clone()
+        }
+        .resolve()
+        .expect_err("oversized circulant must refuse");
+        assert!(err.contains("above the backend limit 64"), "{err}");
+        assert!(!err.contains("--backend implicit"), "{err}");
+    }
+    let torus = GraphSpec {
+        backend: BackendChoice::Csr,
+        ..GraphSpec::new("torus", 40_000)
+    };
+    assert!(torus.csr_bytes_estimate() > MAX_CSR_BYTES);
+    let err = torus.resolve().expect_err("oversized torus must refuse");
+    assert!(err.contains("re-run with --backend implicit"), "{err}");
+}
+
 #[test]
 fn auto_backend_switches_to_implicit_above_the_threshold() {
     // Above the auto threshold but below the hard guard: auto goes
