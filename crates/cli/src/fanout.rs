@@ -1,10 +1,9 @@
 //! `mrw fanout` / `mrw resume` — the in-tree multi-process scale-out
 //! driver.
 //!
-//! PR 4 made any shard partition of a trial budget merge byte-identically
-//! into the single-process run; PR 5 ran the shards in-tree. This module
-//! is the fault-tolerant generation of that driver: it cuts the trial
-//! space into small chunks pulled by idle workers through the
+//! Any partition of a trial budget into shard reports merges
+//! byte-identically into the single-process run. This driver cuts the
+//! trial space into small chunks pulled by idle workers through the
 //! work-stealing, deadline-aware scheduler in [`crate::dispatch`], and
 //! emits one merged report **byte-identical to `mrw run`** — no matter
 //! which worker ran which chunk, in what order, or how many times a
@@ -12,20 +11,22 @@
 //!
 //! ## One drive path
 //!
-//! Fixed and adaptive budgets both run through `mrw-core`'s wave driver
-//! ([`waves::drive`]) with the pool as its executor ([`PoolExecutor`]); a
-//! fixed budget is the one-window case `[0, N)`. The driver owns the
-//! windows, the rule check, and group retirement; the pool cuts each
-//! window into chunks by one rule ([`chunks`]: one balanced piece per
-//! worker, and [`STEAL_PIECES`] per worker for the schedule's last window
-//! once there is a second worker to steal them) and dispatches them with
-//! `mrw shard --range --groups` restricted to the groups still
-//! active. The next window is queued before the current one is awaited,
-//! under the current active set: a superset of the groups that will need
-//! it. Each finished window is recorded in a [`Ledger`] as a prefix
-//! window of exactly the groups the driver asked about, so the optimistic
-//! extra trials never reach the report and the output (per-group consumed
-//! counts included) is byte-identical to `mrw run`.
+//! Fixed and adaptive budgets both run through [`Ledger::answer`], the
+//! wave driver ([`waves::drive`]) over a [`Ledger`] of the run's finished
+//! windows; a fixed budget is the one-window case `[0, N)`. The driver
+//! owns the windows, the rule check, and group retirement; the ledger
+//! answers the windows it holds and records the others. The pool
+//! ([`PoolExecutor`]) only runs what the ledger asks for: it cuts a window
+//! into chunks by one rule ([`chunks`]: one balanced piece per worker, and
+//! [`STEAL_PIECES`] per worker for the schedule's last window once there
+//! is a second worker to steal them), dispatches them with `mrw shard
+//! --range --groups` restricted to the groups the ledger listed, and
+//! merges them. The next window of its schedule is queued before the
+//! current one is awaited, under the current groups: a superset of the
+//! groups that will need it. The ledger records only the groups it asked
+//! about, so the optimistic extra trials never reach the report and the
+//! output (per-group consumed counts included) is byte-identical to `mrw
+//! run`.
 //!
 //! ## Failure handling, checkpoints, and resume
 //!
@@ -46,6 +47,12 @@
 //! sub-ranges, and completes byte-identically to an unfailed `mrw run`.
 //! `mrw serve --delegate-trials` runs its big ranges as one window of the
 //! same pool ([`run_on_pool`]).
+//!
+//! The summary line on stderr names the group count and the trials each
+//! group consumed (a range when the groups stopped at different counts),
+//! then the chunk reports merged, the worker count and the retries used:
+//! `mrw fanout: 2 group(s) × 96 trials in 16 chunk(s) across 4 worker(s),
+//! 0 retries used`.
 
 use std::ops::Range;
 use std::process::Command;
@@ -53,7 +60,7 @@ use std::time::Duration;
 
 use mrw_core::query::json::{self, Value};
 use mrw_core::query::{spec_hash, split_range, waves, Coverage, GraphInfo, Ledger};
-use mrw_core::{AnyGraph, Group, QuerySpec, Report};
+use mrw_core::{QuerySpec, Report};
 
 use crate::args::Options;
 use crate::dispatch::{merge_all, Chunk, DispatchConfig, Dispatcher, Scratch};
@@ -152,7 +159,8 @@ struct DriveResult {
     outcome: Result<Report, Interrupted>,
     failures: Vec<String>,
     retries_used: usize,
-    /// Chunk reports merged into the windows [`waves::drive`] asked for.
+    /// Chunk reports merged into the windows the ledger asked the pool
+    /// to run.
     chunks_merged: usize,
 }
 
@@ -197,31 +205,24 @@ fn window_gaps(window: &Range<usize>, saved: Option<&Report>) -> Vec<Range<usize
     }
 }
 
-/// The worker pool as a [`waves::WaveExecutor`] over a [`Ledger`]: every
-/// finished window becomes a prefix window of each group the driver asked
-/// about, and a window the ledger already holds (a resumed checkpoint's) is
-/// answered without dispatching. Any other window is cut into chunks the
-/// pool pulls, and the next window is queued before the current one is
-/// awaited, so the pool never drains at a window boundary. The next window
-/// runs under the active set the driver passed for the current one — a
-/// superset of the groups that will need it (groups only ever retire) —
-/// and the ledger records only the groups the driver asks about, so the
-/// optimistic extra trials never reach the report.
+/// The worker pool behind a fanout's [`Ledger::answer`]: it cuts each
+/// window the ledger asks it to run into chunks the pool pulls, and merges
+/// them back. The next window of its schedule is queued before the current
+/// one is awaited, so the pool never drains at a window boundary. It runs
+/// under the groups of the current window — a superset of the groups that
+/// will need it (groups only ever retire) — and the ledger records only
+/// the groups it asks about, so the optimistic extra trials never reach
+/// the report.
 struct PoolExecutor<'s> {
     pool: Dispatcher<'s>,
     workers: usize,
     windows: Vec<Range<usize>>,
-    /// The finished windows, per group.
-    ledger: Ledger,
     /// The checkpoint's frontier report of each window, merged in when
     /// the window finishes.
     saved: Vec<Option<Report>>,
     /// Windows `[0, queued)` have had their chunks enqueued (or are held
     /// by the ledger).
     queued: usize,
-    /// Windows `[0, finished)` are answered: the next one the driver asks
-    /// for is `windows[finished]`.
-    finished: usize,
     /// Whether a chunk exhausted its retries: the drive stopped, but its
     /// finished work can be checkpointed.
     exhausted: bool,
@@ -230,19 +231,20 @@ struct PoolExecutor<'s> {
 }
 
 impl<'s> PoolExecutor<'s> {
-    /// A pool over `windows` of `ledger`'s spec, resuming from the
-    /// ledger's windows and its frontier (each frontier report slotted into
-    /// the window that contains it). The children read the spec from the
-    /// scratch directory: the *resolved* spec (CLI overrides applied, or a
-    /// checkpoint's frozen spec), never the user's file.
+    /// A pool over `windows` of `spec`, resuming from a checkpoint's
+    /// `frontier` (each report slotted into the window that contains it).
+    /// The children read the spec from the scratch directory: the
+    /// *resolved* spec (CLI overrides applied, or a checkpoint's frozen
+    /// spec), never the user's file.
     fn new(
-        mut ledger: Ledger,
+        spec: &QuerySpec,
+        frontier: Vec<Report>,
         scratch: &'s Scratch,
         cfg: DispatchConfig,
         windows: Vec<Range<usize>>,
     ) -> Result<PoolExecutor<'s>, String> {
         let mut slots: Vec<Option<Report>> = vec![None; windows.len()];
-        for report in std::mem::take(&mut ledger.frontier) {
+        for report in frontier {
             let Some(&(start, _)) = report.coverage.ranges().first() else {
                 return Err("checkpoint frontier covers no trials".into());
             };
@@ -273,16 +275,14 @@ impl<'s> PoolExecutor<'s> {
             });
         }
         let spec_path = scratch.path("spec.json");
-        std::fs::write(&spec_path, ledger.spec.to_json())
+        std::fs::write(&spec_path, spec.to_json())
             .map_err(|e| format!("{}: {e}", spec_path.display()))?;
         Ok(PoolExecutor {
             workers: cfg.workers,
             pool: Dispatcher::new(spec_path, scratch, cfg)?,
             windows,
-            ledger,
             saved: slots,
             queued: 0,
-            finished: 0,
             exhausted: false,
             chunks_merged: 0,
         })
@@ -325,26 +325,32 @@ impl<'s> PoolExecutor<'s> {
         Ok(report)
     }
 
-    /// The ledger's statistics over `[0, end)` of the groups in `active`
-    /// (every group when `None`), if it holds that window for all of them.
-    fn held(&self, active: Option<&[usize]>, end: u64) -> Option<Vec<Group>> {
-        if self.ledger.groups.is_empty() {
-            return None;
-        }
-        let every: Vec<usize> = (0..self.ledger.groups.len()).collect();
-        active
-            .unwrap_or(&every)
-            .iter()
-            .map(|&gi| self.ledger.window(gi, end).cloned())
-            .collect()
+    /// Runs window `range` of the schedule for `groups` (every group when
+    /// `None`) and returns its merged report, queueing the next window
+    /// under the same groups first.
+    fn run(&mut self, range: Range<usize>, groups: Option<&[usize]>) -> Result<Report, String> {
+        let Some(w) = self.windows.iter().position(|win| *win == range) else {
+            return Err(format!(
+                "internal: asked for trials {range:?} out of the wave schedule"
+            ));
+        };
+        // This window is queued already if it was pipelined; the next one
+        // starts now.
+        self.queued = self.queued.max(w);
+        self.queue(w + 1, groups);
+        self.finish(w)
     }
 
     /// Freezes a drive stopped by retry exhaustion into its checkpoint:
-    /// the ledger's finished windows, plus one frontier report per
-    /// unfinished window with whatever completed of it.
-    fn interrupted(&mut self, error: String) -> Result<Interrupted, String> {
-        let mut checkpoint = self.ledger.clone();
-        for w in self.finished..self.windows.len() {
+    /// `ledger`'s finished windows, plus one frontier report per
+    /// unfinished window with whatever completed of it (a finished window
+    /// has nothing left: `finish` took it).
+    fn interrupted(
+        &mut self,
+        mut checkpoint: Ledger,
+        error: String,
+    ) -> Result<Interrupted, String> {
+        for w in 0..self.windows.len() {
             let mut parts = self.pool.take_completed(w);
             parts.extend(self.saved[w].take());
             if !parts.is_empty() {
@@ -359,75 +365,24 @@ impl<'s> PoolExecutor<'s> {
     }
 }
 
-impl waves::WaveExecutor for PoolExecutor<'_> {
-    type Error = String;
-
-    fn window(
-        &mut self,
-        active: Option<&[usize]>,
-        window: Range<usize>,
-        next: Option<Range<usize>>,
-    ) -> Result<Vec<Group>, String> {
-        let w = self.finished;
-        if self.windows.get(w) != Some(&window) {
-            return Err(format!(
-                "internal: asked for trials {window:?} out of the wave schedule"
-            ));
-        }
-        let end = window.end as u64;
-        if let Some(held) = self.held(active, end) {
-            self.finished += 1;
-            return Ok(held);
-        }
-        // This window is queued already if it was pipelined; the next one
-        // starts now.
-        self.queued = self.queued.max(w);
-        self.queue(w + usize::from(next.is_some()), active);
-        let report = self.finish(w)?;
-        match active {
-            None => self.ledger.open(end, report.groups),
-            Some(ids) => {
-                for &gi in ids {
-                    let (lo, base) = self.ledger.floor(gi, end);
-                    let part = report.groups.get(gi).filter(|_| lo == window.start as u64);
-                    let Some(part) = part else {
-                        return Err(format!(
-                            "internal: no group {gi} to extend by trials {window:?}"
-                        ));
-                    };
-                    self.ledger.record(gi, end, base.merge(part));
-                }
-            }
-        }
-        self.finished += 1;
-        self.held(active, end)
-            .ok_or_else(|| format!("internal: trials {window:?} left a group unrecorded"))
-    }
-}
-
 /// Runs a ledger's spec across the worker pool, fresh (an empty ledger)
-/// or resumed from a checkpoint, through the one wave driver: a fixed
+/// or resumed from a checkpoint, through [`Ledger::answer`]: a fixed
 /// budget is its one-window case.
-fn drive(ledger: Ledger, opts: &Options) -> Result<DriveResult, String> {
-    let spec = ledger.spec.clone();
-    let trials = spec.budget.trials_budget();
+fn drive(mut ledger: Ledger, opts: &Options) -> Result<DriveResult, String> {
+    let budget = ledger.spec.budget.clone();
     let scratch = Scratch::new()?;
-    let cfg = DispatchConfig::from_options(opts, spec.budget.seed);
-    let mut exec = PoolExecutor::new(ledger, &scratch, cfg, waves::windows(trials))?;
-    let outcome = match waves::drive(trials, &mut exec) {
-        Ok(groups) => {
+    let cfg = DispatchConfig::from_options(opts, budget.seed);
+    let frontier = std::mem::take(&mut ledger.frontier);
+    let windows = waves::windows(budget.trials_budget());
+    let mut exec = PoolExecutor::new(&ledger.spec, frontier, &scratch, cfg, windows)?;
+    let outcome = match ledger.answer(&budget, |_, range, groups| exec.run(range, groups)) {
+        Ok(report) => {
             // Cancel whatever the pipeline ran ahead on: the rule retired
             // every group, or the cap cut the schedule.
             exec.pool.abort_in_flight();
-            Ok(Report {
-                graph: exec.ledger.graph.clone(),
-                query: spec.query,
-                budget: spec.budget,
-                coverage: Coverage::full(trials.cap() as u64),
-                groups,
-            })
+            Ok(report)
         }
-        Err(error) if exec.exhausted => Err(exec.interrupted(error)?),
+        Err(error) if exec.exhausted => Err(exec.interrupted(ledger, error)?),
         Err(error) => return Err(error),
     };
     Ok(DriveResult {
@@ -445,16 +400,13 @@ fn drive(ledger: Ledger, opts: &Options) -> Result<DriveResult, String> {
 /// check as a fanout window.
 pub(crate) fn run_on_pool(
     spec: &QuerySpec,
-    g: &AnyGraph,
     range: Range<usize>,
     groups: Option<&[usize]>,
     cfg: DispatchConfig,
 ) -> Result<Report, String> {
     let scratch = Scratch::new()?;
-    let ledger = Ledger::new(spec.clone(), GraphInfo::of(g));
-    let mut exec = PoolExecutor::new(ledger, &scratch, cfg, vec![range])?;
-    exec.queue(0, groups);
-    exec.finish(0)
+    let mut exec = PoolExecutor::new(spec, Vec::new(), &scratch, cfg, vec![range.clone()])?;
+    exec.run(range, groups)
 }
 
 /// Everything a checkpoint holds as one partial report: each group's last
@@ -496,9 +448,16 @@ fn conclude(
     } = match result.outcome {
         Ok(merged) => {
             let retries = result.retries_used;
+            let trials = || merged.groups.iter().map(|g| g.trials);
+            let (lo, hi) = (trials().min().unwrap_or(0), trials().max().unwrap_or(0));
+            let each = if lo < hi {
+                format!(", {lo}–{hi} trials each")
+            } else {
+                format!(" × {hi} trials")
+            };
             eprintln!(
-                "mrw fanout: {} trials in {} chunk(s) across {} worker(s), {retries} retr{} used",
-                merged.consumed_trials(),
+                "mrw fanout: {} group(s){each} in {} chunk(s) across {} worker(s), {retries} retr{} used",
+                merged.groups.len(),
                 result.chunks_merged,
                 DispatchConfig::from_options(opts, 0).workers,
                 if retries == 1 { "y" } else { "ies" }

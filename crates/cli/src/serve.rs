@@ -30,13 +30,15 @@
 //! * **fixed `n`**: merge the greatest cached prefix `b ≤ n` with a
 //!   fresh `b..n` slice (a pure *extension* when the entry already
 //!   existed);
-//! * **adaptive rule**: `mrw-core`'s wave driver ([`waves::drive`]) asks
-//!   the ledger for each window end of the still-active groups, so only
-//!   window ends the ledger cannot answer run (a precision *upgrade*
-//!   resumes from the cached moments).
+//! * **adaptive rule**: `mrw-core`'s wave driver asks the ledger for each
+//!   window end of the still-active groups, so only window ends the
+//!   ledger cannot answer run (a precision *upgrade* resumes from the
+//!   cached moments).
 //!
-//! Both are the same call: the ledger is a wave executor
-//! ([`LedgerExecutor`]) and a fixed budget is the one-window case.
+//! Both are one [`Ledger::answer`] call on the entry's ledger (a fixed
+//! budget is the one-window case); the daemon supplies only
+//! [`Runner::run_range`], which runs one trial range for the groups at one
+//! floor.
 //!
 //! Every boundary served is inserted into the ledger, so repeated and
 //! overlapping queries from many clients compose instead of recomputing.
@@ -79,14 +81,14 @@
 //!
 //! ## Delegation (`--delegate-trials T`)
 //!
-//! A miss or extension that needs `>= T` new trials for a group runs as
-//! one window of the fanout worker pool (`fanout::run_on_pool`: child
-//! `mrw shard` processes with `--range`/`--groups`, deadline-killed and
-//! retried like any fanout chunk) instead of in-process, so one huge
-//! request cannot monopolize the daemon process. The merged shard
-//! reports are byte-identical to the in-process run — a trial is a pure
-//! function of `(seed, group, index)` — and `trials_executed` counts the
-//! same either way.
+//! A missing trial range that spans `>= T` trials ([`Ledger::answer`]
+//! asks for one range per floor) runs as one window of the fanout worker
+//! pool (`fanout::run_on_pool`: child `mrw shard` processes with
+//! `--range`/`--groups`, deadline-killed and retried like any fanout
+//! chunk) instead of in-process, so one huge request cannot monopolize
+//! the daemon process. The merged shard reports are byte-identical to the
+//! in-process run — a trial is a pure function of `(seed, group, index)`
+//! — and `trials_executed` counts the same either way.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -99,9 +101,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use mrw_core::query::json::{self, Value};
-use mrw_core::query::{
-    waves, Budget, Coverage, GraphInfo, Group, Ledger, QuerySpec, Report, Session,
-};
+use mrw_core::query::{Budget, GraphInfo, Ledger, QuerySpec, Report, Session};
 use mrw_core::AnyGraph;
 use mrw_graph::GraphBackend;
 
@@ -384,8 +384,8 @@ struct GraphEntry {
 /// knobs (resolved once at boot from the serve command line; the jitter
 /// seed is each request's own).
 struct Delegation {
-    /// Misses/extensions needing at least this many new trials for a
-    /// group go through the dispatcher instead of in-process.
+    /// Missing ranges spanning at least this many trials go through the
+    /// dispatcher instead of in-process.
     threshold: u64,
     pool: DispatchConfig,
 }
@@ -400,34 +400,29 @@ struct Runner<'a> {
 }
 
 impl Runner<'_> {
-    /// Runs trials `[lo, n)` of `template`'s experiment under `budget`
-    /// (trial space `n`, precision stripped), optionally restricted to
-    /// specific group indices.
+    /// Runs trials `range` of `spec`'s experiment, restricted to the
+    /// `groups` indices when given.
     fn run_range(
         &self,
-        template: &QuerySpec,
-        budget: Budget,
-        lo: usize,
-        n: usize,
-        groups: Option<Vec<usize>>,
+        spec: &QuerySpec,
+        range: Range<usize>,
+        groups: Option<&[usize]>,
     ) -> Result<Report, String> {
-        if let Some(d) = self.delegation.filter(|d| (n - lo) as u64 >= d.threshold) {
-            let spec = QuerySpec {
-                graph: template.graph.clone(),
-                query: template.query.clone(),
-                budget,
-            };
+        if let Some(d) = self
+            .delegation
+            .filter(|d| range.len() as u64 >= d.threshold)
+        {
             let cfg = DispatchConfig {
                 jitter_seed: spec.budget.seed,
                 ..d.pool.clone()
             };
-            return crate::fanout::run_on_pool(&spec, self.graph, lo..n, groups.as_deref(), cfg);
+            return crate::fanout::run_on_pool(spec, range, groups, cfg);
         }
-        let mut session = Session::new(budget).with_range(lo..n);
-        if let Some(idxs) = groups {
-            session = session.with_groups(idxs);
+        let mut session = Session::new(spec.budget.clone()).with_range(range);
+        if let Some(ids) = groups {
+            session = session.with_groups(ids.to_vec());
         }
-        Ok(session.run(self.graph, &template.query))
+        Ok(session.run(self.graph, &spec.query))
     }
 }
 
@@ -470,51 +465,6 @@ impl ReportEntry {
             .iter()
             .map(|l| 64 + l.label.len() + l.prefixes.len() * 96)
             .sum::<usize>()
-    }
-
-    /// First contact: run trials `[0, n)` unfiltered to discover the
-    /// group structure and open every group's ledger with the boundary.
-    /// Returns the trial count dispatched.
-    fn initialize(&mut self, runner: &Runner<'_>, n: usize) -> Result<u64, String> {
-        let spec = &self.ledger.spec;
-        let budget = Budget {
-            trials: n,
-            ..spec.budget.clone()
-        };
-        let report = runner.run_range(spec, budget, 0, n, None)?;
-        self.ledger.open(n as u64, report.groups);
-        Ok((n * self.ledger.groups.len()) as u64)
-    }
-
-    /// Cumulative statistics of group `idx` over trials `[0, n)`,
-    /// running only the missing tail `[b, n)` past the greatest cached
-    /// boundary `b ≤ n` (zero trials when `n` is itself a boundary).
-    /// The result is recorded as a new boundary, so the ledger grows
-    /// wherever requests actually land. Returns the group and the trial
-    /// count dispatched.
-    fn prefix(&mut self, runner: &Runner<'_>, idx: usize, n: u64) -> Result<(Group, u64), String> {
-        if let Some(cum) = self.ledger.window(idx, n) {
-            return Ok((cum.clone(), 0));
-        }
-        let (lo, base) = self.ledger.floor(idx, n);
-        let spec = &self.ledger.spec;
-        let budget = Budget {
-            trials: n as usize,
-            ..spec.budget.clone()
-        };
-        let mut delta_groups = runner
-            .run_range(spec, budget, lo as usize, n as usize, Some(vec![idx]))?
-            .groups;
-        if idx >= delta_groups.len() {
-            return Err(format!(
-                "range run returned {} group(s), expected at least {}",
-                delta_groups.len(),
-                idx + 1
-            ));
-        }
-        let cum = base.merge(&delta_groups.swap_remove(idx));
-        self.ledger.record(idx, n, cum.clone());
-        Ok((cum, n - lo))
     }
 }
 
@@ -622,67 +572,25 @@ impl Server {
 // ---------------------------------------------------------------------------
 // Request handling.
 
-/// The prefix ledger as a [`waves::WaveExecutor`]: each window end is
-/// answered per active group by [`ReportEntry::prefix`], which runs only
-/// the tail past the group's greatest cached boundary. The first window
-/// seeds an empty entry with [`ReportEntry::initialize`].
-struct LedgerExecutor<'e, 'r> {
-    entry: &'e mut ReportEntry,
-    runner: &'r Runner<'r>,
-    /// Trials actually dispatched (the `trials_executed` currency).
-    ran: u64,
-}
-
-impl waves::WaveExecutor for LedgerExecutor<'_, '_> {
-    type Error = String;
-
-    fn window(
-        &mut self,
-        active: Option<&[usize]>,
-        window: Range<usize>,
-        _next: Option<Range<usize>>,
-    ) -> Result<Vec<Group>, String> {
-        if self.entry.ledger.groups.is_empty() {
-            self.ran += self.entry.initialize(self.runner, window.end)?;
-        }
-        let groups = self.entry.ledger.groups.len();
-        let ids = active.map_or_else(|| (0..groups).collect(), <[usize]>::to_vec);
-        let mut out = Vec::with_capacity(ids.len());
-        for idx in ids {
-            let (cum, ran) = self.entry.prefix(self.runner, idx, window.end as u64)?;
-            self.ran += ran;
-            out.push(cum);
-        }
-        Ok(out)
-    }
-}
-
-/// Computes one request's report against a checked-out cache entry: the
-/// wave driver asks the ledger for each window end, so only trial ranges
-/// the ledgers cannot answer run. Returns the report plus how many trials
-/// actually ran (the `stats` verb's `trials_executed` currency). Runs
-/// *outside* the global lock — the caller holds only this key's in-flight
-/// gate.
+/// Computes one request's report against a checked-out cache entry
+/// through [`Ledger::answer`], so only trial ranges its ledger cannot
+/// answer run. Returns the report plus how many trials actually ran (the
+/// `stats` verb's `trials_executed` currency). Runs *outside* the global
+/// lock — the caller holds only this key's in-flight gate.
 fn compute_run(
     entry: &mut ReportEntry,
     runner: &Runner<'_>,
     spec: &QuerySpec,
-    cap: usize,
 ) -> Result<(Report, u64), String> {
-    let mut exec = LedgerExecutor {
-        entry,
-        runner,
-        ran: 0,
-    };
-    let groups = waves::drive(spec.budget.trials_budget(), &mut exec)?;
-    let report = Report {
-        graph: exec.entry.ledger.graph.clone(),
-        query: spec.query.clone(),
-        budget: spec.budget.clone(),
-        coverage: Coverage::full(cap as u64),
-        groups,
-    };
-    Ok((report, exec.ran))
+    let mut ran = 0;
+    let report = entry
+        .ledger
+        .answer(&spec.budget, |template, range, groups| {
+            let report = runner.run_range(template, range, groups)?;
+            ran += report.groups.iter().map(|g| g.trials).sum::<u64>();
+            Ok(report)
+        })?;
+    Ok((report, ran))
 }
 
 /// Serves one `run` request. It checks the spec as
@@ -695,7 +603,6 @@ fn compute_run(
 /// concurrently.
 fn serve_run(server: &Server, spec: &QuerySpec) -> Result<Report, String> {
     spec.budget.check()?;
-    let cap = spec.budget.trials_budget().cap();
     let graph_key = spec.graph.cache_key();
     let report_key = spec.report_key();
     // Bookkeeping pass: stamp the tick, resolve (and cache) the graph,
@@ -733,7 +640,7 @@ fn serve_run(server: &Server, spec: &QuerySpec) -> Result<Report, String> {
         graph: graph.as_ref(),
         delegation: server.delegation.as_ref(),
     };
-    let outcome = compute_run(&mut entry, &runner, spec, cap);
+    let outcome = compute_run(&mut entry, &runner, spec);
     // Check-in pass. On a compute/delegation error the entry is
     // reinserted if it pre-existed — every boundary it holds is still
     // exact — and dropped if this was its first contact, so the next

@@ -607,7 +607,10 @@ fn fanout_fixed_budget_is_byte_identical_to_run() {
         .assert()
         .success()
         .stdout(reference.clone())
-        .stderr(contains("in 16 chunk(s) across 4 worker(s)"));
+        .stderr(contains(
+            "mrw fanout: 2 group(s) × 96 trials in 16 chunk(s) across 4 worker(s), \
+             0 retries used\n",
+        ));
     mrw()
         .args(["fanout", spec.to_str().unwrap(), "--workers", "2", "--json"])
         .assert()
@@ -618,7 +621,10 @@ fn fanout_fixed_budget_is_byte_identical_to_run() {
         .assert()
         .success()
         .stdout(reference)
-        .stderr(contains("in 1 chunk(s) across 1 worker(s)"));
+        .stderr(contains(
+            "mrw fanout: 2 group(s) × 96 trials in 1 chunk(s) across 1 worker(s), \
+             0 retries used\n",
+        ));
 }
 
 #[test]
@@ -628,12 +634,17 @@ fn fanout_adaptive_budget_is_byte_identical_to_run() {
     let reference = oracle(&spec);
     // The sequential stopping rule must replay identically across the
     // process pool: same wave boundaries, same per-group stopping points,
-    // same consumed trial counts.
+    // same consumed trial counts. Seven windows of three chunks, up to
+    // trial 181, where the last group retires.
     mrw()
         .args(["fanout", spec.to_str().unwrap(), "--workers", "3", "--json"])
         .assert()
         .success()
-        .stdout(reference);
+        .stdout(reference)
+        .stderr(contains(
+            "mrw fanout: 2 group(s), 121–181 trials each in 21 chunk(s) across 3 worker(s), \
+             0 retries used\n",
+        ));
 }
 
 #[test]

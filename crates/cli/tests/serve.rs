@@ -247,11 +247,28 @@ fn staggered_adaptive_retirement_runs_exactly_the_missing_trials() {
     let spec_arg = spec.to_str().unwrap();
     let oracle = mrw_stdout(&["run", spec_arg, "--json"]);
     let oracle_96 = mrw_stdout(&["run", spec_arg, "--json", "--trials", "96"]);
+    let oracle_256 = mrw_stdout(&["run", spec_arg, "--json", "--trials", "256"]);
 
-    // A cold adaptive miss runs each group to its own retirement.
-    let (_daemon, addr) = start_daemon(&[]);
-    assert_eq!(ctl(&addr, &["run", spec_arg]), oracle);
-    assert_eq!(counter(&stats(&addr), &["trials_executed"]), 121 + 181);
+    // A cold adaptive miss runs each group to its own retirement. A fixed
+    // 256-trial request then runs each group's tail from its own floor:
+    // [181, 256) for start=0 and [121, 256) for start=8, 75 + 135 trials,
+    // the same in-process and delegated to child processes.
+    for extra in [&[][..], &["--delegate-trials", "1", "--workers", "2"]] {
+        let (_daemon, addr) = start_daemon(extra);
+        assert_eq!(ctl(&addr, &["run", spec_arg]), oracle);
+        assert_eq!(counter(&stats(&addr), &["trials_executed"]), 121 + 181);
+        assert_eq!(
+            ctl(&addr, &["run", spec_arg, "--trials", "256"]),
+            oracle_256
+        );
+        let s = stats(&addr);
+        assert_eq!(
+            counter(&s, &["trials_executed"]),
+            302 + 75 + 135,
+            "{extra:?}"
+        );
+        assert_eq!(counter(&s, &["extensions"]), 1);
+    }
 
     // A fixed 96-trial entry, then the adaptive upgrade. Window ends below
     // the cached boundary 96 rerun from trial 0 (integer moments cannot

@@ -23,9 +23,10 @@
 //!   when non-empty, so cache entries keep their bytes. A checkpoint
 //!   taken before any window finished has no groups.
 //!
-//! Both load through [`Ledger::from_json`], and both look up and extend
-//! windows through the same methods ([`Ledger::window`],
-//! [`Ledger::floor`], [`Ledger::record`]).
+//! Both load through [`Ledger::from_json`], and both answer a budget
+//! through [`Ledger::answer`]: the wave driver asks for each window end,
+//! a group that holds it answers from the ledger, and the others run only
+//! the trials past their greatest window and record the result.
 //!
 //! ## Integrity
 //!
@@ -40,8 +41,11 @@
 //! trial twice. Loaders treat every failure as "refuse this file", never a
 //! panic (rule P1).
 
+use std::collections::BTreeMap;
+use std::ops::Range;
+
 use super::json::{self, Value};
-use super::{Coverage, GraphInfo, Group, QuerySpec, Report};
+use super::{waves, Budget, Coverage, GraphInfo, Group, QuerySpec, Report};
 
 /// The canonical-JSON schema tag of serialized ledgers.
 pub const LEDGER_SCHEMA: &str = "mrw-ledger-v1";
@@ -121,9 +125,35 @@ impl Ledger {
         format!("ledger-{}.json", spec_hash(&self.report_key()))
     }
 
+    /// Answers `budget`, a budget of the ledger's experiment, and returns
+    /// the full-coverage report: the [`waves::drive`] of its windows, where
+    /// a group answers each window end it holds from the ledger. The other
+    /// groups run only their tails: one `run(spec, floor..end, groups)`
+    /// call per distinct floor, in floor order, listing the groups at that
+    /// floor (`None` on an empty ledger, which runs `[0, end)` for every
+    /// group and opens with the answer). `spec` is the ledger's spec with a
+    /// fixed trial count raised to span `end`. Every window that ran is
+    /// recorded, also when a later one fails. A report that lacks a listed
+    /// group, or holds other than `end - floor` trials for one, is an
+    /// `Err`, as is `run`'s own.
+    pub fn answer<R>(&mut self, budget: &Budget, run: R) -> Result<Report, String>
+    where
+        R: FnMut(&QuerySpec, Range<usize>, Option<&[usize]>) -> Result<Report, String>,
+    {
+        let trials = budget.trials_budget();
+        let groups = waves::drive(trials, &mut Answer { ledger: self, run })?;
+        Ok(Report {
+            graph: self.graph.clone(),
+            query: self.spec.query.clone(),
+            budget: budget.clone(),
+            coverage: Coverage::full(trials.cap() as u64),
+            groups,
+        })
+    }
+
     /// Group `idx`'s statistics over trials `[0, hi)`, if the ledger holds
     /// that window.
-    pub fn window(&self, idx: usize, hi: u64) -> Option<&Group> {
+    fn window(&self, idx: usize, hi: u64) -> Option<&Group> {
         let prefixes = &self.groups.get(idx)?.prefixes;
         let pos = prefixes.binary_search_by_key(&hi, |p| p.0).ok()?;
         Some(&prefixes[pos].1)
@@ -150,20 +180,20 @@ impl Ledger {
     ///
     /// # Panics
     /// If the ledger has no group `idx`.
-    pub fn record(&mut self, idx: usize, hi: u64, group: Group) {
+    fn record(&mut self, idx: usize, hi: u64, group: Group) {
         let prefixes = &mut self.groups[idx].prefixes;
         match prefixes.binary_search_by_key(&hi, |p| p.0) {
             Ok(pos) => prefixes[pos].1 = group,
             Err(pos) => prefixes.insert(pos, (hi, group)),
         }
-        self.cover(hi);
+        cover(&mut self.spec.budget, hi);
     }
 
     /// Starts the group ledgers from a first window: `groups[i]` is group
     /// `i`'s statistics over trials `[0, hi)`. The first window is where
     /// the group structure becomes known (labels can depend on the graph —
     /// `hmax` derives its candidate pairs from it).
-    pub fn open(&mut self, hi: u64, groups: Vec<Group>) {
+    fn open(&mut self, hi: u64, groups: Vec<Group>) {
         self.groups = groups
             .into_iter()
             .map(|g| LedgerGroup {
@@ -171,14 +201,7 @@ impl Ledger {
                 prefixes: vec![(hi, g)],
             })
             .collect();
-        self.cover(hi);
-    }
-
-    fn cover(&mut self, hi: u64) {
-        let budget = &mut self.spec.budget;
-        if budget.precision.is_none() {
-            budget.trials = budget.trials.max(hi as usize);
-        }
+        cover(&mut self.spec.budget, hi);
     }
 
     /// Where the prefix windows end: the greatest window bound any group
@@ -350,6 +373,79 @@ impl Ledger {
     }
 }
 
+/// Raises a fixed budget's trial count to span trials `[0, hi)`.
+fn cover(budget: &mut Budget, hi: u64) {
+    if budget.precision.is_none() {
+        budget.trials = budget.trials.max(hi as usize);
+    }
+}
+
+/// [`Ledger::answer`]'s wave executor: the ledger, and how to run what it
+/// lacks.
+struct Answer<'l, R> {
+    ledger: &'l mut Ledger,
+    run: R,
+}
+
+impl<R> waves::WaveExecutor for Answer<'_, R>
+where
+    R: FnMut(&QuerySpec, Range<usize>, Option<&[usize]>) -> Result<Report, String>,
+{
+    type Error = String;
+
+    fn window(
+        &mut self,
+        active: Option<&[usize]>,
+        window: Range<usize>,
+    ) -> Result<Vec<Group>, String> {
+        let (ledger, end) = (&mut *self.ledger, window.end as u64);
+        let mut spec = ledger.spec.clone();
+        cover(&mut spec.budget, end);
+        if ledger.groups.is_empty() {
+            let report = (self.run)(&spec, 0..window.end, None)?;
+            for group in &report.groups {
+                check_ran(group, end)?;
+            }
+            ledger.open(end, report.groups);
+        }
+        let every: Vec<usize> = (0..ledger.groups.len()).collect();
+        let ids = active.unwrap_or(&every);
+        let mut tails: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for &gi in ids {
+            if gi >= ledger.groups.len() {
+                return Err(format!("the ledger has no group {gi}"));
+            }
+            if ledger.window(gi, end).is_none() {
+                tails.entry(ledger.floor(gi, end).0).or_default().push(gi);
+            }
+        }
+        for (floor, gis) in tails {
+            let report = (self.run)(&spec, floor as usize..window.end, Some(&gis))?;
+            for &gi in &gis {
+                let part = report
+                    .groups
+                    .get(gi)
+                    .ok_or_else(|| format!("trials {floor}..{end} came back without group {gi}"))?;
+                check_ran(part, end - floor)?;
+                let base = ledger.floor(gi, end).1;
+                ledger.record(gi, end, base.merge(part));
+            }
+        }
+        Ok(ids.iter().map(|&gi| ledger.floor(gi, end).1).collect())
+    }
+}
+
+/// A runner's `group` ran exactly the `len` trials it was asked for.
+fn check_ran(group: &Group, len: u64) -> Result<(), String> {
+    if group.trials != len {
+        return Err(format!(
+            "group {} ran {} trial(s), not {len}",
+            group.label, group.trials
+        ));
+    }
+    Ok(())
+}
+
 fn ledger_group_from_value(v: &Value) -> Result<LedgerGroup, String> {
     let label = v
         .req("label")?
@@ -514,6 +610,106 @@ mod tests {
         assert_eq!(l.spec.budget.trials, 48);
         assert_eq!(l.prefix_end(), 48);
         assert_eq!(Ledger::from_json(&l.to_json()).unwrap(), l);
+    }
+
+    /// One `run` call of [`Ledger::answer`]: its range and group filter.
+    type Call = (Range<usize>, Option<Vec<usize>>);
+
+    /// An in-process runner that records each call.
+    fn recording(
+        calls: &mut Vec<Call>,
+    ) -> impl FnMut(&QuerySpec, Range<usize>, Option<&[usize]>) -> Result<Report, String> + '_ {
+        move |spec, range, groups| {
+            calls.push((range.clone(), groups.map(<[usize]>::to_vec)));
+            let mut session = Session::new(spec.budget.clone()).with_range(range);
+            if let Some(ids) = groups {
+                session = session.with_groups(ids.to_vec());
+            }
+            Ok(session.run(&spec.graph.resolve()?, &spec.query))
+        }
+    }
+
+    /// `mrw run`'s report of `spec`.
+    fn oracle(spec: &QuerySpec) -> String {
+        let g = spec.graph.resolve().unwrap();
+        Session::new(spec.budget.clone())
+            .run(&g, &spec.query)
+            .to_json()
+    }
+
+    #[test]
+    fn an_empty_ledger_runs_every_group_once_then_opens() {
+        let spec = spec(24);
+        let mut template = spec.clone();
+        template.budget.trials = 0;
+        let mut l = Ledger::new(template, ledger().graph);
+        let mut calls = Vec::new();
+        let report = l.answer(&spec.budget, recording(&mut calls)).unwrap();
+        assert_eq!(report.to_json(), oracle(&spec));
+        assert_eq!(calls, [(0..24, None)]);
+        assert_eq!(l.groups.len(), 2);
+        assert!((0..2).all(|gi| l.window(gi, 24).is_some_and(|g| g.trials == 24)));
+        assert_eq!(l.spec.budget.trials, 24);
+    }
+
+    #[test]
+    fn a_window_the_ledger_holds_runs_nothing() {
+        for trials in [16, 32] {
+            let mut l = ledger();
+            let mut calls = Vec::new();
+            let report = l
+                .answer(&spec(trials).budget, recording(&mut calls))
+                .unwrap();
+            assert_eq!(report.to_json(), oracle(&spec(trials)));
+            assert!(calls.is_empty(), "{calls:?}");
+            assert_eq!(l, ledger());
+        }
+    }
+
+    #[test]
+    fn groups_at_different_floors_run_one_call_each_in_floor_order() {
+        // Group 0 holds [0, 48), group 1 only [0, 32).
+        let mut l = ledger();
+        let (lo, base) = l.floor(0, 48);
+        l.record(
+            0,
+            48,
+            base.merge(&partial(&spec(48), lo as usize, 48).groups[0]),
+        );
+        let mut calls = Vec::new();
+        let report = l.answer(&spec(64).budget, recording(&mut calls)).unwrap();
+        assert_eq!(report.to_json(), oracle(&spec(64)));
+        assert_eq!(calls, [(32..64, Some(vec![1])), (48..64, Some(vec![0]))]);
+        assert_eq!(l.floor(1, 64).0, 64);
+        assert_eq!(l.spec.budget.trials, 64);
+    }
+
+    #[test]
+    fn runners_that_break_the_contract_are_errors() {
+        let mut calls = Vec::new();
+        let mut run = recording(&mut calls);
+        // Too few groups.
+        let mut short = |spec: &QuerySpec, range, groups: Option<&[usize]>| {
+            let mut report = run(spec, range, groups)?;
+            report.groups.truncate(1);
+            Ok(report)
+        };
+        let err = ledger().answer(&spec(48).budget, &mut short).unwrap_err();
+        assert!(err.contains("without group 1"), "{err}");
+        // Trials from the wrong range.
+        let mut whole = |spec: &QuerySpec, range: Range<usize>, groups: Option<&[usize]>| {
+            run(spec, 0..range.end, groups)
+        };
+        let err = ledger().answer(&spec(48).budget, &mut whole).unwrap_err();
+        assert!(err.contains("ran 48 trial(s), not 16"), "{err}");
+        // An active group the ledger does not have.
+        let mut l = ledger();
+        let mut exec = Answer {
+            ledger: &mut l,
+            run: &mut run,
+        };
+        let err = waves::WaveExecutor::window(&mut exec, Some(&[0, 5]), 32..48).unwrap_err();
+        assert!(err.contains("no group 5"), "{err}");
     }
 
     #[test]

@@ -1867,7 +1867,6 @@ impl<R: FnMut(Range<usize>) -> Group> waves::WaveExecutor for InProcess<R> {
         &mut self,
         _active: Option<&[usize]>,
         window: Range<usize>,
-        _next: Option<Range<usize>>,
     ) -> Result<Vec<Group>, String> {
         self.total = self.total.merge(&(self.run)(window));
         Ok(vec![self.total.clone()])

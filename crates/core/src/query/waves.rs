@@ -9,16 +9,17 @@
 //! one-window case `[0, n)`. [`drive`] owns that whole policy: the window
 //! schedule, the rule check, retirement, and finalization at the cap. A
 //! [`WaveExecutor`] only answers one question — the still-active groups'
-//! statistics over `[0, window end)` — which is what lets three very
+//! statistics over `[0, window end)` — which is what lets two very
 //! different executors share it:
 //!
 //! * [`Session`](super::Session) runs each group's windows in-process
 //!   through `mrw_par` and folds them into a running total;
-//! * `mrw fanout` / `mrw resume` cut each window into chunks for the
-//!   work-stealing process pool, starting the next window before the
-//!   current one drains;
-//! * `mrw serve` answers window ends from its per-group prefix ledgers,
-//!   running only the tail past the greatest cached boundary.
+//! * [`Ledger::answer`](super::Ledger::answer) answers each window end
+//!   from per-group prefix windows and runs only the tails past them. It
+//!   is how `mrw serve` answers from its report cache and how `mrw fanout`
+//!   / `mrw resume` run windows on the work-stealing process pool (which
+//!   starts the next window of its own schedule before the current one
+//!   drains).
 //!
 //! The windows depend only on the budget, and the rule sees only exact
 //! index-ordered prefix statistics, so every executor stops every group at
@@ -43,16 +44,14 @@ pub trait WaveExecutor {
     /// structure is known).
     ///
     /// `window.start` is where the previous window ended, so an executor
-    /// that keeps running totals only has to run `window`. `next` is the
-    /// window the driver asks for after this one if any listed group stays
-    /// active; an executor may start it early under the same `active` set,
-    /// which is always a superset of the groups that will actually need
-    /// it.
+    /// that keeps running totals only has to run `window`. The windows
+    /// follow [`windows`], and groups only ever retire, so an executor may
+    /// start the next window early under the same `active` set: a
+    /// superset of the groups that will actually need it.
     fn window(
         &mut self,
         active: Option<&[usize]>,
         window: Range<usize>,
-        next: Option<Range<usize>>,
     ) -> Result<Vec<Group>, Self::Error>;
 }
 
@@ -98,8 +97,7 @@ pub fn drive<X: WaveExecutor>(trials: Trials, exec: &mut X) -> Result<Vec<Group>
     let mut finished: Vec<Option<Group>> = Vec::new();
     let mut active: Option<Vec<usize>> = None;
     for (w, window) in windows.iter().enumerate() {
-        let next = windows.get(w + 1).cloned();
-        let stats = exec.window(active.as_deref(), window.clone(), next.clone())?;
+        let stats = exec.window(active.as_deref(), window.clone())?;
         let ids = match active.take() {
             Some(ids) => ids,
             None => {
@@ -119,7 +117,7 @@ pub fn drive<X: WaveExecutor>(trials: Trials, exec: &mut X) -> Result<Vec<Group>
         // then the survivors of the previous window.
         let mut still = Vec::with_capacity(ids.len());
         for (gi, group) in ids.into_iter().zip(stats) {
-            if next.is_none() || rule.is_some_and(|r| r.satisfied_by(&group.summary())) {
+            if w + 1 == windows.len() || rule.is_some_and(|r| r.satisfied_by(&group.summary())) {
                 finished[gi] = Some(group);
             } else {
                 still.push(gi);

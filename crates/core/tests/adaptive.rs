@@ -22,8 +22,8 @@ use mrw_graph::{generators, Graph};
 use mrw_stats::{IntMoments, Trials};
 use proptest::prelude::*;
 
-/// One recorded `window(active, window, next)` request.
-type Call = (Option<Vec<usize>>, Range<usize>, Option<Range<usize>>);
+/// One recorded `window(active, window)` request.
+type Call = (Option<Vec<usize>>, Range<usize>);
 
 /// A wave executor answering from a table of per-trial outcomes
 /// (`table[g][i]` is trial `i` of group `g`), recording every request.
@@ -39,10 +39,9 @@ impl WaveExecutor for TableExecutor {
         &mut self,
         active: Option<&[usize]>,
         window: Range<usize>,
-        next: Option<Range<usize>>,
     ) -> Result<Vec<Group>, String> {
         self.calls
-            .push((active.map(<[usize]>::to_vec), window.clone(), next));
+            .push((active.map(<[usize]>::to_vec), window.clone()));
         let all: Vec<usize> = (0..self.table.len()).collect();
         Ok(active
             .unwrap_or(&all)
@@ -192,19 +191,15 @@ proptest! {
             prop_assert!(satisfied || consumed == cap, "group {} stopped early at {}", g, consumed);
         }
         // The requests: contiguous windows from 0, the first one for every
-        // group, later ones only for groups the hand loop still runs there,
-        // and each request announcing the window that actually follows.
+        // group, later ones only for groups the hand loop still runs there.
         let mut end = 0;
-        for (i, (active, window, next)) in exec.calls.iter().enumerate() {
+        for (i, (active, window)) in exec.calls.iter().enumerate() {
             prop_assert_eq!(window.start, end);
             end = window.end;
             let still: Vec<usize> = (0..groups).filter(|&g| expected[g] >= window.end).collect();
             match active {
                 None => prop_assert_eq!(i, 0),
                 Some(ids) => prop_assert_eq!(ids, &still),
-            }
-            if let Some((_, following, _)) = exec.calls.get(i + 1) {
-                prop_assert_eq!(next.as_ref(), Some(following));
             }
         }
         prop_assert_eq!(end, expected.iter().copied().max().unwrap_or(0));
@@ -222,7 +217,7 @@ fn fixed_budget_is_one_window() {
         calls: Vec::new(),
     };
     let finished = waves::drive(Trials::Fixed(40), &mut exec).unwrap();
-    assert_eq!(exec.calls, vec![(None, 0..40, None)]);
+    assert_eq!(exec.calls, vec![(None, 0..40)]);
     for (g, group) in finished.iter().enumerate() {
         assert_eq!(group, &prefix(&table[g]));
     }
@@ -244,7 +239,6 @@ fn inconsistent_executors_are_errors() {
             &mut self,
             active: Option<&[usize]>,
             _window: Range<usize>,
-            _next: Option<Range<usize>>,
         ) -> Result<Vec<Group>, String> {
             // Two groups at first, then none at all.
             Ok(match active {
